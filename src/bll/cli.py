@@ -202,15 +202,19 @@ class ScenarioConfig:
 def _convert(kind, key, val, lineno):
     try:
         if kind == "float":
-            return float(val)
-        if kind == "int":
+            out = float(val)
+        elif kind == "int":
             return int(val)
-        if kind == "floats":
+        elif kind == "floats":
             parts = [tok.strip() for tok in val.split(",")]
-            return tuple(float(tok) for tok in parts if tok)
-        return val
+            out = tuple(float(tok) for tok in parts if tok)
+        else:
+            return val
     except ValueError:
         raise ConfigError(f"expected {kind} for '{key}', got '{val}'", line=lineno) from None
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"'{key}' must be finite, got '{val}'", line=lineno)
+    return out
 
 
 def _scan(text):
@@ -293,7 +297,8 @@ def parse_config(text):
     demand(ob_dt > 0, "ob", "dt", "dt must be positive")
     ob_t_end = get("ob", "t_end")
     demand(ob_t_end > 0, "ob", "t_end", "t_end must be positive")
-    steps = round(ob_t_end / ob_dt)
+    # np.round keeps an overflowing quotient at inf, which fails the check
+    steps = np.round(ob_t_end / ob_dt)
     demand(
         steps >= 1 and abs(steps * ob_dt - ob_t_end) <= 1e-9 * ob_t_end,
         "ob", "t_end", "t_end must be an integer multiple of dt",
@@ -301,7 +306,7 @@ def parse_config(text):
 
     cadence = get("output", "cadence")
     demand(cadence > 0, "output", "cadence", "cadence must be positive")
-    every = round(cadence / ob_dt)
+    every = np.round(cadence / ob_dt)
     demand(
         every >= 1 and abs(every * ob_dt - cadence) <= 1e-9 * cadence,
         "output", "cadence", "cadence must be a positive multiple of the ob dt",

@@ -16,8 +16,9 @@ match exactly; no interpolation) of: the L1 norm of (rho - rho_bar)/eps - r
 and (theta - theta_bar)/eps - T against the incompressible deviations, and
 the face-based L2 norm of sqrt(rho) u - sqrt(rho_bar) U (wall faces carry
 no-slip zeros and are omitted).  The sweep runs one incompressible target and
-one compressible member per eps (threaded), assembling a table with log-log
-fitted rates; diverging members annotate the table instead of aborting it.
+one compressible member per eps (one at a time unless given worker threads),
+assembling a table with log-log fitted rates; diverging members annotate the
+table instead of aborting it.
 """
 
 from __future__ import annotations
@@ -343,8 +344,9 @@ def _fit_rates(rows):
 
 def sweep(scenario, eps_list, frame=T_FRAME, snapshot_dt=None, threads=None):
     """Run the shared incompressible target once and one compressible member
-    per eps (well-prepared from the target's initial data), in parallel, and
-    assemble the ConvergenceTable.
+    per eps (well-prepared from the target's initial data) on `threads`
+    worker threads (default 1: the members hold the GIL, so more threads
+    only add contention), and assemble the ConvergenceTable.
 
     eps_list must be strictly descending in (0, 1].  Members that blow up or
     hit positivity limits are recorded as failure annotations; assembly is
@@ -367,7 +369,7 @@ def sweep(scenario, eps_list, frame=T_FRAME, snapshot_dt=None, threads=None):
         nsf_traj = run_nsf(_member_scenario(scenario, eps, T0, U0), snapshot_dt)
         return deviation_error_norms(nsf_traj, ob_traj, eps, scenario)
 
-    workers = threads if threads else min(len(eps_seq), 4)
+    workers = threads if threads else 1
     rows, failures = [], []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(member, eps) for eps in eps_seq]

@@ -1,5 +1,5 @@
 """Staggered grid on the periodic strip T^1 x (0,1): fields, operators,
-direct elliptic solves, and the binary snapshot format.
+direct elliptic solves, and profile output.
 
 MAC layout, arrays indexed [i, k] = (x, z):
   cell centers   (nx, nz)   at ((i+1/2) dx, (k+1/2) dz)
@@ -14,13 +14,14 @@ implicit Dirichlet solve (helmholtz_solve) upgrades center fields to the
 quadratic-extrapolation ghost, whose conservative wall flux is the one-sided
 quadratic derivative, while x-face fields keep the mirror convention.
 
-The z solves are direct (Thomas algorithm per x Fourier mode), so runs are
-deterministic and bit-reproducible.
+The elliptic solves are direct: rfft in x, then one z-tridiagonal system per
+Fourier mode.  Each operator (a - c lap with its wall closure) is factored
+once and cached on its Grid; a solve runs only the Thomas rhs sweeps, so runs
+are deterministic and bit-reproducible.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -41,7 +42,6 @@ __all__ = [
     "div",
     "laplacian",
     "center_to_xface",
-    "center_to_zface",
     "xface_to_center",
     "zface_to_center",
     "advect_velocity",
@@ -49,8 +49,6 @@ __all__ = [
     "helmholtz_solve",
     "helmholtz_solve_zface",
     "laplace_dirichlet",
-    "save_field",
-    "load_field",
     "save_profile_csv",
 ]
 
@@ -112,6 +110,11 @@ class Grid:
 
     def cell_mesh(self):
         return np.meshgrid(self.x_centers, self.z_centers, indexing="ij")
+
+    @cached_property
+    def _zops(self):
+        """Factored z-operators of this grid, keyed by (a, c, wall)."""
+        return {}
 
 
 @dataclass
@@ -253,17 +256,6 @@ def center_to_xface(vals):
     return 0.5 * (vals + np.roll(vals, 1, axis=0))
 
 
-def center_to_zface(vals, bottom=None, top=None):
-    """Average center values onto z-faces; wall faces take the given values
-    or a second-order one-sided extrapolation."""
-    nx, nz = vals.shape
-    out = np.zeros((nx, nz + 1))
-    out[:, 1:-1] = 0.5 * (vals[:, 1:] + vals[:, :-1])
-    out[:, 0] = _wall_array(bottom, nx) if bottom is not None else 1.5 * vals[:, 0] - 0.5 * vals[:, 1]
-    out[:, -1] = _wall_array(top, nx) if top is not None else 1.5 * vals[:, -1] - 0.5 * vals[:, -2]
-    return out
-
-
 def xface_to_center(u):
     return 0.5 * (u + np.roll(u, -1, axis=0))
 
@@ -302,26 +294,30 @@ def advect_velocity(grid, u, w):
     return adv_u, adv_w
 
 
-def _thomas(sub, diag, sup, rhs):
-    """Batched Thomas solve along the last axis; leading axes broadcast.
-
-    sub[..., 0] and sup[..., -1] are ignored.
-    """
-    n = rhs.shape[-1]
-    dtype = np.result_type(diag, rhs)
-    cp = np.empty(np.broadcast_shapes(diag.shape, rhs.shape), dtype=dtype)
-    xp = np.empty_like(cp)
-    beta = diag[..., 0]
-    cp[..., 0] = sup[..., 0] / beta
-    xp[..., 0] = rhs[..., 0] / beta
+def _thomas_factor(sub, diag, sup, dtype):
+    """Forward-elimination factors (cp, beta) of a batched tridiagonal system
+    along the last axis, in the solution dtype; sub[..., 0] and sup[..., -1]
+    are ignored."""
+    n = diag.shape[-1]
+    cp = np.empty(diag.shape, dtype=dtype)
+    beta = np.empty_like(cp)
+    beta[..., 0] = diag[..., 0]
+    cp[..., 0] = sup[..., 0] / diag[..., 0]
     for k in range(1, n):
-        beta = diag[..., k] - sub[..., k] * cp[..., k - 1]
-        cp[..., k] = sup[..., k] / beta
-        xp[..., k] = (rhs[..., k] - sub[..., k] * xp[..., k - 1]) / beta
+        beta[..., k] = diag[..., k] - sub[..., k] * cp[..., k - 1]
+        cp[..., k] = sup[..., k] / beta[..., k]
+    return cp, beta
+
+
+def _thomas(sub, cp, beta, rhs):
+    """Batched Thomas solve along the last axis: the rhs sweeps only, with
+    the factors of _thomas_factor (same shape as rhs)."""
     x = np.empty_like(cp)
-    x[..., -1] = xp[..., -1]
-    for k in range(n - 2, -1, -1):
-        x[..., k] = xp[..., k] - cp[..., k] * x[..., k + 1]
+    x[..., 0] = rhs[..., 0] / beta[..., 0]
+    for k in range(1, rhs.shape[-1]):
+        x[..., k] = (rhs[..., k] - sub[..., k] * x[..., k - 1]) / beta[..., k]
+    for k in range(rhs.shape[-1] - 2, -1, -1):
+        x[..., k] -= cp[..., k] * x[..., k + 1]
     return x
 
 
@@ -329,6 +325,71 @@ def _x_mode_eigenvalues(grid):
     """Discrete symbols k~^2 >= 0 of -d^2/dx^2 for the rfft modes."""
     j = np.arange(grid.nx // 2 + 1)
     return 2.0 * (1.0 - np.cos(2.0 * np.pi * j / grid.nx)) / grid.dx ** 2
+
+
+class _ZOperator:
+    """a - c lap as one z-tridiagonal system per rfft x-mode, factored once;
+    a solve runs only the rhs sweeps.  wall is the z closure: 'pinned'
+    (Neumann ghost f0, the singular kx = 0 mode pinned in its first cell),
+    'extrapolate' (Dirichlet, quadratic-extrapolation ghost (8g - 6 f0 + f1)/3),
+    'mirror' (Dirichlet, no-slip ghost 2g - f0) or 'zface' (the interior
+    z-faces, wall faces held at zero)."""
+
+    def __init__(self, grid, c, wall, a=1.0):
+        self.grid = grid
+        self.wall = wall
+        shape = (grid.nx // 2 + 1, grid.nz - 1 if wall == "zface" else grid.nz)
+        kx2 = _x_mode_eigenvalues(grid)[:, None]
+        inv_dz2 = 1.0 / grid.dz ** 2
+        diag = a + c * (2.0 * inv_dz2 + kx2) * np.ones(shape)
+        sub = np.full(shape, -c * inv_dz2)
+        sup = np.full(shape, -c * inv_dz2)
+        self.wall_coef = None
+        if wall == "pinned":
+            diag[:, [0, -1]] += -c * inv_dz2
+            diag[0, 0], sup[0, 0], sub[0, 1] = 1.0, 0.0, 0.0
+        elif wall == "mirror":
+            diag[:, [0, -1]] += c * inv_dz2
+            self.wall_coef = 2.0 * c * inv_dz2
+        elif wall == "extrapolate":
+            diag[:, [0, -1]] += 2.0 * c * inv_dz2
+            sup[:, 0] -= c * inv_dz2 / 3.0
+            sub[:, -1] -= c * inv_dz2 / 3.0
+            self.wall_coef = (8.0 / 3.0) * c * inv_dz2
+        self.sub = sub
+        self.cp, self.beta = _thomas_factor(sub, diag, sup, complex)
+
+    def solve(self, vals, bottom=0.0, top=0.0):
+        """Solution for real data vals (None: zero data); bottom and top are
+        the wall values of the Dirichlet closures."""
+        nx = self.grid.nx
+        rhs = np.zeros(self.cp.shape, dtype=complex) if vals is None else np.fft.rfft(vals, axis=0)
+        if self.wall_coef is not None:
+            rhs[:, 0] += self.wall_coef * np.fft.rfft(_wall_array(bottom, nx))
+            rhs[:, -1] += self.wall_coef * np.fft.rfft(_wall_array(top, nx))
+        elif self.wall == "pinned":
+            rhs[0, 0] = 0.0
+        return np.fft.irfft(_thomas(self.sub, self.cp, self.beta, rhs), n=nx, axis=0)
+
+    @cached_property
+    def unit_source(self):
+        """Response to a unit right-hand side with zero walls."""
+        return ScalarField(self.grid, self.solve(np.ones((self.grid.nx, self.grid.nz))))
+
+    @cached_property
+    def unit_wall(self):
+        """Response to a zero right-hand side with unit walls."""
+        return ScalarField(self.grid, self.solve(None, 1.0, 1.0))
+
+
+def _zop(grid, c, wall, a=1.0):
+    """The factored operator a - c lap with the given wall closure, cached on
+    the grid so that it lives as long as the grid does."""
+    key = (a, c, wall)
+    op = grid._zops.get(key)
+    if op is None:
+        op = grid._zops[key] = _ZOperator(grid, c, wall, a)
+    return op
 
 
 def poisson_solve(rhs):
@@ -344,63 +405,9 @@ def poisson_solve(rhs):
         raise DomainError("non-finite right-hand side")
     g = rhs.grid
     removed = mean(rhs)
-    r = rhs.values - removed
-    rhat = np.fft.rfft(r, axis=0)
-    kx2 = _x_mode_eigenvalues(g)[:, None]
-    inv_dz2 = 1.0 / g.dz ** 2
-    nm = rhat.shape[0]
-    diag = np.full((nm, g.nz), -2.0 * inv_dz2) - kx2
-    sub = np.full((nm, g.nz), inv_dz2)
-    sup = np.full((nm, g.nz), inv_dz2)
-    # Neumann ghosts fold the wall neighbor back onto the diagonal.
-    diag[:, 0] += inv_dz2
-    diag[:, -1] += inv_dz2
-    # kx = 0 is singular (Neumann): pin phi[0, 0] = 0, fix the mean afterwards.
-    diag[0, 0] = 1.0
-    sup[0, 0] = 0.0
-    rhat[0, 0] = 0.0
-    sub[0, 1] = 0.0
-    phihat = _thomas(sub, diag, sup, rhat)
-    phi = np.fft.irfft(phihat, n=g.nx, axis=0)
+    phi = _zop(g, -1.0, "pinned", a=0.0).solve(rhs.values - removed)
     phi -= np.mean(phi)
     return ScalarField(g, phi, Staggering.CENTER), removed
-
-
-def _helmholtz_rows(grid, c, nm):
-    kx2 = _x_mode_eigenvalues(grid)[:, None]
-    inv_dz2 = 1.0 / grid.dz ** 2
-    diag = 1.0 + c * (2.0 * inv_dz2 + kx2) * np.ones((nm, grid.nz))
-    sub = np.full((nm, grid.nz), -c * inv_dz2)
-    sup = np.full((nm, grid.nz), -c * inv_dz2)
-    return diag, sub, sup, inv_dz2
-
-
-def _helmholtz_center_values(grid, f_vals, c, bottom, top, wall="extrapolate"):
-    fhat = np.fft.rfft(f_vals, axis=0)
-    nm = fhat.shape[0]
-    diag, sub, sup, inv_dz2 = _helmholtz_rows(grid, c, nm)
-    bhat = np.fft.rfft(_wall_array(bottom, grid.nx))
-    that = np.fft.rfft(_wall_array(top, grid.nx))
-    rhs = fhat.copy()
-    if wall == "mirror":
-        # ghost 2g - f0: first order at the wall cell, used for tangential
-        # velocity where the no-slip mirror convention is wanted.
-        diag[:, 0] += c * inv_dz2
-        diag[:, -1] += c * inv_dz2
-        rhs[:, 0] += 2.0 * c * inv_dz2 * bhat
-        rhs[:, -1] += 2.0 * c * inv_dz2 * that
-    else:
-        # quadratic extrapolation ghost (8g - 6 f0 + f1)/3: second order at
-        # the wall cell, and the scheme's conservative wall flux equals the
-        # one-sided quadratic derivative through (g, f0, f1) exactly.
-        diag[:, 0] += 2.0 * c * inv_dz2
-        diag[:, -1] += 2.0 * c * inv_dz2
-        sup[:, 0] -= c * inv_dz2 / 3.0
-        sub[:, -1] -= c * inv_dz2 / 3.0
-        rhs[:, 0] += (8.0 / 3.0) * c * inv_dz2 * bhat
-        rhs[:, -1] += (8.0 / 3.0) * c * inv_dz2 * that
-    ghat = _thomas(sub, diag, sup, rhs)
-    return np.fft.irfft(ghat, n=grid.nx, axis=0)
 
 
 def helmholtz_solve(f, c, bc=DirichletZ(0.0, 0.0)):
@@ -409,14 +416,14 @@ def helmholtz_solve(f, c, bc=DirichletZ(0.0, 0.0)):
     Center fields use the quadratic-extrapolation wall ghost; x-face fields
     (tangential velocity at the same z heights) use the mirror ghost.
     """
-    if c <= 0:
+    if not c > 0:
         raise DomainError("helmholtz_solve needs c > 0")
     if f.stag == Staggering.ZFACE:
         raise ShapeError("use helmholtz_solve_zface for z-face fields")
     if not isinstance(bc, DirichletZ):
         raise ShapeError("helmholtz_solve supports Dirichlet z walls")
     wall = "mirror" if f.stag == Staggering.XFACE else "extrapolate"
-    vals = _helmholtz_center_values(f.grid, f.values, c, bc.bottom, bc.top, wall)
+    vals = _zop(f.grid, c, wall).solve(f.values, bc.bottom, bc.top)
     return ScalarField(f.grid, vals, f.stag)
 
 
@@ -426,23 +433,13 @@ def helmholtz_solve_zface(f, c):
     f is z-face staggered; its wall rows are ignored.  Returns a z-face field
     with exactly zero wall rows.
     """
-    if c <= 0:
+    if not c > 0:
         raise DomainError("helmholtz_solve_zface needs c > 0")
     if f.stag != Staggering.ZFACE:
         raise ShapeError("helmholtz_solve_zface expects a z-face field")
     g = f.grid
-    interior = f.values[:, 1:-1]
-    fhat = np.fft.rfft(interior, axis=0)
-    nm = fhat.shape[0]
-    kx2 = _x_mode_eigenvalues(g)[:, None]
-    inv_dz2 = 1.0 / g.dz ** 2
-    nzi = g.nz - 1
-    diag = 1.0 + c * (2.0 * inv_dz2 + kx2) * np.ones((nm, nzi))
-    sub = np.full((nm, nzi), -c * inv_dz2)
-    sup = np.full((nm, nzi), -c * inv_dz2)
-    what = _thomas(sub, diag, sup, fhat)
     out = np.zeros((g.nx, g.nz + 1))
-    out[:, 1:-1] = np.fft.irfft(what, n=g.nx, axis=0)
+    out[:, 1:-1] = _zop(g, c, "zface").solve(f.values[:, 1:-1])
     return ScalarField(g, out, Staggering.ZFACE)
 
 
@@ -453,57 +450,8 @@ def laplace_dirichlet(grid, bottom, top):
     center fields.  For per-wall-constant data the result is the linear blend
     bottom + (top - bottom) z sampled at the cell centers.
     """
-    nm = grid.nx // 2 + 1
-    kx2 = _x_mode_eigenvalues(grid)[:, None]
-    inv_dz2 = 1.0 / grid.dz ** 2
-    diag = (2.0 * inv_dz2 + kx2) * np.ones((nm, grid.nz))
-    sub = np.full((nm, grid.nz), -inv_dz2)
-    sup = np.full((nm, grid.nz), -inv_dz2)
-    bhat = np.fft.rfft(_wall_array(bottom, grid.nx))
-    that = np.fft.rfft(_wall_array(top, grid.nx))
-    rhs = np.zeros((nm, grid.nz), dtype=complex)
-    diag[:, 0] += 2.0 * inv_dz2
-    diag[:, -1] += 2.0 * inv_dz2
-    sup[:, 0] -= inv_dz2 / 3.0
-    sub[:, -1] -= inv_dz2 / 3.0
-    rhs[:, 0] += (8.0 / 3.0) * inv_dz2 * bhat
-    rhs[:, -1] += (8.0 / 3.0) * inv_dz2 * that
-    hhat = _thomas(sub, diag, sup, rhs)
-    return ScalarField(grid, np.fft.irfft(hhat, n=grid.nx, axis=0), Staggering.CENTER)
-
-
-_MAGIC = b"BLLF"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIIIB")
-
-
-def save_field(path, field):
-    """Write a field snapshot: magic 'BLLF', u32 version, u32 nx, u32 nz,
-    u8 staggering, then row-major little-endian float64 values.
-
-    Vector components are written as two snapshots with x-face / z-face tags.
-    """
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, field.grid.nx, field.grid.nz, int(field.stag)))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
-
-
-def load_field(path, grid=None):
-    with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        magic, version, nx, nz, stag = _HEADER.unpack(header)
-        if magic != _MAGIC:
-            raise DomainError(f"{path}: bad magic {magic!r}")
-        if version != _VERSION:
-            raise DomainError(f"{path}: unsupported version {version}")
-        stag = Staggering(stag)
-        if grid is None:
-            grid = Grid(nx, nz)
-        elif (grid.nx, grid.nz) != (nx, nz):
-            raise ShapeError(f"{path}: grid {nx}x{nz} does not match {grid.nx}x{grid.nz}")
-        shape = grid.shape_of(stag)
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
-    return ScalarField(grid, data.copy(), stag)
+    vals = _zop(grid, 1.0, "extrapolate", a=0.0).solve(None, bottom, top)
+    return ScalarField(grid, vals, Staggering.CENTER)
 
 
 def save_profile_csv(path, columns, header):

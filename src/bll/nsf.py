@@ -215,7 +215,7 @@ def _conduction_profile(grid, eos, gb, gt):
         rhs[0] += 2.0 * kb * gb
         diag[-1] += 2.0 * kt
         rhs[-1] += 2.0 * kt * gt
-        new = gr._thomas(sub, diag, sup, rhs)
+        new = gr._thomas(sub, *gr._thomas_factor(sub, diag, sup, float), rhs)
         done = np.max(np.abs(new - th)) <= 1e-13 * scale
         th = new
         if done:

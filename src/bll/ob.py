@@ -44,7 +44,6 @@ from .grid import (
     VectorField,
     advect_velocity,
     center_to_xface,
-    center_to_zface,
     div,
     grad,
     helmholtz_solve,
@@ -158,28 +157,6 @@ class ObTrajectory:
     times: list
     states: list
     trace: LambdaTrace
-
-
-_unit_cache: dict = {}
-
-
-def _unit_solution(grid, c, kind):
-    """Cached Helmholtz responses for the scalar closures.
-
-    kind 'source': (I - c lap) v = 1 with zero walls (T-frame mean response);
-    kind 'wall':   (I - c lap) v = 0 with unit walls (Theta-frame response).
-    """
-    key = (grid.nx, grid.nz, grid.Lx, float(c), kind)
-    got = _unit_cache.get(key)
-    if got is not None:
-        return got
-    if kind == "source":
-        f = ScalarField(grid, np.ones((grid.nx, grid.nz)))
-        sol = helmholtz_solve(f, c, DirichletZ(0.0, 0.0))
-    else:
-        sol = helmholtz_solve(ScalarField.zeros(grid), c, DirichletZ(1.0, 1.0))
-    _unit_cache[key] = sol
-    return sol
 
 
 def _project(U, dt, grid):
@@ -303,7 +280,10 @@ def _momentum_step(state, scenario, dt, buoy_center):
     return U_new, Pi, (F_u, F_w), coeffs
 
 
-def _scalar_rhs(state, scenario, U_new, coeffs):
+def _scalar_step(state, scenario, dt, U_new, coeffs):
+    """AB2 advection (plus source) and implicit diffusion under the Dirichlet
+    walls at t + dt.  Returns the solution, the diffusion operator whose unit
+    responses close the non-local mean, and this step's explicit rhs."""
     g = scenario.grid
     gG = grad(scenario.G, NeumannZ())
     A = _advect_scalar(g, U_new, state.temp.values)
@@ -311,7 +291,11 @@ def _scalar_rhs(state, scenario, U_new, coeffs):
     if scenario.temp_source is not None:
         X, Z = g.cell_mesh()
         A += scenario.temp_source(state.t, X, Z)
-    return A
+    A_eff = A if state.rhs_hist is None else 1.5 * A - 0.5 * state.rhs_hist[2]
+    c = dt * coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
+    wb, wt = scenario.wall_values(state.t + dt)
+    data = helmholtz_solve(ScalarField(g, state.temp.values + dt * A_eff), c, DirichletZ(wb, wt))
+    return data, gr._zop(g, c, "extrapolate"), A
 
 
 def step_ob_tframe(state, scenario, dt):
@@ -323,28 +307,17 @@ def step_ob_tframe(state, scenario, dt):
     lam = scenario.lam_effective()
     buoy = -coeffs.alpha * state.temp.values
     U_new, Pi, (F_u, F_w), coeffs = _momentum_step(state, scenario, dt, buoy)
-
-    A = _scalar_rhs(state, scenario, U_new, coeffs)
-    if state.rhs_hist is not None:
-        A_eff = 1.5 * A - 0.5 * state.rhs_hist[2]
-    else:
-        A_eff = A
-    c = dt * coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
-    wb, wt = scenario.wall_values(state.t + dt)
-    T_data = helmholtz_solve(
-        ScalarField(g, state.temp.values + dt * A_eff), c, DirichletZ(wb, wt)
-    )
-    m_prev = mean(state.temp)
+    T_data, op, A = _scalar_step(state, scenario, dt, U_new, coeffs)
     if lam == 0.0:
         T_new = T_data
     else:
-        T_unit = _unit_solution(g, c, "source")
-        mu_unit = mean(T_unit)
+        m_prev = mean(state.temp)
+        mu_unit = mean(op.unit_source)
         denom = 1.0 - lam * mu_unit
         if abs(denom) < 1e-12:
             raise ClosureError(f"degenerate scalar closure, denominator {denom:.3e}")
         m_new = (mean(T_data) - lam * mu_unit * m_prev) / denom
-        T_new = ScalarField(g, T_data.values + lam * (m_new - m_prev) * T_unit.values)
+        T_new = ScalarField(g, T_data.values + lam * (m_new - m_prev) * op.unit_source.values)
     return ObState(U_new, T_new, Pi, state.t + dt, T_FRAME, (F_u, F_w, A))
 
 
@@ -358,28 +331,17 @@ def step_ob_thetaframe(state, scenario, dt):
     r = recover_density_deviation(temp_equiv, scenario)
     buoy = r.values / scenario.rho_bar
     U_new, Pi, (F_u, F_w), coeffs = _momentum_step(state, scenario, dt, buoy)
-
-    A = _scalar_rhs(state, scenario, U_new, coeffs)
-    if state.rhs_hist is not None:
-        A_eff = 1.5 * A - 0.5 * state.rhs_hist[2]
-    else:
-        A_eff = A
-    c = dt * coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
-    wb, wt = scenario.wall_values(state.t + dt)
-    Th_data = helmholtz_solve(
-        ScalarField(g, state.temp.values + dt * A_eff), c, DirichletZ(wb, wt)
-    )
+    Th_data, op, A = _scalar_step(state, scenario, dt, U_new, coeffs)
     if lam == 0.0:
         Th_new = Th_data
     else:
-        Th_bc = _unit_solution(g, c, "wall")
-        mb = mean(Th_bc)
+        mb = mean(op.unit_wall)
         denom = 1.0 + lam / (1.0 - lam) * mb
         if abs(denom) < 1e-12:
             raise ClosureError(f"degenerate scalar closure, denominator {denom:.3e}")
         M_new = mean(Th_data) / denom
         q = -lam / (1.0 - lam) * M_new
-        Th_new = ScalarField(g, Th_data.values + q * Th_bc.values)
+        Th_new = ScalarField(g, Th_data.values + q * op.unit_wall.values)
     return ObState(U_new, Th_new, Pi, state.t + dt, THETA_FRAME, (F_u, F_w, A))
 
 

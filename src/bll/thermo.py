@@ -186,7 +186,8 @@ def theta_from_rho_e(rho, E, eos, theta_guess=None):
     """Invert rho*e = E for theta at given rho.
 
     Linear when a == 0; otherwise Newton on the strictly increasing map
-    theta -> (3/2) rho theta + a theta^4 (monotone, so the root is unique).
+    theta -> (3/2) rho theta + a theta^4 (monotone, so the root is unique),
+    raising DomainError when 60 Newton steps do not converge.
     """
     rho = np.asarray(rho, dtype=float)
     E = np.asarray(E, dtype=float)
@@ -203,8 +204,8 @@ def theta_from_rho_e(rho, E, eos, theta_guess=None):
         step = f / df
         theta = np.maximum(theta - step, 0.5 * theta)
         if np.max(np.abs(step)) <= 1e-14 * np.max(theta):
-            break
-    return theta
+            return theta
+    raise DomainError("Newton inversion of rho*e for theta did not converge")
 
 
 def transport(theta, eos):
@@ -241,7 +242,8 @@ def ob_coefficients(rho_bar, theta_bar, eos):
         raise StabilityError(f"thermal expansion alpha={alpha} not positive")
     c_p = e_th + theta_bar * alpha * p_theta / rho_bar
     lam = theta_bar * alpha * p_theta / (rho_bar * c_p)
-    assert 0.0 < lam < 1.0, "lambda outside (0,1) despite HTS"
+    if not 0.0 < lam < 1.0:
+        raise StabilityError(f"mixing weight lambda={lam} outside (0, 1)")
     s_rho, s_theta = entropy_derivatives(pt.rho, pt.theta, eos)
     _, _, kappa_bar = transport(theta_bar, eos)
     return ObCoefficients(

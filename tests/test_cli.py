@@ -1,12 +1,15 @@
 """Config parsing, subcommand orchestration, and artifact emission tests."""
 
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bll.cli import ScenarioConfig, _resolve_threads, main, parse_config
+from bll.cli import _SCHEMA, ScenarioConfig, _resolve_threads, main, parse_config
 from bll.errors import ConfigError
 
 BASE = """\
@@ -189,11 +192,12 @@ def test_main_compare_symmetric_warns_and_reports(tmp_path) -> None:
     ratio = float(next(ln for ln in lines if ln.startswith("# ratio_theta,")).split(",")[1])
     assert abs(ratio - 1.0) <= 0.05
 
-    # outside pytest's warning capture the message lands on stderr
+    # outside pytest's warning capture the message lands on stderr; the child
+    # imports bll from wherever this process did
     proc = subprocess.run(
         [sys.executable, "-m", "bll.cli", "compare", "--config", cfg_path,
          "--out", str(tmp_path / "cmp2"), "--quiet"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert "coincide" in proc.stderr
@@ -217,6 +221,36 @@ def test_main_exit_codes_for_config_and_io(tmp_path, capsys) -> None:
     assert "error: config:" in capsys.readouterr().err
     assert main(["run-ob", "--config", str(tmp_path / "missing.ini"), "--quiet"]) == 13
     assert "error: io:" in capsys.readouterr().err
+
+
+def test_main_rejects_non_finite_config_values(tmp_path, capsys) -> None:
+    for text in ("[ob]\nt_end = inf\n", "[forcing]\ng = nan\n", "[nsf]\neps_list = 0.2, -inf\n"):
+        bad = _write(tmp_path, text)
+        assert main(["run-ob", "--config", bad, "--out", str(tmp_path / "o"), "--quiet"]) == 10, text
+        err = capsys.readouterr().err
+        assert "line 2" in err and "must be finite" in err, text
+
+
+_FLOAT_KEYS = [
+    (section, key) for section, keys in _SCHEMA.items()
+    for key, (kind, _) in keys.items() if kind in ("float", "floats")
+]
+_NUMERIC_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10 ** 400, 10 ** 400).map(str),
+    st.sampled_from(["inf", "-Infinity", "nan", "1e999", "-1e999", "5e-324", "1e308", "0"]),
+)
+
+
+@given(st.sampled_from(_FLOAT_KEYS), _NUMERIC_TOKENS)
+@settings(max_examples=300, deadline=None)
+def test_parse_any_numeric_float_value_returns_or_raises_config_error(where, token) -> None:
+    section, key = where
+    try:
+        cfg = parse_config(f"[{section}]\n{key} = {token}\n")
+    except ConfigError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
 
 
 def test_main_quiet_and_usage(tmp_path, capsys) -> None:

@@ -16,13 +16,11 @@ from bll.grid import (
     helmholtz_solve,
     helmholtz_solve_zface,
     laplacian,
-    load_field,
     mean,
     poisson_solve,
-    save_field,
     save_profile_csv,
 )
-from bll.grid import _thomas
+from bll.grid import _thomas, _thomas_factor, _zop
 
 
 def random_fields(grid, seed=0):
@@ -110,8 +108,49 @@ def test_thomas_against_dense_solve() -> None:
     diag = 2.0 + rng.uniform(0.0, 1.0, n)
     rhs = rng.standard_normal(n)
     M = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
-    x = _thomas(sub, diag, sup, rhs)
+    x = _thomas(sub, *_thomas_factor(sub, diag, sup, rhs.dtype), rhs)
     assert np.max(np.abs(x - np.linalg.solve(M, rhs))) <= 1e-12
+
+
+def _thomas_unfactored(sub, diag, sup, rhs):
+    """Reference: elimination and both sweeps in one pass, per solve."""
+    n = rhs.shape[-1]
+    cp = np.empty(rhs.shape, dtype=np.result_type(diag, rhs))
+    xp = np.empty_like(cp)
+    beta = diag[..., 0]
+    cp[..., 0] = sup[..., 0] / beta
+    xp[..., 0] = rhs[..., 0] / beta
+    for k in range(1, n):
+        beta = diag[..., k] - sub[..., k] * cp[..., k - 1]
+        cp[..., k] = sup[..., k] / beta
+        xp[..., k] = (rhs[..., k] - sub[..., k] * xp[..., k - 1]) / beta
+    for k in range(n - 2, -1, -1):
+        xp[..., k] = xp[..., k] - cp[..., k] * xp[..., k + 1]
+    return xp
+
+
+def test_factored_thomas_bit_identical_to_unfactored() -> None:
+    rng = np.random.default_rng(12)
+    for nm, n in ((3, 32), (33, 32), (65, 64)):
+        sub = rng.uniform(-0.5, -0.1, (nm, n))
+        sup = rng.uniform(-0.5, -0.1, (nm, n))
+        diag = 1.5 + rng.uniform(0.0, 1.0, (nm, n))
+        rhs = rng.standard_normal((nm, n)) + 1j * rng.standard_normal((nm, n))
+        x = _thomas(sub, *_thomas_factor(sub, diag, sup, complex), rhs)
+        assert np.array_equal(x, _thomas_unfactored(sub, diag, sup, rhs))
+
+
+def test_z_operators_are_cached_per_grid() -> None:
+    g = Grid(8, 8)
+    op = _zop(g, 0.1, "extrapolate")
+    assert _zop(g, 0.1, "extrapolate") is op
+    assert _zop(g, 0.1, "mirror") is not op
+    assert _zop(Grid(8, 8), 0.1, "extrapolate") is not op
+    assert op.unit_source is op.unit_source
+    ones = ScalarField(g, np.ones((8, 8)))
+    assert np.array_equal(op.unit_source.values, helmholtz_solve(ones, 0.1).values)
+    walls = helmholtz_solve(ScalarField.zeros(g), 0.1, DirichletZ(1.0, 1.0))
+    assert np.array_equal(op.unit_wall.values, walls.values)
 
 
 def test_poisson_zero_rhs() -> None:
@@ -282,41 +321,12 @@ def test_helmholtz_parameter_validation() -> None:
     g = Grid(8, 8)
     with pytest.raises(DomainError):
         helmholtz_solve(ScalarField.zeros(g), -1.0)
+    with pytest.raises(DomainError):
+        helmholtz_solve(ScalarField.zeros(g), float("nan"))
+    with pytest.raises(DomainError):
+        helmholtz_solve_zface(ScalarField.zeros(g, Staggering.ZFACE), float("nan"))
     with pytest.raises(ShapeError):
         helmholtz_solve(ScalarField.zeros(g, Staggering.ZFACE), 0.1)
-
-
-def test_field_io_roundtrip(tmp_path) -> None:
-    g = Grid(8, 6)
-    rng = np.random.default_rng(4)
-    for stag in Staggering:
-        f = ScalarField(g, rng.standard_normal(g.shape_of(stag)), stag)
-        path = tmp_path / f"field_{stag.name}.bllf"
-        save_field(path, f)
-        back = load_field(path, g)
-        assert back.stag == stag
-        assert np.array_equal(back.values, f.values)
-
-
-def test_field_io_rejects_bad_magic(tmp_path) -> None:
-    path = tmp_path / "bad.bllf"
-    path.write_bytes(b"NOPE" + bytes(13))
-    with pytest.raises(DomainError):
-        load_field(path)
-
-
-def test_field_io_header_layout(tmp_path) -> None:
-    g = Grid(8, 6)
-    f = ScalarField.zeros(g, Staggering.XFACE)
-    path = tmp_path / "f.bllf"
-    save_field(path, f)
-    raw = path.read_bytes()
-    assert raw[:4] == b"BLLF"
-    assert int.from_bytes(raw[4:8], "little") == 1
-    assert int.from_bytes(raw[8:12], "little") == 8
-    assert int.from_bytes(raw[12:16], "little") == 6
-    assert raw[16] == 1
-    assert len(raw) == 17 + 8 * 8 * 6
 
 
 def test_profile_csv(tmp_path) -> None:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bll.errors import DomainError
+from bll.errors import DomainError, StabilityError
 from bll.thermo import (
     EosParams,
     ThermoPoint,
@@ -178,6 +178,12 @@ def test_lambda_in_unit_interval_on_grid() -> None:
             assert 0.0 < c.lam < 1.0
 
 
+def test_ob_coefficients_rejects_lambda_at_one() -> None:
+    # radiation-dominated reference: lam rounds to 1, the closure degenerates
+    with pytest.raises(StabilityError):
+        ob_coefficients(1e-3, 1e6, RAD)
+
+
 def test_sound_speed_ideal_unit_point() -> None:
     assert sound_speed_squared(1.0, 1.0, IDEAL) == pytest.approx(5.0 / 3.0, rel=1e-14)
 
@@ -195,6 +201,13 @@ def test_theta_recovery_roundtrip() -> None:
 def test_theta_recovery_rejects_energy_below_cold_floor() -> None:
     with pytest.raises(DomainError):
         theta_from_rho_e(1.0, 1.0, EosParams(p_inf=10.0))
+
+
+def test_theta_recovery_raises_when_newton_does_not_converge() -> None:
+    # from the ideal-gas guess ~7e9, Newton on the quartic shrinks theta by
+    # 3/4 per step and is still near 2e2 after 60 steps; the root is ~1
+    with pytest.raises(DomainError):
+        theta_from_rho_e(np.array([1e-10]), np.array([1.0]), RAD)
 
 
 def test_hypothesis_report_full_eos_passes_main_checks() -> None:
