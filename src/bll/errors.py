@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the time-parameter check."""
 
 
 class DomainError(ValueError):
@@ -42,3 +42,9 @@ class ConfigError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def require_positive(value, name):
+    """Raise DomainError unless value is a finite number > 0 (NaN and inf fail)."""
+    if not 0.0 < value < float("inf"):
+        raise DomainError(f"{name} must be finite and positive, got {value}")

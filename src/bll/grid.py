@@ -6,13 +6,13 @@ MAC layout, arrays indexed [i, k] = (x, z):
   x-faces        (nx, nz)   at (i dx, (k+1/2) dz), periodic in x
   z-faces        (nx, nz+1) at ((i+1/2) dx, k dz); k = 0 and nz are the walls
 
-Ghost conventions at the z walls: the explicit operators (grad, div,
-laplacian) use the reflection ghosts, Dirichlet scalar ghost = 2 g_wall -
-g_int and Neumann ghost = g_int; tangential no-slip mirror u_ghost = -u_int;
-the wall-normal velocity w is stored exactly zero on the wall faces.  The
-implicit Dirichlet solve (helmholtz_solve) upgrades center fields to the
-quadratic-extrapolation ghost, whose conservative wall flux is the one-sided
-quadratic derivative, while x-face fields keep the mirror convention.
+Ghost conventions at the z walls: the explicit operators (grad, div) use the
+reflection ghosts, Dirichlet scalar ghost = 2 g_wall - g_int and Neumann
+ghost = g_int; tangential no-slip mirror u_ghost = -u_int; the wall-normal
+velocity w is stored exactly zero on the wall faces.  The implicit Dirichlet
+solve (helmholtz_solve) upgrades center fields to the quadratic-extrapolation
+ghost, whose conservative wall flux is the one-sided quadratic derivative,
+while x-face fields keep the mirror convention.
 
 The elliptic solves are direct: rfft in x, then one z-tridiagonal system per
 Fourier mode.  Each operator (a - c lap with its wall closure) is factored
@@ -40,7 +40,6 @@ __all__ = [
     "mean",
     "grad",
     "div",
-    "laplacian",
     "center_to_xface",
     "xface_to_center",
     "zface_to_center",
@@ -188,19 +187,20 @@ def _wall_array(value, nx):
     return arr
 
 
-def _ghost_pad_z(vals, bc, nx):
-    """Return (nx, nz+2) array with ghost rows appended per the z boundary spec."""
-    if isinstance(bc, NeumannZ):
-        bottom = vals[:, :1]
-        top = vals[:, -1:]
-    elif isinstance(bc, DirichletZ):
-        gb = _wall_array(bc.bottom, nx)
-        gt = _wall_array(bc.top, nx)
-        bottom = (2.0 * gb)[:, None] - vals[:, :1]
-        top = (2.0 * gt)[:, None] - vals[:, -1:]
-    else:
-        raise ShapeError(f"unsupported z boundary spec {bc!r}")
-    return np.concatenate([bottom, vals, top], axis=1)
+def _xprev(a):
+    """a[i-1] at every i along the periodic x axis, as two slice copies."""
+    out = np.empty_like(a)
+    out[1:] = a[:-1]
+    out[0] = a[-1]
+    return out
+
+
+def _xnext(a):
+    """a[i+1] at every i along the periodic x axis, as two slice copies."""
+    out = np.empty_like(a)
+    out[:-1] = a[1:]
+    out[-1] = a[0]
+    return out
 
 
 def mean(f):
@@ -216,7 +216,7 @@ def grad(f, bc=NeumannZ()):
         raise ShapeError("grad expects a center-staggered field")
     g = f.grid
     vals = f.values
-    gx = (vals - np.roll(vals, 1, axis=0)) / g.dx
+    gx = (vals - _xprev(vals)) / g.dx
     gz = np.zeros((g.nx, g.nz + 1))
     gz[:, 1:-1] = (vals[:, 1:] - vals[:, :-1]) / g.dz
     if isinstance(bc, DirichletZ):
@@ -234,30 +234,18 @@ def grad(f, bc=NeumannZ()):
 def div(v):
     """Divergence of a face vector field onto cell centers."""
     g = v.grid
-    dudx = (np.roll(v.u, -1, axis=0) - v.u) / g.dx
+    dudx = (_xnext(v.u) - v.u) / g.dx
     dwdz = (v.w[:, 1:] - v.w[:, :-1]) / g.dz
     return ScalarField(g, dudx + dwdz, Staggering.CENTER)
 
 
-def laplacian(f, bc):
-    """Five-point Laplacian of a center field; periodic x, ghost cells in z."""
-    if f.stag != Staggering.CENTER:
-        raise ShapeError("laplacian expects a center-staggered field")
-    g = f.grid
-    vals = f.values
-    padded = _ghost_pad_z(vals, bc, g.nx)
-    d2x = (np.roll(vals, -1, axis=0) - 2.0 * vals + np.roll(vals, 1, axis=0)) / g.dx ** 2
-    d2z = (padded[:, 2:] - 2.0 * padded[:, 1:-1] + padded[:, :-2]) / g.dz ** 2
-    return ScalarField(g, d2x + d2z, Staggering.CENTER)
-
-
 def center_to_xface(vals):
     """Average center values onto x-faces (periodic)."""
-    return 0.5 * (vals + np.roll(vals, 1, axis=0))
+    return 0.5 * (vals + _xprev(vals))
 
 
 def xface_to_center(u):
-    return 0.5 * (u + np.roll(u, -1, axis=0))
+    return 0.5 * (u + _xnext(u))
 
 
 def zface_to_center(w):
@@ -276,18 +264,18 @@ def advect_velocity(grid, u, w):
     mirrors and the wall rows of the w component stay zero.
     """
     dx, dz = grid.dx, grid.dz
-    dudx = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2 * dx)
+    dudx = (_xnext(u) - _xprev(u)) / (2 * dx)
     up = _pad_mirror_z(u)
     dudz = (up[:, 2:] - up[:, :-2]) / (2 * dz)
-    wl = np.roll(w, 1, axis=0)
+    wl = _xprev(w)
     # x-neighbor pairs are summed first so mirroring the data in x commutes
     # with the stencil bit for bit (pair sums only ever swap operands).
     w_at_x = 0.25 * ((w[:, :-1] + wl[:, :-1]) + (w[:, 1:] + wl[:, 1:]))
     adv_u = -(u * dudx + w_at_x * dudz)
 
-    dwdx = (np.roll(w, -1, axis=0) - np.roll(w, 1, axis=0)) / (2 * dx)
+    dwdx = (_xnext(w) - wl) / (2 * dx)
     adv_w = np.zeros_like(w)
-    ur = np.roll(u, -1, axis=0)
+    ur = _xnext(u)
     u_at_z = 0.25 * ((u[:, :-1] + ur[:, :-1]) + (u[:, 1:] + ur[:, 1:]))
     dwdz = (w[:, 2:] - w[:, :-2]) / (2 * dz)
     adv_w[:, 1:-1] = -(u_at_z * dwdx[:, 1:-1] + w[:, 1:-1] * dwdz)

@@ -20,11 +20,17 @@ pressure jump, dissipated at |u| + c/eps) and a material part (dissipated at
 |u|); the acoustic energy jump is weighted by the specific enthalpy.  When the
 potential is not z-only or the walls are not per-wall constant, the reference
 degenerates to zero profiles and the scheme reduces to the plain form.
+
+Validation runs at the public entry points and in the positivity guard after
+every stage.  A run evaluates each state's thermodynamics once, with the
+unchecked thermo kernels, and shares it between the log row, the CFL bound
+(evaluated once per step) and the next step's first stage.
 """
 
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +39,21 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from . import grid as gr
-from .errors import CompatibilityError, DivergenceError, DomainError, ShapeError, StabilityError
+from .errors import (
+    CompatibilityError,
+    DivergenceError,
+    DomainError,
+    ShapeError,
+    StabilityError,
+    require_positive,
+)
 from .grid import (
     Grid,
     ScalarField,
     Staggering,
     VectorField,
     advect_velocity,
+    center_to_xface,
     laplace_dirichlet,
     mean,
     save_profile_csv,
@@ -47,12 +61,16 @@ from .grid import (
     zface_to_center,
 )
 from .thermo import (
-    energy_dtheta,
-    entropy,
+    _check_state,
+    _energy_dtheta,
+    _entropy,
+    _pressure,
+    _rho_e,
+    _sound_speed_squared,
+    _transport,
     pressure,
     pressure_derivatives,
     rho_e,
-    sound_speed_squared,
     theta_from_rho_e,
     transport,
 )
@@ -95,10 +113,9 @@ class NsfScenario:
             self.G = ScalarField.zeros(self.grid)
         if abs(mean(self.G)) > 1e-12:
             raise DomainError(f"potential G must be mean-free, got mean {mean(self.G):.3e}")
-        if self.t_end <= 0:
-            raise DomainError("t_end must be positive")
-        if self.dt is not None and self.dt <= 0:
-            raise DomainError("dt must be positive when given")
+        require_positive(self.t_end, "t_end")
+        if self.dt is not None:
+            require_positive(self.dt, "dt")
         if not 0.0 < self.cfl <= 1.0:
             raise DomainError("cfl must lie in (0, 1]")
         wb, wt = self.wall_theta()
@@ -288,7 +305,7 @@ def _build_reference(scenario):
         p_hat = np.zeros(g.nz)
         E_hat = np.zeros(g.nz)
         balanced = False
-    dGx = Gv - np.roll(Gv, 1, axis=0)
+    dGx = Gv - gr._xprev(Gv)
     return _NsfAux(
         rho_hat=rho_hat,
         theta_hat=theta_hat,
@@ -357,7 +374,7 @@ def hydrostatic_stationary_1d(scenario):
     def rhs(z, y):
         th = float(theta_of(z))
         p_r, p_th = pressure_derivatives(np.asarray(y[0]), np.asarray(th), eos)
-        th_prime = dK / (eos.kappa0 * (1.0 + th ** eos.beta))
+        th_prime = dK / _transport(th, eos)[2]
         return [(eps * y[0] * float(g_prime(z)) - float(p_th) * th_prime) / float(p_r), y[0]]
 
     def column(b):
@@ -399,38 +416,44 @@ def build_initial_nsf(scenario):
     return NsfState(ScalarField(g, rho), ScalarField(g, th), U0.copy(), 0.0, scenario.eps)
 
 
-def _rhs(rho, th, u, w, scenario, aux):
-    """Semi-discrete right-hand side for (rho, rho e, u, w)."""
+# Thermo and transport fields of one checked (rho, theta), shared within a stage.
+_Thermo = namedtuple("_Thermo", "E p c2 e_theta mu eta kappa")
+
+
+def _thermo(rho, th, eos):
+    e_theta = _energy_dtheta(rho, th, eos)
+    c2 = _sound_speed_squared(rho, th, eos, e_theta)
+    return _Thermo(_rho_e(rho, th, eos), _pressure(rho, th, eos), c2, e_theta, *_transport(th, eos))
+
+
+def _rhs(rho, th, u, w, scenario, aux, tf):
+    """Semi-discrete right-hand side for (rho, rho e, u, w); tf is the
+    _Thermo of (rho, th)."""
     g = scenario.grid
     dx, dz = g.dx, g.dz
     eps = scenario.eps
     eos = scenario.eos
-    E = rho_e(rho, th, eos)
-    p = pressure(rho, th, eos)
-    c2 = sound_speed_squared(rho, th, eos)
+    E, p, c2, mu, eta = tf.E, tf.p, tf.c2, tf.mu, tf.eta
     spec_h = (E + p) / rho
-    mu, eta, _ = transport(th, eos)
 
     dp = p - aux.p_hat[None, :]
     dr = rho - aux.rho_hat[None, :]
     dE = E - aux.E_hat[None, :]
 
     # x faces: face i sits between centers i-1 and i.
-    def favg(a):
-        return 0.5 * (np.roll(a, 1, axis=0) + a)
-
-    rho_fx = favg(rho)
-    jp_x = dp - np.roll(dp, 1, axis=0)
-    jr_x = dr - np.roll(dr, 1, axis=0)
-    jE_x = dE - np.roll(dE, 1, axis=0)
-    c2_fx = favg(c2)
+    th_l = gr._xprev(th)
+    rho_fx = center_to_xface(rho)
+    jp_x = dp - gr._xprev(dp)
+    jr_x = dr - gr._xprev(dr)
+    jE_x = dE - gr._xprev(dE)
+    c2_fx = center_to_xface(c2)
     s_ac = np.abs(u) + np.sqrt(c2_fx) / eps
     s_ad = np.abs(u)
     jr_ac = jp_x / c2_fx
-    jE_ac = favg(spec_h) * jr_ac
+    jE_ac = center_to_xface(spec_h) * jr_ac
     Fm_x = u * rho_fx - 0.5 * (s_ac * jr_ac + s_ad * (jr_x - jr_ac))
-    FE_x = u * favg(E) - 0.5 * (s_ac * jE_ac + s_ad * (jE_x - jE_ac))
-    FE_x -= transport(favg(th), eos)[2] * (th - np.roll(th, 1, axis=0)) / dx
+    FE_x = u * center_to_xface(E) - 0.5 * (s_ac * jE_ac + s_ad * (jE_x - jE_ac))
+    FE_x -= _transport(0.5 * (th_l + th), eos)[2] * (th - th_l) / dx
 
     # z faces: interior face k (1..nz-1) sits between centers k-1 and k.
     wi = w[:, 1:-1]
@@ -449,40 +472,39 @@ def _rhs(rho, th, u, w, scenario, aux):
     FE_z[:, 1:-1] = wi * 0.5 * (E[:, :-1] + E[:, 1:]) - 0.5 * (
         s_ac_z * jE_ac_z + s_ad_z * (jE_z - jE_ac_z)
     )
-    FE_z[:, 1:-1] -= transport(0.5 * (th[:, :-1] + th[:, 1:]), eos)[2] * (
+    FE_z[:, 1:-1] -= _transport(0.5 * (th[:, :-1] + th[:, 1:]), eos)[2] * (
         th[:, 1:] - th[:, :-1]
     ) / dz
     # Wall rows: no mass flux; Fourier flux against the Dirichlet wall value.
     FE_z[:, 0] = -aux.kap_b * 2.0 * (th[:, 0] - aux.wall_b) / dz
     FE_z[:, -1] = -aux.kap_t * 2.0 * (aux.wall_t - th[:, -1]) / dz
 
-    d_rho = -((np.roll(Fm_x, -1, axis=0) - Fm_x) / dx + (Fm_z[:, 1:] - Fm_z[:, :-1]) / dz)
-    d_E = -((np.roll(FE_x, -1, axis=0) - FE_x) / dx + (FE_z[:, 1:] - FE_z[:, :-1]) / dz)
+    d_rho = -((gr._xnext(Fm_x) - Fm_x) / dx + (Fm_z[:, 1:] - Fm_z[:, :-1]) / dz)
+    d_E = -((gr._xnext(FE_x) - FE_x) / dx + (FE_z[:, 1:] - FE_z[:, :-1]) / dz)
 
     # Newton stress in d = 2: S = mu (grad U + grad U^T - div U I) + eta div U I.
     adv_u, adv_w = advect_velocity(g, u, w)
-    divU = (np.roll(u, -1, axis=0) - u) / dx + (w[:, 1:] - w[:, :-1]) / dz
-    Dxx = (np.roll(u, -1, axis=0) - u) / dx
+    Dxx = (gr._xnext(u) - u) / dx
     Dzz = (w[:, 1:] - w[:, :-1]) / dz
+    divU = Dxx + Dzz
     Sxx = mu * (Dxx - Dzz) + eta * divU
     Szz = mu * (Dzz - Dxx) + eta * divU
     shear = np.zeros_like(w)
     shear[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / dz
     shear[:, 0] = 2.0 * u[:, 0] / dz
     shear[:, -1] = -2.0 * u[:, -1] / dz
-    shear += (w - np.roll(w, 1, axis=0)) / dx
-    th_l = np.roll(th, 1, axis=0)
+    shear += (w - gr._xprev(w)) / dx
     th_corner = np.empty_like(w)
     # x-pairs first: keeps the average bitwise equal under x-mirroring.
     th_corner[:, 1:-1] = 0.25 * ((th[:, 1:] + th_l[:, 1:]) + (th[:, :-1] + th_l[:, :-1]))
-    th_corner[:, 0] = 0.5 * (aux.wall_b + np.roll(aux.wall_b, 1))
-    th_corner[:, -1] = 0.5 * (aux.wall_t + np.roll(aux.wall_t, 1))
-    Sxz = transport(th_corner, eos)[0] * shear
+    th_corner[:, 0] = 0.5 * (aux.wall_b + gr._xprev(aux.wall_b))
+    th_corner[:, -1] = 0.5 * (aux.wall_t + gr._xprev(aux.wall_t))
+    Sxz = _transport(th_corner, eos)[0] * shear
 
     du = (
         adv_u
         - jp_x / (eps * eps * rho_fx * dx)
-        + ((Sxx - np.roll(Sxx, 1, axis=0)) / dx + (Sxz[:, 1:] - Sxz[:, :-1]) / dz) / rho_fx
+        + ((Sxx - gr._xprev(Sxx)) / dx + (Sxz[:, 1:] - Sxz[:, :-1]) / dz) / rho_fx
     )
     if aux.dGx is not None:
         du += aux.dGx / (eps * dx)
@@ -492,7 +514,7 @@ def _rhs(rho, th, u, w, scenario, aux):
         - jp_z / (eps * eps * rho_fz * dz)
         + aux.dGz / (eps * dz) * (1.0 - aux.rho_hat_f[None, :] / rho_fz)
         + (
-            (np.roll(Sxz, -1, axis=0)[:, 1:-1] - Sxz[:, 1:-1]) / dx
+            (gr._xnext(Sxz[:, 1:-1]) - Sxz[:, 1:-1]) / dx
             + (Szz[:, 1:] - Szz[:, :-1]) / dz
         )
         / rho_fz
@@ -500,7 +522,7 @@ def _rhs(rho, th, u, w, scenario, aux):
 
     # eps^2 S : grad U >= 0 cell-wise; the shear square is corner-averaged.
     sh2 = shear * shear
-    sh2_r = np.roll(sh2, -1, axis=0)
+    sh2_r = gr._xnext(sh2)
     sh2_c = 0.25 * ((sh2[:, :-1] + sh2_r[:, :-1]) + (sh2[:, 1:] + sh2_r[:, 1:]))
     d_E += eps * eps * (mu * ((Dxx - Dzz) ** 2 + sh2_c) + eta * divU * divU) - p * divU
     return d_rho, d_E, du, dw
@@ -518,30 +540,27 @@ def _theta_of(rho, E, t, scenario):
     return th
 
 
-def cfl_dt(state, scenario):
-    """Largest stable step at this state: acoustic/advective transport rates
-    plus explicit-diffusion rates, scaled by the scenario safety factor."""
+def _cfl_bound(state, scenario, tf):
     g = scenario.grid
-    eos = scenario.eos
-    rho, th = state.rho.values, state.theta.values
-    c = np.sqrt(sound_speed_squared(rho, th, eos))
+    rho = state.rho.values
+    c = np.sqrt(tf.c2)
     rate = (np.abs(xface_to_center(state.U.u)) + c / scenario.eps) / g.dx
     rate += (np.abs(zface_to_center(state.U.w)) + c / scenario.eps) / g.dz
-    mu, eta, kap = transport(th, eos)
-    D = np.maximum((2.0 * mu + eta) / rho, kap / (rho * energy_dtheta(rho, th, eos)))
+    D = np.maximum((2.0 * tf.mu + tf.eta) / rho, tf.kappa / (rho * tf.e_theta))
     rate += 2.0 * D * (1.0 / g.dx ** 2 + 1.0 / g.dz ** 2)
     return scenario.cfl / float(np.max(rate))
 
 
-def step_nsf(state, scenario, dt):
-    """One SSP-RK2 step of size dt.
+def cfl_dt(state, scenario):
+    """Largest stable step at this state: acoustic/advective transport rates
+    plus explicit-diffusion rates, scaled by the scenario safety factor.
+    Validates the state; run_nsf evaluates the same bound once per step."""
+    rho, th = _check_state(state.rho.values, state.theta.values)
+    return _cfl_bound(state, scenario, _thermo(rho, th, scenario.eos))
 
-    Rejects dt above the stability bound (the error message carries the
-    suggested step); raises a divergence error when a stage loses positivity.
-    """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
-    bound = cfl_dt(state, scenario)
+
+def _step(state, scenario, dt, tf, bound):
+    """SSP-RK2 step from a state whose _Thermo is tf and CFL bound is bound."""
     if dt > bound * (1.0 + 1e-12):
         raise StabilityError(
             f"dt={dt:.3e} rejected at t={state.t:.4g}: stability bound {bound:.3e}; "
@@ -551,18 +570,17 @@ def step_nsf(state, scenario, dt):
     g = scenario.grid
     r0, th0 = state.rho.values, state.theta.values
     u0, w0 = state.U.u, state.U.w
-    E0 = rho_e(r0, th0, scenario.eos)
 
-    k0 = _rhs(r0, th0, u0, w0, scenario, aux)
+    k0 = _rhs(r0, th0, u0, w0, scenario, aux, tf)
     r1 = r0 + dt * k0[0]
-    E1 = E0 + dt * k0[1]
+    E1 = tf.E + dt * k0[1]
     u1 = u0 + dt * k0[2]
     w1 = w0 + dt * k0[3]
     th1 = _theta_of(r1, E1, state.t + dt, scenario)
 
-    k1 = _rhs(r1, th1, u1, w1, scenario, aux)
+    k1 = _rhs(r1, th1, u1, w1, scenario, aux, _thermo(r1, th1, scenario.eos))
     r2 = 0.5 * (r0 + r1 + dt * k1[0])
-    E2 = 0.5 * (E0 + E1 + dt * k1[1])
+    E2 = 0.5 * (tf.E + E1 + dt * k1[1])
     u2 = 0.5 * (u0 + u1 + dt * k1[2])
     w2 = 0.5 * (w0 + w1 + dt * k1[3])
     th2 = _theta_of(r2, E2, state.t + dt, scenario)
@@ -575,12 +593,21 @@ def step_nsf(state, scenario, dt):
     )
 
 
-def ballistic_energy(state, scenario, theta_tilde=None):
-    """Integral of eps^2 rho |u|^2 / 2 + rho e - theta~ rho s.
+def step_nsf(state, scenario, dt):
+    """One SSP-RK2 step of size dt.
 
-    theta_tilde defaults to the harmonic extension of the wall temperatures;
-    a supplied center field must be positive and carry the wall trace
-    (checked by quadratic extrapolation, tolerance O(dz^2))."""
+    Validates dt and the state, then rejects dt above the stability bound
+    (the error message carries the suggested step); raises a divergence
+    error when a stage loses positivity.
+    """
+    require_positive(dt, "dt")
+    rho, th = _check_state(state.rho.values, state.theta.values)
+    tf = _thermo(rho, th, scenario.eos)
+    return _step(state, scenario, dt, tf, _cfl_bound(state, scenario, tf))
+
+
+def _theta_tilde(scenario, theta_tilde):
+    """Checked values of theta_tilde; None means the harmonic wall extension."""
     g = scenario.grid
     wb, wt = scenario.wall_theta()
     if theta_tilde is None:
@@ -596,69 +623,63 @@ def ballistic_energy(state, scenario, theta_tilde=None):
         raise CompatibilityError(
             f"theta_tilde wall trace differs from theta_bar + eps Theta_B by {gap:.3e}"
         )
-    rho, th = state.rho.values, state.theta.values
+    return vals
+
+
+def ballistic_energy(state, scenario, theta_tilde=None):
+    """Integral of eps^2 rho |u|^2 / 2 + rho e - theta~ rho s.
+
+    theta_tilde defaults to the harmonic extension of the wall temperatures;
+    a supplied center field must be positive and carry the wall trace
+    (checked by quadratic extrapolation, tolerance O(dz^2))."""
+    vals = _theta_tilde(scenario, theta_tilde)
+    rho, th = _check_state(state.rho.values, state.theta.values)
+    return _log_row(state, scenario, _rho_e(rho, th, scenario.eos), vals, 0.0)[2]
+
+
+def _log_row(state, scenario, E, theta_tilde, dt):
+    """(t, mass, ballistic energy, entropy integral, dt); E is rho*e of the state."""
+    cv = scenario.grid.cell_volume
+    rho = state.rho.values
     u, w = state.U.u, state.U.w
+    s = _entropy(rho, state.theta.values, scenario.eos)
     kin = 0.5 * rho * (xface_to_center(u * u) + zface_to_center(w * w))
-    dens = state.eps ** 2 * kin + rho_e(rho, th, scenario.eos)
-    dens -= vals * rho * entropy(rho, th, scenario.eos)
-    return float(np.sum(dens)) * g.cell_volume
-
-
-def _mass(state, grid):
-    return float(np.sum(state.rho.values)) * grid.cell_volume
-
-
-def _entropy_total(state, scenario):
-    s = entropy(state.rho.values, state.theta.values, scenario.eos)
-    return float(np.sum(state.rho.values * s)) * scenario.grid.cell_volume
+    dens = state.eps ** 2 * kin + E
+    dens -= theta_tilde * rho * s
+    return state.t, float(np.sum(rho)) * cv, float(np.sum(dens)) * cv, float(np.sum(rho * s)) * cv, dt
 
 
 def run_nsf(scenario, snapshot_dt=None, initial=None):
     """Integrate to t_end; returns the trajectory with snapshots and the
     conservation log.
 
-    Steps adapt to the CFL bound (or use the fixed scenario dt, which
-    step_nsf rejects if unstable) and are clamped to land exactly on
-    snapshot times and t_end.  The acoustic bound makes the step count scale
-    like 1/eps; steps and wall_seconds report the cost."""
-    if snapshot_dt is not None and snapshot_dt <= 0:
-        raise DomainError("snapshot_dt must be positive")
+    Steps adapt to the CFL bound, evaluated once per step (or use the fixed
+    scenario dt, rejected as in step_nsf if unstable), and are clamped to
+    land exactly on snapshot times and t_end.  The acoustic bound makes the
+    step count scale like 1/eps; steps and wall_seconds report the cost."""
+    if snapshot_dt is not None:
+        require_positive(snapshot_dt, "snapshot_dt")
     state = initial.copy() if initial is not None else build_initial_nsf(scenario)
-    g = scenario.grid
-    wb, wt = scenario.wall_theta()
-    theta_tilde = laplace_dirichlet(g, wb, wt)
+    theta_tilde = _theta_tilde(scenario, None)
     t_end = scenario.t_end
 
+    tf = _thermo(state.rho.values, state.theta.values, scenario.eos)
     times = [state.t]
     states = [state.copy()]
-    rows = [
-        (
-            state.t,
-            _mass(state, g),
-            ballistic_energy(state, scenario, theta_tilde),
-            _entropy_total(state, scenario),
-            0.0,
-        )
-    ]
+    rows = [_log_row(state, scenario, tf.E, theta_tilde, 0.0)]
     next_snap = snapshot_dt if snapshot_dt is not None else np.inf
     started = time.perf_counter()
     steps = 0
     while state.t < t_end - 1e-12:
-        dt = cfl_dt(state, scenario) if scenario.dt is None else scenario.dt
+        bound = _cfl_bound(state, scenario, tf)
+        dt = bound if scenario.dt is None else scenario.dt
         dt = min(dt, min(next_snap, t_end) - state.t)
         if dt <= 1e-14:
             raise StabilityError(f"time step collapsed at t={state.t:.4g}")
-        state = step_nsf(state, scenario, dt)
+        state = _step(state, scenario, dt, tf, bound)
+        tf = _thermo(state.rho.values, state.theta.values, scenario.eos)
         steps += 1
-        rows.append(
-            (
-                state.t,
-                _mass(state, g),
-                ballistic_energy(state, scenario, theta_tilde),
-                _entropy_total(state, scenario),
-                dt,
-            )
-        )
+        rows.append(_log_row(state, scenario, tf.E, theta_tilde, dt))
         at_snap = state.t >= next_snap - 1e-12
         if at_snap or state.t >= t_end - 1e-12:
             times.append(state.t)

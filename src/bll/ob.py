@@ -34,6 +34,7 @@ from .errors import (
     DomainError,
     ShapeError,
     StabilityError,
+    require_positive,
 )
 from .grid import (
     DirichletZ,
@@ -103,8 +104,8 @@ class ObScenario:
             self.G = ScalarField.zeros(self.grid)
         if abs(mean(self.G)) > 1e-12:
             raise DomainError(f"potential G must be mean-free, got mean {mean(self.G):.3e}")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise DomainError("dt and t_end must be positive")
+        require_positive(self.dt, "dt")
+        require_positive(self.t_end, "t_end")
         if self.lambda_override is not None and not 0.0 <= self.lambda_override < 1.0:
             raise DomainError("lambda_override must lie in [0, 1)")
 
@@ -469,6 +470,7 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
         raise DomainError("t_end must be an integer multiple of dt")
     every = None
     if snapshot_dt is not None:
+        require_positive(snapshot_dt, "snapshot_dt")
         every = int(round(snapshot_dt / dt))
         if every < 1 or abs(every * dt - snapshot_dt) > 1e-9 * snapshot_dt:
             raise DomainError("snapshot_dt must be a positive multiple of dt")

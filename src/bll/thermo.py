@@ -12,6 +12,9 @@ the combination (5/3 P - P' Z)/Z equals 2/3 exactly, which forces S'(Z) = -1/Z.
 
 All derivatives are analytic closed forms; finite differences appear only in
 test oracles (gibbs_residual).  Every function is vectorized over rho/theta.
+
+Each formula lives in one unchecked kernel (_pressure, ...); the public function
+of the same name is _check_state plus the kernel, for states not yet validated.
 """
 
 from __future__ import annotations
@@ -117,40 +120,35 @@ def _P_prime(Z, eos):
     return 1.0 + (5.0 / 3.0) * eos.p_inf * Z ** (2.0 / 3.0)
 
 
-def pressure(rho, theta, eos):
+def _pressure(rho, theta, eos):
     """p = theta^{5/2} P(Z) + (a/3) theta^4."""
-    rho, theta = _check_state(rho, theta)
     Z = rho * theta ** -1.5
     return theta ** 2.5 * _P(Z, eos) + (eos.a / 3.0) * theta ** 4
 
 
-def internal_energy(rho, theta, eos):
+def _internal_energy(rho, theta, eos):
     """e = (3/2) theta^{5/2} P(Z) / rho + a theta^4 / rho, per unit mass."""
-    rho, theta = _check_state(rho, theta)
     Z = rho * theta ** -1.5
     return 1.5 * theta ** 2.5 * _P(Z, eos) / rho + eos.a * theta ** 4 / rho
 
 
-def entropy(rho, theta, eos):
+def _entropy(rho, theta, eos):
     """s = -log Z + s0 + (4a/3) theta^3 / rho, per unit mass."""
-    rho, theta = _check_state(rho, theta)
     Z = rho * theta ** -1.5
     return -np.log(Z) + eos.s0 + (4.0 * eos.a / 3.0) * theta ** 3 / rho
 
 
-def rho_e(rho, theta, eos):
+def _rho_e(rho, theta, eos):
     """Volumetric internal energy rho*e; the conserved quantity of the heat balance."""
-    rho, theta = _check_state(rho, theta)
     return 1.5 * rho * theta + 1.5 * eos.p_inf * rho ** (5.0 / 3.0) + eos.a * theta ** 4
 
 
-def pressure_derivatives(rho, theta, eos):
+def _pressure_derivatives(rho, theta, eos):
     """(dp/drho, dp/dtheta) in closed form.
 
     dp/drho = theta P'(Z); dp/dtheta = (5/2) theta^{3/2} P(Z)
     - (3/2) rho P'(Z) + (4a/3) theta^3.
     """
-    rho, theta = _check_state(rho, theta)
     Z = rho * theta ** -1.5
     p_rho = theta * _P_prime(Z, eos)
     p_theta = (
@@ -161,25 +159,52 @@ def pressure_derivatives(rho, theta, eos):
     return p_rho, p_theta
 
 
-def entropy_derivatives(rho, theta, eos):
+def _entropy_derivatives(rho, theta, eos):
     """(ds/drho, ds/dtheta); consistent with Gibbs and the Maxwell relation."""
-    rho, theta = _check_state(rho, theta)
     s_rho = -1.0 / rho - (4.0 * eos.a / 3.0) * theta ** 3 / rho ** 2
     s_theta = 1.5 / theta + 4.0 * eos.a * theta ** 2 / rho
     return s_rho, s_theta
 
 
-def energy_dtheta(rho, theta, eos):
+def _energy_dtheta(rho, theta, eos):
     """de/dtheta = 3/2 + 4a theta^3 / rho."""
-    rho, theta = _check_state(rho, theta)
     return 1.5 + 4.0 * eos.a * theta ** 3 / rho
 
 
-def sound_speed_squared(rho, theta, eos):
+def _sound_speed_squared(rho, theta, eos, e_theta=None):
     """Adiabatic sound speed squared: p_rho + theta p_theta^2 / (rho^2 e_theta)."""
-    p_rho, p_theta = pressure_derivatives(rho, theta, eos)
-    e_th = energy_dtheta(rho, theta, eos)
-    return p_rho + theta * p_theta ** 2 / (rho ** 2 * e_th)
+    if e_theta is None:
+        e_theta = _energy_dtheta(rho, theta, eos)
+    p_rho, p_theta = _pressure_derivatives(rho, theta, eos)
+    return p_rho + theta * p_theta ** 2 / (rho ** 2 * e_theta)
+
+
+def _transport(theta, eos):
+    mu = eos.mu0 * (1.0 + theta)
+    eta = eos.eta0 * (1.0 + theta)
+    kappa = eos.kappa0 * (1.0 + theta ** eos.beta)
+    return mu, eta, kappa
+
+
+def _checked(kernel):
+    """The public form of a (rho, theta, eos) kernel: _check_state, then the kernel."""
+
+    def public(rho, theta, eos):
+        return kernel(*_check_state(rho, theta), eos)
+
+    public.__name__ = public.__qualname__ = kernel.__name__[1:]
+    public.__doc__ = kernel.__doc__
+    return public
+
+
+pressure = _checked(_pressure)
+internal_energy = _checked(_internal_energy)
+entropy = _checked(_entropy)
+rho_e = _checked(_rho_e)
+pressure_derivatives = _checked(_pressure_derivatives)
+entropy_derivatives = _checked(_entropy_derivatives)
+energy_dtheta = _checked(_energy_dtheta)
+sound_speed_squared = _checked(_sound_speed_squared)
 
 
 def theta_from_rho_e(rho, E, eos, theta_guess=None):
@@ -213,10 +238,7 @@ def transport(theta, eos):
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)) or np.any(theta <= 0):
         raise DomainError("theta must be finite and > 0")
-    mu = eos.mu0 * (1.0 + theta)
-    eta = eos.eta0 * (1.0 + theta)
-    kappa = eos.kappa0 * (1.0 + theta ** eos.beta)
-    return mu, eta, kappa
+    return _transport(theta, eos)
 
 
 def ob_coefficients(rho_bar, theta_bar, eos):

@@ -15,12 +15,33 @@ from bll.grid import (
     grad,
     helmholtz_solve,
     helmholtz_solve_zface,
-    laplacian,
     mean,
     poisson_solve,
     save_profile_csv,
 )
-from bll.grid import _thomas, _thomas_factor, _zop
+from bll.grid import _thomas, _thomas_factor, _wall_array, _zop
+
+
+def _ghost_pad_z(vals, bc, nx):
+    """(nx, nz+2) array with the reflection ghost rows of the z boundary spec."""
+    if isinstance(bc, NeumannZ):
+        bottom = vals[:, :1]
+        top = vals[:, -1:]
+    else:
+        bottom = (2.0 * _wall_array(bc.bottom, nx))[:, None] - vals[:, :1]
+        top = (2.0 * _wall_array(bc.top, nx))[:, None] - vals[:, -1:]
+    return np.concatenate([bottom, vals, top], axis=1)
+
+
+def laplacian(f, bc):
+    """Oracle: five-point Laplacian of a center field, periodic in x, with
+    the reflection ghosts in z."""
+    g = f.grid
+    vals = f.values
+    padded = _ghost_pad_z(vals, bc, g.nx)
+    d2x = (np.roll(vals, -1, axis=0) - 2.0 * vals + np.roll(vals, 1, axis=0)) / g.dx ** 2
+    d2z = (padded[:, 2:] - 2.0 * padded[:, 1:-1] + padded[:, :-2]) / g.dz ** 2
+    return ScalarField(g, d2x + d2z, Staggering.CENTER)
 
 
 def random_fields(grid, seed=0):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bll import nsf
 from bll.errors import CompatibilityError, DivergenceError, DomainError, ShapeError, StabilityError
 from bll.grid import Grid, ScalarField, VectorField, laplace_dirichlet
 from bll.nsf import (
@@ -17,7 +18,7 @@ from bll.nsf import (
     step_nsf,
 )
 from bll.ob import gravity_potential
-from bll.thermo import EosParams, sound_speed_squared
+from bll.thermo import EosParams, entropy, sound_speed_squared
 
 IDEAL = EosParams()
 
@@ -43,6 +44,31 @@ def test_scenario_rejects_eps_out_of_range() -> None:
     for eps in (10.0, 0.0, -0.1):
         with pytest.raises(DomainError):
             _scenario(g, eps=eps)
+
+
+def test_scenario_rejects_non_finite_time_parameters() -> None:
+    g = Grid(8, 8)
+    for bad in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(DomainError, match="t_end must be finite"):
+            _scenario(g, t_end=bad)
+        with pytest.raises(DomainError, match="dt must be finite"):
+            _scenario(g, dt=bad)
+
+
+def test_step_rejects_non_finite_dt() -> None:
+    g = Grid(8, 8)
+    sc = _scenario(g)
+    state = build_initial_nsf(sc)
+    for bad in (float("nan"), float("inf"), -1e-3):
+        with pytest.raises(DomainError, match="dt must be finite"):
+            step_nsf(state, sc, bad)
+
+
+def test_run_rejects_non_finite_snapshot_dt() -> None:
+    sc = _scenario(Grid(8, 8), t_end=0.01)
+    for bad in (float("nan"), float("inf"), -0.1):
+        with pytest.raises(DomainError, match="snapshot_dt must be finite"):
+            run_nsf(sc, snapshot_dt=bad)
 
 
 def test_scenario_rejects_wall_positivity_loss() -> None:
@@ -211,6 +237,50 @@ def test_step_rejects_dt_above_bound() -> None:
     bound = cfl_dt(state, sc)
     with pytest.raises(StabilityError, match="retry with dt"):
         step_nsf(state, sc, 3.0 * bound)
+    with pytest.raises(StabilityError, match="retry with dt"):
+        run_nsf(_scenario(g, dt=3.0 * bound, t_end=0.1))
+
+
+@pytest.mark.parametrize("eos", [IDEAL, EosParams(p_inf=1.0, a=1.0)], ids=["ideal", "radiation"])
+def test_run_matches_public_step_loop_bitwise(eos, monkeypatch) -> None:
+    # run_nsf shares one thermodynamic evaluation between the log row, the
+    # CFL bound and the next step; it must equal the public API step by step.
+    g = Grid(16, 8)
+    X, Z = g.cell_mesh()
+    T0 = ScalarField(g, 0.2 * (1 - 2 * Z) + 0.1 * np.sin(2 * np.pi * X) * np.sin(np.pi * Z) ** 2)
+    sc = _scenario(
+        g, eos=eos, G=gravity_potential(g, 1.0), theta_b_bottom=0.2, theta_b_top=-0.2, T0=T0, t_end=0.02
+    )
+    bounds = []
+    cfl_bound = nsf._cfl_bound
+    monkeypatch.setattr(nsf, "_cfl_bound", lambda *args: bounds.append(None) or cfl_bound(*args))
+    traj = run_nsf(sc)
+    monkeypatch.undo()
+    assert traj.steps > 5
+    assert len(bounds) == traj.steps
+
+    theta_tilde = laplace_dirichlet(g, *sc.wall_theta())
+
+    def row(s, dt):
+        rho = s.rho.values
+        s_int = float(np.sum(rho * entropy(rho, s.theta.values, eos))) * g.cell_volume
+        return (s.t, float(np.sum(rho)) * g.cell_volume, ballistic_energy(s, sc, theta_tilde), s_int, dt)
+
+    state = build_initial_nsf(sc)
+    rows = [row(state, 0.0)]
+    while state.t < sc.t_end - 1e-12:
+        dt = min(cfl_dt(state, sc), sc.t_end - state.t)
+        state = step_nsf(state, sc, dt)
+        rows.append(row(state, dt))
+    want = np.array(rows)
+    log = traj.log
+    for k, col in enumerate((log.t, log.mass, log.ballistic_energy, log.entropy_proxy, log.dt)):
+        assert np.array_equal(col, want[:, k])
+    final = traj.states[-1]
+    assert np.array_equal(final.rho.values, state.rho.values)
+    assert np.array_equal(final.theta.values, state.theta.values)
+    assert np.array_equal(final.U.u, state.U.u)
+    assert np.array_equal(final.U.w, state.U.w)
 
 
 def test_blowup_raises_divergence_error() -> None:

@@ -61,6 +61,17 @@ def test_scenario_rejects_biased_potential() -> None:
         _scenario(g, G=ScalarField(g, np.ones((8, 8))))
 
 
+def test_ob_time_parameters_reject_nan_and_inf() -> None:
+    g = Grid(8, 8)
+    for bad in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(DomainError, match="dt must be finite"):
+            _scenario(g, dt=bad)
+        with pytest.raises(DomainError, match="t_end must be finite"):
+            _scenario(g, t_end=bad)
+        with pytest.raises(DomainError, match="snapshot_dt must be finite"):
+            run_ob(_scenario(g, t_end=0.002), snapshot_dt=bad)
+
+
 def test_build_initial_rejects_incompatible_trace() -> None:
     g = Grid(8, 16)
     sc = _scenario(g, theta_b_bottom=1.0)

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from bll import thermo
 
 from bll.errors import DomainError, StabilityError
 from bll.thermo import (
@@ -277,3 +280,55 @@ def test_property_w10_combination_exact(z, p_inf) -> None:
     P = z + p_inf * z ** (5.0 / 3.0)
     Pp = 1.0 + (5.0 / 3.0) * p_inf * z ** (2.0 / 3.0)
     assert ((5.0 / 3.0) * P - Pp * z) / z == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
+# (public function, the same function through its unchecked kernel).
+KERNEL_PAIRS = [
+    (pressure, thermo._pressure),
+    (internal_energy, thermo._internal_energy),
+    (entropy, thermo._entropy),
+    (rho_e, thermo._rho_e),
+    (pressure_derivatives, thermo._pressure_derivatives),
+    (entropy_derivatives, thermo._entropy_derivatives),
+    (energy_dtheta, thermo._energy_dtheta),
+    (sound_speed_squared, thermo._sound_speed_squared),
+    (
+        sound_speed_squared,
+        lambda r, t, eos: thermo._sound_speed_squared(r, t, eos, thermo._energy_dtheta(r, t, eos)),
+    ),
+    (lambda r, t, eos: transport(t, eos), lambda r, t, eos: thermo._transport(t, eos)),
+]
+
+
+@st.composite
+def _states(draw):
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    positive = st.floats(1e-3, 1e3)
+    return draw(arrays(float, shape, elements=positive)), draw(arrays(float, shape, elements=positive))
+
+
+@given(
+    state=_states(),
+    p_inf=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    a=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    bad=st.sampled_from([0.0, -1.0, float("nan"), float("inf")]),
+)
+@settings(max_examples=100, deadline=None)
+def test_property_kernels_equal_public_functions_bitwise(state, p_inf, a, bad) -> None:
+    rho, theta = state
+    eos = EosParams(p_inf=p_inf, a=a)
+    bad_theta = theta.copy()
+    bad_theta.flat[-1] = bad
+    for public, kernel in KERNEL_PAIRS:
+        got, want = kernel(rho, theta, eos), public(rho, theta, eos)
+        if isinstance(want, tuple):
+            assert all(np.array_equal(k, p) for k, p in zip(got, want, strict=True))
+        else:
+            assert np.array_equal(got, want)
+        with pytest.raises(DomainError):
+            public(rho, bad_theta, eos)
+    bad_rho = rho.copy()
+    bad_rho.flat[0] = bad
+    for public, _ in KERNEL_PAIRS[:-1]:
+        with pytest.raises(DomainError):
+            public(bad_rho, theta, eos)
