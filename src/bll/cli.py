@@ -382,7 +382,7 @@ def _write_columns(outdir, name, header, columns, formats):
                 fh.write(" ".join(format(c[i], ".17g") for c in cols) + "\n")
 
 
-def _cmd_thermo_check(cfg, outdir, threads, say):
+def _cmd_thermo_check(cfg, outdir, say):
     report = check_hypotheses(cfg.eos)
     (outdir / "hypothesis_report.txt").write_text("\n".join(report.lines()) + "\n", encoding="utf-8")
     r26, r27, r29 = check_limit_identities(cfg.rho_bar, cfg.theta_bar, cfg.eos)
@@ -398,7 +398,7 @@ def _cmd_thermo_check(cfg, outdir, threads, say):
     return 0
 
 
-def _cmd_run_ob(cfg, outdir, threads, say):
+def _cmd_run_ob(cfg, outdir, say):
     traj = run_ob(cfg.ob_scenario(), cfg.frame, snapshot_dt=cfg.cadence)
     tr = traj.trace
     _write_columns(
@@ -418,7 +418,7 @@ def _cmd_run_ob(cfg, outdir, threads, say):
     return 0
 
 
-def _cmd_run_nsf(cfg, outdir, threads, say):
+def _cmd_run_nsf(cfg, outdir, say):
     traj = run_nsf(cfg.nsf_scenario(), snapshot_dt=cfg.cadence)
     if "csv" in cfg.formats:
         traj.log.write_csv(outdir / "nsf_log.csv")
@@ -449,11 +449,9 @@ def _cmd_run_nsf(cfg, outdir, threads, say):
     return 0
 
 
-def _cmd_sweep(cfg, outdir, threads, say):
+def _cmd_sweep(cfg, outdir, say):
     eps_seq = list(cfg.eps_list) if cfg.eps_list is not None else [cfg.eps]
-    table = sweep(
-        cfg.ob_scenario(), eps_seq, frame=cfg.frame, snapshot_dt=cfg.cadence, threads=threads
-    )
+    table = sweep(cfg.ob_scenario(), eps_seq, frame=cfg.frame, snapshot_dt=cfg.cadence)
     if "csv" in cfg.formats:
         table.write_csv(outdir / "sweep.csv")
     if "dat" in cfg.formats:
@@ -481,7 +479,7 @@ def _cmd_sweep(cfg, outdir, threads, say):
     return 0
 
 
-def _cmd_compare(cfg, outdir, threads, say):
+def _cmd_compare(cfg, outdir, say):
     report = compare_modified_vs_naive(cfg.ob_scenario(), cfg.eps, snapshot_dt=cfg.cadence)
     if "csv" in cfg.formats:
         report.write_csv(outdir / "compare.csv")
@@ -490,7 +488,7 @@ def _cmd_compare(cfg, outdir, threads, say):
     return 0
 
 
-def _cmd_hydrostatic(cfg, outdir, threads, say):
+def _cmd_hydrostatic(cfg, outdir, say):
     scenario = cfg.nsf_scenario()
     rho, theta = hydrostatic_stationary_1d(scenario)
     header = ["z", "rho", "theta"]
@@ -525,7 +523,7 @@ def main(argv=None):
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="scenario config path")
     parser.add_argument("--out", default=None, help="override [output] directory")
-    parser.add_argument("--threads", type=int, default=None, help="sweep parallelism")
+    parser.add_argument("--threads", type=int, default=None, help="validated; sweeps run serially")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
@@ -536,11 +534,11 @@ def main(argv=None):
     try:
         text = Path(args.config).read_text(encoding="utf-8")
         cfg = parse_config(text)
-        threads = _resolve_threads(args.threads)
+        _resolve_threads(args.threads)
         outdir = Path(args.out) if args.out is not None else Path(cfg.directory)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "manifest.ini").write_text(cfg.echo(), encoding="utf-8")
-        return _HANDLERS[args.command](cfg, outdir, threads, say)
+        return _HANDLERS[args.command](cfg, outdir, say)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 10

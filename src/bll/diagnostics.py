@@ -16,7 +16,7 @@ match exactly; no interpolation) of: the L1 norm of (rho - rho_bar)/eps - r
 and (theta - theta_bar)/eps - T against the incompressible deviations, and
 the face-based L2 norm of sqrt(rho) u - sqrt(rho_bar) U (wall faces carry
 no-slip zeros and are omitted).  The sweep runs one incompressible target and
-one compressible member per eps (one at a time unless given worker threads),
+one compressible member per eps, in eps order in the calling thread,
 assembling a table with log-log fitted rates; diverging members annotate the
 table instead of aborting it.
 """
@@ -24,13 +24,12 @@ table instead of aborting it.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, DomainError, DivergenceError, ShapeError, StabilityError
-from .grid import ScalarField, Staggering, VectorField, xface_to_center, zface_to_center
+from .grid import ScalarField, Staggering, VectorField, _xprev, xface_to_center, zface_to_center
 from .nsf import NsfScenario, run_nsf
 from .ob import T_FRAME, THETA_FRAME, recover_density_deviation, run_ob, transform_frame
 from .thermo import entropy, internal_energy, pressure, rho_e
@@ -300,7 +299,7 @@ def deviation_error_norms(nsf_traj, ob_traj, eps, scenario):
             float(np.sum(np.abs((nstate.theta.values - theta_bar) / eps - ostate.temp.values)))
             * vol,
         )
-        rho_fx = 0.5 * (np.roll(rho, 1, axis=0) + rho)
+        rho_fx = 0.5 * (_xprev(rho) + rho)
         rho_fz = 0.5 * (rho[:, 1:] + rho[:, :-1])
         du = np.sqrt(rho_fx) * nstate.U.u - sr_bar * ostate.U.u
         dw = np.sqrt(rho_fz) * nstate.U.w[:, 1:-1] - sr_bar * ostate.U.w[:, 1:-1]
@@ -342,15 +341,13 @@ def _fit_rates(rows):
     return tuple(float(np.polyfit(le, np.log(errs[:, k]), 1)[0]) for k in range(3))
 
 
-def sweep(scenario, eps_list, frame=T_FRAME, snapshot_dt=None, threads=None):
+def sweep(scenario, eps_list, frame=T_FRAME, snapshot_dt=None):
     """Run the shared incompressible target once and one compressible member
-    per eps (well-prepared from the target's initial data) on `threads`
-    worker threads (default 1: the members hold the GIL, so more threads
-    only add contention), and assemble the ConvergenceTable.
+    per eps (well-prepared from the target's initial data), in eps order, and
+    assemble the ConvergenceTable.
 
     eps_list must be strictly descending in (0, 1].  Members that blow up or
-    hit positivity limits are recorded as failure annotations; assembly is
-    deterministic in eps order regardless of completion order.
+    hit positivity limits are recorded as failure annotations.
     """
     eps_seq = [float(e) for e in eps_list]
     if not eps_seq or any(b >= a for a, b in zip(eps_seq, eps_seq[1:])):
@@ -365,19 +362,13 @@ def sweep(scenario, eps_list, frame=T_FRAME, snapshot_dt=None, threads=None):
         state0 = transform_frame(state0, scenario)
     T0, U0 = state0.temp, state0.U
 
-    def member(eps):
-        nsf_traj = run_nsf(_member_scenario(scenario, eps, T0, U0), snapshot_dt)
-        return deviation_error_norms(nsf_traj, ob_traj, eps, scenario)
-
-    workers = threads if threads else 1
     rows, failures = [], []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(member, eps) for eps in eps_seq]
-        for eps, fut in zip(eps_seq, futures):
-            try:
-                rows.append(fut.result())
-            except (DomainError, DivergenceError, StabilityError) as exc:
-                failures.append((eps, str(exc)))
+    for eps in eps_seq:
+        try:
+            nsf_traj = run_nsf(_member_scenario(scenario, eps, T0, U0), snapshot_dt)
+            rows.append(deviation_error_norms(nsf_traj, ob_traj, eps, scenario))
+        except (DomainError, DivergenceError, StabilityError) as exc:
+            failures.append((eps, str(exc)))
     return ConvergenceTable(rows, _fit_rates(rows), failures)
 
 

@@ -64,6 +64,8 @@ from .thermo import (
     _check_state,
     _energy_dtheta,
     _entropy,
+    _kappa,
+    _mu,
     _pressure,
     _rho_e,
     _sound_speed_squared,
@@ -374,7 +376,7 @@ def hydrostatic_stationary_1d(scenario):
     def rhs(z, y):
         th = float(theta_of(z))
         p_r, p_th = pressure_derivatives(np.asarray(y[0]), np.asarray(th), eos)
-        th_prime = dK / _transport(th, eos)[2]
+        th_prime = dK / _kappa(th, eos)
         return [(eps * y[0] * float(g_prime(z)) - float(p_th) * th_prime) / float(p_r), y[0]]
 
     def column(b):
@@ -453,7 +455,7 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     jE_ac = center_to_xface(spec_h) * jr_ac
     Fm_x = u * rho_fx - 0.5 * (s_ac * jr_ac + s_ad * (jr_x - jr_ac))
     FE_x = u * center_to_xface(E) - 0.5 * (s_ac * jE_ac + s_ad * (jE_x - jE_ac))
-    FE_x -= _transport(0.5 * (th_l + th), eos)[2] * (th - th_l) / dx
+    FE_x -= _kappa(0.5 * (th_l + th), eos) * (th - th_l) / dx
 
     # z faces: interior face k (1..nz-1) sits between centers k-1 and k.
     wi = w[:, 1:-1]
@@ -472,9 +474,7 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     FE_z[:, 1:-1] = wi * 0.5 * (E[:, :-1] + E[:, 1:]) - 0.5 * (
         s_ac_z * jE_ac_z + s_ad_z * (jE_z - jE_ac_z)
     )
-    FE_z[:, 1:-1] -= _transport(0.5 * (th[:, :-1] + th[:, 1:]), eos)[2] * (
-        th[:, 1:] - th[:, :-1]
-    ) / dz
+    FE_z[:, 1:-1] -= _kappa(0.5 * (th[:, :-1] + th[:, 1:]), eos) * (th[:, 1:] - th[:, :-1]) / dz
     # Wall rows: no mass flux; Fourier flux against the Dirichlet wall value.
     FE_z[:, 0] = -aux.kap_b * 2.0 * (th[:, 0] - aux.wall_b) / dz
     FE_z[:, -1] = -aux.kap_t * 2.0 * (aux.wall_t - th[:, -1]) / dz
@@ -499,7 +499,7 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     th_corner[:, 1:-1] = 0.25 * ((th[:, 1:] + th_l[:, 1:]) + (th[:, :-1] + th_l[:, :-1]))
     th_corner[:, 0] = 0.5 * (aux.wall_b + gr._xprev(aux.wall_b))
     th_corner[:, -1] = 0.5 * (aux.wall_t + gr._xprev(aux.wall_t))
-    Sxz = _transport(th_corner, eos)[0] * shear
+    Sxz = _mu(th_corner, eos) * shear
 
     du = (
         adv_u

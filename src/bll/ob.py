@@ -18,11 +18,15 @@ integral identity the trace diagnostics monitor.
 The lambda_override hook replaces lam everywhere it encodes the non-local
 coupling (source, moving trace, frame transforms); 0 gives the classical
 Dirichlet limit system.
+
+Step invariants (coefficients, mu(theta_bar)/rho_bar, grad G) are cached on
+the ObScenario at first use, so a scenario is not to be mutated once run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -109,8 +113,15 @@ class ObScenario:
         if self.lambda_override is not None and not 0.0 <= self.lambda_override < 1.0:
             raise DomainError("lambda_override must lie in [0, 1)")
 
+    @cached_property
+    def _invariants(self):
+        """(limit coefficients, kinematic viscosity mu(theta_bar)/rho_bar, grad G)."""
+        coeffs = ob_coefficients(self.rho_bar, self.theta_bar, self.eos)
+        nu = float(transport(self.theta_bar, self.eos)[0]) / self.rho_bar
+        return coeffs, nu, grad(self.G, NeumannZ())
+
     def coefficients(self):
-        return ob_coefficients(self.rho_bar, self.theta_bar, self.eos)
+        return self._invariants[0]
 
     def lam_effective(self):
         if self.lambda_override is not None:
@@ -178,7 +189,7 @@ def _advect_scalar(grid, U, vals):
     fx = U.u * center_to_xface(vals)
     fz = np.zeros_like(U.w)
     fz[:, 1:-1] = U.w[:, 1:-1] * 0.5 * (vals[:, 1:] + vals[:, :-1])
-    dfx = (np.roll(fx, -1, axis=0) - fx) / grid.dx
+    dfx = (gr._xnext(fx) - fx) / grid.dx
     dfz = (fz[:, 1:] - fz[:, :-1]) / grid.dz
     return -(dfx + dfz)
 
@@ -252,10 +263,7 @@ def build_initial_ob(scenario, frame=T_FRAME):
 def _momentum_step(state, scenario, dt, buoy_center):
     """Shared AB2 advection + buoyancy, implicit diffusion, projection."""
     g = scenario.grid
-    coeffs = scenario.coefficients()
-    mu_bar, _, _ = transport(scenario.theta_bar, scenario.eos)
-    nu = float(mu_bar) / scenario.rho_bar
-    gG = grad(scenario.G, NeumannZ())
+    _, nu, gG = scenario._invariants
 
     adv_u, adv_w = advect_velocity(g, state.U.u, state.U.w)
     bx, bz = _buoyancy_faces(buoy_center, gG)
@@ -278,20 +286,19 @@ def _momentum_step(state, scenario, dt, buoy_center):
     ).values
     U_new, phi = _project(VectorField(g, ustar, wstar), dt, g)
     Pi = ScalarField(g, scenario.rho_bar * phi.values)
-    return U_new, Pi, (F_u, F_w), coeffs
+    return U_new, Pi, (F_u, F_w)
 
 
-def _scalar_step(state, scenario, dt, U_new, coeffs):
+def _scalar_step(state, scenario, dt, U_new):
     """AB2 advection (plus source) and implicit diffusion under the Dirichlet
     walls at t + dt.  Returns the solution, the diffusion operator whose unit
     responses close the non-local mean, and this step's explicit rhs."""
     g = scenario.grid
-    gG = grad(scenario.G, NeumannZ())
+    coeffs, _, gG = scenario._invariants
     A = _advect_scalar(g, U_new, state.temp.values)
     A += (scenario.theta_bar * coeffs.alpha / coeffs.c_p) * _grad_dot_faces(g, U_new, gG)
     if scenario.temp_source is not None:
-        X, Z = g.cell_mesh()
-        A += scenario.temp_source(state.t, X, Z)
+        A += scenario.temp_source(state.t, *g._cell_mesh)
     A_eff = A if state.rhs_hist is None else 1.5 * A - 0.5 * state.rhs_hist[2]
     c = dt * coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
     wb, wt = scenario.wall_values(state.t + dt)
@@ -304,11 +311,10 @@ def step_ob_tframe(state, scenario, dt):
     if state.frame != T_FRAME:
         raise ShapeError("step_ob_tframe expects a T-frame state")
     g = scenario.grid
-    coeffs = scenario.coefficients()
     lam = scenario.lam_effective()
-    buoy = -coeffs.alpha * state.temp.values
-    U_new, Pi, (F_u, F_w), coeffs = _momentum_step(state, scenario, dt, buoy)
-    T_data, op, A = _scalar_step(state, scenario, dt, U_new, coeffs)
+    buoy = -scenario.coefficients().alpha * state.temp.values
+    U_new, Pi, (F_u, F_w) = _momentum_step(state, scenario, dt, buoy)
+    T_data, op, A = _scalar_step(state, scenario, dt, U_new)
     if lam == 0.0:
         T_new = T_data
     else:
@@ -331,8 +337,8 @@ def step_ob_thetaframe(state, scenario, dt):
     temp_equiv = ScalarField(g, state.temp.values + lam / (1.0 - lam) * mean(state.temp))
     r = recover_density_deviation(temp_equiv, scenario)
     buoy = r.values / scenario.rho_bar
-    U_new, Pi, (F_u, F_w), coeffs = _momentum_step(state, scenario, dt, buoy)
-    Th_data, op, A = _scalar_step(state, scenario, dt, U_new, coeffs)
+    U_new, Pi, (F_u, F_w) = _momentum_step(state, scenario, dt, buoy)
+    Th_data, op, A = _scalar_step(state, scenario, dt, U_new)
     if lam == 0.0:
         Th_new = Th_data
     else:
@@ -373,14 +379,14 @@ def _flux_cubic(vals, grid, wall_bottom, wall_top):
     return grid.dx * float(np.sum(dn_top - dn_bottom))
 
 
-def _frame_trace_data(state, scenario, lam):
+def _frame_trace_data(state, scenario):
     """(T-frame mean, field values, wall values) seen by the trace diagnostics."""
     wb, wt = scenario.wall_values(state.t)
     if state.frame == T_FRAME:
         return mean(state.temp), state.temp.values, wb, wt
     # Theta differs from T by the constant lam/(1-lam) fint(Theta), so adding
     # the shift to field and walls recovers the T-frame pair exactly.
-    M = mean(state.temp)
+    M, lam = mean(state.temp), scenario.lam_effective()
     shift = lam / (1.0 - lam) * M
     return M / (1.0 - lam), state.temp.values + shift, wb, wt
 
@@ -388,8 +394,7 @@ def _frame_trace_data(state, scenario, lam):
 def _source_mean(state, scenario):
     if scenario.temp_source is None:
         return 0.0
-    X, Z = scenario.grid.cell_mesh()
-    return float(np.mean(scenario.temp_source(state.t, X, Z)))
+    return float(np.mean(scenario.temp_source(state.t, *scenario.grid._cell_mesh)))
 
 
 @dataclass
@@ -401,12 +406,12 @@ class _TraceCursor:
     source_mean: float
 
     @classmethod
-    def start(cls, state, scenario, lam):
-        m, vals, wb, wt = _frame_trace_data(state, scenario, lam)
+    def start(cls, state, scenario):
+        m, vals, wb, wt = _frame_trace_data(state, scenario)
         return cls(m, _flux_cubic(vals, scenario.grid, wb, wt), _source_mean(state, scenario))
 
 
-def _trace_row(cur, state, scenario, dt, lam, coeffs):
+def _trace_row(cur, state, scenario, dt):
     """Advance the cursor by one state; returns the cursor and the CSV row.
 
     Lambda is the pinned backward difference.  The balance residual integrates
@@ -415,8 +420,8 @@ def _trace_row(cur, state, scenario, dt, lam, coeffs):
     (plus the source mean when a source hook is active).  The flux column
     itself reports the scheme's conservative (quadratic-stencil) flux.
     """
-    m_now, vals, wb, wt = _frame_trace_data(state, scenario, lam)
-    g = scenario.grid
+    m_now, vals, wb, wt = _frame_trace_data(state, scenario)
+    g, coeffs, lam = scenario.grid, scenario.coefficients(), scenario.lam_effective()
     dm_dt = (m_now - cur.m) / dt
     Lambda = lam * scenario.rho_bar * coeffs.c_p * dm_dt
     flux = boundary_heat_flux(vals, g, wb, wt, coeffs.kappa_bar)
@@ -435,15 +440,12 @@ def lambda_diagnostics(states, scenario, dt):
     """Recompute the LambdaTrace from consecutive states spaced by dt."""
     if len(states) < 2:
         raise DomainError("lambda_diagnostics needs at least two consecutive states")
-    coeffs = scenario.coefficients()
-    lam = scenario.lam_effective()
-    cur = _TraceCursor.start(states[0], scenario, lam)
+    cur = _TraceCursor.start(states[0], scenario)
     rows = []
     for s in states[1:]:
-        cur, row = _trace_row(cur, s, scenario, dt, lam, coeffs)
+        cur, row = _trace_row(cur, s, scenario, dt)
         rows.append(row)
-    arr = np.array(rows)
-    return LambdaTrace(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4])
+    return LambdaTrace(*np.array(rows).T)
 
 
 def _check_cfl(state, scenario, dt):
@@ -479,23 +481,19 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
     if state.frame != frame:
         raise ShapeError(f"initial state frame {state.frame!r} does not match {frame!r}")
     step = step_ob_tframe if frame == T_FRAME else step_ob_thetaframe
-    coeffs = scenario.coefficients()
-    lam = scenario.lam_effective()
 
     times = [state.t]
     states = [state.copy()]
     rows = []
-    cur = _TraceCursor.start(state, scenario, lam)
+    cur = _TraceCursor.start(state, scenario)
     for n in range(1, n_steps + 1):
         _check_cfl(state, scenario, dt)
         state = step(state, scenario, dt)
         if not (np.all(np.isfinite(state.temp.values)) and np.all(np.isfinite(state.U.u))):
             raise DivergenceError("non-finite fields", step=n, time=state.t)
-        cur, row = _trace_row(cur, state, scenario, dt, lam, coeffs)
+        cur, row = _trace_row(cur, state, scenario, dt)
         rows.append(row)
         if (every is not None and n % every == 0) or n == n_steps:
             times.append(state.t)
             states.append(state.copy())
-    arr = np.array(rows)
-    trace = LambdaTrace(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4])
-    return ObTrajectory(scenario, frame, dt, times, states, trace)
+    return ObTrajectory(scenario, frame, dt, times, states, LambdaTrace(*np.array(rows).T))

@@ -179,11 +179,20 @@ def _sound_speed_squared(rho, theta, eos, e_theta=None):
     return p_rho + theta * p_theta ** 2 / (rho ** 2 * e_theta)
 
 
+def _mu(theta, eos):
+    return eos.mu0 * (1.0 + theta)
+
+
+def _eta(theta, eos):
+    return eos.eta0 * (1.0 + theta)
+
+
+def _kappa(theta, eos):
+    return eos.kappa0 * (1.0 + theta ** eos.beta)
+
+
 def _transport(theta, eos):
-    mu = eos.mu0 * (1.0 + theta)
-    eta = eos.eta0 * (1.0 + theta)
-    kappa = eos.kappa0 * (1.0 + theta ** eos.beta)
-    return mu, eta, kappa
+    return _mu(theta, eos), _eta(theta, eos), _kappa(theta, eos)
 
 
 def _checked(kernel):

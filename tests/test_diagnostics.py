@@ -329,7 +329,7 @@ def test_sweep_two_eps_monotone_rates_deterministic(tmp_path) -> None:
         g, IDEAL, G=gravity_potential(g, 1.0), theta_b_bottom=0.2, theta_b_top=-0.2,
         dt=1e-3, t_end=0.05, T0=T0,
     )
-    table = sweep(ob_sc, [0.2, 0.1], snapshot_dt=0.025, threads=2)
+    table = sweep(ob_sc, [0.2, 0.1], snapshot_dt=0.025)
     assert len(table.rows) == 2 and not table.failures
     hi, lo = table.rows
     assert lo.err_rho < hi.err_rho
@@ -337,7 +337,7 @@ def test_sweep_two_eps_monotone_rates_deterministic(tmp_path) -> None:
     assert lo.err_mom < hi.err_mom
     assert table.rates is not None and min(table.rates) > 0.5
 
-    again = sweep(ob_sc, [0.2, 0.1], snapshot_dt=0.025, threads=1)
+    again = sweep(ob_sc, [0.2, 0.1], snapshot_dt=0.025)
     assert again.rows == table.rows and again.rates == table.rates
 
     path = tmp_path / "table.csv"

@@ -19,7 +19,7 @@ from bll.grid import (
     poisson_solve,
     save_profile_csv,
 )
-from bll.grid import _thomas, _thomas_factor, _wall_array, _zop
+from bll.grid import _thomas, _thomas_factor, _wall_array, _ZOperator, _zop
 
 
 def _ghost_pad_z(vals, bc, nx):
@@ -159,6 +159,57 @@ def test_factored_thomas_bit_identical_to_unfactored() -> None:
         rhs = rng.standard_normal((nm, n)) + 1j * rng.standard_normal((nm, n))
         x = _thomas(sub, *_thomas_factor(sub, diag, sup, complex), rhs)
         assert np.array_equal(x, _thomas_unfactored(sub, diag, sup, rhs))
+
+
+def _dense_operator(g, c, wall, a):
+    """Oracle: a - c lap on the whole strip as one dense matrix over the
+    unknowns [i, k] (row-major), each z closure written from its ghost value,
+    and the weight of the wall value in the first/last z row."""
+    n = g.nz - 1 if wall == "zface" else g.nz
+    dzz = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    wall_weight = 0.0
+    if wall == "pinned":  # ghost f0
+        dzz[0, 0] = dzz[-1, -1] = -1.0
+    elif wall == "mirror":  # ghost 2g - f0
+        dzz[0, 0] = dzz[-1, -1] = -3.0
+        wall_weight = 2.0
+    elif wall == "extrapolate":  # ghost (8g - 6 f0 + f1)/3
+        dzz[0, 0] = dzz[-1, -1] = -4.0
+        dzz[0, 1] = dzz[-1, -2] = 4.0 / 3.0
+        wall_weight = 8.0 / 3.0
+    dxx = -2.0 * np.eye(g.nx) + np.roll(np.eye(g.nx), 1, axis=1) + np.roll(np.eye(g.nx), -1, axis=1)
+    lap = np.kron(dxx, np.eye(n)) / g.dx ** 2 + np.kron(np.eye(g.nx), dzz) / g.dz ** 2
+    return a * np.eye(g.nx * n) - c * lap, c * wall_weight / g.dz ** 2
+
+
+@pytest.mark.parametrize("nx, nz", [(4, 32), (64, 32), (16, 128)])
+def test_zoperator_solve_matches_dense_reference(nx, nz) -> None:
+    g = Grid(nx, nz)
+    rng = np.random.default_rng(nx + nz)
+    bottom, top = rng.standard_normal(nx), rng.standard_normal(nx)
+    for wall, c, a in (
+        ("pinned", -1.0, 0.0),
+        ("extrapolate", 0.05, 1.0),
+        ("extrapolate", 1.0, 0.0),
+        ("mirror", 0.05, 1.0),
+        ("zface", 0.05, 1.0),
+    ):
+        n = nz - 1 if wall == "zface" else nz
+        vals = rng.standard_normal((nx, n))
+        mat, wall_coef = _dense_operator(g, c, wall, a)
+        rhs = vals.copy()
+        rhs[:, 0] += wall_coef * bottom
+        rhs[:, -1] += wall_coef * top
+        if wall == "pinned":
+            # Zero-mean data; the kx = 0 mode is pinned by sum_i f[i, 0] = 0.
+            vals -= vals.mean()
+            rhs = vals.copy()
+            mat[0] = 0.0
+            mat[0, ::n] = 1.0
+            rhs[0, 0] = 0.0
+        ref = np.linalg.solve(mat, rhs.ravel()).reshape(nx, n)
+        got = _ZOperator(g, c, wall, a).solve(vals, bottom, top)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (wall, a)
 
 
 def test_z_operators_are_cached_per_grid() -> None:

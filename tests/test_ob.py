@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bll.ob
 from bll.errors import CompatibilityError, DomainError, StabilityError
 from bll.grid import Grid, ScalarField, Staggering, VectorField, div, mean
 from bll.ob import (
@@ -276,6 +279,46 @@ def test_frame_equivalence_is_exact_to_rounding() -> None:
 
     assert gap(16, 8, 4e-3, None) <= 1e-12
     assert gap(16, 8, 4e-3, 0.7) <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    lam=st.floats(0.0, 0.9),
+    rate=st.floats(0.05, 1.0),
+    kappa0=st.floats(0.05, 1.0),
+)
+def test_property_frame_equivalence_under_ramp(lam, rate, kappa0) -> None:
+    # 50 steps of a ramped bottom wall under gravity: the mapped T-frame
+    # state is the Theta-frame state to rounding for any coupling weight.
+    g = Grid(4, 16)
+    sc = ObScenario(
+        grid=g, eos=EosParams(kappa0=kappa0), G=gravity_potential(g, 1.0),
+        theta_b_bottom=lambda t: rate * t, dt=1e-3, t_end=0.05, lambda_override=lam,
+    )
+    final_t = run_ob(sc, frame=T_FRAME).states[-1]
+    final_th = run_ob(sc, frame=THETA_FRAME).states[-1]
+    mapped = transform_frame(final_t, sc)
+    assert np.max(np.abs(mapped.temp.values - final_th.temp.values)) <= 1e-11
+    assert np.max(np.abs(final_t.U.u - final_th.U.u)) <= 1e-11
+    assert np.max(np.abs(final_t.U.w - final_th.U.w)) <= 1e-11
+
+
+def test_run_ob_evaluates_coefficients_once(monkeypatch) -> None:
+    calls = []
+    inner = bll.ob.ob_coefficients
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(bll.ob, "ob_coefficients", counted)
+    g = Grid(8, 8)
+    for frame in (T_FRAME, THETA_FRAME):
+        calls.clear()
+        sc = _scenario(g, G=gravity_potential(g, 1.0), theta_b_bottom=0.2,
+                       T0=_linear_profile(g, 0.2), dt=0.01, t_end=0.05)
+        run_ob(sc, frame=frame)
+        assert len(calls) == 1, frame
 
 
 def test_manufactured_solution_orders() -> None:
