@@ -357,8 +357,10 @@ class _ZOperator:
         m, n = self.inv.shape[:2]
         rhs = np.zeros((m, n), dtype=complex) if vals is None else np.fft.rfft(vals, axis=0)
         if self.wall_coef is not None:
-            rhs[:, 0] += self.wall_coef * np.fft.rfft(_wall_array(bottom, nx))
-            rhs[:, -1] += self.wall_coef * np.fft.rfft(_wall_array(top, nx))
+            for row, value in ((0, bottom), (-1, top)):
+                wall = _wall_array(value, nx)
+                if wall.any():  # a zero wall adds nothing
+                    rhs[:, row] += self.wall_coef * np.fft.rfft(wall)
         # Real and imaginary parts ride as two right-hand-side columns.
         x = np.matmul(self.inv, np.ascontiguousarray(rhs).view(float).reshape(m, n, 2))
         return np.fft.irfft(x.view(complex).reshape(m, n), n=nx, axis=0)
@@ -372,6 +374,14 @@ class _ZOperator:
     def unit_wall(self):
         """Response to a zero right-hand side with unit walls."""
         return ScalarField(self.grid, self.solve(None, 1.0, 1.0))
+
+    @cached_property
+    def unit_source_mean(self):
+        return mean(self.unit_source)
+
+    @cached_property
+    def unit_wall_mean(self):
+        return mean(self.unit_wall)
 
 
 def _zop(grid, c, wall, a=1.0):

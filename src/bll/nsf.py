@@ -24,7 +24,8 @@ degenerates to zero profiles and the scheme reduces to the plain form.
 Validation runs at the public entry points and in the positivity guard after
 every stage.  A run evaluates each state's thermodynamics once, with the
 unchecked thermo kernels, and shares it between the log row, the CFL bound
-(evaluated once per step) and the next step's first stage.
+(evaluated once per step) and the next step's first stage.  Each stage starts
+the Newton recovery of theta from rho*e at the previous stage's theta.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from . import grid as gr
 from .errors import (
@@ -161,6 +159,13 @@ class NsfState:
         return NsfState(self.rho.copy(), self.theta.copy(), self.U.copy(), self.t, self.eps)
 
 
+def _checked_state(rho, theta, U, t, eps):
+    """An NsfState whose rho and theta _theta_of has just checked; skips __post_init__."""
+    state = object.__new__(NsfState)
+    state.rho, state.theta, state.U, state.t, state.eps = rho, theta, U, t, eps
+    return state
+
+
 @dataclass
 class ConservationLog:
     """Per-step record: time, total mass, ballistic energy, the entropy
@@ -256,6 +261,44 @@ def _face_density_root(rho_l, th_l, th_r, dG_eps, eos):
     raise DomainError("hydrostatic face balance did not converge")
 
 
+def _brentq(f, xa, xb, xtol, rtol):
+    """Root of f in [xa, xb] by Brent's method: a step-for-step port of the C
+    iteration behind scipy.optimize.brentq (at most 100 iterations, same roots)."""
+    xpre, xcur, fpre, fcur = xa, xb, f(xa), f(xb)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise DomainError(f"Brent root not bracketed: f({xa})={fpre}, f({xb})={fcur}")
+    for _ in range(100):  # the first pass brackets, as the signs differ
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:  # bisect
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise DomainError("Brent root search did not converge in 100 iterations")
+
+
 def _shoot_mass(resid, rho_bar):
     lo, hi = 0.7 * rho_bar, 1.4 * rho_bar
     rlo, rhi = resid(lo), resid(hi)
@@ -267,7 +310,7 @@ def _shoot_mass(resid, rho_bar):
         rlo, rhi = resid(lo), resid(hi)
     else:
         raise DomainError("hydrostatic mass shooting failed to bracket")
-    return brentq(resid, lo, hi, xtol=1e-14, rtol=1e-12)
+    return _brentq(resid, lo, hi, xtol=1e-14, rtol=1e-12)
 
 
 def _balanced_density(grid, eos, theta_hat, G_prof, eps, rho_bar):
@@ -342,10 +385,12 @@ def hydrostatic_stationary_1d(scenario):
     theta inverts the Kirchhoff integral K(theta) = kappa0 (theta +
     theta^{beta+1}/(beta+1)), which is linear in z between the wall
     temperatures.  rho integrates p(rho, theta(z))' = eps rho G'(z) with an
-    augmented mass variable, shooting the bottom density with brentq so the
-    column mass is rho_bar.  Independent of the flux discretization: scipy
-    quadrature-grade ODE integration against a spline of the potential.
+    augmented mass variable, shooting the bottom density so the column mass
+    is rho_bar.  Independent of the flux discretization: scipy (imported here
+    only) quadrature-grade ODE integration against a spline of the potential.
     """
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import CubicSpline
     wb, wt = scenario.wall_values()
     if float(np.ptp(wb)) > 1e-13 or float(np.ptp(wt)) > 1e-13:
         raise ShapeError("hydrostatic profiles need per-wall-constant Theta_B")
@@ -528,11 +573,11 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     return d_rho, d_E, du, dw
 
 
-def _theta_of(rho, E, t, scenario):
+def _theta_of(rho, E, t, scenario, theta_guess):
     if not np.all(np.isfinite(rho)) or np.any(rho <= 0):
         raise DivergenceError("density lost positivity", time=t)
     try:
-        th = theta_from_rho_e(rho, E, scenario.eos)
+        th = theta_from_rho_e(rho, E, scenario.eos, theta_guess)
     except DomainError as exc:
         raise DivergenceError(f"energy left the admissible range: {exc}", time=t) from exc
     if not np.all(np.isfinite(th)) or np.any(th <= 0):
@@ -576,20 +621,16 @@ def _step(state, scenario, dt, tf, bound):
     E1 = tf.E + dt * k0[1]
     u1 = u0 + dt * k0[2]
     w1 = w0 + dt * k0[3]
-    th1 = _theta_of(r1, E1, state.t + dt, scenario)
+    th1 = _theta_of(r1, E1, state.t + dt, scenario, th0)
 
     k1 = _rhs(r1, th1, u1, w1, scenario, aux, _thermo(r1, th1, scenario.eos))
     r2 = 0.5 * (r0 + r1 + dt * k1[0])
     E2 = 0.5 * (tf.E + E1 + dt * k1[1])
     u2 = 0.5 * (u0 + u1 + dt * k1[2])
     w2 = 0.5 * (w0 + w1 + dt * k1[3])
-    th2 = _theta_of(r2, E2, state.t + dt, scenario)
-    return NsfState(
-        ScalarField(g, r2),
-        ScalarField(g, th2),
-        VectorField(g, u2, w2),
-        state.t + dt,
-        state.eps,
+    th2 = _theta_of(r2, E2, state.t + dt, scenario, th1)
+    return _checked_state(
+        ScalarField(g, r2), ScalarField(g, th2), VectorField(g, u2, w2), state.t + dt, state.eps
     )
 
 

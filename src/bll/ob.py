@@ -319,7 +319,7 @@ def step_ob_tframe(state, scenario, dt):
         T_new = T_data
     else:
         m_prev = mean(state.temp)
-        mu_unit = mean(op.unit_source)
+        mu_unit = op.unit_source_mean
         denom = 1.0 - lam * mu_unit
         if abs(denom) < 1e-12:
             raise ClosureError(f"degenerate scalar closure, denominator {denom:.3e}")
@@ -342,7 +342,7 @@ def step_ob_thetaframe(state, scenario, dt):
     if lam == 0.0:
         Th_new = Th_data
     else:
-        mb = mean(op.unit_wall)
+        mb = op.unit_wall_mean
         denom = 1.0 + lam / (1.0 - lam) * mb
         if abs(denom) < 1e-12:
             raise ClosureError(f"degenerate scalar closure, denominator {denom:.3e}")

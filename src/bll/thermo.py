@@ -15,6 +15,8 @@ test oracles (gibbs_residual).  Every function is vectorized over rho/theta.
 
 Each formula lives in one unchecked kernel (_pressure, ...); the public function
 of the same name is _check_state plus the kernel, for states not yet validated.
+A kernel skips the p_inf and a terms when their coefficient is 0 (adding 0.0
+leaves a finite value unchanged), so the ideal gas pays no fractional power.
 """
 
 from __future__ import annotations
@@ -113,34 +115,37 @@ def _check_state(rho, theta):
 
 
 def _P(Z, eos):
-    return Z + eos.p_inf * Z ** (5.0 / 3.0)
+    return Z + eos.p_inf * Z ** (5.0 / 3.0) if eos.p_inf else Z
 
 
 def _P_prime(Z, eos):
-    return 1.0 + (5.0 / 3.0) * eos.p_inf * Z ** (2.0 / 3.0)
+    return 1.0 + (5.0 / 3.0) * eos.p_inf * Z ** (2.0 / 3.0) if eos.p_inf else np.ones_like(Z)
 
 
 def _pressure(rho, theta, eos):
     """p = theta^{5/2} P(Z) + (a/3) theta^4."""
-    Z = rho * theta ** -1.5
-    return theta ** 2.5 * _P(Z, eos) + (eos.a / 3.0) * theta ** 4
+    p = theta ** 2.5 * _P(rho * theta ** -1.5, eos)
+    return p + (eos.a / 3.0) * theta ** 4 if eos.a else p
 
 
 def _internal_energy(rho, theta, eos):
     """e = (3/2) theta^{5/2} P(Z) / rho + a theta^4 / rho, per unit mass."""
-    Z = rho * theta ** -1.5
-    return 1.5 * theta ** 2.5 * _P(Z, eos) / rho + eos.a * theta ** 4 / rho
+    e = 1.5 * theta ** 2.5 * _P(rho * theta ** -1.5, eos) / rho
+    return e + eos.a * theta ** 4 / rho if eos.a else e
 
 
 def _entropy(rho, theta, eos):
     """s = -log Z + s0 + (4a/3) theta^3 / rho, per unit mass."""
-    Z = rho * theta ** -1.5
-    return -np.log(Z) + eos.s0 + (4.0 * eos.a / 3.0) * theta ** 3 / rho
+    s = -np.log(rho * theta ** -1.5) + eos.s0
+    return s + (4.0 * eos.a / 3.0) * theta ** 3 / rho if eos.a else s
 
 
 def _rho_e(rho, theta, eos):
     """Volumetric internal energy rho*e; the conserved quantity of the heat balance."""
-    return 1.5 * rho * theta + 1.5 * eos.p_inf * rho ** (5.0 / 3.0) + eos.a * theta ** 4
+    E = 1.5 * rho * theta
+    if eos.p_inf:
+        E += 1.5 * eos.p_inf * rho ** (5.0 / 3.0)
+    return E + eos.a * theta ** 4 if eos.a else E
 
 
 def _pressure_derivatives(rho, theta, eos):
@@ -150,24 +155,26 @@ def _pressure_derivatives(rho, theta, eos):
     - (3/2) rho P'(Z) + (4a/3) theta^3.
     """
     Z = rho * theta ** -1.5
-    p_rho = theta * _P_prime(Z, eos)
-    p_theta = (
-        2.5 * theta ** 1.5 * _P(Z, eos)
-        - 1.5 * rho * _P_prime(Z, eos)
-        + (4.0 * eos.a / 3.0) * theta ** 3
-    )
-    return p_rho, p_theta
+    P_prime = _P_prime(Z, eos)
+    p_theta = 2.5 * theta ** 1.5 * _P(Z, eos) - 1.5 * rho * P_prime
+    if eos.a:
+        p_theta += (4.0 * eos.a / 3.0) * theta ** 3
+    return theta * P_prime, p_theta
 
 
 def _entropy_derivatives(rho, theta, eos):
     """(ds/drho, ds/dtheta); consistent with Gibbs and the Maxwell relation."""
-    s_rho = -1.0 / rho - (4.0 * eos.a / 3.0) * theta ** 3 / rho ** 2
-    s_theta = 1.5 / theta + 4.0 * eos.a * theta ** 2 / rho
+    s_rho, s_theta = -1.0 / rho, 1.5 / theta
+    if eos.a:
+        s_rho = s_rho - (4.0 * eos.a / 3.0) * theta ** 3 / rho ** 2
+        s_theta = s_theta + 4.0 * eos.a * theta ** 2 / rho
     return s_rho, s_theta
 
 
 def _energy_dtheta(rho, theta, eos):
     """de/dtheta = 3/2 + 4a theta^3 / rho."""
+    if not eos.a:
+        return np.full(np.broadcast(rho, theta).shape, 1.5)
     return 1.5 + 4.0 * eos.a * theta ** 3 / rho
 
 
@@ -221,20 +228,21 @@ def theta_from_rho_e(rho, E, eos, theta_guess=None):
 
     Linear when a == 0; otherwise Newton on the strictly increasing map
     theta -> (3/2) rho theta + a theta^4 (monotone, so the root is unique),
-    raising DomainError when 60 Newton steps do not converge.
+    started from theta_guess if given (a nearby theta converges in 2-3 steps,
+    not about 7), raising DomainError when 60 Newton steps do not converge.
     """
     rho = np.asarray(rho, dtype=float)
     E = np.asarray(E, dtype=float)
-    R = E - 1.5 * eos.p_inf * rho ** (5.0 / 3.0)
+    R = E - 1.5 * eos.p_inf * rho ** (5.0 / 3.0) if eos.p_inf else E
     if np.any(~np.isfinite(R)) or np.any(R <= 0):
         raise DomainError("internal energy below the cold-pressure floor")
     if eos.a == 0.0:
         return R / (1.5 * rho)
-    theta = np.asarray(theta_guess, dtype=float).copy() if theta_guess is not None else R / (1.5 * rho)
-    theta = np.maximum(theta, 1e-30)
+    theta = np.maximum(R / (1.5 * rho) if theta_guess is None else theta_guess, 1e-30)
     for _ in range(60):
-        f = 1.5 * rho * theta + eos.a * theta ** 4 - R
-        df = 1.5 * rho + 4.0 * eos.a * theta ** 3
+        t3 = theta ** 3
+        f = 1.5 * rho * theta + eos.a * (t3 * theta) - R
+        df = 1.5 * rho + 4.0 * eos.a * t3
         step = f / df
         theta = np.maximum(theta - step, 0.5 * theta)
         if np.max(np.abs(step)) <= 1e-14 * np.max(theta):

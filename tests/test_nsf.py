@@ -1,5 +1,10 @@
 """Compressible-solver tests: fixed points, balance, oracles, conservation."""
 
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -420,3 +425,92 @@ def test_x_mirror_symmetry_bitwise() -> None:
     assert np.array_equal(b.theta.values, _mirror_center(a.theta.values))
     assert np.array_equal(b.U.u, _mirror_xface(a.U.u))
     assert np.array_equal(b.U.w, _mirror_center(a.U.w))
+
+
+def test_radiation_run_warm_start_matches_cold_start(monkeypatch) -> None:
+    # every RK stage recovers theta from rho*e starting at the previous
+    # stage's theta; a cold start (no guess) reaches the same trajectory to
+    # rounding.  Velocities are compared on the unit velocity scale of the
+    # scaled system: their rounding floor does not shrink with |U|.
+    g = Grid(32, 16)
+    X, Z = g.cell_mesh()
+    T0 = ScalarField(g, 0.2 - 0.4 * Z + 0.1 * np.sin(2 * np.pi * X) * Z * (1 - Z))
+    sc = _scenario(
+        g, eos=EosParams(p_inf=1.0, a=1.0), G=gravity_potential(g, 1.0),
+        theta_b_bottom=0.2, theta_b_top=-0.2, T0=T0, t_end=0.05,
+    )
+    inner = nsf.theta_from_rho_e
+    guesses = []
+
+    def counted(rho, E, eos, theta_guess=None):
+        guesses.append(theta_guess is not None)
+        return inner(rho, E, eos, theta_guess)
+
+    monkeypatch.setattr(nsf, "theta_from_rho_e", counted)
+    warm = run_nsf(sc)
+    assert len(guesses) == 2 * warm.steps and all(guesses)
+    monkeypatch.setattr(nsf, "theta_from_rho_e", lambda rho, E, eos, theta_guess=None: inner(rho, E, eos))
+    cold = run_nsf(sc)
+    assert warm.steps == cold.steps > 5
+    a, b = warm.states[-1], cold.states[-1]
+    for x, y in ((a.rho.values, b.rho.values), (a.theta.values, b.theta.values)):
+        assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+    for x, y in ((a.U.u, b.U.u), (a.U.w, b.U.w)):
+        assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+    assert np.max(np.abs(a.U.w)) > 1e-4
+    mass = warm.log.mass
+    assert np.max(np.abs(mass - mass[0])) / mass[0] <= 1e-12
+
+
+def test_brentq_port_matches_scipy_bitwise(monkeypatch) -> None:
+    from scipy.optimize import brentq
+
+    port = nsf._brentq
+    for f, lo, hi in (
+        (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: math.exp(x) - 10.0, -5.0, 5.0),
+        (lambda x: x ** 9 - 0.5, 0.0, 2.0),
+        (lambda x: (x - 0.3) ** 3 + 1e-9 * (x - 0.3), -1.0, 2.0),  # 53 iterations
+    ):
+        assert port(f, lo, hi, 1e-14, 1e-12) == brentq(f, lo, hi, xtol=1e-14, rtol=1e-12)
+
+    # every mass-shooting solve of the discrete reference and of the oracle
+    roots = []
+
+    def both(f, lo, hi, xtol, rtol):
+        roots.append((port(f, lo, hi, xtol, rtol), brentq(f, lo, hi, xtol=xtol, rtol=rtol)))
+        return roots[-1][0]
+
+    monkeypatch.setattr(nsf, "_brentq", both)
+    g = Grid(4, 16)
+    for eos in (IDEAL, EosParams(p_inf=1.0), EosParams(a=1.0), EosParams(p_inf=1.0, a=1.0)):
+        for eps in (0.2, 0.05):
+            sc = _scenario(
+                g, eos=eos, eps=eps, G=gravity_potential(g, 1.0), theta_b_bottom=0.25, theta_b_top=-0.25
+            )
+            discrete_hydrostatic_reference(sc)
+            hydrostatic_stationary_1d(sc)
+    assert len(roots) == 16
+    assert all(got == want for got, want in roots)
+
+
+def test_brentq_port_rejects_unbracketed_interval_and_non_convergence() -> None:
+    with pytest.raises(DomainError, match="not bracketed"):
+        nsf._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14, 1e-12)
+    # a triple root defeats 100 iterations here, as it does scipy's brentq
+    with pytest.raises(DomainError, match="did not converge"):
+        nsf._brentq(lambda x: (x - 0.3) ** 3, -1.0, 2.0, 1e-14, 1e-12)
+
+
+def test_import_bll_does_not_import_scipy() -> None:
+    # scipy is imported by the continuum oracle only, so import stays cheap
+    code = (
+        "import sys, bll, bll.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.stdout.strip() == "[]"

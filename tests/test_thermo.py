@@ -332,3 +332,120 @@ def test_property_kernels_equal_public_functions_bitwise(state, p_inf, a, bad) -
     for public, _ in KERNEL_PAIRS[:-1]:
         with pytest.raises(DomainError):
             public(bad_rho, theta, eos)
+
+
+# Frozen copies of the kernel formulas as they were before the kernels learned
+# to skip zero-coefficient terms: every term is evaluated, also when its
+# coefficient is 0.  The kernels must stay bit-identical to these.
+def _old_P(Z, eos):
+    return Z + eos.p_inf * Z ** (5.0 / 3.0)
+
+
+def _old_P_prime(Z, eos):
+    return 1.0 + (5.0 / 3.0) * eos.p_inf * Z ** (2.0 / 3.0)
+
+
+def _old_pressure(rho, theta, eos):
+    Z = rho * theta ** -1.5
+    return theta ** 2.5 * _old_P(Z, eos) + (eos.a / 3.0) * theta ** 4
+
+
+def _old_internal_energy(rho, theta, eos):
+    Z = rho * theta ** -1.5
+    return 1.5 * theta ** 2.5 * _old_P(Z, eos) / rho + eos.a * theta ** 4 / rho
+
+
+def _old_entropy(rho, theta, eos):
+    Z = rho * theta ** -1.5
+    return -np.log(Z) + eos.s0 + (4.0 * eos.a / 3.0) * theta ** 3 / rho
+
+
+def _old_rho_e(rho, theta, eos):
+    return 1.5 * rho * theta + 1.5 * eos.p_inf * rho ** (5.0 / 3.0) + eos.a * theta ** 4
+
+
+def _old_pressure_derivatives(rho, theta, eos):
+    Z = rho * theta ** -1.5
+    p_rho = theta * _old_P_prime(Z, eos)
+    p_theta = (
+        2.5 * theta ** 1.5 * _old_P(Z, eos)
+        - 1.5 * rho * _old_P_prime(Z, eos)
+        + (4.0 * eos.a / 3.0) * theta ** 3
+    )
+    return p_rho, p_theta
+
+
+def _old_entropy_derivatives(rho, theta, eos):
+    s_rho = -1.0 / rho - (4.0 * eos.a / 3.0) * theta ** 3 / rho ** 2
+    s_theta = 1.5 / theta + 4.0 * eos.a * theta ** 2 / rho
+    return s_rho, s_theta
+
+
+def _old_energy_dtheta(rho, theta, eos):
+    return 1.5 + 4.0 * eos.a * theta ** 3 / rho
+
+
+def _old_sound_speed_squared(rho, theta, eos):
+    p_rho, p_theta = _old_pressure_derivatives(rho, theta, eos)
+    return p_rho + theta * p_theta ** 2 / (rho ** 2 * _old_energy_dtheta(rho, theta, eos))
+
+
+def _old_theta_from_rho_e_linear(rho, E, eos):
+    return (E - 1.5 * eos.p_inf * rho ** (5.0 / 3.0)) / (1.5 * rho)
+
+
+# (kernel, frozen formula) over (rho, theta, eos).
+FROZEN_PAIRS = [
+    (thermo._pressure, _old_pressure),
+    (thermo._internal_energy, _old_internal_energy),
+    (thermo._entropy, _old_entropy),
+    (thermo._rho_e, _old_rho_e),
+    (thermo._pressure_derivatives, _old_pressure_derivatives),
+    (thermo._entropy_derivatives, _old_entropy_derivatives),
+    (thermo._energy_dtheta, _old_energy_dtheta),
+    (thermo._sound_speed_squared, _old_sound_speed_squared),
+    (lambda r, t, eos: thermo._P(r, eos), lambda r, t, eos: _old_P(r, eos)),
+    (lambda r, t, eos: thermo._P_prime(r, eos), lambda r, t, eos: _old_P_prime(r, eos)),
+]
+
+
+def _same(got, want):
+    return np.shape(got) == np.shape(want) and np.array_equal(got, want)
+
+
+@given(
+    state=_states(),
+    p_inf=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    a=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    scalar=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_kernels_equal_frozen_formulas_bitwise(state, p_inf, a, scalar) -> None:
+    # skipping a term whose coefficient is 0 must not change a bit or a shape
+    rho, theta = state
+    if scalar:
+        rho, theta = np.asarray(rho.flat[0]), np.asarray(theta.flat[0])
+    eos = EosParams(p_inf=p_inf, a=a)
+    for kernel, frozen in FROZEN_PAIRS:
+        got, want = kernel(rho, theta, eos), frozen(rho, theta, eos)
+        if isinstance(want, tuple):
+            assert all(_same(k, f) for k, f in zip(got, want, strict=True))
+        else:
+            assert _same(got, want)
+    if a == 0.0:
+        E = _old_rho_e(rho, theta, eos)
+        assert _same(theta_from_rho_e(rho, E, eos), _old_theta_from_rho_e_linear(rho, E, eos))
+
+
+def test_theta_recovery_warm_start_agrees_with_cold_start() -> None:
+    # a guess within 1% of the root (the previous RK stage in nsf) converges
+    # to the cold-start root to rounding
+    rng = np.random.default_rng(11)
+    rho = rng.uniform(0.3, 3.0, size=200)
+    theta = rng.uniform(0.3, 3.0, size=200)
+    for eos in (RAD, FULL):
+        E = rho_e(rho, theta, eos)
+        cold = theta_from_rho_e(rho, E, eos)
+        guess = theta * (1.0 + 0.01 * rng.uniform(-1.0, 1.0, size=200))
+        warm = theta_from_rho_e(rho, E, eos, theta_guess=guess)
+        assert np.max(np.abs(warm - cold) / cold) <= 1e-14
