@@ -2,11 +2,14 @@
 and plot-ready artifact emission (CSV and gnuplot .dat).
 
 The config dialect is deliberately minimal: ``[section]`` headers and
-``key = value`` lines, ``#``/``;`` comments, UTF-8.  Parsing validates every
+``key = value`` lines, ``#``/``;`` comments, UTF-8.  One schema lists every
+key with its type, default and ScenarioConfig field.  Parsing validates every
 scenario invariant up front and reports the first offense with its line
 number; unknown sections and keys are rejected.  Every run writes
-``manifest.ini`` echoing the fully-resolved config (defaults included), and
-the same config yields byte-identical artifacts on the same platform.
+``manifest.ini``, the fully-resolved config (defaults included) echoed from
+the schema.  Every table goes through one writer: the .csv and .dat files of
+a table carry the same rows (floats as .17g) and the same ``# `` note lines.
+The same config yields byte-identical artifacts on the same platform.
 
 Initial data policy: runs start from rest with the temperature deviation set
 to the linear wall interpolant T0(x, z) = Theta_B_bottom(x) (1 - z) +
@@ -34,7 +37,7 @@ from .errors import (
     ShapeError,
     StabilityError,
 )
-from .grid import Grid, ScalarField, save_profile_csv
+from .grid import Grid, ScalarField
 from .nsf import (
     NsfScenario,
     discrete_hydrostatic_reference,
@@ -46,40 +49,53 @@ from .thermo import EosParams, check_hypotheses, check_limit_identities, gibbs_r
 
 __all__ = ["ScenarioConfig", "parse_config", "main"]
 
-COMMANDS = ("thermo-check", "run-ob", "run-nsf", "sweep", "compare", "hydrostatic")
-
-# section -> key -> (type tag, default); schema order is echo order.
+# section -> key -> (type tag, default, ScenarioConfig field; None for [eos],
+# whose keys are EosParams fields); schema order is echo order.
 _SCHEMA = {
     "eos": {
-        "p_inf": ("float", 0.0),
-        "a": ("float", 0.0),
-        "mu0": ("float", 1e-2),
-        "eta0": ("float", 0.0),
-        "kappa0": ("float", 1e-2),
-        "beta": ("float", 6.5),
-        "s0": ("float", 0.0),
+        "p_inf": ("float", 0.0, None),
+        "a": ("float", 0.0, None),
+        "mu0": ("float", 1e-2, None),
+        "eta0": ("float", 0.0, None),
+        "kappa0": ("float", 1e-2, None),
+        "beta": ("float", 6.5, None),
+        "s0": ("float", 0.0, None),
     },
-    "grid": {"nx": ("int", 32), "nz": ("int", 16), "Lx": ("float", 1.0)},
-    "reference": {"rho_bar": ("float", 1.0), "theta_bar": ("float", 1.0)},
+    "grid": {"nx": ("int", 32, "nx"), "nz": ("int", 16, "nz"), "Lx": ("float", 1.0, "lx")},
+    "reference": {"rho_bar": ("float", 1.0, "rho_bar"), "theta_bar": ("float", 1.0, "theta_bar")},
     "forcing": {
-        "g": ("float", 0.0),
-        "theta_b_bottom": ("float", 0.0),
-        "theta_b_top": ("float", 0.0),
-        "theta_b_cos": ("float", 0.0),
+        "g": ("float", 0.0, "g"),
+        "theta_b_bottom": ("float", 0.0, "theta_b_bottom"),
+        "theta_b_top": ("float", 0.0, "theta_b_top"),
+        "theta_b_cos": ("float", 0.0, "theta_b_cos"),
     },
     "nsf": {
-        "eps": ("float", 0.1),
-        "eps_list": ("floats", None),
-        "cfl": ("float", 0.4),
-        "t_end": ("float", 0.25),
+        "eps": ("float", 0.1, "eps"),
+        "eps_list": ("floats", None, "eps_list"),
+        "cfl": ("float", 0.4, "cfl"),
+        "t_end": ("float", 0.25, "nsf_t_end"),
     },
-    "ob": {"frame": ("str", "T"), "dt": ("float", 1e-3), "t_end": ("float", 0.25)},
+    "ob": {
+        "frame": ("str", "T", "frame"),
+        "dt": ("float", 1e-3, "ob_dt"),
+        "t_end": ("float", 0.25, "ob_t_end"),
+    },
     "output": {
-        "directory": ("str", "out"),
-        "cadence": ("float", 0.05),
-        "formats": ("str", "csv"),
+        "directory": ("str", "out", "directory"),
+        "cadence": ("float", 0.05, "cadence"),
+        "formats": ("str", "csv", "formats"),
     },
 }
+
+
+def _token(value):
+    """Artifact text of a value: strings verbatim, ints exact, floats .17g,
+    tuples as comma lists."""
+    if isinstance(value, tuple):
+        return ", ".join(_token(v) for v in value)
+    if isinstance(value, str):
+        return value
+    return str(value) if isinstance(value, int) else format(value, ".17g")
 
 
 @dataclass(frozen=True)
@@ -109,47 +125,15 @@ class ScenarioConfig:
 
     def echo(self):
         """Canonical config text; parsing it reproduces this config."""
-        eos = self.eos
-        lines = ["[eos]"]
-        for key in _SCHEMA["eos"]:
-            lines.append(f"{key} = {getattr(eos, key):.17g}")
-        lines += [
-            "",
-            "[grid]",
-            f"nx = {self.nx}",
-            f"nz = {self.nz}",
-            f"Lx = {self.lx:.17g}",
-            "",
-            "[reference]",
-            f"rho_bar = {self.rho_bar:.17g}",
-            f"theta_bar = {self.theta_bar:.17g}",
-            "",
-            "[forcing]",
-            f"g = {self.g:.17g}",
-            f"theta_b_bottom = {self.theta_b_bottom:.17g}",
-            f"theta_b_top = {self.theta_b_top:.17g}",
-            f"theta_b_cos = {self.theta_b_cos:.17g}",
-            "",
-            "[nsf]",
-            f"eps = {self.eps:.17g}",
-        ]
-        if self.eps_list is not None:
-            lines.append("eps_list = " + ", ".join(f"{e:.17g}" for e in self.eps_list))
-        lines += [
-            f"cfl = {self.cfl:.17g}",
-            f"t_end = {self.nsf_t_end:.17g}",
-            "",
-            "[ob]",
-            f"frame = {self.frame}",
-            f"dt = {self.ob_dt:.17g}",
-            f"t_end = {self.ob_t_end:.17g}",
-            "",
-            "[output]",
-            f"directory = {self.directory}",
-            f"cadence = {self.cadence:.17g}",
-            "formats = " + ", ".join(self.formats),
-        ]
-        return "\n".join(lines) + "\n"
+        blocks = []
+        for section, keys in _SCHEMA.items():
+            lines = [f"[{section}]"]
+            for key, (_, _, name) in keys.items():
+                val = getattr(self.eos, key) if name is None else getattr(self, name)
+                if val is not None:
+                    lines.append(f"{key} = {_token(val)}")
+            blocks.append("\n".join(lines))
+        return "\n\n".join(blocks) + "\n"
 
     def grid(self):
         return Grid(self.nx, self.nz, self.lx)
@@ -317,28 +301,13 @@ def parse_config(text):
         "output", "formats", "formats must be a comma list drawn from {csv, dat}",
     )
 
-    cfg = ScenarioConfig(
-        eos=eos,
-        nx=get("grid", "nx"),
-        nz=get("grid", "nz"),
-        lx=get("grid", "Lx"),
-        rho_bar=get("reference", "rho_bar"),
-        theta_bar=get("reference", "theta_bar"),
-        g=get("forcing", "g"),
-        theta_b_bottom=get("forcing", "theta_b_bottom"),
-        theta_b_top=get("forcing", "theta_b_top"),
-        theta_b_cos=get("forcing", "theta_b_cos"),
-        eps=eps,
-        eps_list=eps_list,
-        cfl=get("nsf", "cfl"),
-        nsf_t_end=get("nsf", "t_end"),
-        frame=frame,
-        ob_dt=ob_dt,
-        ob_t_end=ob_t_end,
-        directory=get("output", "directory"),
-        cadence=cadence,
-        formats=formats,
-    )
+    fields = {
+        name: get(section, key)
+        for section, keys in _SCHEMA.items()
+        for key, (_, _, name) in keys.items()
+        if name is not None
+    }
+    cfg = ScenarioConfig(eos=eos, **{**fields, "formats": formats})
 
     # Wall positivity across every eps the config can run at.
     worst = max([cfg.eps, *(cfg.eps_list or ())])
@@ -371,15 +340,24 @@ def _resolve_threads(flag):
     return val
 
 
-def _write_columns(outdir, name, header, columns, formats):
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    if "csv" in formats:
-        save_profile_csv(outdir / f"{name}.csv", cols, header)
-    if "dat" in formats:
-        with open(outdir / f"{name}.dat", "w", encoding="utf-8") as fh:
-            fh.write("# " + " ".join(header) + "\n")
-            for i in range(len(cols[0])):
-                fh.write(" ".join(format(c[i], ".17g") for c in cols) + "\n")
+def _write_table(outdir, name, header, columns, formats, notes=()):
+    """Write the table `name` once per format: `name`.csv (comma-separated
+    header and rows) and/or `name`.dat (space-separated, `# ` header).  Both
+    end with the same note lines, each a tuple of values after `# `."""
+    for fmt, sep, lead in (("csv", ",", ""), ("dat", " ", "# ")):
+        if fmt in formats:
+            with open(outdir / f"{name}.{fmt}", "w", encoding="utf-8") as fh:
+                fh.write(lead + sep.join(header) + "\n")
+                fh.writelines(sep.join(map(_token, row)) + "\n" for row in zip(*columns))
+                fh.writelines("# " + sep.join(map(_token, n)) + "\n" for n in notes)
+
+
+_NORMS = ("eps", "err_rho", "err_theta", "err_mom")
+
+
+def _norm_columns(rows):
+    """ErrorNorms rows as the columns of _NORMS."""
+    return [[getattr(row, key) for row in rows] for key in _NORMS]
 
 
 def _cmd_thermo_check(cfg, outdir, say):
@@ -389,10 +367,10 @@ def _cmd_thermo_check(cfg, outdir, say):
     rng = np.logspace(-1, 1, 10)
     rho, theta = np.meshgrid(rng, rng, indexing="ij")
     gibbs = gibbs_residual(rho, theta, cfg.eos)
-    with open(outdir / "limit_identities.csv", "w", encoding="utf-8") as fh:
-        fh.write("identity,residual\n")
-        for name, val in (("r26", r26), ("r27", r27), ("r29", r29), ("gibbs_fd", gibbs)):
-            fh.write(f"{name},{val:.17g}\n")
+    _write_table(
+        outdir, "limit_identities", ["identity", "residual"],
+        [("r26", "r27", "r29", "gibbs_fd"), (r26, r27, r29, gibbs)], ("csv",),
+    )
     say(f"hypotheses: {'all passed' if report.all_passed else 'some FAILED (see report)'}")
     say(f"limit identities: r26={r26:.3e} r27={r27:.3e} r29={r29:.3e} gibbs_fd={gibbs:.3e}")
     return 0
@@ -401,14 +379,14 @@ def _cmd_thermo_check(cfg, outdir, say):
 def _cmd_run_ob(cfg, outdir, say):
     traj = run_ob(cfg.ob_scenario(), cfg.frame, snapshot_dt=cfg.cadence)
     tr = traj.trace
-    _write_columns(
+    _write_table(
         outdir, "ob_trace",
         ["t", "mean_T", "Lambda", "flux", "s24_residual"],
         [tr.t, tr.mean_T, tr.Lambda, tr.flux, tr.s24_residual],
         cfg.formats,
     )
     final = traj.states[-1]
-    _write_columns(
+    _write_table(
         outdir, "ob_final_profile",
         ["z", "temp_mean"],
         [traj.scenario.grid.z_centers, final.temp.values.mean(axis=0)],
@@ -420,18 +398,15 @@ def _cmd_run_ob(cfg, outdir, say):
 
 def _cmd_run_nsf(cfg, outdir, say):
     traj = run_nsf(cfg.nsf_scenario(), snapshot_dt=cfg.cadence)
-    if "csv" in cfg.formats:
-        traj.log.write_csv(outdir / "nsf_log.csv")
-    if "dat" in cfg.formats:
-        log = traj.log
-        _write_columns(
-            outdir, "nsf_log",
-            ["t", "mass", "ballistic_energy", "entropy_proxy", "dt"],
-            [log.t, log.mass, log.ballistic_energy, log.entropy_proxy, log.dt],
-            ("dat",),
-        )
+    log = traj.log
+    _write_table(
+        outdir, "nsf_log",
+        ["t", "mass", "ballistic_energy", "entropy_proxy", "dt"],
+        [log.t, log.mass, log.ballistic_energy, log.entropy_proxy, log.dt],
+        cfg.formats,
+    )
     final = traj.states[-1]
-    _write_columns(
+    _write_table(
         outdir, "nsf_final_profile",
         ["z", "rho_mean", "theta_mean"],
         [
@@ -441,7 +416,7 @@ def _cmd_run_nsf(cfg, outdir, say):
         ],
         cfg.formats,
     )
-    drift = float(np.max(np.abs(traj.log.mass - traj.log.mass[0]))) / traj.log.mass[0]
+    drift = float(np.max(np.abs(log.mass - log.mass[0]))) / log.mass[0]
     say(
         f"nsf run: {traj.steps} steps in {traj.wall_seconds:.2f}s, "
         f"relative mass drift {drift:.3e}"
@@ -452,21 +427,9 @@ def _cmd_run_nsf(cfg, outdir, say):
 def _cmd_sweep(cfg, outdir, say):
     eps_seq = list(cfg.eps_list) if cfg.eps_list is not None else [cfg.eps]
     table = sweep(cfg.ob_scenario(), eps_seq, frame=cfg.frame, snapshot_dt=cfg.cadence)
-    if "csv" in cfg.formats:
-        table.write_csv(outdir / "sweep.csv")
-    if "dat" in cfg.formats:
-        with open(outdir / "sweep.dat", "w", encoding="utf-8") as fh:
-            fh.write("# eps err_rho err_theta err_mom\n")
-            for row in table.rows:
-                fh.write(
-                    f"{row.eps:.17g} {row.err_rho:.17g} "
-                    f"{row.err_theta:.17g} {row.err_mom:.17g}\n"
-                )
-            if table.rates is not None:
-                fh.write(
-                    f"# fitted_rate {table.rates[0]:.6g} "
-                    f"{table.rates[1]:.6g} {table.rates[2]:.6g}\n"
-                )
+    notes = [("fitted_rate", *(f"{r:.6g}" for r in table.rates))] if table.rates else []
+    notes += [(f"failed eps={eps:g}: {msg}",) for eps, msg in table.failures]
+    _write_table(outdir, "sweep", _NORMS, _norm_columns(table.rows), cfg.formats, notes)
     for row in table.rows:
         say(
             f"eps={row.eps:g}: err_rho={row.err_rho:.6g} "
@@ -481,8 +444,12 @@ def _cmd_sweep(cfg, outdir, say):
 
 def _cmd_compare(cfg, outdir, say):
     report = compare_modified_vs_naive(cfg.ob_scenario(), cfg.eps, snapshot_dt=cfg.cadence)
-    if "csv" in cfg.formats:
-        report.write_csv(outdir / "compare.csv")
+    _write_table(
+        outdir, "compare", ["target", *_NORMS],
+        [("modified", "naive"), *_norm_columns((report.modified, report.naive))],
+        [f for f in cfg.formats if f == "csv"],
+        [("ratio_theta", report.ratio), ("coincident", int(report.coincident))],
+    )
     (outdir / "compare.txt").write_text(report.format_text(), encoding="utf-8")
     say(report.format_text().rstrip())
     return 0
@@ -499,7 +466,7 @@ def _cmd_hydrostatic(cfg, outdir, say):
         columns += [rho_hat, theta_hat]
     except ShapeError:
         pass
-    _write_columns(outdir, "hydrostatic_profile", header, columns, cfg.formats)
+    _write_table(outdir, "hydrostatic_profile", header, columns, cfg.formats)
     say(f"hydrostatic profile: rho in [{rho.min():.6g}, {rho.max():.6g}]")
     return 0
 
@@ -520,7 +487,7 @@ def main(argv=None):
         description="Compressible convection runs, their incompressible limit, "
         "and the diagnostics tying the two together.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", required=True, help="scenario config path")
     parser.add_argument("--out", default=None, help="override [output] directory")
     parser.add_argument("--threads", type=int, default=None, help="validated; sweeps run serially")

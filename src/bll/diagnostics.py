@@ -241,18 +241,6 @@ class ConvergenceTable:
             ):
                 raise DomainError("error norms must be finite and non-negative")
 
-    def write_csv(self, path):
-        with open(path, "w") as f:
-            f.write("eps,err_rho,err_theta,err_mom\n")
-            for row in self.rows:
-                f.write(
-                    f"{row.eps:.17g},{row.err_rho:.17g},{row.err_theta:.17g},{row.err_mom:.17g}\n"
-                )
-            if self.rates is not None:
-                f.write(f"# fitted_rate,{self.rates[0]:.6g},{self.rates[1]:.6g},{self.rates[2]:.6g}\n")
-            for eps, msg in self.failures:
-                f.write(f"# failed eps={eps:g}: {msg}\n")
-
 
 def _tframe_states(ob_traj):
     if ob_traj.frame == T_FRAME:
@@ -398,17 +386,6 @@ class ComparisonReport:
         if self.coincident:
             lines.append("  warning: the two targets coincide; the ratio is uninformative")
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path):
-        with open(path, "w") as f:
-            f.write("target,eps,err_rho,err_theta,err_mom\n")
-            for name, row in (("modified", self.modified), ("naive", self.naive)):
-                f.write(
-                    f"{name},{row.eps:.17g},{row.err_rho:.17g},"
-                    f"{row.err_theta:.17g},{row.err_mom:.17g}\n"
-                )
-            f.write(f"# ratio_theta,{self.ratio:.17g}\n")
-            f.write(f"# coincident,{int(self.coincident)}\n")
 
 
 def compare_modified_vs_naive(scenario, eps, snapshot_dt=None):

@@ -1,5 +1,5 @@
 """Staggered grid on the periodic strip T^1 x (0,1): fields, operators,
-direct elliptic solves, and profile output.
+and direct elliptic solves.
 
 MAC layout, arrays indexed [i, k] = (x, z):
   cell centers   (nx, nz)   at ((i+1/2) dx, (k+1/2) dz)
@@ -48,7 +48,6 @@ __all__ = [
     "helmholtz_solve",
     "helmholtz_solve_zface",
     "laplace_dirichlet",
-    "save_profile_csv",
 ]
 
 
@@ -454,13 +453,3 @@ def laplace_dirichlet(grid, bottom, top):
     """
     vals = _zop(grid, 1.0, "extrapolate", a=0.0).solve(None, bottom, top)
     return ScalarField(grid, vals, Staggering.CENTER)
-
-
-def save_profile_csv(path, columns, header):
-    """Write 1D profiles as CSV: header row, then one row per sample."""
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    n = len(cols[0])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(format(c[i], ".17g") for c in cols) + "\n")

@@ -54,7 +54,6 @@ from .grid import (
     center_to_xface,
     laplace_dirichlet,
     mean,
-    save_profile_csv,
     xface_to_center,
     zface_to_center,
 )
@@ -176,13 +175,6 @@ class ConservationLog:
     ballistic_energy: np.ndarray
     entropy_proxy: np.ndarray
     dt: np.ndarray
-
-    def write_csv(self, path):
-        save_profile_csv(
-            path,
-            [self.t, self.mass, self.ballistic_energy, self.entropy_proxy, self.dt],
-            ["t", "mass", "ballistic_energy", "entropy_proxy", "dt"],
-        )
 
 
 @dataclass

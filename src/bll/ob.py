@@ -7,7 +7,9 @@ shifted variable Theta = T - lam fint(T) satisfies the conventional heat
 equation but with the non-local wall trace Theta_B - lam/(1-lam) fint(Theta).
 Both close the scalar mean implicitly: the implicit diffusion step is affine
 in the unknown mean, so two Helmholtz solves plus one scalar equation give
-the exact discrete fixed point of the coupling.
+the exact discrete fixed point of the coupling.  One routine, step_ob,
+steps either frame; the frames differ only in the buoyancy and in the unit
+response (source or wall) that closes the mean.
 
 Momentum: explicit Adams-Bashforth-2 advection and buoyancy, implicit Euler
 diffusion (viscosity mu(theta_bar)), non-incremental Chorin projection.
@@ -72,12 +74,10 @@ __all__ = [
     "LambdaTrace",
     "gravity_potential",
     "build_initial_ob",
-    "step_ob_tframe",
-    "step_ob_thetaframe",
+    "step_ob",
     "transform_frame",
     "recover_density_deviation",
     "boundary_heat_flux",
-    "lambda_diagnostics",
     "run_ob",
 ]
 
@@ -306,50 +306,33 @@ def _scalar_step(state, scenario, dt, U_new):
     return data, gr._zop(g, c, "extrapolate"), A
 
 
-def step_ob_tframe(state, scenario, dt):
-    """One step of the T-frame formulation (Dirichlet walls, non-local source)."""
-    if state.frame != T_FRAME:
-        raise ShapeError("step_ob_tframe expects a T-frame state")
-    g = scenario.grid
-    lam = scenario.lam_effective()
-    buoy = -scenario.coefficients().alpha * state.temp.values
-    U_new, Pi, (F_u, F_w) = _momentum_step(state, scenario, dt, buoy)
-    T_data, op, A = _scalar_step(state, scenario, dt, U_new)
-    if lam == 0.0:
-        T_new = T_data
+def step_ob(state, scenario, dt):
+    """One step of the state's frame: its buoyancy, then its closure of the mean."""
+    g, lam = scenario.grid, scenario.lam_effective()
+    k = lam / (1.0 - lam)
+    if state.frame == T_FRAME:
+        buoy = -scenario.coefficients().alpha * state.temp.values
+    elif state.frame == THETA_FRAME:
+        temp_equiv = ScalarField(g, state.temp.values + k * mean(state.temp))
+        buoy = recover_density_deviation(temp_equiv, scenario).values / scenario.rho_bar
     else:
-        m_prev = mean(state.temp)
-        mu_unit = op.unit_source_mean
-        denom = 1.0 - lam * mu_unit
+        raise ShapeError(f"unknown frame {state.frame!r}")
+    U_new, Pi, (F_u, F_w) = _momentum_step(state, scenario, dt, buoy)
+    temp, op, A = _scalar_step(state, scenario, dt, U_new)
+    if lam != 0.0:
+        # The step is affine in the unknown mean: temp + q * unit response.
+        tframe = state.frame == T_FRAME
+        denom = 1.0 - lam * op.unit_source_mean if tframe else 1.0 + k * op.unit_wall_mean
         if abs(denom) < 1e-12:
             raise ClosureError(f"degenerate scalar closure, denominator {denom:.3e}")
-        m_new = (mean(T_data) - lam * mu_unit * m_prev) / denom
-        T_new = ScalarField(g, T_data.values + lam * (m_new - m_prev) * op.unit_source.values)
-    return ObState(U_new, T_new, Pi, state.t + dt, T_FRAME, (F_u, F_w, A))
-
-
-def step_ob_thetaframe(state, scenario, dt):
-    """One step of the Theta-frame formulation (non-local wall trace)."""
-    if state.frame != THETA_FRAME:
-        raise ShapeError("step_ob_thetaframe expects a Theta-frame state")
-    g = scenario.grid
-    lam = scenario.lam_effective()
-    temp_equiv = ScalarField(g, state.temp.values + lam / (1.0 - lam) * mean(state.temp))
-    r = recover_density_deviation(temp_equiv, scenario)
-    buoy = r.values / scenario.rho_bar
-    U_new, Pi, (F_u, F_w) = _momentum_step(state, scenario, dt, buoy)
-    Th_data, op, A = _scalar_step(state, scenario, dt, U_new)
-    if lam == 0.0:
-        Th_new = Th_data
-    else:
-        mb = op.unit_wall_mean
-        denom = 1.0 + lam / (1.0 - lam) * mb
-        if abs(denom) < 1e-12:
-            raise ClosureError(f"degenerate scalar closure, denominator {denom:.3e}")
-        M_new = mean(Th_data) / denom
-        q = -lam / (1.0 - lam) * M_new
-        Th_new = ScalarField(g, Th_data.values + q * op.unit_wall.values)
-    return ObState(U_new, Th_new, Pi, state.t + dt, THETA_FRAME, (F_u, F_w, A))
+        if tframe:
+            m_prev = mean(state.temp)
+            q = lam * ((mean(temp) - lam * op.unit_source_mean * m_prev) / denom - m_prev)
+        else:
+            q = -k * (mean(temp) / denom)
+        unit = op.unit_source if tframe else op.unit_wall
+        temp = ScalarField(g, temp.values + q * unit.values)
+    return ObState(U_new, temp, Pi, state.t + dt, state.frame, (F_u, F_w, A))
 
 
 def boundary_heat_flux(vals, grid, wall_bottom, wall_top, kappa_bar):
@@ -436,18 +419,6 @@ def _trace_row(cur, state, scenario, dt):
     return _TraceCursor(m_now, fc_now, sm_now), (state.t, m_now, Lambda, flux, resid)
 
 
-def lambda_diagnostics(states, scenario, dt):
-    """Recompute the LambdaTrace from consecutive states spaced by dt."""
-    if len(states) < 2:
-        raise DomainError("lambda_diagnostics needs at least two consecutive states")
-    cur = _TraceCursor.start(states[0], scenario)
-    rows = []
-    for s in states[1:]:
-        cur, row = _trace_row(cur, s, scenario, dt)
-        rows.append(row)
-    return LambdaTrace(*np.array(rows).T)
-
-
 def _check_cfl(state, scenario, dt):
     g = scenario.grid
     vmax = max(float(np.max(np.abs(state.U.u))), float(np.max(np.abs(state.U.w))))
@@ -480,7 +451,6 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
     state = initial.copy() if initial is not None else build_initial_ob(scenario, frame)
     if state.frame != frame:
         raise ShapeError(f"initial state frame {state.frame!r} does not match {frame!r}")
-    step = step_ob_tframe if frame == T_FRAME else step_ob_thetaframe
 
     times = [state.t]
     states = [state.copy()]
@@ -488,7 +458,7 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
     cur = _TraceCursor.start(state, scenario)
     for n in range(1, n_steps + 1):
         _check_cfl(state, scenario, dt)
-        state = step(state, scenario, dt)
+        state = step_ob(state, scenario, dt)
         if not (np.all(np.isfinite(state.temp.values)) and np.all(np.isfinite(state.U.u))):
             raise DivergenceError("non-finite fields", step=n, time=state.t)
         cur, row = _trace_row(cur, state, scenario, dt)

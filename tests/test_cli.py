@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from bll.cli import _SCHEMA, ScenarioConfig, _resolve_threads, main, parse_config
 from bll.errors import ConfigError
+from bll.thermo import EosParams
 
 BASE = """\
 [grid]
@@ -51,6 +54,13 @@ def test_parse_defaults_and_echo_roundtrip() -> None:
     echo = cfg.echo()
     assert parse_config(echo) == cfg
     assert parse_config(echo).echo() == echo
+
+
+def test_schema_fields_match_scenario_config() -> None:
+    named = {name for keys in _SCHEMA.values() for (_, _, name) in keys.values() if name}
+    assert {f.name for f in fields(ScenarioConfig)} == {"eos"} | named
+    assert all(name is None for (_, _, name) in _SCHEMA["eos"].values())
+    assert list(_SCHEMA["eos"]) == [f.name for f in fields(EosParams)]
 
 
 def test_parse_forcing_spec_roundtrip() -> None:
@@ -179,6 +189,61 @@ def test_main_sweep_table_artifacts(tmp_path) -> None:
     dat = (out / "sweep.dat").read_text().splitlines()
     assert dat[0] == "# eps err_rho err_theta err_mom"
 
+    single = tmp_path / "single"
+    assert main(["sweep", "--config", _write(tmp_path, BASE, "single.ini"),
+                 "--out", str(single), "--quiet"]) == 0
+    lines = (single / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "eps,err_rho,err_theta,err_mom"
+    assert len(lines) == 2 and lines[1].startswith("0.2")
+
+
+def test_main_sweep_notes_failed_member_in_csv_and_dat(tmp_path) -> None:
+    # g = 4 drives the eps = 1 member's initial density non-positive; the
+    # failure is annotated in every table format, not only in the CSV.
+    text = BASE.replace("g = 1", "g = 4").replace("eps = 0.2", "eps_list = 1, 0.2")
+    out = tmp_path / "partial"
+    assert main(["sweep", "--config", _write(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    for name in ("sweep.csv", "sweep.dat"):
+        lines = (out / name).read_text().splitlines()
+        assert len([ln for ln in lines[1:] if not ln.startswith("#")]) == 1, name
+        assert any(ln.startswith("# failed eps=1: ") and "positivity" in ln for ln in lines), name
+
+
+def test_main_dat_mirrors_csv_for_every_table(tmp_path) -> None:
+    # One failing and two clean members, so sweep.* carries both kinds of note.
+    text = BASE.replace("g = 1", "g = 4").replace("eps = 0.2", "eps_list = 1, 0.2, 0.1")
+    cfg_path = _write(tmp_path, text)
+    mirrored = []
+    for cmd in ("thermo-check", "run-ob", "run-nsf", "sweep", "compare", "hydrostatic"):
+        out = tmp_path / cmd
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # compare's coincidence warning
+            assert main([cmd, "--config", cfg_path, "--out", str(out), "--quiet"]) == 0, cmd
+        for csv_path in sorted(out.glob("*.csv")):
+            dat_path = csv_path.with_suffix(".dat")
+            if csv_path.stem in ("limit_identities", "compare"):
+                assert not dat_path.exists(), csv_path.name  # CSV-only tables
+                continue
+            csv = csv_path.read_text().splitlines()
+            dat = dat_path.read_text().splitlines()
+            assert len(dat) == len(csv) >= 2, csv_path.name
+            assert dat[0].startswith("# ") and dat[0][2:].split(" ") == csv[0].split(",")
+            for c, d in zip(csv[1:], dat[1:]):
+                if c.startswith("# "):  # notes: same tokens, separator aside
+                    assert d.replace(" ", ",") == c.replace(" ", ","), csv_path.name
+                    continue
+                tokens = c.split(",")
+                assert d.split(" ") == tokens, csv_path.name
+                assert all(format(float(t), ".17g") == t for t in tokens), c
+            mirrored.append(csv_path.stem)
+    assert sorted(mirrored) == sorted([
+        "ob_trace", "ob_final_profile", "nsf_log", "nsf_final_profile", "sweep",
+        "hydrostatic_profile",
+    ])
+    notes = [ln for ln in (tmp_path / "sweep" / "sweep.dat").read_text().splitlines()[1:]
+             if ln.startswith("#")]
+    assert notes[0].startswith("# fitted_rate ") and notes[1].startswith("# failed eps=1: ")
+
 
 def test_main_compare_symmetric_warns_and_reports(tmp_path) -> None:
     cfg_path = _write(tmp_path, BASE)
@@ -189,6 +254,8 @@ def test_main_compare_symmetric_warns_and_reports(tmp_path) -> None:
     text = (out / "compare.txt").read_text()
     assert "ratio" in text and "coincide" in text
     lines = (out / "compare.csv").read_text().splitlines()
+    assert lines[0] == "target,eps,err_rho,err_theta,err_mom"
+    assert lines[1].startswith("modified,") and lines[2].startswith("naive,")
     ratio = float(next(ln for ln in lines if ln.startswith("# ratio_theta,")).split(",")[1])
     assert abs(ratio - 1.0) <= 0.05
 
@@ -209,6 +276,8 @@ def test_main_hydrostatic_profiles_and_validation_exit(tmp_path) -> None:
     assert main(["hydrostatic", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
     lines = (out / "hydrostatic_profile.csv").read_text().splitlines()
     assert lines[0] == "z,rho,theta,rho_hat,theta_hat"
+    first = [float(v) for v in lines[1].split(",")]
+    assert first[0] == 0.5 / 8 and min(first[1:]) > 0
 
     cfg2 = _write(tmp_path, BASE.replace("g = 1", "g = 1\ntheta_b_cos = 0.05"), "bumpy.ini")
     code = main(["hydrostatic", "--config", cfg2, "--out", str(tmp_path / "h2"), "--quiet"])
@@ -233,7 +302,7 @@ def test_main_rejects_non_finite_config_values(tmp_path, capsys) -> None:
 
 _FLOAT_KEYS = [
     (section, key) for section, keys in _SCHEMA.items()
-    for key, (kind, _) in keys.items() if kind in ("float", "floats")
+    for key, (kind, _, _) in keys.items() if kind in ("float", "floats")
 ]
 _NUMERIC_TOKENS = st.one_of(
     st.floats().map(repr),

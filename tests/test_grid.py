@@ -17,7 +17,6 @@ from bll.grid import (
     helmholtz_solve_zface,
     mean,
     poisson_solve,
-    save_profile_csv,
 )
 from bll.grid import _thomas, _thomas_factor, _wall_array, _ZOperator, _zop
 
@@ -399,11 +398,3 @@ def test_helmholtz_parameter_validation() -> None:
         helmholtz_solve_zface(ScalarField.zeros(g, Staggering.ZFACE), float("nan"))
     with pytest.raises(ShapeError):
         helmholtz_solve(ScalarField.zeros(g, Staggering.ZFACE), 0.1)
-
-
-def test_profile_csv(tmp_path) -> None:
-    path = tmp_path / "profile.csv"
-    save_profile_csv(path, [np.array([0.0, 0.5]), np.array([1.0, 2.0])], ["z", "rho"])
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "z,rho"
-    assert [float(v) for v in lines[1].split(",")] == [0.0, 1.0]

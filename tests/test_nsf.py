@@ -335,7 +335,7 @@ def test_step_count_scales_like_inverse_eps() -> None:
     assert 1.7 <= ratio <= 2.3
 
 
-def test_run_snapshots_and_log_layout(tmp_path) -> None:
+def test_run_snapshots_and_log_layout() -> None:
     g = Grid(16, 8)
     sc = _scenario(g, theta_b_bottom=0.2, t_end=0.1)
     traj = run_nsf(sc, snapshot_dt=0.05)
@@ -344,10 +344,6 @@ def test_run_snapshots_and_log_layout(tmp_path) -> None:
     assert np.all(np.diff(traj.log.t) > 0)
     assert np.all(traj.log.dt[1:] > 0)
     assert traj.steps == len(traj.log.t) - 1
-    path = tmp_path / "log.csv"
-    traj.log.write_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,mass,ballistic_energy,entropy_proxy,dt"
     with pytest.raises(DomainError):
         run_nsf(sc, snapshot_dt=-0.1)
 
