@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bll.cli import _write_table
 from bll.errors import DomainError, ShapeError
 from bll.grid import (
     DirichletZ,
@@ -398,3 +399,14 @@ def test_helmholtz_parameter_validation() -> None:
         helmholtz_solve_zface(ScalarField.zeros(g, Staggering.ZFACE), float("nan"))
     with pytest.raises(ShapeError):
         helmholtz_solve(ScalarField.zeros(g, Staggering.ZFACE), 0.1)
+
+
+def test_profile_csv(tmp_path) -> None:
+    # Profiles are written by the shared table writer: header row, then one
+    # row per sample.
+    _write_table(tmp_path, "profile", ["z", "rho"], [np.array([0.0, 0.5]), np.array([1.0, 2.0])],
+                 ("csv",))
+    lines = (tmp_path / "profile.csv").read_text().strip().splitlines()
+    assert lines[0] == "z,rho"
+    assert [float(v) for v in lines[1].split(",")] == [0.0, 1.0]
+    assert not (tmp_path / "profile.dat").exists()
