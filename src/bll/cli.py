@@ -5,11 +5,12 @@ The config dialect is deliberately minimal: ``[section]`` headers and
 ``key = value`` lines, ``#``/``;`` comments, UTF-8.  One schema lists every
 key with its type, default and ScenarioConfig field.  Parsing validates every
 scenario invariant up front and reports the first offense with its line
-number; unknown sections and keys are rejected.  Every run writes
+number; unknown sections and keys are rejected.  A run that succeeds writes
 ``manifest.ini``, the fully-resolved config (defaults included) echoed from
-the schema.  Every table goes through one writer: the .csv and .dat files of
-a table carry the same rows (floats as .17g) and the same ``# `` note lines.
-The same config yields byte-identical artifacts on the same platform.
+the schema; a failed run leaves none.  Every table goes through one writer:
+the .csv and .dat files of a table carry the same rows (floats as .17g) and
+the same ``# `` note lines.  The same config yields byte-identical artifacts
+on the same platform.
 
 Initial data policy: runs start from rest with the temperature deviation set
 to the linear wall interpolant T0(x, z) = Theta_B_bottom(x) (1 - z) +
@@ -504,8 +505,9 @@ def main(argv=None):
         _resolve_threads(args.threads)
         outdir = Path(args.out) if args.out is not None else Path(cfg.directory)
         outdir.mkdir(parents=True, exist_ok=True)
+        code = _HANDLERS[args.command](cfg, outdir, say)
         (outdir / "manifest.ini").write_text(cfg.echo(), encoding="utf-8")
-        return _HANDLERS[args.command](cfg, outdir, say)
+        return code
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 10

@@ -15,9 +15,10 @@ ghost, whose conservative wall flux is the one-sided quadratic derivative,
 while x-face fields keep the mirror convention.
 
 The elliptic solves are direct: rfft in x, then one z-tridiagonal system per
-Fourier mode.  Each operator (a - c lap with its wall closure) is inverted
-once per mode and cached on its Grid, so a solve is one batched matmul; the
-cache holds (nx/2+1) nz^2 doubles per operator, 0.27 MB at 64x32.
+Fourier mode, all through the one z-solver _ZOperator.  Each operator is
+inverted once per mode, so a solve is one batched matmul; the constant-
+coefficient ones are cached on their Grid, (nx/2+1) nz^2 doubles each, 0.27 MB
+at 64x32, and the face-weighted ones (the NSF conduction profile) are not.
 """
 
 from __future__ import annotations
@@ -288,63 +289,41 @@ def advect_velocity(grid, u, w):
     return adv_u, adv_w
 
 
-def _thomas_factor(sub, diag, sup, dtype):
-    """Forward-elimination factors (cp, beta) of a batched tridiagonal system
-    along the last axis, in the solution dtype; sub[..., 0] and sup[..., -1]
-    are ignored."""
-    n = diag.shape[-1]
-    cp = np.empty(diag.shape, dtype=dtype)
-    beta = np.empty_like(cp)
-    beta[..., 0] = diag[..., 0]
-    cp[..., 0] = sup[..., 0] / diag[..., 0]
-    for k in range(1, n):
-        beta[..., k] = diag[..., k] - sub[..., k] * cp[..., k - 1]
-        cp[..., k] = sup[..., k] / beta[..., k]
-    return cp, beta
-
-
-def _thomas(sub, cp, beta, rhs):
-    """Batched Thomas solve along the last axis: the rhs sweeps only, with
-    the factors of _thomas_factor (same shape as rhs)."""
-    x = np.empty_like(cp)
-    x[..., 0] = rhs[..., 0] / beta[..., 0]
-    for k in range(1, rhs.shape[-1]):
-        x[..., k] = (rhs[..., k] - sub[..., k] * x[..., k - 1]) / beta[..., k]
-    for k in range(rhs.shape[-1] - 2, -1, -1):
-        x[..., k] -= cp[..., k] * x[..., k + 1]
-    return x
-
-
 class _ZOperator:
     """a - c lap as one real z-tridiagonal matrix per rfft x-mode, inverted
     once; a solve applies the inverses in one batched matmul.  wall is the z
     closure: 'pinned' (Neumann ghost f0, the singular kx = 0 mode pinned in
     its first cell), 'extrapolate' (Dirichlet, quadratic-extrapolation ghost
     (8g - 6 f0 + f1)/3), 'mirror' (Dirichlet, no-slip ghost 2g - f0) or
-    'zface' (the interior z-faces, wall faces held at zero)."""
+    'zface' (the interior z-faces, wall faces held at zero).  faces (centre
+    closures only) weights the nz + 1 z-faces, walls included, so that the z
+    part is d/dz (faces d/dz); each weight scales its face's flux and its
+    wall's ghost term.  None means unit weights."""
 
-    def __init__(self, grid, c, wall, a=1.0):
+    def __init__(self, grid, c, wall, a=1.0, faces=None):
         self.grid = grid
         m, n = grid.nx // 2 + 1, grid.nz - 1 if wall == "zface" else grid.nz
         # Discrete symbols k~^2 >= 0 of -d^2/dx^2 for the rfft modes.
         kx2 = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(m) / grid.nx)) / grid.dx ** 2
         inv_dz2 = 1.0 / grid.dz ** 2
+        s = np.ones(n + 1) if faces is None else np.asarray(faces, dtype=float)
+        sw = s[[0, -1]]
         k, ends = np.arange(n), [0, -1]
         mat = np.zeros((m, n, n))
-        mat[:, k, k] = a + c * (2.0 * inv_dz2 + kx2[:, None])
-        mat[:, k[1:], k[:-1]] = mat[:, k[:-1], k[1:]] = -c * inv_dz2
+        mat[:, k, k] = a + c * ((s[:-1] + s[1:]) * inv_dz2 + kx2[:, None])
+        mat[:, k[1:], k[:-1]] = mat[:, k[:-1], k[1:]] = -c * s[1:-1] * inv_dz2
         self.wall_coef = None
         if wall == "pinned":
-            mat[:, ends, ends] -= c * inv_dz2
+            mat[:, ends, ends] -= c * sw * inv_dz2
             mat[0, 0, 0], mat[0, 0, 1], mat[0, 1, 0] = 1.0, 0.0, 0.0
         elif wall == "mirror":
-            mat[:, ends, ends] += c * inv_dz2
-            self.wall_coef = 2.0 * c * inv_dz2
+            mat[:, ends, ends] += c * sw * inv_dz2
+            self.wall_coef = 2.0 * c * sw * inv_dz2
         elif wall == "extrapolate":
-            mat[:, ends, ends] += 2.0 * c * inv_dz2
-            mat[:, 0, 1] -= c * inv_dz2 / 3.0
-            mat[:, -1, -2] -= c * inv_dz2 / 3.0
-            self.wall_coef = (8.0 / 3.0) * c * inv_dz2
+            mat[:, ends, ends] += 2.0 * c * sw * inv_dz2
+            mat[:, 0, 1] -= c * sw[0] * inv_dz2 / 3.0
+            mat[:, -1, -2] -= c * sw[1] * inv_dz2 / 3.0
+            self.wall_coef = (8.0 / 3.0) * c * sw * inv_dz2
         self.inv = np.linalg.inv(mat)
         if wall == "pinned":
             self.inv[0, 0, 0] = 0.0  # the pinned cell stays zero whatever the data
@@ -356,10 +335,10 @@ class _ZOperator:
         m, n = self.inv.shape[:2]
         rhs = np.zeros((m, n), dtype=complex) if vals is None else np.fft.rfft(vals, axis=0)
         if self.wall_coef is not None:
-            for row, value in ((0, bottom), (-1, top)):
+            for row, value, coef in zip((0, -1), (bottom, top), self.wall_coef):
                 wall = _wall_array(value, nx)
                 if wall.any():  # a zero wall adds nothing
-                    rhs[:, row] += self.wall_coef * np.fft.rfft(wall)
+                    rhs[:, row] += coef * np.fft.rfft(wall)
         # Real and imaginary parts ride as two right-hand-side columns.
         x = np.matmul(self.inv, np.ascontiguousarray(rhs).view(float).reshape(m, n, 2))
         return np.fft.irfft(x.view(complex).reshape(m, n), n=nx, axis=0)

@@ -61,12 +61,12 @@ from .thermo import (
     _check_state,
     _energy_dtheta,
     _entropy,
+    _eta,
     _kappa,
     _mu,
     _pressure,
     _rho_e,
     _sound_speed_squared,
-    _transport,
     pressure,
     pressure_derivatives,
     rho_e,
@@ -208,30 +208,15 @@ class _NsfAux:
 def _conduction_profile(grid, eos, gb, gt):
     """Exact steady state of the discrete conduction operator: interior faces
     carry kappa at the face-averaged temperature, wall fluxes use the mirror
-    form 2 kappa(g) (theta_0 - g)/dz.  Picard iteration on the frozen-kappa
-    tridiagonal system."""
-    nz = grid.nz
+    form 2 kappa(g) (theta_0 - g)/dz.  Picard iteration: each pass solves
+    the frozen-kappa operator, the z-solver with kappa as face weights."""
     scale = max(abs(gb), abs(gt))
     if abs(gt - gb) <= 1e-14 * scale:
-        return np.full(nz, 0.5 * (gb + gt))
-    kb = float(transport(np.asarray(gb), eos)[2])
-    kt = float(transport(np.asarray(gt), eos)[2])
+        return np.full(grid.nz, 0.5 * (gb + gt))
     th = gb + (gt - gb) * grid.z_centers
     for _ in range(400):
-        kf = transport(0.5 * (th[:-1] + th[1:]), eos)[2]
-        diag = np.zeros(nz)
-        sub = np.zeros(nz)
-        sup = np.zeros(nz)
-        rhs = np.zeros(nz)
-        diag[:-1] += kf
-        sup[:-1] = -kf
-        diag[1:] += kf
-        sub[1:] = -kf
-        diag[0] += 2.0 * kb
-        rhs[0] += 2.0 * kb * gb
-        diag[-1] += 2.0 * kt
-        rhs[-1] += 2.0 * kt * gt
-        new = gr._thomas(sub, *gr._thomas_factor(sub, diag, sup, float), rhs)
+        faces = transport(np.concatenate([[gb], 0.5 * (th[:-1] + th[1:]), [gt]]), eos)[2]
+        new = gr._ZOperator(grid, 1.0, "mirror", a=0.0, faces=faces).solve(None, gb, gt)[0]
         done = np.max(np.abs(new - th)) <= 1e-13 * scale
         th = new
         if done:
@@ -456,13 +441,13 @@ def build_initial_nsf(scenario):
 
 
 # Thermo and transport fields of one checked (rho, theta), shared within a stage.
-_Thermo = namedtuple("_Thermo", "E p c2 e_theta mu eta kappa")
+_Thermo = namedtuple("_Thermo", "E p c2 e_theta mu eta")
 
 
 def _thermo(rho, th, eos):
     e_theta = _energy_dtheta(rho, th, eos)
     c2 = _sound_speed_squared(rho, th, eos, e_theta)
-    return _Thermo(_rho_e(rho, th, eos), _pressure(rho, th, eos), c2, e_theta, *_transport(th, eos))
+    return _Thermo(_rho_e(rho, th, eos), _pressure(rho, th, eos), c2, e_theta, _mu(th, eos), _eta(th, eos))
 
 
 def _rhs(rho, th, u, w, scenario, aux, tf):
@@ -583,7 +568,8 @@ def _cfl_bound(state, scenario, tf):
     c = np.sqrt(tf.c2)
     rate = (np.abs(xface_to_center(state.U.u)) + c / scenario.eps) / g.dx
     rate += (np.abs(zface_to_center(state.U.w)) + c / scenario.eps) / g.dz
-    D = np.maximum((2.0 * tf.mu + tf.eta) / rho, tf.kappa / (rho * tf.e_theta))
+    kappa = _kappa(state.theta.values, scenario.eos)
+    D = np.maximum((2.0 * tf.mu + tf.eta) / rho, kappa / (rho * tf.e_theta))
     rate += 2.0 * D * (1.0 / g.dx ** 2 + 1.0 / g.dz ** 2)
     return scenario.cfl / float(np.max(rate))
 

@@ -377,7 +377,12 @@ class HypothesisReport:
         return out
 
 
-def check_hypotheses(eos, z_range=(1e-2, 1e2), theta_range=(1e-2, 1e2), n=64):
+# check_hypotheses samples _HYP_N log-spaced points per axis over these ranges.
+_HYP_Z_RANGE = _HYP_THETA_RANGE = (1e-2, 1e2)
+_HYP_N = 64
+
+
+def check_hypotheses(eos):
     """Evaluate the constitutive hypotheses on a log-sampled (Z, theta) grid.
 
     HTS (p_rho > 0, e_theta > 0) and the w10 structure are hard requirements
@@ -386,10 +391,8 @@ def check_hypotheses(eos, z_range=(1e-2, 1e2), theta_range=(1e-2, 1e2), n=64):
     are reported but not fatal.  The rho*e bounds (L5b) are reported with
     fitted constants.
     """
-    if len(z_range) != 2 or len(theta_range) != 2 or z_range[0] >= z_range[1] or theta_range[0] >= theta_range[1]:
-        raise DomainError("ranges must be non-empty (lo, hi) pairs")
-    Z = np.geomspace(z_range[0], z_range[1], n)
-    th = np.geomspace(theta_range[0], theta_range[1], n)
+    Z = np.geomspace(*_HYP_Z_RANGE, _HYP_N)
+    th = np.geomspace(*_HYP_THETA_RANGE, _HYP_N)
     ZZ, TT = np.meshgrid(Z, th, indexing="ij")
     RR = ZZ * TT ** 1.5
 

@@ -282,6 +282,7 @@ def test_main_hydrostatic_profiles_and_validation_exit(tmp_path) -> None:
     cfg2 = _write(tmp_path, BASE.replace("g = 1", "g = 1\ntheta_b_cos = 0.05"), "bumpy.ini")
     code = main(["hydrostatic", "--config", cfg2, "--out", str(tmp_path / "h2"), "--quiet"])
     assert code == 11
+    assert not (tmp_path / "h2" / "manifest.ini").exists()
 
 
 def test_main_exit_codes_for_config_and_io(tmp_path, capsys) -> None:

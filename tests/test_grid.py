@@ -19,7 +19,7 @@ from bll.grid import (
     mean,
     poisson_solve,
 )
-from bll.grid import _thomas, _thomas_factor, _wall_array, _ZOperator, _zop
+from bll.grid import _wall_array, _ZOperator, _zop
 
 
 def _ghost_pad_z(vals, bc, nx):
@@ -121,62 +121,34 @@ def test_discrete_duality_grad_div() -> None:
     assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
-def test_thomas_against_dense_solve() -> None:
-    rng = np.random.default_rng(11)
-    n = 17
-    sub = rng.uniform(0.1, 0.5, n)
-    sup = rng.uniform(0.1, 0.5, n)
-    diag = 2.0 + rng.uniform(0.0, 1.0, n)
-    rhs = rng.standard_normal(n)
-    M = np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1)
-    x = _thomas(sub, *_thomas_factor(sub, diag, sup, rhs.dtype), rhs)
-    assert np.max(np.abs(x - np.linalg.solve(M, rhs))) <= 1e-12
-
-
-def _thomas_unfactored(sub, diag, sup, rhs):
-    """Reference: elimination and both sweeps in one pass, per solve."""
-    n = rhs.shape[-1]
-    cp = np.empty(rhs.shape, dtype=np.result_type(diag, rhs))
-    xp = np.empty_like(cp)
-    beta = diag[..., 0]
-    cp[..., 0] = sup[..., 0] / beta
-    xp[..., 0] = rhs[..., 0] / beta
-    for k in range(1, n):
-        beta = diag[..., k] - sub[..., k] * cp[..., k - 1]
-        cp[..., k] = sup[..., k] / beta
-        xp[..., k] = (rhs[..., k] - sub[..., k] * xp[..., k - 1]) / beta
-    for k in range(n - 2, -1, -1):
-        xp[..., k] = xp[..., k] - cp[..., k] * xp[..., k + 1]
-    return xp
-
-
-def test_factored_thomas_bit_identical_to_unfactored() -> None:
-    rng = np.random.default_rng(12)
-    for nm, n in ((3, 32), (33, 32), (65, 64)):
-        sub = rng.uniform(-0.5, -0.1, (nm, n))
-        sup = rng.uniform(-0.5, -0.1, (nm, n))
-        diag = 1.5 + rng.uniform(0.0, 1.0, (nm, n))
-        rhs = rng.standard_normal((nm, n)) + 1j * rng.standard_normal((nm, n))
-        x = _thomas(sub, *_thomas_factor(sub, diag, sup, complex), rhs)
-        assert np.array_equal(x, _thomas_unfactored(sub, diag, sup, rhs))
-
-
-def _dense_operator(g, c, wall, a):
+def _dense_operator(g, c, wall, a, faces=None):
     """Oracle: a - c lap on the whole strip as one dense matrix over the
-    unknowns [i, k] (row-major), each z closure written from its ghost value,
-    and the weight of the wall value in the first/last z row."""
+    unknowns [i, k] (row-major), each z closure written from its ghost value
+    as a sum of weighted face fluxes (faces: the nz + 1 z-face weights, None
+    for ones), and the weights of the wall values in the first/last z row."""
     n = g.nz - 1 if wall == "zface" else g.nz
-    dzz = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
-    wall_weight = 0.0
-    if wall == "pinned":  # ghost f0
-        dzz[0, 0] = dzz[-1, -1] = -1.0
-    elif wall == "mirror":  # ghost 2g - f0
-        dzz[0, 0] = dzz[-1, -1] = -3.0
-        wall_weight = 2.0
-    elif wall == "extrapolate":  # ghost (8g - 6 f0 + f1)/3
-        dzz[0, 0] = dzz[-1, -1] = -4.0
-        dzz[0, 1] = dzz[-1, -2] = 4.0 / 3.0
-        wall_weight = 8.0 / 3.0
+    s = np.ones(n + 1) if faces is None else faces
+    # Interior faces: s_f (f_k - f_{k-1}) enters rows k - 1 and k.
+    dzz = np.zeros((n, n))
+    for f in range(1, n):
+        dzz[f - 1, f - 1] -= s[f]
+        dzz[f - 1, f] += s[f]
+        dzz[f, f] -= s[f]
+        dzz[f, f - 1] += s[f]
+    wall_weight = np.zeros(2)
+    # Wall faces: s_w (ghost - f_end) with the closure's ghost.
+    for end, nxt in ((0, 1), (-1, -2)):
+        sw = s[end]
+        if wall == "mirror":  # ghost 2g - f0
+            dzz[end, end] -= 2.0 * sw
+            wall_weight[end] = 2.0 * sw
+        elif wall == "extrapolate":  # ghost (8g - 6 f0 + f1)/3
+            dzz[end, end] -= 3.0 * sw
+            dzz[end, nxt] += sw / 3.0
+            wall_weight[end] = 8.0 / 3.0 * sw
+        elif wall == "zface":  # the wall value is held at zero
+            dzz[end, end] -= sw
+        # pinned: ghost f0, the wall flux vanishes
     dxx = -2.0 * np.eye(g.nx) + np.roll(np.eye(g.nx), 1, axis=1) + np.roll(np.eye(g.nx), -1, axis=1)
     lap = np.kron(dxx, np.eye(n)) / g.dx ** 2 + np.kron(np.eye(g.nx), dzz) / g.dz ** 2
     return a * np.eye(g.nx * n) - c * lap, c * wall_weight / g.dz ** 2
@@ -187,19 +159,24 @@ def test_zoperator_solve_matches_dense_reference(nx, nz) -> None:
     g = Grid(nx, nz)
     rng = np.random.default_rng(nx + nz)
     bottom, top = rng.standard_normal(nx), rng.standard_normal(nx)
-    for wall, c, a in (
-        ("pinned", -1.0, 0.0),
-        ("extrapolate", 0.05, 1.0),
-        ("extrapolate", 1.0, 0.0),
-        ("mirror", 0.05, 1.0),
-        ("zface", 0.05, 1.0),
+    weights = rng.uniform(0.5, 2.0, nz + 1)
+    for wall, c, a, faces in (
+        ("pinned", -1.0, 0.0, None),
+        ("extrapolate", 0.05, 1.0, None),
+        ("extrapolate", 1.0, 0.0, None),
+        ("mirror", 0.05, 1.0, None),
+        ("zface", 0.05, 1.0, None),
+        ("mirror", 0.05, 1.0, weights),
+        ("mirror", 1.0, 0.0, weights),
+        ("extrapolate", 0.05, 1.0, weights),
+        ("pinned", -1.0, 0.0, weights),
     ):
         n = nz - 1 if wall == "zface" else nz
         vals = rng.standard_normal((nx, n))
-        mat, wall_coef = _dense_operator(g, c, wall, a)
+        mat, wall_coef = _dense_operator(g, c, wall, a, faces)
         rhs = vals.copy()
-        rhs[:, 0] += wall_coef * bottom
-        rhs[:, -1] += wall_coef * top
+        rhs[:, 0] += wall_coef[0] * bottom
+        rhs[:, -1] += wall_coef[1] * top
         if wall == "pinned":
             # Zero-mean data; the kx = 0 mode is pinned by sum_i f[i, 0] = 0.
             vals -= vals.mean()
@@ -208,8 +185,8 @@ def test_zoperator_solve_matches_dense_reference(nx, nz) -> None:
             mat[0, ::n] = 1.0
             rhs[0, 0] = 0.0
         ref = np.linalg.solve(mat, rhs.ravel()).reshape(nx, n)
-        got = _ZOperator(g, c, wall, a).solve(vals, bottom, top)
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (wall, a)
+        got = _ZOperator(g, c, wall, a, faces).solve(vals, bottom, top)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (wall, a, faces is None)
 
 
 def test_z_operators_are_cached_per_grid() -> None:
