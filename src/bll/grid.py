@@ -186,12 +186,22 @@ class NeumannZ:
 
 
 def _wall_array(value, nx):
+    if isinstance(value, float):
+        return np.full(nx, value)
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         return np.full(nx, float(arr))
     if arr.shape != (nx,):
         raise ShapeError(f"wall value shape {arr.shape} incompatible with nx={nx}")
     return arr
+
+
+def _require_finite_walls(walls):
+    """Raise DomainError naming theta_b_bottom or theta_b_top when that wall
+    of the (bottom, top) pair of wall arrays is not finite."""
+    for name, arr in zip(("theta_b_bottom", "theta_b_top"), walls):
+        if not np.isfinite(arr).all():
+            raise DomainError(f"{name} must be finite, got {arr}")
 
 
 def _xprev(a):
@@ -210,11 +220,17 @@ def _xnext(a):
     return out
 
 
+def _mean(vals):
+    """float(np.mean(vals)) bit for bit (the same pairwise sum and division),
+    without np.mean's wrapper."""
+    return float(vals.sum()) / vals.size
+
+
 def mean(f):
     """Volume-weighted average over the domain; exact for constants."""
     if f.stag != Staggering.CENTER:
         raise ShapeError("mean is defined for center-staggered fields")
-    return float(np.mean(f.values))
+    return _mean(f.values)
 
 
 def grad(f, bc=NeumannZ()):
@@ -271,7 +287,8 @@ def advect_velocity(grid, u, w):
     mirrors and the wall rows of the w component stay zero.
     """
     dx, dz = grid.dx, grid.dz
-    dudx = (_xnext(u) - _xprev(u)) / (2 * dx)
+    ur = _xnext(u)
+    dudx = (ur - _xprev(u)) / (2 * dx)
     up = _pad_mirror_z(u)
     dudz = (up[:, 2:] - up[:, :-2]) / (2 * dz)
     wl = _xprev(w)
@@ -281,8 +298,7 @@ def advect_velocity(grid, u, w):
     adv_u = -(u * dudx + w_at_x * dudz)
 
     dwdx = (_xnext(w) - wl) / (2 * dx)
-    adv_w = np.zeros_like(w)
-    ur = _xnext(u)
+    adv_w = np.zeros(w.shape)
     u_at_z = 0.25 * ((u[:, :-1] + ur[:, :-1]) + (u[:, 1:] + ur[:, 1:]))
     dwdz = (w[:, 2:] - w[:, :-2]) / (2 * dz)
     adv_w[:, 1:-1] = -(u_at_z * dwdx[:, 1:-1] + w[:, 1:-1] * dwdz)
@@ -336,8 +352,11 @@ class _ZOperator:
         rhs = np.zeros((m, n), dtype=complex) if vals is None else np.fft.rfft(vals, axis=0)
         if self.wall_coef is not None:
             for row, value, coef in zip((0, -1), (bottom, top), self.wall_coef):
+                # A zero wall adds nothing; a scalar zero is not even expanded.
+                if isinstance(value, (int, float)) and value == 0:
+                    continue
                 wall = _wall_array(value, nx)
-                if wall.any():  # a zero wall adds nothing
+                if wall.any():
                     rhs[:, row] += coef * np.fft.rfft(wall)
         # Real and imaginary parts ride as two right-hand-side columns.
         x = np.matmul(self.inv, np.ascontiguousarray(rhs).view(float).reshape(m, n, 2))
@@ -372,6 +391,16 @@ def _zop(grid, c, wall, a=1.0):
     return op
 
 
+def _poisson(vals, grid):
+    """poisson_solve on the array of a center field: (phi, removed mean)."""
+    if not np.isfinite(vals).all():
+        raise DomainError("non-finite right-hand side")
+    removed = _mean(vals)
+    phi = _zop(grid, -1.0, "pinned", a=0.0).solve(vals - removed)
+    phi -= _mean(phi)
+    return phi, removed
+
+
 def poisson_solve(rhs):
     """Solve lap(phi) = rhs - mean(rhs) with periodic x, homogeneous Neumann z.
 
@@ -381,13 +410,8 @@ def poisson_solve(rhs):
     """
     if rhs.stag != Staggering.CENTER:
         raise ShapeError("poisson_solve expects a center-staggered field")
-    if not np.all(np.isfinite(rhs.values)):
-        raise DomainError("non-finite right-hand side")
-    g = rhs.grid
-    removed = mean(rhs)
-    phi = _zop(g, -1.0, "pinned", a=0.0).solve(rhs.values - removed)
-    phi -= np.mean(phi)
-    return ScalarField(g, phi, Staggering.CENTER), removed
+    phi, removed = _poisson(rhs.values, rhs.grid)
+    return ScalarField(rhs.grid, phi, Staggering.CENTER), removed
 
 
 def helmholtz_solve(f, c, bc=DirichletZ(0.0, 0.0)):

@@ -117,6 +117,7 @@ class NsfScenario:
             require_positive(self.dt, "dt")
         if not 0.0 < self.cfl <= 1.0:
             raise DomainError("cfl must lie in (0, 1]")
+        gr._require_finite_walls(self.wall_values())
         wb, wt = self.wall_theta()
         if np.min(wb) <= 0 or np.min(wt) <= 0:
             raise DomainError(
@@ -209,14 +210,17 @@ def _conduction_profile(grid, eos, gb, gt):
     """Exact steady state of the discrete conduction operator: interior faces
     carry kappa at the face-averaged temperature, wall fluxes use the mirror
     form 2 kappa(g) (theta_0 - g)/dz.  Picard iteration: each pass solves
-    the frozen-kappa operator, the z-solver with kappa as face weights."""
+    the frozen-kappa operator, the z-solver with kappa as face weights.  The
+    walls are constant, so only the kx = 0 mode carries data, and the
+    operator is built on the narrowest grid (4 columns) of the same nz."""
     scale = max(abs(gb), abs(gt))
     if abs(gt - gb) <= 1e-14 * scale:
         return np.full(grid.nz, 0.5 * (gb + gt))
+    column = Grid(4, grid.nz)
     th = gb + (gt - gb) * grid.z_centers
     for _ in range(400):
         faces = transport(np.concatenate([[gb], 0.5 * (th[:-1] + th[1:]), [gt]]), eos)[2]
-        new = gr._ZOperator(grid, 1.0, "mirror", a=0.0, faces=faces).solve(None, gb, gt)[0]
+        new = gr._ZOperator(column, 1.0, "mirror", a=0.0, faces=faces).solve(None, gb, gt)[0]
         done = np.max(np.abs(new - th)) <= 1e-13 * scale
         th = new
         if done:
@@ -440,14 +444,16 @@ def build_initial_nsf(scenario):
     return NsfState(ScalarField(g, rho), ScalarField(g, th), U0.copy(), 0.0, scenario.eps)
 
 
-# Thermo and transport fields of one checked (rho, theta), shared within a stage.
+# Thermo and transport fields of one checked (rho, theta), shared within a
+# stage; eta is None when eos.eta0 == 0, and the bulk-viscosity terms are skipped.
 _Thermo = namedtuple("_Thermo", "E p c2 e_theta mu eta")
 
 
 def _thermo(rho, th, eos):
     e_theta = _energy_dtheta(rho, th, eos)
     c2 = _sound_speed_squared(rho, th, eos, e_theta)
-    return _Thermo(_rho_e(rho, th, eos), _pressure(rho, th, eos), c2, e_theta, _mu(th, eos), _eta(th, eos))
+    eta = _eta(th, eos) if eos.eta0 else None
+    return _Thermo(_rho_e(rho, th, eos), _pressure(rho, th, eos), c2, e_theta, _mu(th, eos), eta)
 
 
 def _rhs(rho, th, u, w, scenario, aux, tf):
@@ -509,8 +515,11 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     Dxx = (gr._xnext(u) - u) / dx
     Dzz = (w[:, 1:] - w[:, :-1]) / dz
     divU = Dxx + Dzz
-    Sxx = mu * (Dxx - Dzz) + eta * divU
-    Szz = mu * (Dzz - Dxx) + eta * divU
+    Sxx = mu * (Dxx - Dzz)
+    Szz = mu * (Dzz - Dxx)
+    if eta is not None:
+        Sxx += eta * divU
+        Szz += eta * divU
     shear = np.zeros_like(w)
     shear[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / dz
     shear[:, 0] = 2.0 * u[:, 0] / dz
@@ -546,7 +555,10 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     sh2 = shear * shear
     sh2_r = gr._xnext(sh2)
     sh2_c = 0.25 * ((sh2[:, :-1] + sh2_r[:, :-1]) + (sh2[:, 1:] + sh2_r[:, 1:]))
-    d_E += eps * eps * (mu * ((Dxx - Dzz) ** 2 + sh2_c) + eta * divU * divU) - p * divU
+    diss = mu * ((Dxx - Dzz) ** 2 + sh2_c)
+    if eta is not None:
+        diss += eta * divU * divU
+    d_E += eps * eps * diss - p * divU
     return d_rho, d_E, du, dw
 
 
@@ -569,7 +581,8 @@ def _cfl_bound(state, scenario, tf):
     rate = (np.abs(xface_to_center(state.U.u)) + c / scenario.eps) / g.dx
     rate += (np.abs(zface_to_center(state.U.w)) + c / scenario.eps) / g.dz
     kappa = _kappa(state.theta.values, scenario.eos)
-    D = np.maximum((2.0 * tf.mu + tf.eta) / rho, kappa / (rho * tf.e_theta))
+    visc = 2.0 * tf.mu if tf.eta is None else 2.0 * tf.mu + tf.eta
+    D = np.maximum(visc / rho, kappa / (rho * tf.e_theta))
     rate += 2.0 * D * (1.0 / g.dx ** 2 + 1.0 / g.dz ** 2)
     return scenario.cfl / float(np.max(rate))
 

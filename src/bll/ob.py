@@ -7,9 +7,11 @@ shifted variable Theta = T - lam fint(T) satisfies the conventional heat
 equation but with the non-local wall trace Theta_B - lam/(1-lam) fint(Theta).
 Both close the scalar mean implicitly: the implicit diffusion step is affine
 in the unknown mean, so two Helmholtz solves plus one scalar equation give
-the exact discrete fixed point of the coupling.  One routine, step_ob,
-steps either frame; the frames differ only in the buoyancy and in the unit
-response (source or wall) that closes the mean.
+the exact discrete fixed point of the coupling.  One routine steps either
+frame; the frames differ only in the buoyancy and in the unit response
+(source or wall) that closes the mean.  That routine, _step, is an unchecked
+kernel on raw arrays: step_ob validates and wraps it, and run_ob calls it
+directly and builds fields only for its snapshots.
 
 Momentum: explicit Adams-Bashforth-2 advection and buoyancy, implicit Euler
 diffusion (viscosity mu(theta_bar)), non-incremental Chorin projection.
@@ -43,7 +45,6 @@ from .errors import (
     require_positive,
 )
 from .grid import (
-    DirichletZ,
     Grid,
     NeumannZ,
     ScalarField,
@@ -51,12 +52,8 @@ from .grid import (
     VectorField,
     advect_velocity,
     center_to_xface,
-    div,
     grad,
-    helmholtz_solve,
-    helmholtz_solve_zface,
     mean,
-    poisson_solve,
     xface_to_center,
     zface_to_center,
 )
@@ -112,6 +109,7 @@ class ObScenario:
         require_positive(self.t_end, "t_end")
         if self.lambda_override is not None and not 0.0 <= self.lambda_override < 1.0:
             raise DomainError("lambda_override must lie in [0, 1)")
+        gr._require_finite_walls(self.wall_values(0.0))  # callable walls at t = 0
 
     @cached_property
     def _invariants(self):
@@ -171,40 +169,46 @@ class ObTrajectory:
     trace: LambdaTrace
 
 
-def _project(U, dt, grid):
-    """Chorin projection: remove the discrete-gradient part of U."""
-    rhs = div(U)
-    rhs.values /= dt
-    phi, _ = poisson_solve(rhs)
-    gphi = grad(phi, NeumannZ())
-    u = U.u - dt * gphi.u
-    w = U.w - dt * gphi.w
-    w[:, 0] = 0.0
-    w[:, -1] = 0.0
-    return VectorField(grid, u, w), phi
+def _project(u, w, dt, grid):
+    """Chorin projection of the face arrays (u, w): returns the discretely
+    divergence-free pair (w with zero wall rows) and the potential phi whose
+    gradient was removed."""
+    rhs = (gr._xnext(u) - u) / grid.dx + (w[:, 1:] - w[:, :-1]) / grid.dz
+    rhs /= dt
+    phi, _ = gr._poisson(rhs, grid)
+    u_new = u - dt * ((phi - gr._xprev(phi)) / grid.dx)
+    w_new = np.zeros(w.shape)
+    w_new[:, 1:-1] = w[:, 1:-1] - dt * ((phi[:, 1:] - phi[:, :-1]) / grid.dz)
+    return u_new, w_new, phi
 
 
-def _advect_scalar(grid, U, vals):
+def _advect_scalar(grid, u, w, vals):
     """-div(U s) at centers; wall fluxes vanish because w = 0 there."""
-    fx = U.u * center_to_xface(vals)
-    fz = np.zeros_like(U.w)
-    fz[:, 1:-1] = U.w[:, 1:-1] * 0.5 * (vals[:, 1:] + vals[:, :-1])
+    fx = u * center_to_xface(vals)
+    fz = np.zeros(w.shape)
+    fz[:, 1:-1] = w[:, 1:-1] * 0.5 * (vals[:, 1:] + vals[:, :-1])
     dfx = (gr._xnext(fx) - fx) / grid.dx
     dfz = (fz[:, 1:] - fz[:, :-1]) / grid.dz
     return -(dfx + dfz)
 
 
-def _grad_dot_faces(grid, U, gG):
+def _grad_dot_faces(u, w, gG):
     """grad G . U averaged from face products back to centers."""
-    return xface_to_center(U.u * gG.u) + zface_to_center(U.w * gG.w)
+    return xface_to_center(u * gG.u) + zface_to_center(w * gG.w)
 
 
 def _buoyancy_faces(coef_center, gG):
     """Face force coef * grad G from a center coefficient field."""
     fx = center_to_xface(coef_center) * gG.u
-    fz = np.zeros_like(gG.w)
+    fz = np.zeros(gG.w.shape)
     fz[:, 1:-1] = 0.5 * (coef_center[:, 1:] + coef_center[:, :-1]) * gG.w[:, 1:-1]
     return fx, fz
+
+
+def _density_deviation(vals, m, scenario):
+    """recover_density_deviation on T-frame values vals whose mean is m."""
+    c = scenario.coefficients()
+    return (scenario.rho_bar * scenario.G.values + c.p_theta * m - c.p_theta * vals) / c.p_rho
 
 
 def recover_density_deviation(temp_field, scenario):
@@ -213,9 +217,7 @@ def recover_density_deviation(temp_field, scenario):
 
     temp_field must hold the T-frame deviation.
     """
-    c = scenario.coefficients()
-    m = mean(temp_field)
-    vals = (scenario.rho_bar * scenario.G.values + c.p_theta * m - c.p_theta * temp_field.values) / c.p_rho
+    vals = _density_deviation(temp_field.values, mean(temp_field), scenario)
     return ScalarField(scenario.grid, vals, Staggering.CENTER)
 
 
@@ -253,86 +255,84 @@ def build_initial_ob(scenario, frame=T_FRAME):
     w = U0.w.copy()
     w[:, 0] = 0.0
     w[:, -1] = 0.0
-    U, _ = _project(VectorField(g, U0.u.copy(), w), 1.0, g)
-    state = ObState(U, T0.copy(), ScalarField.zeros(g), 0.0, T_FRAME, None)
+    u, w, _ = _project(U0.u, w, 1.0, g)
+    state = ObState(VectorField(g, u, w), T0.copy(), ScalarField.zeros(g), 0.0, T_FRAME, None)
     if frame == THETA_FRAME:
         state = transform_frame(state, scenario)
     return state
 
 
-def _momentum_step(state, scenario, dt, buoy_center):
-    """Shared AB2 advection + buoyancy, implicit diffusion, projection."""
-    g = scenario.grid
-    _, nu, gG = scenario._invariants
+def _step(scenario, tframe, dt, t, u, w, temp, m, hist):
+    """One step on raw arrays, unchecked: the state (u, w, temp) at time t in
+    the T frame (tframe) or the Theta frame, m = mean(temp), and hist the
+    previous step's explicit right-hand sides (None on a first step).
 
-    adv_u, adv_w = advect_velocity(g, state.U.u, state.U.w)
-    bx, bz = _buoyancy_faces(buoy_center, gG)
+    Returns (u, w, temp, Pi, hist, walls) at t + dt; walls are the Dirichlet
+    wall values at t + dt that the scalar step used.  No input is modified.
+    """
+    g = scenario.grid
+    coeffs, nu, gG = scenario._invariants
+    lam = scenario.lam_effective()
+    k = lam / (1.0 - lam)
+
+    # Momentum: AB2 advection and buoyancy, implicit diffusion, projection.
+    if tframe:
+        buoy = -coeffs.alpha * temp
+    else:
+        equiv = temp + k * m
+        buoy = _density_deviation(equiv, gr._mean(equiv), scenario) / scenario.rho_bar
+    adv_u, adv_w = advect_velocity(g, u, w)
+    bx, bz = _buoyancy_faces(buoy, gG)
     F_u = adv_u + bx
     F_w = adv_w + bz
     F_w[:, 0] = 0.0
     F_w[:, -1] = 0.0
-    if state.rhs_hist is not None:
-        Fu_prev, Fw_prev = state.rhs_hist[0], state.rhs_hist[1]
-        Fu_eff = 1.5 * F_u - 0.5 * Fu_prev
-        Fw_eff = 1.5 * F_w - 0.5 * Fw_prev
-    else:
+    if hist is None:
         Fu_eff, Fw_eff = F_u, F_w
-
-    ustar = helmholtz_solve(
-        ScalarField(g, state.U.u + dt * Fu_eff, Staggering.XFACE), dt * nu, DirichletZ(0.0, 0.0)
-    ).values
-    wstar = helmholtz_solve_zface(
-        ScalarField(g, state.U.w + dt * Fw_eff, Staggering.ZFACE), dt * nu
-    ).values
-    U_new, phi = _project(VectorField(g, ustar, wstar), dt, g)
-    Pi = ScalarField(g, scenario.rho_bar * phi.values)
-    return U_new, Pi, (F_u, F_w)
-
-
-def _scalar_step(state, scenario, dt, U_new):
-    """AB2 advection (plus source) and implicit diffusion under the Dirichlet
-    walls at t + dt.  Returns the solution, the diffusion operator whose unit
-    responses close the non-local mean, and this step's explicit rhs."""
-    g = scenario.grid
-    coeffs, _, gG = scenario._invariants
-    A = _advect_scalar(g, U_new, state.temp.values)
-    A += (scenario.theta_bar * coeffs.alpha / coeffs.c_p) * _grad_dot_faces(g, U_new, gG)
-    if scenario.temp_source is not None:
-        A += scenario.temp_source(state.t, *g._cell_mesh)
-    A_eff = A if state.rhs_hist is None else 1.5 * A - 0.5 * state.rhs_hist[2]
-    c = dt * coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
-    wb, wt = scenario.wall_values(state.t + dt)
-    data = helmholtz_solve(ScalarField(g, state.temp.values + dt * A_eff), c, DirichletZ(wb, wt))
-    return data, gr._zop(g, c, "extrapolate"), A
-
-
-def step_ob(state, scenario, dt):
-    """One step of the state's frame: its buoyancy, then its closure of the mean."""
-    g, lam = scenario.grid, scenario.lam_effective()
-    k = lam / (1.0 - lam)
-    if state.frame == T_FRAME:
-        buoy = -scenario.coefficients().alpha * state.temp.values
-    elif state.frame == THETA_FRAME:
-        temp_equiv = ScalarField(g, state.temp.values + k * mean(state.temp))
-        buoy = recover_density_deviation(temp_equiv, scenario).values / scenario.rho_bar
     else:
-        raise ShapeError(f"unknown frame {state.frame!r}")
-    U_new, Pi, (F_u, F_w) = _momentum_step(state, scenario, dt, buoy)
-    temp, op, A = _scalar_step(state, scenario, dt, U_new)
+        Fu_eff = 1.5 * F_u - 0.5 * hist[0]
+        Fw_eff = 1.5 * F_w - 0.5 * hist[1]
+    ustar = gr._zop(g, dt * nu, "mirror").solve(u + dt * Fu_eff)
+    wstar = np.zeros(w.shape)
+    wstar[:, 1:-1] = gr._zop(g, dt * nu, "zface").solve((w + dt * Fw_eff)[:, 1:-1])
+    u_new, w_new, phi = _project(ustar, wstar, dt, g)
+
+    # Scalar: AB2 advection (plus source), implicit diffusion under the
+    # Dirichlet walls at t + dt, then the closure of the mean.
+    A = _advect_scalar(g, u_new, w_new, temp)
+    A += (scenario.theta_bar * coeffs.alpha / coeffs.c_p) * _grad_dot_faces(u_new, w_new, gG)
+    if scenario.temp_source is not None:
+        A += scenario.temp_source(t, *g._cell_mesh)
+    A_eff = A if hist is None else 1.5 * A - 0.5 * hist[2]
+    c = dt * coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
+    walls = scenario.wall_values(t + dt)
+    op = gr._zop(g, c, "extrapolate")
+    temp_new = op.solve(temp + dt * A_eff, *walls)
     if lam != 0.0:
         # The step is affine in the unknown mean: temp + q * unit response.
-        tframe = state.frame == T_FRAME
         denom = 1.0 - lam * op.unit_source_mean if tframe else 1.0 + k * op.unit_wall_mean
         if abs(denom) < 1e-12:
             raise ClosureError(f"degenerate scalar closure, denominator {denom:.3e}")
         if tframe:
-            m_prev = mean(state.temp)
-            q = lam * ((mean(temp) - lam * op.unit_source_mean * m_prev) / denom - m_prev)
+            q = lam * ((gr._mean(temp_new) - lam * op.unit_source_mean * m) / denom - m)
         else:
-            q = -k * (mean(temp) / denom)
+            q = -k * (gr._mean(temp_new) / denom)
         unit = op.unit_source if tframe else op.unit_wall
-        temp = ScalarField(g, temp.values + q * unit.values)
-    return ObState(U_new, temp, Pi, state.t + dt, state.frame, (F_u, F_w, A))
+        temp_new = temp_new + q * unit.values
+    return u_new, w_new, temp_new, scenario.rho_bar * phi, (F_u, F_w, A), walls
+
+
+def step_ob(state, scenario, dt):
+    """One step of the state's frame: its buoyancy, then its closure of the mean."""
+    require_positive(dt, "dt")
+    if state.frame not in (T_FRAME, THETA_FRAME):
+        raise ShapeError(f"unknown frame {state.frame!r}")
+    u, w, temp, Pi, hist, _ = _step(
+        scenario, state.frame == T_FRAME, dt, state.t,
+        state.U.u, state.U.w, state.temp.values, mean(state.temp), state.rhs_hist,
+    )
+    g = scenario.grid
+    return ObState(VectorField(g, u, w), ScalarField(g, temp), ScalarField(g, Pi), state.t + dt, state.frame, hist)
 
 
 def boundary_heat_flux(vals, grid, wall_bottom, wall_top, kappa_bar):
@@ -345,7 +345,7 @@ def boundary_heat_flux(vals, grid, wall_bottom, wall_top, kappa_bar):
     dz = grid.dz
     dn_bottom = (-8.0 * wall_bottom / 3.0 + 3.0 * vals[:, 0] - vals[:, 1] / 3.0) / dz
     dn_top = (8.0 * wall_top / 3.0 - 3.0 * vals[:, -1] + vals[:, -2] / 3.0) / dz
-    return kappa_bar * grid.dx * float(np.sum(dn_top - dn_bottom))
+    return kappa_bar * grid.dx * float((dn_top - dn_bottom).sum())
 
 
 _CUBIC_WALL = (-46.0 / 15.0, 15.0 / 4.0, -5.0 / 6.0, 3.0 / 20.0)
@@ -359,25 +359,24 @@ def _flux_cubic(vals, grid, wall_bottom, wall_top):
     dz = grid.dz
     dn_bottom = (c0 * wall_bottom + c1 * vals[:, 0] + c2 * vals[:, 1] + c3 * vals[:, 2]) / dz
     dn_top = -(c0 * wall_top + c1 * vals[:, -1] + c2 * vals[:, -2] + c3 * vals[:, -3]) / dz
-    return grid.dx * float(np.sum(dn_top - dn_bottom))
+    return grid.dx * float((dn_top - dn_bottom).sum())
 
 
-def _frame_trace_data(state, scenario):
-    """(T-frame mean, field values, wall values) seen by the trace diagnostics."""
-    wb, wt = scenario.wall_values(state.t)
-    if state.frame == T_FRAME:
-        return mean(state.temp), state.temp.values, wb, wt
+def _frame_trace_data(scenario, tframe, temp, m):
+    """(T-frame mean, T-frame field values) seen by the trace diagnostics;
+    m is the mean of the frame's field temp."""
+    if tframe:
+        return m, temp
     # Theta differs from T by the constant lam/(1-lam) fint(Theta), so adding
     # the shift to field and walls recovers the T-frame pair exactly.
-    M, lam = mean(state.temp), scenario.lam_effective()
-    shift = lam / (1.0 - lam) * M
-    return M / (1.0 - lam), state.temp.values + shift, wb, wt
+    lam = scenario.lam_effective()
+    return m / (1.0 - lam), temp + lam / (1.0 - lam) * m
 
 
-def _source_mean(state, scenario):
+def _source_mean(scenario, t):
     if scenario.temp_source is None:
         return 0.0
-    return float(np.mean(scenario.temp_source(state.t, *scenario.grid._cell_mesh)))
+    return float(np.mean(scenario.temp_source(t, *scenario.grid._cell_mesh)))
 
 
 @dataclass
@@ -389,13 +388,15 @@ class _TraceCursor:
     source_mean: float
 
     @classmethod
-    def start(cls, state, scenario):
-        m, vals, wb, wt = _frame_trace_data(state, scenario)
-        return cls(m, _flux_cubic(vals, scenario.grid, wb, wt), _source_mean(state, scenario))
+    def start(cls, scenario, tframe, t, temp, m):
+        m, vals = _frame_trace_data(scenario, tframe, temp, m)
+        wb, wt = scenario.wall_values(t)
+        return cls(m, _flux_cubic(vals, scenario.grid, wb, wt), _source_mean(scenario, t))
 
 
-def _trace_row(cur, state, scenario, dt):
-    """Advance the cursor by one state; returns the cursor and the CSV row.
+def _trace_row(cur, scenario, tframe, dt, t, temp, m, walls):
+    """Advance the cursor by the state temp (mean m, wall values walls) at
+    time t; returns the cursor and the CSV row.
 
     Lambda is the pinned backward difference.  The balance residual integrates
     the mean-temperature identity over the step: backward-difference mean
@@ -403,31 +404,31 @@ def _trace_row(cur, state, scenario, dt):
     (plus the source mean when a source hook is active).  The flux column
     itself reports the scheme's conservative (quadratic-stencil) flux.
     """
-    m_now, vals, wb, wt = _frame_trace_data(state, scenario)
+    m_now, vals = _frame_trace_data(scenario, tframe, temp, m)
+    wb, wt = walls
     g, coeffs, lam = scenario.grid, scenario.coefficients(), scenario.lam_effective()
     dm_dt = (m_now - cur.m) / dt
     Lambda = lam * scenario.rho_bar * coeffs.c_p * dm_dt
     flux = boundary_heat_flux(vals, g, wb, wt, coeffs.kappa_bar)
     fc_now = _flux_cubic(vals, g, wb, wt)
-    sm_now = _source_mean(state, scenario)
+    sm_now = _source_mean(scenario, t)
     nu_T = coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
     resid = (
         (1.0 - lam) * g.volume * dm_dt
         - nu_T * 0.5 * (fc_now + cur.flux_cubic)
         - g.volume * 0.5 * (sm_now + cur.source_mean)
     )
-    return _TraceCursor(m_now, fc_now, sm_now), (state.t, m_now, Lambda, flux, resid)
+    return _TraceCursor(m_now, fc_now, sm_now), (t, m_now, Lambda, flux, resid)
 
 
-def _check_cfl(state, scenario, dt):
-    g = scenario.grid
-    vmax = max(float(np.max(np.abs(state.U.u))), float(np.max(np.abs(state.U.w))))
+def _check_cfl(u, w, t, grid, dt):
+    vmax = max(float(np.abs(u).max()), float(np.abs(w).max()))
     if vmax == 0.0:
         return
-    bound = 0.5 * min(g.dx, g.dz) / vmax
+    bound = 0.5 * min(grid.dx, grid.dz) / vmax
     if dt > bound:
         raise StabilityError(
-            f"advective CFL violated at t={state.t:.4g}: dt={dt:.3e} exceeds {bound:.3e}"
+            f"advective CFL violated at t={t:.4g}: dt={dt:.3e} exceeds {bound:.3e}"
         )
 
 
@@ -435,7 +436,8 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
     """Integrate to t_end; returns the trajectory with snapshots and trace.
 
     Snapshots are stored at multiples of snapshot_dt (which must be a
-    multiple of dt) plus the initial and final states.
+    multiple of dt) plus the initial and final states.  The loop steps raw
+    arrays and builds fields only for the snapshots.
     """
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
@@ -452,18 +454,23 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
     if state.frame != frame:
         raise ShapeError(f"initial state frame {state.frame!r} does not match {frame!r}")
 
-    times = [state.t]
-    states = [state.copy()]
+    g, tframe = scenario.grid, frame == T_FRAME
+    u, w, temp, t, hist = state.U.u, state.U.w, state.temp.values, state.t, None
+    m = mean(state.temp)
+    times = [t]
+    states = [state]  # a private copy, and the steps never write to their inputs
     rows = []
-    cur = _TraceCursor.start(state, scenario)
+    cur = _TraceCursor.start(scenario, tframe, t, temp, m)
     for n in range(1, n_steps + 1):
-        _check_cfl(state, scenario, dt)
-        state = step_ob(state, scenario, dt)
-        if not (np.all(np.isfinite(state.temp.values)) and np.all(np.isfinite(state.U.u))):
-            raise DivergenceError("non-finite fields", step=n, time=state.t)
-        cur, row = _trace_row(cur, state, scenario, dt)
+        _check_cfl(u, w, t, g, dt)
+        u, w, temp, Pi, hist, walls = _step(scenario, tframe, dt, t, u, w, temp, m, hist)
+        t = t + dt
+        if not (np.isfinite(temp).all() and np.isfinite(u).all()):
+            raise DivergenceError("non-finite fields", step=n, time=t)
+        m = gr._mean(temp)
+        cur, row = _trace_row(cur, scenario, tframe, dt, t, temp, m, walls)
         rows.append(row)
         if (every is not None and n % every == 0) or n == n_steps:
-            times.append(state.t)
-            states.append(state.copy())
+            times.append(t)
+            states.append(ObState(VectorField(g, u, w), ScalarField(g, temp), ScalarField(g, Pi), t, frame))
     return ObTrajectory(scenario, frame, dt, times, states, LambdaTrace(*np.array(rows).T))

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bll.cli import _write_table
 from bll.errors import DomainError, ShapeError
@@ -77,6 +80,25 @@ def test_mean_examples() -> None:
     assert abs(mean(f)) <= 1e-14
     f = ScalarField.from_function(g, lambda x, z: z)
     assert mean(f) == pytest.approx(0.5, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    nx=st.integers(4, 40),
+    nz=st.integers(4, 40),
+    fortran=st.booleans(),
+)
+def test_mean_is_bitwise_np_mean(data, nx, nz, fortran) -> None:
+    # mean skips np.mean's wrapper but must keep its pairwise sum and division.
+    elements = st.floats(-1e12, 1e12, allow_nan=False, allow_infinity=False)
+    vals = data.draw(arrays(np.float64, (nx, nz), elements=elements))
+    if fortran:
+        vals = np.asfortranarray(vals)
+    got = mean(ScalarField(Grid(nx, nz), vals))
+    assert type(got) is float
+    assert got == float(np.mean(vals))
+    assert np.float64(got).tobytes() == np.mean(vals).tobytes()
 
 
 def test_grad_of_constant_is_zero() -> None:
@@ -200,6 +222,23 @@ def test_z_operators_are_cached_per_grid() -> None:
     assert np.array_equal(op.unit_source.values, helmholtz_solve(ones, 0.1).values)
     walls = helmholtz_solve(ScalarField.zeros(g), 0.1, DirichletZ(1.0, 1.0))
     assert np.array_equal(op.unit_wall.values, walls.values)
+
+
+def test_zoperator_scalar_zero_walls_match_zero_arrays() -> None:
+    # A scalar zero wall is skipped without being expanded to an array; the
+    # solution is the one the zero arrays give, bit for bit.
+    g = Grid(8, 12)
+    rng = np.random.default_rng(5)
+    vals = rng.standard_normal((8, 12))
+    zeros = np.zeros(8)
+    for wall in ("extrapolate", "mirror"):
+        op = _zop(g, 0.1, wall)
+        want = op.solve(vals, zeros, zeros)
+        assert np.array_equal(op.solve(vals), want)
+        assert np.array_equal(op.solve(vals, 0, 0.0), want)
+        wb = rng.standard_normal(8)
+        assert np.array_equal(op.solve(vals, wb, 0.0), op.solve(vals, wb, zeros))
+        assert np.array_equal(op.solve(vals, 0.25, 0.0), op.solve(vals, np.full(8, 0.25), zeros))
 
 
 def test_poisson_zero_rhs() -> None:

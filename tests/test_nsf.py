@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
+from bll import grid as gr
 from bll import nsf
 from bll.errors import CompatibilityError, DivergenceError, DomainError, ShapeError, StabilityError
-from bll.grid import Grid, ScalarField, VectorField, laplace_dirichlet
+from bll.grid import Grid, ScalarField, VectorField, advect_velocity, center_to_xface, laplace_dirichlet
 from bll.nsf import (
     NsfScenario,
     NsfState,
@@ -23,7 +24,7 @@ from bll.nsf import (
     step_nsf,
 )
 from bll.ob import gravity_potential
-from bll.thermo import EosParams, entropy, sound_speed_squared
+from bll.thermo import EosParams, _eta, _kappa, _mu, entropy, sound_speed_squared
 
 IDEAL = EosParams()
 
@@ -80,6 +81,17 @@ def test_scenario_rejects_wall_positivity_loss() -> None:
     g = Grid(8, 8)
     with pytest.raises(DomainError):
         _scenario(g, theta_b_bottom=-12.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_scenario_rejects_non_finite_walls(bad) -> None:
+    g = Grid(8, 8)
+    row = np.full(8, 0.1)
+    row[5] = bad
+    for wall in ("theta_b_bottom", "theta_b_top"):
+        for value in (bad, row):
+            with pytest.raises(DomainError, match=f"{wall} must be finite"):
+                _scenario(g, **{wall: value})
 
 
 def test_scenario_rejects_biased_potential() -> None:
@@ -510,3 +522,139 @@ def test_import_bll_does_not_import_scipy() -> None:
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _rhs_full_formula(rho, th, u, w, scenario, aux, tf, eta):
+    """nsf._rhs as it was before the eta0 == 0 skip: the bulk-viscosity terms
+    eta div U (stresses) and eta (div U)^2 (dissipation) always evaluated."""
+    g = scenario.grid
+    dx, dz = g.dx, g.dz
+    eps = scenario.eps
+    eos = scenario.eos
+    E, p, c2, mu = tf.E, tf.p, tf.c2, tf.mu
+    spec_h = (E + p) / rho
+
+    dp = p - aux.p_hat[None, :]
+    dr = rho - aux.rho_hat[None, :]
+    dE = E - aux.E_hat[None, :]
+
+    th_l = gr._xprev(th)
+    rho_fx = center_to_xface(rho)
+    jp_x = dp - gr._xprev(dp)
+    jr_x = dr - gr._xprev(dr)
+    jE_x = dE - gr._xprev(dE)
+    c2_fx = center_to_xface(c2)
+    s_ac = np.abs(u) + np.sqrt(c2_fx) / eps
+    s_ad = np.abs(u)
+    jr_ac = jp_x / c2_fx
+    jE_ac = center_to_xface(spec_h) * jr_ac
+    Fm_x = u * rho_fx - 0.5 * (s_ac * jr_ac + s_ad * (jr_x - jr_ac))
+    FE_x = u * center_to_xface(E) - 0.5 * (s_ac * jE_ac + s_ad * (jE_x - jE_ac))
+    FE_x -= _kappa(0.5 * (th_l + th), eos) * (th - th_l) / dx
+
+    wi = w[:, 1:-1]
+    rho_fz = 0.5 * (rho[:, :-1] + rho[:, 1:])
+    jp_z = dp[:, 1:] - dp[:, :-1]
+    jr_z = dr[:, 1:] - dr[:, :-1]
+    jE_z = dE[:, 1:] - dE[:, :-1]
+    c2_fz = 0.5 * (c2[:, :-1] + c2[:, 1:])
+    s_ac_z = np.abs(wi) + np.sqrt(c2_fz) / eps
+    s_ad_z = np.abs(wi)
+    jr_ac_z = jp_z / c2_fz
+    jE_ac_z = 0.5 * (spec_h[:, :-1] + spec_h[:, 1:]) * jr_ac_z
+    Fm_z = np.zeros_like(w)
+    Fm_z[:, 1:-1] = wi * rho_fz - 0.5 * (s_ac_z * jr_ac_z + s_ad_z * (jr_z - jr_ac_z))
+    FE_z = np.zeros_like(w)
+    FE_z[:, 1:-1] = wi * 0.5 * (E[:, :-1] + E[:, 1:]) - 0.5 * (
+        s_ac_z * jE_ac_z + s_ad_z * (jE_z - jE_ac_z)
+    )
+    FE_z[:, 1:-1] -= _kappa(0.5 * (th[:, :-1] + th[:, 1:]), eos) * (th[:, 1:] - th[:, :-1]) / dz
+    FE_z[:, 0] = -aux.kap_b * 2.0 * (th[:, 0] - aux.wall_b) / dz
+    FE_z[:, -1] = -aux.kap_t * 2.0 * (aux.wall_t - th[:, -1]) / dz
+
+    d_rho = -((gr._xnext(Fm_x) - Fm_x) / dx + (Fm_z[:, 1:] - Fm_z[:, :-1]) / dz)
+    d_E = -((gr._xnext(FE_x) - FE_x) / dx + (FE_z[:, 1:] - FE_z[:, :-1]) / dz)
+
+    adv_u, adv_w = advect_velocity(g, u, w)
+    Dxx = (gr._xnext(u) - u) / dx
+    Dzz = (w[:, 1:] - w[:, :-1]) / dz
+    divU = Dxx + Dzz
+    Sxx = mu * (Dxx - Dzz) + eta * divU
+    Szz = mu * (Dzz - Dxx) + eta * divU
+    shear = np.zeros_like(w)
+    shear[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / dz
+    shear[:, 0] = 2.0 * u[:, 0] / dz
+    shear[:, -1] = -2.0 * u[:, -1] / dz
+    shear += (w - gr._xprev(w)) / dx
+    th_corner = np.empty_like(w)
+    th_corner[:, 1:-1] = 0.25 * ((th[:, 1:] + th_l[:, 1:]) + (th[:, :-1] + th_l[:, :-1]))
+    th_corner[:, 0] = 0.5 * (aux.wall_b + gr._xprev(aux.wall_b))
+    th_corner[:, -1] = 0.5 * (aux.wall_t + gr._xprev(aux.wall_t))
+    Sxz = _mu(th_corner, eos) * shear
+
+    du = (
+        adv_u
+        - jp_x / (eps * eps * rho_fx * dx)
+        + ((Sxx - gr._xprev(Sxx)) / dx + (Sxz[:, 1:] - Sxz[:, :-1]) / dz) / rho_fx
+    )
+    if aux.dGx is not None:
+        du += aux.dGx / (eps * dx)
+    dw = np.zeros_like(w)
+    dw[:, 1:-1] = (
+        adv_w[:, 1:-1]
+        - jp_z / (eps * eps * rho_fz * dz)
+        + aux.dGz / (eps * dz) * (1.0 - aux.rho_hat_f[None, :] / rho_fz)
+        + (
+            (gr._xnext(Sxz[:, 1:-1]) - Sxz[:, 1:-1]) / dx
+            + (Szz[:, 1:] - Szz[:, :-1]) / dz
+        )
+        / rho_fz
+    )
+
+    sh2 = shear * shear
+    sh2_r = gr._xnext(sh2)
+    sh2_c = 0.25 * ((sh2[:, :-1] + sh2_r[:, :-1]) + (sh2[:, 1:] + sh2_r[:, 1:]))
+    d_E += eps * eps * (mu * ((Dxx - Dzz) ** 2 + sh2_c) + eta * divU * divU) - p * divU
+    return d_rho, d_E, du, dw
+
+
+def _moving_state(eos):
+    """A scenario with x-varying walls and gravity, and a moving state on it."""
+    g = Grid(16, 8)
+    X, Z = g.cell_mesh()
+    wall = 0.2 + 0.05 * np.cos(2 * np.pi * g.x_centers)
+    T0 = ScalarField(g, wall[:, None] * (1 - Z) - 0.2 * Z + 0.1 * np.sin(2 * np.pi * X) * np.sin(np.pi * Z) ** 2)
+    sc = _scenario(g, eos=eos, G=gravity_potential(g, 1.0), theta_b_bottom=wall, theta_b_top=-0.2, T0=T0)
+    state = build_initial_nsf(sc)
+    rng = np.random.default_rng(4)
+    w = 0.1 * rng.standard_normal((16, 9))
+    w[:, 0] = w[:, -1] = 0.0
+    return sc, state.rho.values, state.theta.values, 0.1 * rng.standard_normal((16, 8)), w
+
+
+def test_rhs_without_bulk_viscosity_matches_full_formula_bitwise() -> None:
+    sc, rho, th, u, w = _moving_state(IDEAL)
+    assert IDEAL.eta0 == 0.0
+    tf = nsf._thermo(rho, th, IDEAL)
+    assert tf.eta is None
+    got = nsf._rhs(rho, th, u, w, sc, sc.reference(), tf)
+    want = _rhs_full_formula(rho, th, u, w, sc, sc.reference(), tf, _eta(th, IDEAL))
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert np.max(np.abs(got[2])) > 0.0 and np.max(np.abs(got[1])) > 0.0
+
+
+def test_bulk_viscosity_still_acts_when_eta0_positive() -> None:
+    bulk = EosParams(eta0=0.5)
+    sc, rho, th, u, w = _moving_state(bulk)
+    sc0, *_ = _moving_state(IDEAL)
+    tf = nsf._thermo(rho, th, bulk)
+    got = nsf._rhs(rho, th, u, w, sc, sc.reference(), tf)
+    want = _rhs_full_formula(rho, th, u, w, sc, sc.reference(), tf, tf.eta)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    without = nsf._rhs(rho, th, u, w, sc0, sc0.reference(), nsf._thermo(rho, th, IDEAL))
+    assert np.array_equal(got[0], without[0])  # mass has no viscous term
+    assert not np.allclose(got[1], without[1], rtol=0.0, atol=1e-12)
+    assert not np.allclose(got[2], without[2], rtol=0.0, atol=1e-12)
+    assert cfl_dt(build_initial_nsf(sc), sc) <= cfl_dt(build_initial_nsf(sc0), sc0)

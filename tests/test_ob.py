@@ -7,11 +7,29 @@ from hypothesis import strategies as st
 
 import bll.ob
 from bll.errors import CompatibilityError, DomainError, ShapeError, StabilityError
-from bll.grid import Grid, ScalarField, Staggering, VectorField, div, mean
+from bll.grid import (
+    DirichletZ,
+    Grid,
+    NeumannZ,
+    ScalarField,
+    Staggering,
+    VectorField,
+    advect_velocity,
+    center_to_xface,
+    div,
+    grad,
+    helmholtz_solve,
+    helmholtz_solve_zface,
+    mean,
+    poisson_solve,
+    xface_to_center,
+    zface_to_center,
+)
 from bll.ob import (
     T_FRAME,
     THETA_FRAME,
     ObScenario,
+    _flux_cubic,
     boundary_heat_flux,
     build_initial_ob,
     gravity_potential,
@@ -20,7 +38,7 @@ from bll.ob import (
     step_ob,
     transform_frame,
 )
-from bll.thermo import EosParams
+from bll.thermo import EosParams, transport
 
 IDEAL = EosParams()
 
@@ -71,6 +89,29 @@ def test_ob_time_parameters_reject_nan_and_inf() -> None:
             _scenario(g, t_end=bad)
         with pytest.raises(DomainError, match="snapshot_dt must be finite"):
             run_ob(_scenario(g, t_end=0.002), snapshot_dt=bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_scenario_rejects_non_finite_walls(bad) -> None:
+    g = Grid(8, 8)
+    row = np.zeros(8)
+    row[3] = bad
+    for wall in ("theta_b_bottom", "theta_b_top"):
+        for value in (bad, row, lambda t: bad * (1.0 + t)):
+            with pytest.raises(DomainError, match=f"{wall} must be finite"):
+                _scenario(g, **{wall: value})
+    # A callable wall is checked at t = 0 only.
+    ramp = _scenario(g, theta_b_bottom=lambda t: 0.2 * t if t < 1.0 else bad)
+    assert np.all(ramp.wall_values(0.5)[0] == 0.1)
+
+
+def test_step_rejects_non_positive_dt() -> None:
+    g = Grid(8, 8)
+    sc = _scenario(g, dt=0.01, t_end=0.01)
+    state = build_initial_ob(sc)
+    for bad in (0.0, -0.01, float("nan")):
+        with pytest.raises(DomainError, match="dt must be finite and positive"):
+            step_ob(state, sc, bad)
 
 
 def test_step_rejects_unknown_frame() -> None:
@@ -390,3 +431,145 @@ def test_convection_starts_from_heated_bottom() -> None:
     assert np.max(np.abs(final.U.u)) > 1e-4
     assert np.max(np.abs(div(final.U).values)) <= 1e-10
     assert np.max(np.abs(traj.trace.Lambda)) > 0.0
+
+
+def _reference_step(state, sc, dt):
+    """The OB step as written on the public field API (helmholtz_solve,
+    helmholtz_solve_zface, poisson_solve, div, grad) before the array kernel."""
+    g, lam = sc.grid, sc.lam_effective()
+    k = lam / (1.0 - lam)
+    coeffs = sc.coefficients()
+    nu = float(transport(sc.theta_bar, sc.eos)[0]) / sc.rho_bar
+    gG = grad(sc.G, NeumannZ())
+    if state.frame == T_FRAME:
+        buoy = -coeffs.alpha * state.temp.values
+    else:
+        temp_equiv = ScalarField(g, state.temp.values + k * mean(state.temp))
+        buoy = recover_density_deviation(temp_equiv, sc).values / sc.rho_bar
+
+    adv_u, adv_w = advect_velocity(g, state.U.u, state.U.w)
+    bz = np.zeros_like(gG.w)
+    bz[:, 1:-1] = 0.5 * (buoy[:, 1:] + buoy[:, :-1]) * gG.w[:, 1:-1]
+    F_u = adv_u + center_to_xface(buoy) * gG.u
+    F_w = adv_w + bz
+    F_w[:, 0] = 0.0
+    F_w[:, -1] = 0.0
+    if state.rhs_hist is not None:
+        Fu_eff = 1.5 * F_u - 0.5 * state.rhs_hist[0]
+        Fw_eff = 1.5 * F_w - 0.5 * state.rhs_hist[1]
+    else:
+        Fu_eff, Fw_eff = F_u, F_w
+    ustar = helmholtz_solve(
+        ScalarField(g, state.U.u + dt * Fu_eff, Staggering.XFACE), dt * nu, DirichletZ(0.0, 0.0)
+    ).values
+    wstar = helmholtz_solve_zface(ScalarField(g, state.U.w + dt * Fw_eff, Staggering.ZFACE), dt * nu).values
+    rhs = div(VectorField(g, ustar, wstar))
+    rhs.values /= dt
+    phi, _ = poisson_solve(rhs)
+    gphi = grad(phi, NeumannZ())
+    w = wstar - dt * gphi.w
+    w[:, 0] = 0.0
+    w[:, -1] = 0.0
+    U = VectorField(g, ustar - dt * gphi.u, w)
+
+    vals = state.temp.values
+    fx = U.u * center_to_xface(vals)
+    fz = np.zeros_like(U.w)
+    fz[:, 1:-1] = U.w[:, 1:-1] * 0.5 * (vals[:, 1:] + vals[:, :-1])
+    A = -((np.roll(fx, -1, axis=0) - fx) / g.dx + (fz[:, 1:] - fz[:, :-1]) / g.dz)
+    A += (sc.theta_bar * coeffs.alpha / coeffs.c_p) * (
+        xface_to_center(U.u * gG.u) + zface_to_center(U.w * gG.w)
+    )
+    if sc.temp_source is not None:
+        A += sc.temp_source(state.t, *g.cell_mesh())
+    A_eff = A if state.rhs_hist is None else 1.5 * A - 0.5 * state.rhs_hist[2]
+    c = dt * coeffs.kappa_bar / (sc.rho_bar * coeffs.c_p)
+    wb, wt = sc.wall_values(state.t + dt)
+    temp = helmholtz_solve(ScalarField(g, vals + dt * A_eff), c, DirichletZ(wb, wt))
+    if lam != 0.0:
+        tframe = state.frame == T_FRAME
+        unit = helmholtz_solve(ScalarField(g, np.ones((g.nx, g.nz))), c) if tframe else (
+            helmholtz_solve(ScalarField.zeros(g), c, DirichletZ(1.0, 1.0))
+        )
+        denom = 1.0 - lam * mean(unit) if tframe else 1.0 + k * mean(unit)
+        if tframe:
+            m_prev = mean(state.temp)
+            q = lam * ((mean(temp) - lam * mean(unit) * m_prev) / denom - m_prev)
+        else:
+            q = -k * (mean(temp) / denom)
+        temp = ScalarField(g, temp.values + q * unit.values)
+    Pi = ScalarField(g, sc.rho_bar * phi.values)
+    return bll.ob.ObState(U, temp, Pi, state.t + dt, state.frame, (F_u, F_w, A))
+
+
+def _reference_trace_row(prev, state, sc, dt):
+    """(t, fint(T), Lambda, flux, residual) of the pre-kernel trace, plus the
+    rolling (mean, cubic flux, source mean) of state."""
+    g, coeffs, lam = sc.grid, sc.coefficients(), sc.lam_effective()
+    M = mean(state.temp)
+    vals = state.temp.values
+    if state.frame == THETA_FRAME:
+        M, vals = M / (1.0 - lam), vals + lam / (1.0 - lam) * M
+    wb, wt = sc.wall_values(state.t)
+    fc = _flux_cubic(vals, g, wb, wt)
+    sm = 0.0 if sc.temp_source is None else float(np.mean(sc.temp_source(state.t, *g.cell_mesh())))
+    if prev is None:
+        return None, (M, fc, sm)
+    dm_dt = (M - prev[0]) / dt
+    nu_T = coeffs.kappa_bar / (sc.rho_bar * coeffs.c_p)
+    resid = (1.0 - lam) * g.volume * dm_dt - nu_T * 0.5 * (fc + prev[1]) - g.volume * 0.5 * (sm + prev[2])
+    flux = boundary_heat_flux(vals, g, wb, wt, coeffs.kappa_bar)
+    return (state.t, M, lam * sc.rho_bar * coeffs.c_p * dm_dt, flux, resid), (M, fc, sm)
+
+
+@pytest.mark.parametrize("lam", [None, 0.0])
+@pytest.mark.parametrize("frame", [T_FRAME, THETA_FRAME])
+def test_run_ob_matches_public_api_reference_bitwise(frame, lam) -> None:
+    # run_ob steps raw arrays through the cached z-operators; its snapshots,
+    # trace, and the public step_ob must equal the field-API step exactly.
+    g = Grid(8, 12)
+    rng = np.random.default_rng(11)
+    U0 = VectorField(g, 0.1 * rng.standard_normal((8, 12)), 0.1 * rng.standard_normal((8, 13)))
+    T0 = ScalarField.from_function(g, lambda x, z: 0.3 * np.sin(np.pi * z) ** 2 * np.cos(2 * np.pi * x))
+    shape = 1.0 + 0.3 * np.cos(2 * np.pi * g.x_centers)
+    sc = ObScenario(
+        grid=g, eos=EosParams(kappa0=0.2), G=gravity_potential(g, 1.5),
+        theta_b_bottom=lambda t: 0.5 * t * shape, theta_b_top=0.0, T0=T0, U0=U0,
+        dt=2e-3, t_end=0.04, lambda_override=lam,
+        temp_source=lambda t, X, Z: 0.5 * np.cos(2 * np.pi * X) * np.sin(np.pi * Z) * (1.0 + t),
+    )
+    traj = run_ob(sc, frame=frame, snapshot_dt=0.01)
+
+    state = build_initial_ob(sc, frame)
+    _, roll = _reference_trace_row(None, state, sc, sc.dt)
+    stepped = step_ob(state, sc, sc.dt)
+    want_states, rows = [state], []
+    for n in range(1, 21):
+        state = _reference_step(state, sc, sc.dt)
+        row, roll = _reference_trace_row(roll, state, sc, sc.dt)
+        rows.append(row)
+        if n % 5 == 0:
+            want_states.append(state)
+        if n == 1:
+            for got, want in zip(
+                (stepped.temp.values, stepped.U.u, stepped.U.w, stepped.Pi.values, *stepped.rhs_hist),
+                (state.temp.values, state.U.u, state.U.w, state.Pi.values, *state.rhs_hist),
+            ):
+                assert np.array_equal(got, want)
+            assert stepped.t == state.t
+        elif n == 2:
+            stepped = step_ob(stepped, sc, sc.dt)
+            assert np.array_equal(stepped.temp.values, state.temp.values)
+            assert np.array_equal(stepped.U.u, state.U.u)
+    assert np.max(np.abs(state.U.u)) > 1e-3  # the flow moves
+    assert traj.times == [s.t for s in want_states]
+    for got, want in zip(traj.states, want_states):
+        assert got.frame == want.frame
+        for a, b in ((got.temp, want.temp), (got.Pi, want.Pi)):
+            assert np.array_equal(a.values, b.values)
+        assert np.array_equal(got.U.u, want.U.u)
+        assert np.array_equal(got.U.w, want.U.w)
+    want_trace = np.array(rows).T
+    tr = traj.trace
+    for k, col in enumerate((tr.t, tr.mean_T, tr.Lambda, tr.flux, tr.s24_residual)):
+        assert np.array_equal(col, want_trace[k]), k
