@@ -14,11 +14,16 @@ solve (helmholtz_solve) upgrades center fields to the quadratic-extrapolation
 ghost, whose conservative wall flux is the one-sided quadratic derivative,
 while x-face fields keep the mirror convention.
 
-The elliptic solves are direct: rfft in x, then one z-tridiagonal system per
-Fourier mode, all through the one z-solver _ZOperator.  Each operator is
-inverted once per mode, so a solve is one batched matmul; the constant-
-coefficient ones are cached on their Grid, (nx/2+1) nz^2 doubles each, 0.27 MB
-at 64x32, and the face-weighted ones (the NSF conduction profile) are not.
+The elliptic solves are direct, all through the one z-solver _ZOperator: a
+real-DFT matrix in x (Grid._dft, rfft and irfft as dense matrices), then one
+z-tridiagonal system per Fourier mode.  Each operator is inverted once per
+mode, so a solve is three matrix products; the constant-coefficient ones are
+cached on their Grid, (nx/2+1) nz^2 doubles each, 0.27 MB at 64x32, and the
+face-weighted ones (the NSF conduction profile) are not.  The DFT matrices
+cost O(nx^2) per column and hold 2 (nx/2+1) nx doubles each (66 KiB for both
+at nx = 64); at bll's grids that beats the FFT's per-call overhead, and the
+two break even near 128x64, so an FFT path comes back only with a workload
+whose nx needs it.
 """
 
 from __future__ import annotations
@@ -121,6 +126,32 @@ class Grid:
     def _zops(self):
         """Inverted z-operators of this grid, keyed by (a, c, wall)."""
         return {}
+
+    @cached_property
+    def _dft(self):
+        """Real-DFT matrices in x, (forward, inverse), m = nx//2 + 1 modes.
+
+        forward (2m, nx) maps real columns to their rfft real parts stacked
+        over the imaginary parts.  inverse (nx, 2m) is irfft on spectra stored
+        mode by mode as (real, imaginary) pairs: it counts every mode twice
+        (itself and its conjugate) except mode 0 and, for even nx, the Nyquist
+        mode, whose imaginary parts it ignores.
+        """
+        nx = self.nx
+        m = nx // 2 + 1
+        # Angles from the exact integer phase jk mod nx.
+        theta = (2.0 * np.pi / nx) * (np.outer(np.arange(m), np.arange(nx)) % nx)
+        cos, sin = np.cos(theta), np.sin(theta)
+        ends = [0, -1] if nx % 2 == 0 else [0]
+        real = np.full(m, 2.0 / nx)
+        real[ends] = 1.0 / nx
+        imag = real.copy()
+        imag[ends] = 0.0
+        pairs = np.stack([real[:, None] * cos, -imag[:, None] * sin], axis=1)
+        fwd = np.concatenate([cos, -sin])
+        inverse = pairs.reshape(2 * m, nx).T.copy()
+        fwd.flags.writeable = inverse.flags.writeable = False
+        return fwd, inverse
 
 
 @dataclass
@@ -307,7 +338,10 @@ def advect_velocity(grid, u, w):
 
 class _ZOperator:
     """a - c lap as one real z-tridiagonal matrix per rfft x-mode, inverted
-    once; a solve applies the inverses in one batched matmul.  wall is the z
+    once.  A solve maps its data to the modes with the grid's forward DFT
+    matrix, applies the inverses in one batched matmul (a mode's real and
+    imaginary parts share its inverse) and maps back with the inverse DFT
+    matrix, O(nx^2 + (nx/2+1) n) per z-column of n unknowns.  wall is the z
     closure: 'pinned' (Neumann ghost f0, the singular kx = 0 mode pinned in
     its first cell), 'extrapolate' (Dirichlet, quadratic-extrapolation ghost
     (8g - 6 f0 + f1)/3), 'mirror' (Dirichlet, no-slip ghost 2g - f0) or
@@ -340,16 +374,19 @@ class _ZOperator:
             mat[:, 0, 1] -= c * sw[0] * inv_dz2 / 3.0
             mat[:, -1, -2] -= c * sw[1] * inv_dz2 / 3.0
             self.wall_coef = (8.0 / 3.0) * c * sw * inv_dz2
-        self.inv = np.linalg.inv(mat)
+        # The per-mode inverses, each transposed, so that a solve multiplies
+        # the data rows from the left.
+        self.inv_t = np.linalg.inv(mat).transpose(0, 2, 1).copy()
         if wall == "pinned":
-            self.inv[0, 0, 0] = 0.0  # the pinned cell stays zero whatever the data
+            self.inv_t[0, 0, 0] = 0.0  # the pinned cell stays zero whatever the data
 
     def solve(self, vals, bottom=0.0, top=0.0):
         """Solution for real data vals (None: zero data); bottom and top are
         the wall values of the Dirichlet closures."""
         nx = self.grid.nx
-        m, n = self.inv.shape[:2]
-        rhs = np.zeros((m, n), dtype=complex) if vals is None else np.fft.rfft(vals, axis=0)
+        fwd, inverse = self.grid._dft
+        m, n = self.inv_t.shape[:2]
+        rhs = np.zeros((2 * m, n)) if vals is None else fwd @ vals
         if self.wall_coef is not None:
             for row, value, coef in zip((0, -1), (bottom, top), self.wall_coef):
                 # A zero wall adds nothing; a scalar zero is not even expanded.
@@ -357,10 +394,10 @@ class _ZOperator:
                     continue
                 wall = _wall_array(value, nx)
                 if wall.any():
-                    rhs[:, row] += coef * np.fft.rfft(wall)
-        # Real and imaginary parts ride as two right-hand-side columns.
-        x = np.matmul(self.inv, np.ascontiguousarray(rhs).view(float).reshape(m, n, 2))
-        return np.fft.irfft(x.view(complex).reshape(m, n), n=nx, axis=0)
+                    rhs[:, row] += coef * (fwd @ wall)
+        # Mode k's real and imaginary parts are two rows against its inverse.
+        x = np.matmul(rhs.reshape(2, m, n).transpose(1, 0, 2), self.inv_t)
+        return inverse @ x.reshape(2 * m, n)
 
     @cached_property
     def unit_source(self):
@@ -404,9 +441,9 @@ def _poisson(vals, grid):
 def poisson_solve(rhs):
     """Solve lap(phi) = rhs - mean(rhs) with periodic x, homogeneous Neumann z.
 
-    Returns (phi, removed_mean); phi has zero mean.  Direct method: rfft in x,
-    the cached inverse in z per mode; the singular constant mode is pinned and the
-    mean subtracted afterwards.
+    Returns (phi, removed_mean); phi has zero mean.  Direct method: the real-DFT
+    matrix in x, the cached inverse in z per mode; the singular constant mode is
+    pinned and the mean subtracted afterwards.
     """
     if rhs.stag != Staggering.CENTER:
         raise ShapeError("poisson_solve expects a center-staggered field")

@@ -262,10 +262,18 @@ def build_initial_ob(scenario, frame=T_FRAME):
     return state
 
 
-def _step(scenario, tframe, dt, t, u, w, temp, m, hist):
+def _source(scenario, t):
+    """The scenario's temp_source at time t on the cell centers (None without one)."""
+    if scenario.temp_source is None:
+        return None
+    return scenario.temp_source(t, *scenario.grid._cell_mesh)
+
+
+def _step(scenario, tframe, dt, t, u, w, temp, m, hist, source):
     """One step on raw arrays, unchecked: the state (u, w, temp) at time t in
-    the T frame (tframe) or the Theta frame, m = mean(temp), and hist the
-    previous step's explicit right-hand sides (None on a first step).
+    the T frame (tframe) or the Theta frame, m = mean(temp), hist the
+    previous step's explicit right-hand sides (None on a first step) and
+    source = _source(scenario, t).
 
     Returns (u, w, temp, Pi, hist, walls) at t + dt; walls are the Dirichlet
     wall values at t + dt that the scalar step used.  No input is modified.
@@ -301,8 +309,8 @@ def _step(scenario, tframe, dt, t, u, w, temp, m, hist):
     # Dirichlet walls at t + dt, then the closure of the mean.
     A = _advect_scalar(g, u_new, w_new, temp)
     A += (scenario.theta_bar * coeffs.alpha / coeffs.c_p) * _grad_dot_faces(u_new, w_new, gG)
-    if scenario.temp_source is not None:
-        A += scenario.temp_source(t, *g._cell_mesh)
+    if source is not None:
+        A += source
     A_eff = A if hist is None else 1.5 * A - 0.5 * hist[2]
     c = dt * coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
     walls = scenario.wall_values(t + dt)
@@ -330,6 +338,7 @@ def step_ob(state, scenario, dt):
     u, w, temp, Pi, hist, _ = _step(
         scenario, state.frame == T_FRAME, dt, state.t,
         state.U.u, state.U.w, state.temp.values, mean(state.temp), state.rhs_hist,
+        _source(scenario, state.t),
     )
     g = scenario.grid
     return ObState(VectorField(g, u, w), ScalarField(g, temp), ScalarField(g, Pi), state.t + dt, state.frame, hist)
@@ -373,10 +382,8 @@ def _frame_trace_data(scenario, tframe, temp, m):
     return m / (1.0 - lam), temp + lam / (1.0 - lam) * m
 
 
-def _source_mean(scenario, t):
-    if scenario.temp_source is None:
-        return 0.0
-    return float(np.mean(scenario.temp_source(t, *scenario.grid._cell_mesh)))
+def _source_mean(source):
+    return 0.0 if source is None else float(np.mean(source))
 
 
 @dataclass
@@ -388,15 +395,15 @@ class _TraceCursor:
     source_mean: float
 
     @classmethod
-    def start(cls, scenario, tframe, t, temp, m):
+    def start(cls, scenario, tframe, t, temp, m, source):
         m, vals = _frame_trace_data(scenario, tframe, temp, m)
         wb, wt = scenario.wall_values(t)
-        return cls(m, _flux_cubic(vals, scenario.grid, wb, wt), _source_mean(scenario, t))
+        return cls(m, _flux_cubic(vals, scenario.grid, wb, wt), _source_mean(source))
 
 
-def _trace_row(cur, scenario, tframe, dt, t, temp, m, walls):
-    """Advance the cursor by the state temp (mean m, wall values walls) at
-    time t; returns the cursor and the CSV row.
+def _trace_row(cur, scenario, tframe, dt, t, temp, m, walls, source):
+    """Advance the cursor by the state temp (mean m, wall values walls,
+    source values source) at time t; returns the cursor and the CSV row.
 
     Lambda is the pinned backward difference.  The balance residual integrates
     the mean-temperature identity over the step: backward-difference mean
@@ -411,7 +418,7 @@ def _trace_row(cur, scenario, tframe, dt, t, temp, m, walls):
     Lambda = lam * scenario.rho_bar * coeffs.c_p * dm_dt
     flux = boundary_heat_flux(vals, g, wb, wt, coeffs.kappa_bar)
     fc_now = _flux_cubic(vals, g, wb, wt)
-    sm_now = _source_mean(scenario, t)
+    sm_now = _source_mean(source)
     nu_T = coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
     resid = (
         (1.0 - lam) * g.volume * dm_dt
@@ -460,15 +467,19 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
     times = [t]
     states = [state]  # a private copy, and the steps never write to their inputs
     rows = []
-    cur = _TraceCursor.start(scenario, tframe, t, temp, m)
+    # The source at each step time feeds both that time's trace row and the
+    # step that starts there, so it is evaluated once per time.
+    source = _source(scenario, t)
+    cur = _TraceCursor.start(scenario, tframe, t, temp, m, source)
     for n in range(1, n_steps + 1):
         _check_cfl(u, w, t, g, dt)
-        u, w, temp, Pi, hist, walls = _step(scenario, tframe, dt, t, u, w, temp, m, hist)
+        u, w, temp, Pi, hist, walls = _step(scenario, tframe, dt, t, u, w, temp, m, hist, source)
         t = t + dt
         if not (np.isfinite(temp).all() and np.isfinite(u).all()):
             raise DivergenceError("non-finite fields", step=n, time=t)
         m = gr._mean(temp)
-        cur, row = _trace_row(cur, scenario, tframe, dt, t, temp, m, walls)
+        source = _source(scenario, t)
+        cur, row = _trace_row(cur, scenario, tframe, dt, t, temp, m, walls, source)
         rows.append(row)
         if (every is not None and n % every == 0) or n == n_steps:
             times.append(t)

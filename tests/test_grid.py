@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,9 +180,13 @@ def _dense_operator(g, c, wall, a, faces=None):
     return a * np.eye(g.nx * n) - c * lap, c * wall_weight / g.dz ** 2
 
 
-@pytest.mark.parametrize("nx, nz", [(4, 32), (64, 32), (16, 128)])
-def test_zoperator_solve_matches_dense_reference(nx, nz) -> None:
-    g = Grid(nx, nz)
+@pytest.mark.parametrize(
+    "nx, nz, Lx",
+    [(4, 32, 1.0), (64, 32, 1.0), (16, 128, 1.0), (5, 12, 1.0), (6, 16, 2.5)],
+    ids=["4-32", "64-32", "16-128", "5-12", "6-16-Lx2.5"],
+)
+def test_zoperator_solve_matches_dense_reference(nx, nz, Lx) -> None:
+    g = Grid(nx, nz, Lx)
     rng = np.random.default_rng(nx + nz)
     bottom, top = rng.standard_normal(nx), rng.standard_normal(nx)
     weights = rng.uniform(0.5, 2.0, nz + 1)
@@ -209,6 +217,68 @@ def test_zoperator_solve_matches_dense_reference(nx, nz) -> None:
         ref = np.linalg.solve(mat, rhs.ravel()).reshape(nx, n)
         got = _ZOperator(g, c, wall, a, faces).solve(vals, bottom, top)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (wall, a, faces is None)
+
+
+@pytest.mark.parametrize("nx", range(4, 10))
+def test_dft_matrices_match_numpy_fft(nx) -> None:
+    g = Grid(nx, 4)
+    m = nx // 2 + 1
+    fwd, inverse = g._dft
+    assert fwd.shape == (2 * m, nx) and inverse.shape == (nx, 2 * m)
+    assert g._dft is g._dft
+    rng = np.random.default_rng(nx)
+    v = rng.standard_normal((nx, 3))
+    spec = np.fft.rfft(v, axis=0)
+    scale = np.max(np.abs(spec))
+    got = fwd @ v
+    assert np.max(np.abs(got[:m] - spec.real)) <= 1e-14 * scale
+    assert np.max(np.abs(got[m:] - spec.imag)) <= 1e-14 * scale
+    # Any spectrum, stored as (real, imaginary) pairs mode by mode; irfft
+    # drops the imaginary parts of mode 0 and of an even nx's Nyquist mode.
+    X = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
+    want = np.fft.irfft(X, n=nx, axis=0)
+    pairs = np.stack([X.real, X.imag], axis=1).reshape(2 * m, 3)
+    assert np.max(np.abs(inverse @ pairs - want)) <= 1e-14 * np.max(np.abs(X))
+    assert not inverse[:, 1].any()
+    assert inverse[:, -1].any() == (nx % 2 == 1)
+    # Round trip through the rfft layout.
+    back = inverse @ np.stack([got[:m], got[m:]], axis=1).reshape(2 * m, 3)
+    assert np.max(np.abs(back - v)) <= 1e-14 * np.max(np.abs(v))
+
+
+_DETERMINISM_SCRIPT = """
+import sys
+import numpy as np
+from bll.grid import Grid, ScalarField, _zop
+from bll.ob import ObScenario, gravity_potential, run_ob
+from bll.thermo import EosParams
+
+g = Grid(4, 32)
+T0 = ScalarField.from_function(g, lambda x, z: 0.2 * (1 - z) + 0.05 * np.sin(np.pi * z) * np.cos(2 * np.pi * x))
+sc = ObScenario(grid=g, eos=EosParams(kappa0=0.5), G=gravity_potential(g, 1.0),
+                theta_b_bottom=0.2, T0=T0, dt=1e-3, t_end=0.02)
+final = run_ob(sc).states[-1]
+rng = np.random.default_rng(3)
+big = Grid(64, 32)
+x = _zop(big, 0.01, "extrapolate").solve(rng.standard_normal((64, 32)), rng.standard_normal(64), 0.5)
+with open(sys.argv[1], "wb") as fh:
+    for arr in (final.temp.values, final.U.u, final.U.w, final.Pi.values, x):
+        fh.write(arr.tobytes())
+"""
+
+
+def test_solves_are_byte_identical_across_blas_threads(tmp_path) -> None:
+    # The x-transforms and per-mode inverses are BLAS products: their bytes
+    # must not depend on how many threads BLAS runs.
+    outs = []
+    for threads in ("1", "2"):
+        path = tmp_path / f"threads{threads}.bin"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT, str(path)], env=env, check=True)
+        outs.append(path.read_bytes())
+    assert len(outs[0]) == 8 * (3 * 4 * 32 + 4 * 33 + 64 * 32)
+    assert outs[0] == outs[1]
 
 
 def test_z_operators_are_cached_per_grid() -> None:

@@ -573,3 +573,32 @@ def test_run_ob_matches_public_api_reference_bitwise(frame, lam) -> None:
     tr = traj.trace
     for k, col in enumerate((tr.t, tr.mean_T, tr.Lambda, tr.flux, tr.s24_residual)):
         assert np.array_equal(col, want_trace[k]), k
+
+
+@pytest.mark.parametrize("frame", [T_FRAME, THETA_FRAME])
+def test_run_ob_evaluates_source_once_per_step_time(frame) -> None:
+    # The source at each step time serves both that time's trace row and the
+    # step from it: 10 steps touch 11 times, and the result is the step_ob loop's.
+    g = Grid(6, 10)
+    calls = []
+
+    def source(t, X, Z):
+        calls.append(t)
+        return 0.4 * np.cos(2 * np.pi * X) * np.sin(np.pi * Z) * (1.0 + t)
+
+    sc = _scenario(g, G=gravity_potential(g, 1.0), theta_b_bottom=lambda t: 0.3 * t,
+                   T0=ScalarField.zeros(g), dt=1e-3, t_end=0.01, temp_source=source)
+    traj = run_ob(sc, frame=frame)
+    assert len(calls) == 11
+    assert len(set(calls)) == 11
+
+    state = build_initial_ob(sc, frame)
+    for _ in range(10):
+        state = step_ob(state, sc, sc.dt)
+    final = traj.states[-1]
+    assert final.t == state.t
+    assert np.max(np.abs(state.temp.values)) > 0.0
+    for got, want in ((final.temp, state.temp), (final.Pi, state.Pi)):
+        assert np.array_equal(got.values, want.values)
+    assert np.array_equal(final.U.u, state.U.u)
+    assert np.array_equal(final.U.w, state.U.w)
