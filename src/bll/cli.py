@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import compare_modified_vs_naive, sweep
+from .diagnostics import ErrorNorms, compare_modified_vs_naive, sweep
 from .errors import (
     AlignmentError,
     ClosureError,
@@ -353,14 +353,6 @@ def _write_table(outdir, name, header, columns, formats, notes=()):
                 fh.writelines("# " + sep.join(map(_token, n)) + "\n" for n in notes)
 
 
-_NORMS = ("eps", "err_rho", "err_theta", "err_mom")
-
-
-def _norm_columns(rows):
-    """ErrorNorms rows as the columns of _NORMS."""
-    return [[getattr(row, key) for row in rows] for key in _NORMS]
-
-
 def _cmd_thermo_check(cfg, outdir, say):
     report = check_hypotheses(cfg.eos)
     (outdir / "hypothesis_report.txt").write_text("\n".join(report.lines()) + "\n", encoding="utf-8")
@@ -380,12 +372,7 @@ def _cmd_thermo_check(cfg, outdir, say):
 def _cmd_run_ob(cfg, outdir, say):
     traj = run_ob(cfg.ob_scenario(), cfg.frame, snapshot_dt=cfg.cadence)
     tr = traj.trace
-    _write_table(
-        outdir, "ob_trace",
-        ["t", "mean_T", "Lambda", "flux", "s24_residual"],
-        [tr.t, tr.mean_T, tr.Lambda, tr.flux, tr.s24_residual],
-        cfg.formats,
-    )
+    _write_table(outdir, "ob_trace", tr.dtype.names, [tr[name] for name in tr.dtype.names], cfg.formats)
     final = traj.states[-1]
     _write_table(
         outdir, "ob_final_profile",
@@ -400,12 +387,7 @@ def _cmd_run_ob(cfg, outdir, say):
 def _cmd_run_nsf(cfg, outdir, say):
     traj = run_nsf(cfg.nsf_scenario(), snapshot_dt=cfg.cadence)
     log = traj.log
-    _write_table(
-        outdir, "nsf_log",
-        ["t", "mass", "ballistic_energy", "entropy_proxy", "dt"],
-        [log.t, log.mass, log.ballistic_energy, log.entropy_proxy, log.dt],
-        cfg.formats,
-    )
+    _write_table(outdir, "nsf_log", log.dtype.names, [log[name] for name in log.dtype.names], cfg.formats)
     final = traj.states[-1]
     _write_table(
         outdir, "nsf_final_profile",
@@ -430,7 +412,7 @@ def _cmd_sweep(cfg, outdir, say):
     table = sweep(cfg.ob_scenario(), eps_seq, frame=cfg.frame, snapshot_dt=cfg.cadence)
     notes = [("fitted_rate", *(f"{r:.6g}" for r in table.rates))] if table.rates else []
     notes += [(f"failed eps={eps:g}: {msg}",) for eps, msg in table.failures]
-    _write_table(outdir, "sweep", _NORMS, _norm_columns(table.rows), cfg.formats, notes)
+    _write_table(outdir, "sweep", ErrorNorms._fields, list(zip(*table.rows)), cfg.formats, notes)
     for row in table.rows:
         say(
             f"eps={row.eps:g}: err_rho={row.err_rho:.6g} "
@@ -446,8 +428,8 @@ def _cmd_sweep(cfg, outdir, say):
 def _cmd_compare(cfg, outdir, say):
     report = compare_modified_vs_naive(cfg.ob_scenario(), cfg.eps, snapshot_dt=cfg.cadence)
     _write_table(
-        outdir, "compare", ["target", *_NORMS],
-        [("modified", "naive"), *_norm_columns((report.modified, report.naive))],
+        outdir, "compare", ["target", *ErrorNorms._fields],
+        [("modified", "naive"), *zip(report.modified, report.naive)],
         [f for f in cfg.formats if f == "csv"],
         [("ratio_theta", report.ratio), ("coincident", int(report.coincident))],
     )

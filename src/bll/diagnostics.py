@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,8 +211,7 @@ def coercivity_check(state, ref, K, eos):
     )
 
 
-@dataclass(frozen=True)
-class ErrorNorms:
+class ErrorNorms(NamedTuple):
     """One sweep row: worst-over-time deviation norms at a given eps."""
 
     eps: float
@@ -332,7 +332,8 @@ def _fit_rates(rows):
 def sweep(scenario, eps_list, frame=T_FRAME, snapshot_dt=None):
     """Run the shared incompressible target once and one compressible member
     per eps (well-prepared from the target's initial data), in eps order, and
-    assemble the ConvergenceTable.
+    assemble the ConvergenceTable.  Members run at the NsfScenario default
+    CFL 0.4 up to the target's t_end.
 
     eps_list must be strictly descending in (0, 1].  Members that blow up or
     hit positivity limits are recorded as failure annotations.
@@ -391,9 +392,10 @@ class ComparisonReport:
 def compare_modified_vs_naive(scenario, eps, snapshot_dt=None):
     """Run one compressible solution at eps and measure it against the
     non-local target and against the naive Dirichlet target (lambda hook
-    forced to zero).  Warns when the two targets coincide (the scenario
-    never builds a mean temperature deviation), which makes the reported
-    ratio uninformative."""
+    forced to zero).  The compressible run uses the NsfScenario default CFL
+    0.4 and the target's t_end.  Warns when the two targets coincide (the
+    scenario never builds a mean temperature deviation), which makes the
+    reported ratio uninformative."""
     _require_static_walls(scenario)
     mod_traj = run_ob(scenario, T_FRAME, snapshot_dt)
     naive_traj = run_ob(replace(scenario, lambda_override=0.0), T_FRAME, snapshot_dt)

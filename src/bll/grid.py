@@ -72,8 +72,8 @@ class Grid:
     def __post_init__(self):
         if self.nx < 4 or self.nz < 4:
             raise ShapeError("grid needs nx >= 4 and nz >= 4")
-        if self.Lx <= 0:
-            raise ShapeError("Lx must be positive")
+        if not 0.0 < self.Lx < np.inf:
+            raise ShapeError(f"Lx must be finite and positive, got {self.Lx}")
 
     @property
     def dx(self):
@@ -233,6 +233,14 @@ def _require_finite_walls(walls):
     for name, arr in zip(("theta_b_bottom", "theta_b_top"), walls):
         if not np.isfinite(arr).all():
             raise DomainError(f"{name} must be finite, got {arr}")
+
+
+def _wall_trace_gap(vals, wall_bottom, wall_top):
+    """Largest gap between the wall data and the quadratic extrapolation
+    1.5 v0 - 0.5 v1 of the center values vals to each wall."""
+    gap_b = np.max(np.abs(1.5 * vals[:, 0] - 0.5 * vals[:, 1] - wall_bottom))
+    gap_t = np.max(np.abs(1.5 * vals[:, -1] - 0.5 * vals[:, -2] - wall_top))
+    return max(float(gap_b), float(gap_t))
 
 
 def _xprev(a):

@@ -78,7 +78,7 @@ __all__ = [
     "NsfScenario",
     "NsfState",
     "NsfTrajectory",
-    "ConservationLog",
+    "LOG_COLUMNS",
     "build_initial_nsf",
     "step_nsf",
     "cfl_dt",
@@ -100,7 +100,6 @@ class NsfScenario:
     theta_b_bottom: object = 0.0
     theta_b_top: object = 0.0
     cfl: float = 0.4
-    dt: float | None = None
     t_end: float = 1.0
     T0: ScalarField | None = None
     U0: VectorField | None = None
@@ -113,8 +112,6 @@ class NsfScenario:
         if abs(mean(self.G)) > 1e-12:
             raise DomainError(f"potential G must be mean-free, got mean {mean(self.G):.3e}")
         require_positive(self.t_end, "t_end")
-        if self.dt is not None:
-            require_positive(self.dt, "dt")
         if not 0.0 < self.cfl <= 1.0:
             raise DomainError("cfl must lie in (0, 1]")
         gr._require_finite_walls(self.wall_values())
@@ -166,16 +163,9 @@ def _checked_state(rho, theta, U, t, eps):
     return state
 
 
-@dataclass
-class ConservationLog:
-    """Per-step record: time, total mass, ballistic energy, the entropy
-    integral, and the step size taken (0 for the initial row)."""
-
-    t: np.ndarray
-    mass: np.ndarray
-    ballistic_energy: np.ndarray
-    entropy_proxy: np.ndarray
-    dt: np.ndarray
+# Columns of run_nsf's per-step log: time, total mass, ballistic energy, the
+# entropy integral, and the step size taken (0 for the initial row).
+LOG_COLUMNS = ("t", "mass", "ballistic_energy", "entropy_proxy", "dt")
 
 
 @dataclass
@@ -183,7 +173,7 @@ class NsfTrajectory:
     scenario: NsfScenario
     times: list
     states: list
-    log: ConservationLog
+    log: np.recarray  # one record per state, the initial one included; fields LOG_COLUMNS
     steps: int
     wall_seconds: float
 
@@ -648,9 +638,7 @@ def _theta_tilde(scenario, theta_tilde):
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
         raise DomainError("theta_tilde must be finite and strictly positive")
     tol = max(1e-8, 4.0 * g.dz ** 2 * float(np.max(np.abs(vals))))
-    trace_b = 1.5 * vals[:, 0] - 0.5 * vals[:, 1]
-    trace_t = 1.5 * vals[:, -1] - 0.5 * vals[:, -2]
-    gap = max(float(np.max(np.abs(trace_b - wb))), float(np.max(np.abs(trace_t - wt))))
+    gap = gr._wall_trace_gap(vals, wb, wt)
     if gap > tol:
         raise CompatibilityError(
             f"theta_tilde wall trace differs from theta_bar + eps Theta_B by {gap:.3e}"
@@ -670,7 +658,7 @@ def ballistic_energy(state, scenario, theta_tilde=None):
 
 
 def _log_row(state, scenario, E, theta_tilde, dt):
-    """(t, mass, ballistic energy, entropy integral, dt); E is rho*e of the state."""
+    """The LOG_COLUMNS row of state, reached by a step dt; E is rho*e of the state."""
     cv = scenario.grid.cell_volume
     rho = state.rho.values
     u, w = state.U.u, state.U.w
@@ -685,8 +673,7 @@ def run_nsf(scenario, snapshot_dt=None, initial=None):
     """Integrate to t_end; returns the trajectory with snapshots and the
     conservation log.
 
-    Steps adapt to the CFL bound, evaluated once per step (or use the fixed
-    scenario dt, rejected as in step_nsf if unstable), and are clamped to
+    Steps adapt to the CFL bound, evaluated once per step, and are clamped to
     land exactly on snapshot times and t_end.  The acoustic bound makes the
     step count scale like 1/eps; steps and wall_seconds report the cost."""
     if snapshot_dt is not None:
@@ -704,8 +691,7 @@ def run_nsf(scenario, snapshot_dt=None, initial=None):
     steps = 0
     while state.t < t_end - 1e-12:
         bound = _cfl_bound(state, scenario, tf)
-        dt = bound if scenario.dt is None else scenario.dt
-        dt = min(dt, min(next_snap, t_end) - state.t)
+        dt = min(bound, min(next_snap, t_end) - state.t)
         if dt <= 1e-14:
             raise StabilityError(f"time step collapsed at t={state.t:.4g}")
         state = _step(state, scenario, dt, tf, bound)
@@ -718,6 +704,5 @@ def run_nsf(scenario, snapshot_dt=None, initial=None):
             states.append(state.copy())
             if at_snap:
                 next_snap += snapshot_dt
-    arr = np.array(rows)
-    log = ConservationLog(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3], arr[:, 4])
+    log = np.rec.fromrecords(rows, names=LOG_COLUMNS)
     return NsfTrajectory(scenario, times, states, log, steps, time.perf_counter() - started)

@@ -68,7 +68,7 @@ __all__ = [
     "ObScenario",
     "ObState",
     "ObTrajectory",
-    "LambdaTrace",
+    "TRACE_COLUMNS",
     "gravity_potential",
     "build_initial_ob",
     "step_ob",
@@ -147,16 +147,9 @@ class ObState:
         return ObState(self.U.copy(), self.temp.copy(), self.Pi.copy(), self.t, self.frame, None)
 
 
-@dataclass
-class LambdaTrace:
-    """Per-step record of the non-local coupling: fint(T), Lambda, the wall
-    heat flux, and the residual of the integrated heat balance."""
-
-    t: np.ndarray
-    mean_T: np.ndarray
-    Lambda: np.ndarray
-    flux: np.ndarray
-    s24_residual: np.ndarray
+# Columns of run_ob's per-step trace of the non-local coupling: time, fint(T),
+# Lambda, the wall heat flux, and the residual of the integrated heat balance.
+TRACE_COLUMNS = ("t", "mean_T", "Lambda", "flux", "s24_residual")
 
 
 @dataclass
@@ -166,7 +159,7 @@ class ObTrajectory:
     dt: float
     times: list
     states: list
-    trace: LambdaTrace
+    trace: np.recarray  # one record per step, fields TRACE_COLUMNS
 
 
 def _project(u, w, dt, grid):
@@ -242,12 +235,9 @@ def build_initial_ob(scenario, frame=T_FRAME):
     T0 = scenario.T0 if scenario.T0 is not None else ScalarField.zeros(g)
     U0 = scenario.U0 if scenario.U0 is not None else VectorField.zeros(g)
     wb, wt = scenario.wall_values(0.0)
-    vals = T0.values
-    trace_b = 1.5 * vals[:, 0] - 0.5 * vals[:, 1]
-    trace_t = 1.5 * vals[:, -1] - 0.5 * vals[:, -2]
-    scale = max(1.0, float(np.max(np.abs(vals))))
+    scale = max(1.0, float(np.max(np.abs(T0.values))))
     tol = max(1e-8, 4.0 * g.dz ** 2 * scale)
-    mismatch = max(np.max(np.abs(trace_b - wb)), np.max(np.abs(trace_t - wt)))
+    mismatch = gr._wall_trace_gap(T0.values, wb, wt)
     if mismatch > tol:
         raise CompatibilityError(
             f"initial temperature trace deviates from Theta_B by {mismatch:.3e} (tol {tol:.3e})"
@@ -371,39 +361,24 @@ def _flux_cubic(vals, grid, wall_bottom, wall_top):
     return grid.dx * float((dn_top - dn_bottom).sum())
 
 
-def _frame_trace_data(scenario, tframe, temp, m):
-    """(T-frame mean, T-frame field values) seen by the trace diagnostics;
-    m is the mean of the frame's field temp."""
-    if tframe:
-        return m, temp
-    # Theta differs from T by the constant lam/(1-lam) fint(Theta), so adding
-    # the shift to field and walls recovers the T-frame pair exactly.
-    lam = scenario.lam_effective()
-    return m / (1.0 - lam), temp + lam / (1.0 - lam) * m
+def _trace_point(scenario, tframe, temp, m, walls, source):
+    """(T-frame mean, quadratic-stencil flux, cubic-stencil flux, source
+    mean) of the frame's field temp, whose mean is m, under the wall values
+    walls and the source values source."""
+    if not tframe:
+        # Theta differs from T by the constant lam/(1-lam) fint(Theta), so adding
+        # the shift to field and walls recovers the T-frame pair exactly.
+        lam = scenario.lam_effective()
+        m, temp = m / (1.0 - lam), temp + lam / (1.0 - lam) * m
+    g, (wb, wt) = scenario.grid, walls
+    flux = boundary_heat_flux(temp, g, wb, wt, scenario.coefficients().kappa_bar)
+    source_mean = 0.0 if source is None else float(np.mean(source))
+    return m, flux, _flux_cubic(temp, g, wb, wt), source_mean
 
 
-def _source_mean(source):
-    return 0.0 if source is None else float(np.mean(source))
-
-
-@dataclass
-class _TraceCursor:
-    """Rolling quantities the per-step balance needs from the previous state."""
-
-    m: float
-    flux_cubic: float
-    source_mean: float
-
-    @classmethod
-    def start(cls, scenario, tframe, t, temp, m, source):
-        m, vals = _frame_trace_data(scenario, tframe, temp, m)
-        wb, wt = scenario.wall_values(t)
-        return cls(m, _flux_cubic(vals, scenario.grid, wb, wt), _source_mean(source))
-
-
-def _trace_row(cur, scenario, tframe, dt, t, temp, m, walls, source):
-    """Advance the cursor by the state temp (mean m, wall values walls,
-    source values source) at time t; returns the cursor and the CSV row.
+def _trace_row(scenario, dt, t, prev, now):
+    """The trace row at time t from the trace points prev and now of two
+    states a step dt apart.
 
     Lambda is the pinned backward difference.  The balance residual integrates
     the mean-temperature identity over the step: backward-difference mean
@@ -411,21 +386,17 @@ def _trace_row(cur, scenario, tframe, dt, t, temp, m, walls, source):
     (plus the source mean when a source hook is active).  The flux column
     itself reports the scheme's conservative (quadratic-stencil) flux.
     """
-    m_now, vals = _frame_trace_data(scenario, tframe, temp, m)
-    wb, wt = walls
-    g, coeffs, lam = scenario.grid, scenario.coefficients(), scenario.lam_effective()
-    dm_dt = (m_now - cur.m) / dt
-    Lambda = lam * scenario.rho_bar * coeffs.c_p * dm_dt
-    flux = boundary_heat_flux(vals, g, wb, wt, coeffs.kappa_bar)
-    fc_now = _flux_cubic(vals, g, wb, wt)
-    sm_now = _source_mean(source)
+    m_prev, _, fc_prev, sm_prev = prev
+    m, flux, fc, sm = now
+    volume, coeffs, lam = scenario.grid.volume, scenario.coefficients(), scenario.lam_effective()
+    dm_dt = (m - m_prev) / dt
     nu_T = coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
     resid = (
-        (1.0 - lam) * g.volume * dm_dt
-        - nu_T * 0.5 * (fc_now + cur.flux_cubic)
-        - g.volume * 0.5 * (sm_now + cur.source_mean)
+        (1.0 - lam) * volume * dm_dt
+        - nu_T * 0.5 * (fc + fc_prev)
+        - volume * 0.5 * (sm + sm_prev)
     )
-    return _TraceCursor(m_now, fc_now, sm_now), (t, m_now, Lambda, flux, resid)
+    return t, m, lam * scenario.rho_bar * coeffs.c_p * dm_dt, flux, resid
 
 
 def _check_cfl(u, w, t, grid, dt):
@@ -448,8 +419,8 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
     """
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
-    if abs(n_steps * dt - scenario.t_end) > 1e-9 * max(1.0, scenario.t_end):
-        raise DomainError("t_end must be an integer multiple of dt")
+    if n_steps < 1 or abs(n_steps * dt - scenario.t_end) > 1e-9 * max(1.0, scenario.t_end):
+        raise DomainError("t_end must be a positive integer multiple of dt")
     every = None
     if snapshot_dt is not None:
         require_positive(snapshot_dt, "snapshot_dt")
@@ -470,7 +441,7 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
     # The source at each step time feeds both that time's trace row and the
     # step that starts there, so it is evaluated once per time.
     source = _source(scenario, t)
-    cur = _TraceCursor.start(scenario, tframe, t, temp, m, source)
+    prev = _trace_point(scenario, tframe, temp, m, scenario.wall_values(t), source)
     for n in range(1, n_steps + 1):
         _check_cfl(u, w, t, g, dt)
         u, w, temp, Pi, hist, walls = _step(scenario, tframe, dt, t, u, w, temp, m, hist, source)
@@ -479,9 +450,10 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
             raise DivergenceError("non-finite fields", step=n, time=t)
         m = gr._mean(temp)
         source = _source(scenario, t)
-        cur, row = _trace_row(cur, scenario, tframe, dt, t, temp, m, walls, source)
-        rows.append(row)
+        now = _trace_point(scenario, tframe, temp, m, walls, source)
+        rows.append(_trace_row(scenario, dt, t, prev, now))
+        prev = now
         if (every is not None and n % every == 0) or n == n_steps:
             times.append(t)
             states.append(ObState(VectorField(g, u, w), ScalarField(g, temp), ScalarField(g, Pi), t, frame))
-    return ObTrajectory(scenario, frame, dt, times, states, LambdaTrace(*np.array(rows).T))
+    return ObTrajectory(scenario, frame, dt, times, states, np.rec.fromrecords(rows, names=TRACE_COLUMNS))

@@ -21,7 +21,7 @@ leaves a finite value unchanged), so the ideal gas pays no fractional power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -66,6 +66,8 @@ class EosParams:
             raise DomainError("p_inf, a, eta0, beta must be >= 0")
         if not (self.mu0 > 0 and self.kappa0 > 0):
             raise DomainError("mu0 and kappa0 must be > 0")
+        if not np.isfinite(astuple(self)).all():
+            raise DomainError(f"EOS parameters must be finite, got {self}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bll.cli import _SCHEMA, ScenarioConfig, _resolve_threads, main, parse_config
 from bll.errors import ConfigError
+from bll.ob import TRACE_COLUMNS
 from bll.thermo import EosParams
 
 BASE = """\
@@ -158,6 +159,7 @@ def test_main_run_ob_artifacts_deterministic(tmp_path) -> None:
     trace = (outs[0] / "ob_trace.csv").read_bytes()
     assert trace == (outs[1] / "ob_trace.csv").read_bytes()
     assert trace.splitlines()[0] == b"t,mean_T,Lambda,flux,s24_residual"
+    assert trace.splitlines()[0].decode().split(",") == list(TRACE_COLUMNS)
     dat = (outs[0] / "ob_trace.dat").read_text().splitlines()
     assert dat[0] == "# t mean_T Lambda flux s24_residual"
     assert (outs[0] / "ob_final_profile.csv").exists()

@@ -69,6 +69,12 @@ def test_grid_spacings_and_validation() -> None:
         Grid(2, 8)
 
 
+@pytest.mark.parametrize("Lx", [float("nan"), float("inf"), -1.0, 0.0])
+def test_grid_rejects_bad_width(Lx) -> None:
+    with pytest.raises(ShapeError, match="Lx must be finite and positive"):
+        Grid(8, 4, Lx=Lx)
+
+
 def test_field_shape_validation() -> None:
     g = Grid(8, 4)
     with pytest.raises(ShapeError):

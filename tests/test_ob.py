@@ -91,6 +91,12 @@ def test_ob_time_parameters_reject_nan_and_inf() -> None:
             run_ob(_scenario(g, t_end=0.002), snapshot_dt=bad)
 
 
+def test_run_ob_rejects_t_end_below_one_step() -> None:
+    # t_end / dt rounds to 0 steps, within the multiple-of-dt tolerance.
+    with pytest.raises(DomainError, match="positive integer multiple of dt"):
+        run_ob(_scenario(Grid(8, 8), dt=1e-3, t_end=1e-13))
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_scenario_rejects_non_finite_walls(bad) -> None:
     g = Grid(8, 8)

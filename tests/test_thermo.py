@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,6 +248,16 @@ def test_eos_params_validation() -> None:
         EosParams(p_inf=-1.0)
     with pytest.raises(DomainError):
         EosParams(mu0=0.0)
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [(name, math.inf) for name in ("p_inf", "a", "mu0", "eta0", "kappa0", "beta", "s0")]
+    + [("s0", math.nan), ("s0", -math.inf)],
+)
+def test_eos_params_reject_non_finite(name, bad) -> None:
+    with pytest.raises(DomainError, match="must be finite"):
+        EosParams(**{name: bad})
 
 
 def test_thermo_point_validation() -> None:
