@@ -441,14 +441,9 @@ def _cmd_compare(cfg, outdir, say):
 def _cmd_hydrostatic(cfg, outdir, say):
     scenario = cfg.nsf_scenario()
     rho, theta = hydrostatic_stationary_1d(scenario)
-    header = ["z", "rho", "theta"]
-    columns = [scenario.grid.z_centers, rho, theta]
-    try:
-        rho_hat, theta_hat = discrete_hydrostatic_reference(scenario)
-        header += ["rho_hat", "theta_hat"]
-        columns += [rho_hat, theta_hat]
-    except ShapeError:
-        pass
+    rho_hat, theta_hat = discrete_hydrostatic_reference(scenario)
+    header = ["z", "rho", "theta", "rho_hat", "theta_hat"]
+    columns = [scenario.grid.z_centers, rho, theta, rho_hat, theta_hat]
     _write_table(outdir, "hydrostatic_profile", header, columns, cfg.formats)
     say(f"hydrostatic profile: rho in [{rho.min():.6g}, {rho.max():.6g}]")
     return 0

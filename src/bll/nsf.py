@@ -12,7 +12,8 @@ Flux dissipation is Rusanov-type but acts on deviations from a discrete
 hydrostatic reference (rho_hat, theta_hat): theta_hat is the exact steady
 state of the discrete conduction operator, and rho_hat satisfies the discrete
 face balance p_hat_{k+1} - p_hat_k = eps rho_hat_f (G_{k+1} - G_k) with the
-column mass pinned to rho_bar.  The reference is then an exact fixed point of
+column mass pinned to rho_bar, all faces and the mass row solved together by
+one damped Newton iteration.  The reference is then an exact fixed point of
 the whole scheme, dissipation never acts on the equilibrium stratification,
 and the potential force enters z-momentum in the balanced form
 G' (1 - rho_hat_f / rho_f).  Jumps split into an acoustic part (from the
@@ -26,6 +27,7 @@ every stage.  A run evaluates each state's thermodynamics once, with the
 unchecked thermo kernels, and shares it between the log row, the CFL bound
 (evaluated once per step) and the next step's first stage.  Each stage starts
 the Newton recovery of theta from rho*e at the previous stage's theta.
+scipy is imported only by the continuum oracle hydrostatic_stationary_1d.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .thermo import (
     _kappa,
     _mu,
     _pressure,
+    _pressure_derivatives,
     _rho_e,
     _sound_speed_squared,
     pressure,
@@ -105,6 +108,8 @@ class NsfScenario:
     U0: VectorField | None = None
 
     def __post_init__(self):
+        require_positive(self.rho_bar, "rho_bar")
+        require_positive(self.theta_bar, "theta_bar")
         if not 0.0 < self.eps <= 1.0:
             raise DomainError(f"eps must lie in (0, 1], got {self.eps}")
         if self.G is None:
@@ -218,87 +223,49 @@ def _conduction_profile(grid, eos, gb, gt):
     raise DomainError("discrete conduction profile did not converge")
 
 
-def _face_density_root(rho_l, th_l, th_r, dG_eps, eos):
-    """rho_r solving p(rho_r, th_r) - p(rho_l, th_l) = eps (rho_l+rho_r)/2 dG."""
-    p_l = float(pressure(np.asarray(rho_l), np.asarray(th_l), eos))
-    x = rho_l
+def _balanced_density(grid, eos, theta_hat, G_prof, eps, rho_bar):
+    """rho solving the nz - 1 face balances p(rho_{k+1}, theta_{k+1}) -
+    p(rho_k, theta_k) = eps (rho_k + rho_{k+1})/2 dG_k together with the mass
+    row dz sum(rho) = rho_bar: damped Newton from rho = rho_bar on the
+    bidiagonal-plus-mass-row Jacobian."""
+    nz = grid.nz
+    half_dG = 0.5 * eps * np.diff(G_prof)
+    k = np.arange(nz - 1)
+    jac = np.zeros((nz, nz))
+    jac[-1] = grid.dz
+    res = np.empty(nz)
+    rho = np.full(nz, float(rho_bar))
+    last = np.inf
     for _ in range(60):
-        f = float(pressure(np.asarray(x), np.asarray(th_r), eos)) - p_l - 0.5 * (rho_l + x) * dG_eps
-        df = float(pressure_derivatives(np.asarray(x), np.asarray(th_r), eos)[0]) - 0.5 * dG_eps
-        step = f / df
-        x = max(x - step, 0.5 * x)
-        if abs(step) <= 1e-15 * x:
-            return x
+        with np.errstate(over="ignore", invalid="ignore"):  # caught as a non-finite iterate
+            p = _pressure(rho, theta_hat, eos)
+            p_rho = _pressure_derivatives(rho, theta_hat, eos)[0]
+            res[:-1] = (p[1:] - p[:-1]) - half_dG * (rho[:-1] + rho[1:])
+            res[-1] = float(np.sum(rho)) * grid.dz - rho_bar
+            jac[k, k] = -p_rho[:-1] - half_dG
+            jac[k, k + 1] = p_rho[1:] - half_dG
+            try:
+                step = np.linalg.solve(jac, res)
+            except np.linalg.LinAlgError:
+                break
+            rho = np.maximum(rho - step, 0.5 * rho)
+        if not np.all(np.isfinite(rho)):
+            break
+        size = np.max(np.abs(step)) / np.max(rho)
+        # converged, or stalled at the rounding floor that a stiff p sets
+        if size <= 1e-15 or last <= size <= 1e-10:
+            return rho
+        last = size
     raise DomainError("hydrostatic face balance did not converge")
 
 
-def _brentq(f, xa, xb, xtol, rtol):
-    """Root of f in [xa, xb] by Brent's method: a step-for-step port of the C
-    iteration behind scipy.optimize.brentq (at most 100 iterations, same roots)."""
-    xpre, xcur, fpre, fcur = xa, xb, f(xa), f(xb)
-    if fpre == 0 or fcur == 0:
-        return xpre if fpre == 0 else xcur
-    if (fpre < 0) == (fcur < 0):
-        raise DomainError(f"Brent root not bracketed: f({xa})={fpre}, f({xb})={fcur}")
-    for _ in range(100):  # the first pass brackets, as the signs differ
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:  # bisect
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise DomainError("Brent root search did not converge in 100 iterations")
-
-
-def _shoot_mass(resid, rho_bar):
-    lo, hi = 0.7 * rho_bar, 1.4 * rho_bar
-    rlo, rhi = resid(lo), resid(hi)
-    for _ in range(4):
-        if rlo * rhi <= 0:
-            break
-        lo *= 0.5
-        hi *= 2.0
-        rlo, rhi = resid(lo), resid(hi)
-    else:
-        raise DomainError("hydrostatic mass shooting failed to bracket")
-    return _brentq(resid, lo, hi, xtol=1e-14, rtol=1e-12)
-
-
-def _balanced_density(grid, eos, theta_hat, G_prof, eps, rho_bar):
-    """Per-face pressure-jump chain with the bottom density shot so the column
-    mass is rho_bar."""
-    nz, dz = grid.nz, grid.dz
-    dG = eps * np.diff(G_prof)
-
-    def chain(b):
-        r = np.empty(nz)
-        r[0] = b
-        for k in range(nz - 1):
-            r[k + 1] = _face_density_root(r[k], theta_hat[k], theta_hat[k + 1], dG[k], eos)
-        return r
-
-    b = _shoot_mass(lambda b: float(np.sum(chain(b))) * dz - rho_bar, rho_bar)
-    return chain(b)
+def _is_column(scenario):
+    """Whether the stationary state is a z-profile: the potential is z-only and
+    each wall temperature theta_bar + eps Theta_B is constant."""
+    Gv = scenario.G.values
+    wb, wt = scenario.wall_theta()
+    z_only = float(np.max(np.abs(Gv - Gv[:1, :]))) <= 1e-12 * max(1.0, float(np.max(np.abs(Gv))))
+    return z_only and float(np.ptp(wb)) <= 1e-13 and float(np.ptp(wt)) <= 1e-13
 
 
 def _build_reference(scenario):
@@ -306,10 +273,7 @@ def _build_reference(scenario):
     eos = scenario.eos
     wb, wt = scenario.wall_theta()
     Gv = scenario.G.values
-    gscale = max(1.0, float(np.max(np.abs(Gv))))
-    z_only = float(np.max(np.abs(Gv - Gv[:1, :]))) <= 1e-12 * gscale
-    flat_walls = float(np.ptp(wb)) <= 1e-13 and float(np.ptp(wt)) <= 1e-13
-    if z_only and flat_walls:
+    if _is_column(scenario):
         theta_hat = _conduction_profile(g, eos, float(wb[0]), float(wt[0]))
         rho_hat = _balanced_density(g, eos, theta_hat, Gv[0], scenario.eps, scenario.rho_bar)
         p_hat = pressure(rho_hat, theta_hat, eos)
@@ -362,16 +326,14 @@ def hydrostatic_stationary_1d(scenario):
     """
     from scipy.integrate import solve_ivp
     from scipy.interpolate import CubicSpline
-    wb, wt = scenario.wall_values()
-    if float(np.ptp(wb)) > 1e-13 or float(np.ptp(wt)) > 1e-13:
-        raise ShapeError("hydrostatic profiles need per-wall-constant Theta_B")
-    Gv = scenario.G.values
-    if float(np.max(np.abs(Gv - Gv[:1, :]))) > 1e-12 * max(1.0, float(np.max(np.abs(Gv)))):
-        raise ShapeError("hydrostatic profiles need a z-only potential")
+    from scipy.optimize import brentq
+    if not _is_column(scenario):
+        raise ShapeError("hydrostatic profiles need a z-only potential and per-wall-constant Theta_B")
     eos = scenario.eos
     eps = scenario.eps
-    gb = scenario.theta_bar + eps * float(wb[0])
-    gt = scenario.theta_bar + eps * float(wt[0])
+    wb, wt = scenario.wall_theta()
+    gb, gt = float(wb[0]), float(wt[0])
+    Gv = scenario.G.values
     zc = scenario.grid.z_centers
 
     def K(th):
@@ -401,7 +363,20 @@ def hydrostatic_stationary_1d(scenario):
             raise DomainError(f"hydrostatic integration failed: {sol.message}")
         return sol
 
-    b = _shoot_mass(lambda b: column(b).y[1, -1] - scenario.rho_bar, scenario.rho_bar)
+    def mass_gap(b):
+        return column(b).y[1, -1] - scenario.rho_bar
+
+    lo, hi = 0.7 * scenario.rho_bar, 1.4 * scenario.rho_bar
+    for _ in range(4):
+        if mass_gap(lo) * mass_gap(hi) <= 0:
+            break
+        lo *= 0.5
+        hi *= 2.0
+    else:
+        raise DomainError("hydrostatic mass shooting failed to bracket")
+    b, info = brentq(mass_gap, lo, hi, xtol=1e-14, rtol=1e-12, full_output=True, disp=False)
+    if not info.converged:
+        raise DomainError(f"hydrostatic mass shooting did not converge: {info.flag}")
     rho_prof = column(b).sol(zc)[0]
     return rho_prof, np.asarray(theta_of(zc), dtype=float) + np.zeros_like(zc)
 

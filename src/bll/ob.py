@@ -101,6 +101,8 @@ class ObScenario:
     temp_source: object = None
 
     def __post_init__(self):
+        require_positive(self.rho_bar, "rho_bar")
+        require_positive(self.theta_bar, "theta_bar")
         if self.G is None:
             self.G = ScalarField.zeros(self.grid)
         if abs(mean(self.G)) > 1e-12:

@@ -29,7 +29,6 @@ from .errors import DomainError, StabilityError
 
 __all__ = [
     "EosParams",
-    "ThermoPoint",
     "ObCoefficients",
     "HypothesisReport",
     "pressure",
@@ -68,20 +67,6 @@ class EosParams:
             raise DomainError("mu0 and kappa0 must be > 0")
         if not np.isfinite(astuple(self)).all():
             raise DomainError(f"EOS parameters must be finite, got {self}")
-
-
-@dataclass(frozen=True)
-class ThermoPoint:
-    """A single (rho, theta) state; both strictly positive."""
-
-    rho: float
-    theta: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.rho) and np.isfinite(self.theta)):
-            raise DomainError("non-finite thermodynamic state")
-        if self.rho <= 0 or self.theta <= 0:
-            raise DomainError("rho and theta must be > 0")
 
 
 @dataclass(frozen=True)
@@ -267,9 +252,9 @@ def ob_coefficients(rho_bar, theta_bar, eos):
     c_p   = e_theta + theta_bar alpha p_theta / rho_bar,
     lam   = theta_bar alpha p_theta / (rho_bar c_p).
     """
-    pt = ThermoPoint(rho_bar, theta_bar)
-    p_rho, p_theta = pressure_derivatives(pt.rho, pt.theta, eos)
-    e_th = energy_dtheta(pt.rho, pt.theta, eos)
+    rho, theta = _check_state(rho_bar, theta_bar)
+    p_rho, p_theta = _pressure_derivatives(rho, theta, eos)
+    e_th = _energy_dtheta(rho, theta, eos)
     p_rho = float(p_rho)
     p_theta = float(p_theta)
     e_th = float(e_th)
@@ -285,8 +270,8 @@ def ob_coefficients(rho_bar, theta_bar, eos):
     lam = theta_bar * alpha * p_theta / (rho_bar * c_p)
     if not 0.0 < lam < 1.0:
         raise StabilityError(f"mixing weight lambda={lam} outside (0, 1)")
-    s_rho, s_theta = entropy_derivatives(pt.rho, pt.theta, eos)
-    _, _, kappa_bar = transport(theta_bar, eos)
+    s_rho, s_theta = _entropy_derivatives(rho, theta, eos)
+    kappa_bar = _kappa(theta, eos)
     return ObCoefficients(
         rho_bar=float(rho_bar),
         theta_bar=float(theta_bar),

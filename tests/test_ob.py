@@ -91,6 +91,13 @@ def test_ob_time_parameters_reject_nan_and_inf() -> None:
             run_ob(_scenario(g, t_end=0.002), snapshot_dt=bad)
 
 
+@pytest.mark.parametrize("name", ["rho_bar", "theta_bar"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 0.0])
+def test_scenario_rejects_bad_reference_state(name, bad) -> None:
+    with pytest.raises(DomainError, match=f"{name} must be finite and positive"):
+        _scenario(Grid(8, 8), **{name: bad})
+
+
 def test_run_ob_rejects_t_end_below_one_step() -> None:
     # t_end / dt rounds to 0 steps, within the multiple-of-dt tolerance.
     with pytest.raises(DomainError, match="positive integer multiple of dt"):

@@ -13,7 +13,6 @@ from bll import thermo
 from bll.errors import DomainError, StabilityError
 from bll.thermo import (
     EosParams,
-    ThermoPoint,
     check_hypotheses,
     check_limit_identities,
     energy_dtheta,
@@ -261,10 +260,10 @@ def test_eos_params_reject_non_finite(name, bad) -> None:
 
 
 def test_thermo_point_validation() -> None:
-    with pytest.raises(DomainError):
-        ThermoPoint(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        ThermoPoint(1.0, float("nan"))
+    with pytest.raises(DomainError, match="must be > 0"):
+        ob_coefficients(-1.0, 1.0, IDEAL)
+    with pytest.raises(DomainError, match="non-finite"):
+        ob_coefficients(1.0, float("nan"), IDEAL)
     with pytest.raises(DomainError):
         pressure(1.0, -2.0, IDEAL)
 
