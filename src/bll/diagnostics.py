@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, DomainError, DivergenceError, ShapeError, StabilityError
-from .grid import ScalarField, Staggering, VectorField, _xprev, xface_to_center, zface_to_center
+from .grid import ScalarField, Staggering, VectorField, center_to_xface, xface_to_center, zface_to_center
 from .nsf import NsfScenario, run_nsf
 from .ob import T_FRAME, THETA_FRAME, recover_density_deviation, run_ob, transform_frame
 from .thermo import entropy, internal_energy, pressure, rho_e
@@ -287,7 +287,7 @@ def deviation_error_norms(nsf_traj, ob_traj, eps, scenario):
             float(np.sum(np.abs((nstate.theta.values - theta_bar) / eps - ostate.temp.values)))
             * vol,
         )
-        rho_fx = 0.5 * (_xprev(rho) + rho)
+        rho_fx = center_to_xface(rho)
         rho_fz = 0.5 * (rho[:, 1:] + rho[:, :-1])
         du = np.sqrt(rho_fx) * nstate.U.u - sr_bar * ostate.U.u
         dw = np.sqrt(rho_fz) * nstate.U.w[:, 1:-1] - sr_bar * ostate.U.w[:, 1:-1]

@@ -259,6 +259,24 @@ def _xnext(a):
     return out
 
 
+# The periodic x-differences and face averages finish in the neighbour copy,
+# in place, so each allocates one array and makes no temporary.
+
+
+def _xdiff_prev(a):
+    """a - a[i-1] along the periodic x axis."""
+    out = _xprev(a)
+    np.subtract(a, out, out=out)
+    return out
+
+
+def _xdiff_next(a):
+    """a[i+1] - a along the periodic x axis."""
+    out = _xnext(a)
+    out -= a
+    return out
+
+
 def _mean(vals):
     """float(np.mean(vals)) bit for bit (the same pairwise sum and division),
     without np.mean's wrapper."""
@@ -278,7 +296,7 @@ def grad(f, bc=NeumannZ()):
         raise ShapeError("grad expects a center-staggered field")
     g = f.grid
     vals = f.values
-    gx = (vals - _xprev(vals)) / g.dx
+    gx = _xdiff_prev(vals) / g.dx
     gz = np.zeros((g.nx, g.nz + 1))
     gz[:, 1:-1] = (vals[:, 1:] - vals[:, :-1]) / g.dz
     if isinstance(bc, DirichletZ):
@@ -296,18 +314,24 @@ def grad(f, bc=NeumannZ()):
 def div(v):
     """Divergence of a face vector field onto cell centers."""
     g = v.grid
-    dudx = (_xnext(v.u) - v.u) / g.dx
+    dudx = _xdiff_next(v.u) / g.dx
     dwdz = (v.w[:, 1:] - v.w[:, :-1]) / g.dz
     return ScalarField(g, dudx + dwdz, Staggering.CENTER)
 
 
 def center_to_xface(vals):
     """Average center values onto x-faces (periodic)."""
-    return 0.5 * (vals + _xprev(vals))
+    out = _xprev(vals)
+    out += vals
+    out *= 0.5
+    return out
 
 
 def xface_to_center(u):
-    return 0.5 * (u + _xnext(u))
+    out = _xnext(u)
+    out += u
+    out *= 0.5
+    return out
 
 
 def zface_to_center(w):
@@ -326,19 +350,21 @@ def advect_velocity(grid, u, w):
     mirrors and the wall rows of the w component stay zero.
     """
     dx, dz = grid.dx, grid.dz
-    ur = _xnext(u)
+    ur, wl = _xnext(u), _xprev(w)
     dudx = (ur - _xprev(u)) / (2 * dx)
     up = _pad_mirror_z(u)
     dudz = (up[:, 2:] - up[:, :-2]) / (2 * dz)
-    wl = _xprev(w)
-    # x-neighbor pairs are summed first so mirroring the data in x commutes
-    # with the stencil bit for bit (pair sums only ever swap operands).
-    w_at_x = 0.25 * ((w[:, :-1] + wl[:, :-1]) + (w[:, 1:] + wl[:, 1:]))
+    # x-neighbor pairs are summed first, once over the whole array, so
+    # mirroring the data in x commutes with the stencil bit for bit (pair
+    # sums only ever swap operands).
+    w_pairs = w + wl
+    w_at_x = 0.25 * (w_pairs[:, :-1] + w_pairs[:, 1:])
     adv_u = -(u * dudx + w_at_x * dudz)
 
     dwdx = (_xnext(w) - wl) / (2 * dx)
     adv_w = np.zeros(w.shape)
-    u_at_z = 0.25 * ((u[:, :-1] + ur[:, :-1]) + (u[:, 1:] + ur[:, 1:]))
+    u_pairs = u + ur
+    u_at_z = 0.25 * (u_pairs[:, :-1] + u_pairs[:, 1:])
     dwdz = (w[:, 2:] - w[:, :-2]) / (2 * dz)
     adv_w[:, 1:-1] = -(u_at_z * dwdx[:, 1:-1] + w[:, 1:-1] * dwdz)
     return adv_u, adv_w

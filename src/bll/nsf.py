@@ -207,13 +207,15 @@ def _conduction_profile(grid, eos, gb, gt):
     form 2 kappa(g) (theta_0 - g)/dz.  Picard iteration: each pass solves
     the frozen-kappa operator, the z-solver with kappa as face weights.  The
     walls are constant, so only the kx = 0 mode carries data, and the
-    operator is built on the narrowest grid (4 columns) of the same nz."""
+    operator is built on the narrowest grid (4 columns) of the same nz.  The
+    iteration converges linearly, a few percent per pass when kappa spans
+    decades between the walls, so it may take up to 2,000 passes."""
     scale = max(abs(gb), abs(gt))
     if abs(gt - gb) <= 1e-14 * scale:
         return np.full(grid.nz, 0.5 * (gb + gt))
     column = Grid(4, grid.nz)
     th = gb + (gt - gb) * grid.z_centers
-    for _ in range(400):
+    for _ in range(2000):
         faces = transport(np.concatenate([[gb], 0.5 * (th[:-1] + th[1:]), [gt]]), eos)[2]
         new = gr._ZOperator(column, 1.0, "mirror", a=0.0, faces=faces).solve(None, gb, gt)[0]
         done = np.max(np.abs(new - th)) <= 1e-13 * scale
@@ -285,7 +287,7 @@ def _build_reference(scenario):
         p_hat = np.zeros(g.nz)
         E_hat = np.zeros(g.nz)
         balanced = False
-    dGx = Gv - gr._xprev(Gv)
+    dGx = gr._xdiff_prev(Gv)
     return _NsfAux(
         rho_hat=rho_hat,
         theta_hat=theta_hat,
@@ -321,7 +323,8 @@ def hydrostatic_stationary_1d(scenario):
     theta^{beta+1}/(beta+1)), which is linear in z between the wall
     temperatures.  rho integrates p(rho, theta(z))' = eps rho G'(z) with an
     augmented mass variable, shooting the bottom density so the column mass
-    is rho_bar.  Independent of the flux discretization: scipy (imported here
+    is rho_bar from the bracket [0.7, 1.4] rho_bar, halved and doubled up to
+    12 times.  Independent of the flux discretization: scipy (imported here
     only) quadrature-grade ODE integration against a spline of the potential.
     """
     from scipy.integrate import solve_ivp
@@ -367,7 +370,7 @@ def hydrostatic_stationary_1d(scenario):
         return column(b).y[1, -1] - scenario.rho_bar
 
     lo, hi = 0.7 * scenario.rho_bar, 1.4 * scenario.rho_bar
-    for _ in range(4):
+    for _ in range(13):  # the first bracket and up to 12 widenings
         if mass_gap(lo) * mass_gap(hi) <= 0:
             break
         lo *= 0.5
@@ -437,10 +440,11 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
 
     # x faces: face i sits between centers i-1 and i.
     th_l = gr._xprev(th)
+    th_pairs = th + th_l  # x-pairs summed once, for the faces and the corners
     rho_fx = center_to_xface(rho)
-    jp_x = dp - gr._xprev(dp)
-    jr_x = dr - gr._xprev(dr)
-    jE_x = dE - gr._xprev(dE)
+    jp_x = gr._xdiff_prev(dp)
+    jr_x = gr._xdiff_prev(dr)
+    jE_x = gr._xdiff_prev(dE)
     c2_fx = center_to_xface(c2)
     s_ac = np.abs(u) + np.sqrt(c2_fx) / eps
     s_ad = np.abs(u)
@@ -448,7 +452,7 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     jE_ac = center_to_xface(spec_h) * jr_ac
     Fm_x = u * rho_fx - 0.5 * (s_ac * jr_ac + s_ad * (jr_x - jr_ac))
     FE_x = u * center_to_xface(E) - 0.5 * (s_ac * jE_ac + s_ad * (jE_x - jE_ac))
-    FE_x -= _kappa(0.5 * (th_l + th), eos) * (th - th_l) / dx
+    FE_x -= _kappa(0.5 * th_pairs, eos) * (th - th_l) / dx
 
     # z faces: interior face k (1..nz-1) sits between centers k-1 and k.
     wi = w[:, 1:-1]
@@ -472,12 +476,12 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     FE_z[:, 0] = -aux.kap_b * 2.0 * (th[:, 0] - aux.wall_b) / dz
     FE_z[:, -1] = -aux.kap_t * 2.0 * (aux.wall_t - th[:, -1]) / dz
 
-    d_rho = -((gr._xnext(Fm_x) - Fm_x) / dx + (Fm_z[:, 1:] - Fm_z[:, :-1]) / dz)
-    d_E = -((gr._xnext(FE_x) - FE_x) / dx + (FE_z[:, 1:] - FE_z[:, :-1]) / dz)
+    d_rho = -(gr._xdiff_next(Fm_x) / dx + (Fm_z[:, 1:] - Fm_z[:, :-1]) / dz)
+    d_E = -(gr._xdiff_next(FE_x) / dx + (FE_z[:, 1:] - FE_z[:, :-1]) / dz)
 
     # Newton stress in d = 2: S = mu (grad U + grad U^T - div U I) + eta div U I.
     adv_u, adv_w = advect_velocity(g, u, w)
-    Dxx = (gr._xnext(u) - u) / dx
+    Dxx = gr._xdiff_next(u) / dx
     Dzz = (w[:, 1:] - w[:, :-1]) / dz
     divU = Dxx + Dzz
     Sxx = mu * (Dxx - Dzz)
@@ -489,18 +493,18 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     shear[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / dz
     shear[:, 0] = 2.0 * u[:, 0] / dz
     shear[:, -1] = -2.0 * u[:, -1] / dz
-    shear += (w - gr._xprev(w)) / dx
+    shear += gr._xdiff_prev(w) / dx
     th_corner = np.empty_like(w)
     # x-pairs first: keeps the average bitwise equal under x-mirroring.
-    th_corner[:, 1:-1] = 0.25 * ((th[:, 1:] + th_l[:, 1:]) + (th[:, :-1] + th_l[:, :-1]))
-    th_corner[:, 0] = 0.5 * (aux.wall_b + gr._xprev(aux.wall_b))
-    th_corner[:, -1] = 0.5 * (aux.wall_t + gr._xprev(aux.wall_t))
+    th_corner[:, 1:-1] = 0.25 * (th_pairs[:, 1:] + th_pairs[:, :-1])
+    th_corner[:, 0] = center_to_xface(aux.wall_b)
+    th_corner[:, -1] = center_to_xface(aux.wall_t)
     Sxz = _mu(th_corner, eos) * shear
 
     du = (
         adv_u
         - jp_x / (eps * eps * rho_fx * dx)
-        + ((Sxx - gr._xprev(Sxx)) / dx + (Sxz[:, 1:] - Sxz[:, :-1]) / dz) / rho_fx
+        + (gr._xdiff_prev(Sxx) / dx + (Sxz[:, 1:] - Sxz[:, :-1]) / dz) / rho_fx
     )
     if aux.dGx is not None:
         du += aux.dGx / (eps * dx)
@@ -510,7 +514,7 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
         - jp_z / (eps * eps * rho_fz * dz)
         + aux.dGz / (eps * dz) * (1.0 - aux.rho_hat_f[None, :] / rho_fz)
         + (
-            (gr._xnext(Sxz[:, 1:-1]) - Sxz[:, 1:-1]) / dx
+            gr._xdiff_next(Sxz[:, 1:-1]) / dx
             + (Szz[:, 1:] - Szz[:, :-1]) / dz
         )
         / rho_fz
@@ -518,8 +522,9 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
 
     # eps^2 S : grad U >= 0 cell-wise; the shear square is corner-averaged.
     sh2 = shear * shear
-    sh2_r = gr._xnext(sh2)
-    sh2_c = 0.25 * ((sh2[:, :-1] + sh2_r[:, :-1]) + (sh2[:, 1:] + sh2_r[:, 1:]))
+    sh2_pairs = gr._xnext(sh2)
+    sh2_pairs += sh2
+    sh2_c = 0.25 * (sh2_pairs[:, :-1] + sh2_pairs[:, 1:])
     diss = mu * ((Dxx - Dzz) ** 2 + sh2_c)
     if eta is not None:
         diss += eta * divU * divU

@@ -13,6 +13,12 @@ frame; the frames differ only in the buoyancy and in the unit response
 kernel on raw arrays: step_ob validates and wraps it, and run_ob calls it
 directly and builds fields only for its snapshots.
 
+run_ob's trace audits the non-local coupling at every step.  The loop only
+records each step's mean, the cell rows next to the walls, the wall values
+and the source mean, in buffers of _TRACE_BLOCK steps; the rows of a block
+are formed in one vectorised pass, element for element the arithmetic of a
+row formed per step.
+
 Momentum: explicit Adams-Bashforth-2 advection and buoyancy, implicit Euler
 diffusion (viscosity mu(theta_bar)), non-incremental Chorin projection.
 Scalar advection is in divergence form, so the discrete mean of the
@@ -168,10 +174,10 @@ def _project(u, w, dt, grid):
     """Chorin projection of the face arrays (u, w): returns the discretely
     divergence-free pair (w with zero wall rows) and the potential phi whose
     gradient was removed."""
-    rhs = (gr._xnext(u) - u) / grid.dx + (w[:, 1:] - w[:, :-1]) / grid.dz
+    rhs = gr._xdiff_next(u) / grid.dx + (w[:, 1:] - w[:, :-1]) / grid.dz
     rhs /= dt
     phi, _ = gr._poisson(rhs, grid)
-    u_new = u - dt * ((phi - gr._xprev(phi)) / grid.dx)
+    u_new = u - dt * (gr._xdiff_prev(phi) / grid.dx)
     w_new = np.zeros(w.shape)
     w_new[:, 1:-1] = w[:, 1:-1] - dt * ((phi[:, 1:] - phi[:, :-1]) / grid.dz)
     return u_new, w_new, phi
@@ -182,7 +188,7 @@ def _advect_scalar(grid, u, w, vals):
     fx = u * center_to_xface(vals)
     fz = np.zeros(w.shape)
     fz[:, 1:-1] = w[:, 1:-1] * 0.5 * (vals[:, 1:] + vals[:, :-1])
-    dfx = (gr._xnext(fx) - fx) / grid.dx
+    dfx = gr._xdiff_next(fx) / grid.dx
     dfz = (fz[:, 1:] - fz[:, :-1]) / grid.dz
     return -(dfx + dfz)
 
@@ -343,62 +349,113 @@ def boundary_heat_flux(vals, grid, wall_bottom, wall_top, kappa_bar):
     This stencil is exactly the conservative wall flux of the implicit
     diffusion step, so the reported flux is the one the scheme moves.
     """
+    return float(_quadratic_wall_flux(
+        grid, kappa_bar, wall_bottom, vals[:, 0], vals[:, 1], wall_top, vals[:, -1], vals[:, -2]
+    ))
+
+
+def _quadratic_wall_flux(grid, kappa_bar, wb, b0, b1, wt, t0, t1):
+    """boundary_heat_flux from the wall values and the two cell rows next to
+    each wall (b0, b1 up from the bottom, t0, t1 down from the top), summed
+    along the last axis, so rows stacked per step give one flux per step."""
     dz = grid.dz
-    dn_bottom = (-8.0 * wall_bottom / 3.0 + 3.0 * vals[:, 0] - vals[:, 1] / 3.0) / dz
-    dn_top = (8.0 * wall_top / 3.0 - 3.0 * vals[:, -1] + vals[:, -2] / 3.0) / dz
-    return kappa_bar * grid.dx * float((dn_top - dn_bottom).sum())
+    dn_bottom = (-8.0 * wb / 3.0 + 3.0 * b0 - b1 / 3.0) / dz
+    dn_top = (8.0 * wt / 3.0 - 3.0 * t0 + t1 / 3.0) / dz
+    return kappa_bar * grid.dx * (dn_top - dn_bottom).sum(axis=-1)
 
 
 _CUBIC_WALL = (-46.0 / 15.0, 15.0 / 4.0, -5.0 / 6.0, 3.0 / 20.0)
 
-
-def _flux_cubic(vals, grid, wall_bottom, wall_top):
-    """Outward flux integral with the one-sided cubic stencil (wall value and
-    three cell centers).  Independent of the scheme's own flux, so the
-    balance residual keeps an honest discretization error signal."""
-    c0, c1, c2, c3 = _CUBIC_WALL
-    dz = grid.dz
-    dn_bottom = (c0 * wall_bottom + c1 * vals[:, 0] + c2 * vals[:, 1] + c3 * vals[:, 2]) / dz
-    dn_top = -(c0 * wall_top + c1 * vals[:, -1] + c2 * vals[:, -2] + c3 * vals[:, -3]) / dz
-    return grid.dx * float((dn_top - dn_bottom).sum())
+# run_ob forms its trace rows in blocks of at most this many steps.
+_TRACE_BLOCK = 256
 
 
-def _trace_point(scenario, tframe, temp, m, walls, source):
-    """(T-frame mean, quadratic-stencil flux, cubic-stencil flux, source
-    mean) of the frame's field temp, whose mean is m, under the wall values
-    walls and the source values source."""
-    if not tframe:
-        # Theta differs from T by the constant lam/(1-lam) fint(Theta), so adding
-        # the shift to field and walls recovers the T-frame pair exactly.
-        lam = scenario.lam_effective()
-        m, temp = m / (1.0 - lam), temp + lam / (1.0 - lam) * m
-    g, (wb, wt) = scenario.grid, walls
-    flux = boundary_heat_flux(temp, g, wb, wt, scenario.coefficients().kappa_bar)
-    source_mean = 0.0 if source is None else float(np.mean(source))
-    return m, flux, _flux_cubic(temp, g, wb, wt), source_mean
+class _TraceRecorder:
+    """run_ob's trace, recorded per step and formed per block.
 
-
-def _trace_row(scenario, dt, t, prev, now):
-    """The trace row at time t from the trace points prev and now of two
-    states a step dt apart.
-
-    Lambda is the pinned backward difference.  The balance residual integrates
-    the mean-temperature identity over the step: backward-difference mean
-    change against the trapezoidal average of the cubic-stencil wall flux
-    (plus the source mean when a source hook is active).  The flux column
-    itself reports the scheme's conservative (quadratic-stencil) flux.
+    Each step stores its time, its frame mean, the three cell rows next to
+    each wall, the wall values and the source mean; each block of at most
+    _TRACE_BLOCK steps then becomes trace rows in one vectorised pass with
+    the arithmetic of boundary_heat_flux and the cubic stencil element for
+    element.  Slot 0 of the buffers holds the step before the block.
     """
-    m_prev, _, fc_prev, sm_prev = prev
-    m, flux, fc, sm = now
-    volume, coeffs, lam = scenario.grid.volume, scenario.coefficients(), scenario.lam_effective()
-    dm_dt = (m - m_prev) / dt
-    nu_T = coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
-    resid = (
-        (1.0 - lam) * volume * dm_dt
-        - nu_T * 0.5 * (fc + fc_prev)
-        - volume * 0.5 * (sm + sm_prev)
-    )
-    return t, m, lam * scenario.rho_bar * coeffs.c_p * dm_dt, flux, resid
+
+    def __init__(self, scenario, tframe, n_steps, temp, m, walls, source):
+        self.scenario, self.tframe = scenario, tframe
+        size = min(n_steps, _TRACE_BLOCK) + 1
+        self.m, self.sm = np.empty(size), np.empty(size)
+        # Per slot: bottom wall, cells 0, 1, 2, cells nz-3, nz-2, nz-1, top wall.
+        self.rows = np.empty((size, 8, scenario.grid.nx))
+        self.trace = np.recarray(n_steps, dtype=[(name, float) for name in TRACE_COLUMNS])
+        self.t = self.trace["t"]
+        self.filled = self.done = 0
+        self._store(0, temp, m, walls, source)
+
+    def _store(self, j, temp, m, walls, source):
+        self.m[j] = m
+        self.sm[j] = 0.0 if source is None else float(np.mean(source))
+        row = self.rows[j]
+        row[0], row[7] = walls
+        row[1:4] = temp[:, :3].T
+        row[4:7] = temp[:, -3:].T
+
+    def record(self, t, temp, m, walls, source):
+        """Store the state after the next step; t is its time."""
+        self.t[self.done + self.filled] = t
+        self.filled += 1
+        self._store(self.filled, temp, m, walls, source)
+        if self.filled == len(self.m) - 1:
+            self._form()
+
+    def _form(self):
+        """Form the rows of the filled slots and carry the last one to slot 0.
+
+        Lambda is the pinned backward difference of the T-frame mean.  The
+        balance residual integrates the mean-temperature identity over each
+        step: backward-difference mean change against the trapezoidal average
+        of the cubic-stencil wall flux (plus the source mean when a source
+        hook is active).  The flux column reports the scheme's conservative
+        (quadratic-stencil) flux.
+        """
+        sc, n = self.scenario, self.filled
+        g, coeffs, lam = sc.grid, sc.coefficients(), sc.lam_effective()
+        m, sm, rows = self.m[: n + 1], self.sm[: n + 1], self.rows[: n + 1]
+        wb, wt = rows[:, 0], rows[:, 7]
+        cells = rows[:, 1:7]
+        if not self.tframe:
+            # Theta differs from T by the constant lam/(1-lam) fint(Theta), so
+            # shifting the cells recovers the T-frame pair exactly.
+            m, cells = m / (1.0 - lam), cells + (lam / (1.0 - lam) * m)[:, None, None]
+        v0, v1, v2, vt2, vt1, vt0 = cells.transpose(1, 0, 2)
+        flux = _quadratic_wall_flux(g, coeffs.kappa_bar, wb, v0, v1, wt, vt0, vt1)
+        # The cubic stencil (wall value and three cells) is independent of the
+        # scheme's own flux, so the residual keeps an honest discretization
+        # error signal.
+        c0, c1, c2, c3 = _CUBIC_WALL
+        dn_bottom = (c0 * wb + c1 * v0 + c2 * v1 + c3 * v2) / g.dz
+        dn_top = -(c0 * wt + c1 * vt0 + c2 * vt1 + c3 * vt2) / g.dz
+        fc = g.dx * (dn_top - dn_bottom).sum(axis=1)
+
+        dm_dt = (m[1:] - m[:-1]) / sc.dt
+        nu_T = coeffs.kappa_bar / (sc.rho_bar * coeffs.c_p)
+        block = slice(self.done, self.done + n)
+        self.trace["mean_T"][block] = m[1:]
+        self.trace["Lambda"][block] = lam * sc.rho_bar * coeffs.c_p * dm_dt
+        self.trace["flux"][block] = flux[1:]
+        self.trace["s24_residual"][block] = (
+            (1.0 - lam) * g.volume * dm_dt
+            - nu_T * 0.5 * (fc[1:] + fc[:-1])
+            - g.volume * 0.5 * (sm[1:] + sm[:-1])
+        )
+        self.m[0], self.sm[0], self.rows[0] = self.m[n], self.sm[n], self.rows[n]
+        self.done += n
+        self.filled = 0
+
+    def finish(self):
+        """The trace, once every step is recorded."""
+        if self.filled:
+            self._form()
+        return self.trace
 
 
 def _check_cfl(u, w, t, grid, dt):
@@ -439,11 +496,10 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
     m = mean(state.temp)
     times = [t]
     states = [state]  # a private copy, and the steps never write to their inputs
-    rows = []
-    # The source at each step time feeds both that time's trace row and the
-    # step that starts there, so it is evaluated once per time.
+    # The source at each step time feeds both that time's trace record and
+    # the step that starts there, so it is evaluated once per time.
     source = _source(scenario, t)
-    prev = _trace_point(scenario, tframe, temp, m, scenario.wall_values(t), source)
+    trace = _TraceRecorder(scenario, tframe, n_steps, temp, m, scenario.wall_values(t), source)
     for n in range(1, n_steps + 1):
         _check_cfl(u, w, t, g, dt)
         u, w, temp, Pi, hist, walls = _step(scenario, tframe, dt, t, u, w, temp, m, hist, source)
@@ -452,10 +508,8 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
             raise DivergenceError("non-finite fields", step=n, time=t)
         m = gr._mean(temp)
         source = _source(scenario, t)
-        now = _trace_point(scenario, tframe, temp, m, walls, source)
-        rows.append(_trace_row(scenario, dt, t, prev, now))
-        prev = now
+        trace.record(t, temp, m, walls, source)
         if (every is not None and n % every == 0) or n == n_steps:
             times.append(t)
             states.append(ObState(VectorField(g, u, w), ScalarField(g, temp), ScalarField(g, Pi), t, frame))
-    return ObTrajectory(scenario, frame, dt, times, states, np.rec.fromrecords(rows, names=TRACE_COLUMNS))
+    return ObTrajectory(scenario, frame, dt, times, states, trace.finish())

@@ -287,6 +287,24 @@ def test_main_hydrostatic_profiles_and_validation_exit(tmp_path) -> None:
     assert not (tmp_path / "h2" / "manifest.ini").exists()
 
 
+def test_main_hydrostatic_strongly_stratified_column(tmp_path) -> None:
+    # The oracle brackets a bottom density of 14 rho_bar (exit 11 when it
+    # widened its bracket only three times).
+    text = (
+        BASE.replace("nx = 16\nnz = 8", "nx = 4\nnz = 32")
+        .replace("g = 1", "g = 10")
+        .replace("theta_b_bottom = 0.2\ntheta_b_top = -0.2", "theta_b_bottom = -0.5\ntheta_b_top = 0.5")
+        .replace("eps = 0.2", "eps = 1")
+    )
+    out = tmp_path / "hydro"
+    assert main(["hydrostatic", "--config", _write(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    rows = np.loadtxt(out / "hydrostatic_profile.csv", delimiter=",", skiprows=1)
+    z, rho, theta, rho_hat, theta_hat = rows.T
+    assert len(z) == 32 and rho_hat[0] > 11.2
+    assert np.max(np.abs(rho - rho_hat) / rho_hat) <= 0.1
+    assert np.max(np.abs(theta - theta_hat) / theta_hat) <= 0.1
+
+
 def test_main_exit_codes_for_config_and_io(tmp_path, capsys) -> None:
     bad = _write(tmp_path, "[nsf]\neps = 2.5\n")
     assert main(["run-ob", "--config", bad, "--quiet"]) == 10

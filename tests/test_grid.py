@@ -19,14 +19,23 @@ from bll.grid import (
     ScalarField,
     Staggering,
     VectorField,
+    advect_velocity,
+    center_to_xface,
     div,
     grad,
     helmholtz_solve,
     helmholtz_solve_zface,
     mean,
     poisson_solve,
+    xface_to_center,
 )
-from bll.grid import _wall_array, _ZOperator, _zop
+from bll.grid import (
+    _wall_array,
+    _xdiff_next,
+    _xdiff_prev,
+    _ZOperator,
+    _zop,
+)
 
 
 def _ghost_pad_z(vals, bc, nx):
@@ -109,6 +118,45 @@ def test_mean_is_bitwise_np_mean(data, nx, nz, fortran) -> None:
     assert type(got) is float
     assert got == float(np.mean(vals))
     assert np.float64(got).tobytes() == np.mean(vals).tobytes()
+
+
+@pytest.mark.parametrize("nz", [8, 9])  # a centre and a z-face shape
+@pytest.mark.parametrize("nx", [4, 5, 64])
+def test_periodic_x_stencils_match_roll_formulas_bitwise(nx, nz) -> None:
+    rng = np.random.default_rng(nx * 100 + nz)
+    a = rng.standard_normal((nx, nz)) * np.exp(rng.uniform(-20.0, 20.0, (nx, nz)))
+    prev, nxt = np.roll(a, 1, axis=0), np.roll(a, -1, axis=0)
+    for got, want in (
+        (_xdiff_prev(a), a - prev),
+        (_xdiff_next(a), nxt - a),
+        (center_to_xface(a), 0.5 * (a + prev)),
+        (xface_to_center(a), 0.5 * (a + nxt)),
+        (_xdiff_prev(a[:, 0]), a[:, 0] - prev[:, 0]),  # a wall row
+        (center_to_xface(a[:, 0]), 0.5 * (a[:, 0] + prev[:, 0])),
+    ):
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("nx", [4, 5, 64])
+def test_advect_velocity_matches_roll_formulas_bitwise(nx) -> None:
+    nz = 9
+    rng = np.random.default_rng(nx)
+    u = rng.standard_normal((nx, nz))
+    w = rng.standard_normal((nx, nz + 1))
+    w[:, [0, -1]] = 0.0
+    dx, dz = 1.0 / nx, 1.0 / nz
+    ur, ul, wr, wl = (np.roll(a, s, axis=0) for a in (u, w) for s in (-1, 1))
+    up = np.concatenate([-u[:, :1], u, -u[:, -1:]], axis=1)
+    w_at_x = 0.25 * ((w[:, :-1] + wl[:, :-1]) + (w[:, 1:] + wl[:, 1:]))
+    want_u = -(u * ((ur - ul) / (2 * dx)) + w_at_x * ((up[:, 2:] - up[:, :-2]) / (2 * dz)))
+    u_at_z = 0.25 * ((u[:, :-1] + ur[:, :-1]) + (u[:, 1:] + ur[:, 1:]))
+    want_w = np.zeros_like(w)
+    want_w[:, 1:-1] = -(
+        u_at_z * ((wr - wl) / (2 * dx))[:, 1:-1] + w[:, 1:-1] * ((w[:, 2:] - w[:, :-2]) / (2 * dz))
+    )
+    adv_u, adv_w = advect_velocity(Grid(nx, nz), u, w)
+    assert np.array_equal(adv_u, want_u)
+    assert np.array_equal(adv_w, want_w)
 
 
 def test_grad_of_constant_is_zero() -> None:

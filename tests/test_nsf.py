@@ -201,6 +201,31 @@ def test_discrete_reference_builds_strong_stratification_or_raises() -> None:
         discrete_hydrostatic_reference(sc)
 
 
+def test_discrete_reference_builds_slowly_converging_conduction_profile() -> None:
+    # kappa0 (1 + theta^8) spans four decades between the walls 1.9 and 0.1,
+    # so the Picard update shrinks only about 5% per pass: it passes the
+    # 1e-13 tolerance after more than 400 passes, and the profile exists.
+    g = Grid(4, 32)
+    eos = EosParams(p_inf=5.0, a=0.1, beta=8.0)
+    sc = _scenario(g, eos=eos, eps=1.0, theta_b_bottom=0.9, theta_b_top=-0.9)
+    rho_hat, theta_hat = discrete_hydrostatic_reference(sc)
+    assert np.all(np.diff(theta_hat) < 0) and 0.1 < theta_hat.min() < theta_hat.max() < 1.9
+    assert abs(np.sum(rho_hat) * g.dz - 1.0) <= 1e-13
+
+
+def test_oracle_brackets_strongly_stratified_column() -> None:
+    # rho_hat reaches 14 rho_bar at the bottom, beyond the bracket widened
+    # three times ([0.0875, 11.2] rho_bar); the oracle widens further.
+    g = Grid(4, 32)
+    sc = _scenario(g, eps=1.0, G=gravity_potential(g, 10.0), theta_b_bottom=-0.5, theta_b_top=0.5)
+    rho_hat, theta_hat = discrete_hydrostatic_reference(sc)
+    assert rho_hat[0] > 11.2
+    rho_o, theta_o = hydrostatic_stationary_1d(sc)
+    assert np.max(np.abs(rho_o - rho_hat) / rho_hat) <= 0.1
+    assert np.max(np.abs(theta_o - theta_hat) / theta_hat) <= 0.1
+    assert abs(np.sum(rho_o) * g.dz - 1.0) <= 0.1
+
+
 def test_discrete_reference_builds_radiation_dominated_column() -> None:
     # p / (rho p_rho) is about 170 here, so the Newton steps stall near 1e-14
     # of rho instead of reaching 1e-15; the solve stops at that rounding floor

@@ -29,7 +29,6 @@ from bll.ob import (
     T_FRAME,
     THETA_FRAME,
     ObScenario,
-    _flux_cubic,
     boundary_heat_flux,
     build_initial_ob,
     gravity_potential,
@@ -515,6 +514,16 @@ def _reference_step(state, sc, dt):
     return bll.ob.ObState(U, temp, Pi, state.t + dt, state.frame, (F_u, F_w, A))
 
 
+def _reference_flux_cubic(vals, grid, wall_bottom, wall_top):
+    """The trace's outward flux integral with the one-sided cubic stencil
+    (wall value and three cell centers), one state at a time."""
+    c0, c1, c2, c3 = (-46.0 / 15.0, 15.0 / 4.0, -5.0 / 6.0, 3.0 / 20.0)
+    dz = grid.dz
+    dn_bottom = (c0 * wall_bottom + c1 * vals[:, 0] + c2 * vals[:, 1] + c3 * vals[:, 2]) / dz
+    dn_top = -(c0 * wall_top + c1 * vals[:, -1] + c2 * vals[:, -2] + c3 * vals[:, -3]) / dz
+    return grid.dx * float((dn_top - dn_bottom).sum())
+
+
 def _reference_trace_row(prev, state, sc, dt):
     """(t, fint(T), Lambda, flux, residual) of the pre-kernel trace, plus the
     rolling (mean, cubic flux, source mean) of state."""
@@ -524,7 +533,7 @@ def _reference_trace_row(prev, state, sc, dt):
     if state.frame == THETA_FRAME:
         M, vals = M / (1.0 - lam), vals + lam / (1.0 - lam) * M
     wb, wt = sc.wall_values(state.t)
-    fc = _flux_cubic(vals, g, wb, wt)
+    fc = _reference_flux_cubic(vals, g, wb, wt)
     sm = 0.0 if sc.temp_source is None else float(np.mean(sc.temp_source(state.t, *g.cell_mesh())))
     if prev is None:
         return None, (M, fc, sm)
@@ -586,6 +595,39 @@ def test_run_ob_matches_public_api_reference_bitwise(frame, lam) -> None:
     tr = traj.trace
     for k, col in enumerate((tr.t, tr.mean_T, tr.Lambda, tr.flux, tr.s24_residual)):
         assert np.array_equal(col, want_trace[k]), k
+
+
+@pytest.mark.parametrize("nx", [4, 16, 64])
+@pytest.mark.parametrize("frame", [T_FRAME, THETA_FRAME])
+def test_trace_recomputes_exactly_from_snapshots(frame, nx) -> None:
+    # run_ob forms its trace per block of recorded wall rows; every row must
+    # equal the row recomputed from the two snapshots around its step, across
+    # more steps than one block, with a moving x-varying wall and a source.
+    g = Grid(nx, 8)
+    shape = 1.0 + 0.3 * np.cos(2 * np.pi * g.x_centers)
+    T0 = ScalarField.from_function(g, lambda x, z: 0.2 * np.sin(np.pi * z) * np.cos(2 * np.pi * x))
+    sc = ObScenario(
+        grid=g, eos=EosParams(kappa0=0.2), G=gravity_potential(g, 1.5),
+        theta_b_bottom=lambda t: 4.0 * t * shape, theta_b_top=0.0, T0=T0,
+        dt=1e-3, t_end=0.3,
+        temp_source=lambda t, X, Z: 0.5 * np.cos(2 * np.pi * X) * np.sin(np.pi * Z) * (1.0 + t),
+    )
+    n_steps = 300
+    assert n_steps > bll.ob._TRACE_BLOCK
+    traj = run_ob(sc, frame=frame, snapshot_dt=sc.dt)
+    assert len(traj.states) == n_steps + 1
+    assert traj.trace.dtype == np.rec.fromrecords([(0.0,) * 5], names=bll.ob.TRACE_COLUMNS).dtype
+
+    _, roll = _reference_trace_row(None, traj.states[0], sc, sc.dt)
+    rows = []
+    for state in traj.states[1:]:
+        row, roll = _reference_trace_row(roll, state, sc, sc.dt)
+        rows.append(row)
+    want = np.array(rows).T
+    tr = traj.trace
+    assert np.all(np.diff(tr.mean_T) != 0.0) and np.any(tr.s24_residual != 0.0)
+    for k, name in enumerate(bll.ob.TRACE_COLUMNS):
+        assert np.array_equal(tr[name], want[k]), name
 
 
 @pytest.mark.parametrize("frame", [T_FRAME, THETA_FRAME])
