@@ -20,7 +20,6 @@ Theta_B_top(x) z, which keeps the trace compatible with any wall spec.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -324,23 +323,6 @@ def parse_config(text):
     return cfg
 
 
-def _resolve_threads(flag):
-    if flag is not None:
-        if flag < 1:
-            raise ConfigError("--threads must be at least 1")
-        return flag
-    env = os.environ.get("BLL_THREADS")
-    if env is None:
-        return None
-    try:
-        val = int(env)
-    except ValueError:
-        raise ConfigError(f"BLL_THREADS must be an integer, got '{env}'") from None
-    if val < 1:
-        raise ConfigError("BLL_THREADS must be at least 1")
-    return val
-
-
 def _write_table(outdir, name, header, columns, formats, notes=()):
     """Write the table `name` once per format: `name`.csv (comma-separated
     header and rows) and/or `name`.dat (space-separated, `# ` header).  Both
@@ -479,7 +461,8 @@ def main(argv=None):
     try:
         text = Path(args.config).read_text(encoding="utf-8")
         cfg = parse_config(text)
-        _resolve_threads(args.threads)
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError("--threads must be at least 1")
         outdir = Path(args.out) if args.out is not None else Path(cfg.directory)
         outdir.mkdir(parents=True, exist_ok=True)
         code = _HANDLERS[args.command](cfg, outdir, say)

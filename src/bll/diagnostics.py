@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigError, DomainError, DivergenceError, ShapeError, StabilityError
 from .grid import ScalarField, Staggering, VectorField, center_to_xface, xface_to_center, zface_to_center
-from .nsf import NsfScenario, run_nsf
+from .nsf import NsfScenario, _require_static_walls, run_nsf
 from .ob import T_FRAME, THETA_FRAME, recover_density_deviation, run_ob, transform_frame
 from .thermo import entropy, internal_energy, pressure, rho_e
 
@@ -293,14 +293,6 @@ def deviation_error_norms(nsf_traj, ob_traj, eps, scenario):
         dw = np.sqrt(rho_fz) * nstate.U.w[:, 1:-1] - sr_bar * ostate.U.w[:, 1:-1]
         err_mom = max(err_mom, float(np.sqrt((np.sum(du * du) + np.sum(dw * dw)) * vol)))
     return ErrorNorms(eps, err_rho, err_theta, err_mom)
-
-
-def _require_static_walls(scenario):
-    if callable(scenario.theta_b_bottom) or callable(scenario.theta_b_top):
-        raise DomainError(
-            "compressible members need static Theta_B; time-dependent wall data "
-            "is only supported by the incompressible solver"
-        )
 
 
 def _member_scenario(scenario, eps, T0, U0):

@@ -6,13 +6,14 @@ MAC layout, arrays indexed [i, k] = (x, z):
   x-faces        (nx, nz)   at (i dx, (k+1/2) dz), periodic in x
   z-faces        (nx, nz+1) at ((i+1/2) dx, k dz); k = 0 and nz are the walls
 
-Ghost conventions at the z walls: the explicit operators (grad, div) use the
-reflection ghosts, Dirichlet scalar ghost = 2 g_wall - g_int and Neumann
-ghost = g_int; tangential no-slip mirror u_ghost = -u_int; the wall-normal
-velocity w is stored exactly zero on the wall faces.  The implicit Dirichlet
-solve (helmholtz_solve) upgrades center fields to the quadratic-extrapolation
-ghost, whose conservative wall flux is the one-sided quadratic derivative,
-while x-face fields keep the mirror convention.
+Ghost conventions at the z walls: grad is the homogeneous-Neumann gradient
+(ghost = g_int, so its wall rows are zero); tangential no-slip mirror
+u_ghost = -u_int; the wall-normal velocity w is stored exactly zero on the
+wall faces.  The Dirichlet reflection ghost 2 g_wall - g_int survives in the
+NSF wall Fourier flux.  The implicit Dirichlet solve (helmholtz_solve) uses
+the quadratic-extrapolation ghost on center fields, whose conservative wall
+flux is the one-sided quadratic derivative, while x-face fields keep the
+mirror convention.
 
 The elliptic solves are direct, all through the one z-solver _ZOperator: a
 real-DFT matrix in x (Grid._dft, rfft and irfft as dense matrices), then one
@@ -41,8 +42,6 @@ __all__ = [
     "Grid",
     "ScalarField",
     "VectorField",
-    "DirichletZ",
-    "NeumannZ",
     "mean",
     "grad",
     "div",
@@ -203,19 +202,6 @@ class VectorField:
         return cls(grid, np.zeros((grid.nx, grid.nz)), np.zeros((grid.nx, grid.nz + 1)))
 
 
-@dataclass(frozen=True)
-class DirichletZ:
-    """Dirichlet wall values; scalars or per-x arrays of length nx."""
-
-    bottom: object = 0.0
-    top: object = 0.0
-
-
-@dataclass(frozen=True)
-class NeumannZ:
-    """Homogeneous Neumann walls."""
-
-
 def _wall_array(value, nx):
     if isinstance(value, float):
         return np.full(nx, value)
@@ -233,6 +219,15 @@ def _require_finite_walls(walls):
     for name, arr in zip(("theta_b_bottom", "theta_b_top"), walls):
         if not np.isfinite(arr).all():
             raise DomainError(f"{name} must be finite, got {arr}")
+
+
+def _require_finite_initial(T0, U0):
+    """Raise DomainError naming T0 or U0 when that initial field (None when
+    absent) holds a NaN or an inf."""
+    if T0 is not None and not np.isfinite(T0.values).all():
+        raise DomainError("T0 must be finite")
+    if U0 is not None and not (np.isfinite(U0.u).all() and np.isfinite(U0.w).all()):
+        raise DomainError("U0 must be finite")
 
 
 def _wall_trace_gap(vals, wall_bottom, wall_top):
@@ -290,8 +285,9 @@ def mean(f):
     return _mean(f.values)
 
 
-def grad(f, bc=NeumannZ()):
-    """Gradient of a center field onto the faces (second-order centered)."""
+def grad(f):
+    """Gradient of a center field onto the faces (second-order centered),
+    with homogeneous Neumann walls: the wall rows of the z component are zero."""
     if f.stag != Staggering.CENTER:
         raise ShapeError("grad expects a center-staggered field")
     g = f.grid
@@ -299,15 +295,6 @@ def grad(f, bc=NeumannZ()):
     gx = _xdiff_prev(vals) / g.dx
     gz = np.zeros((g.nx, g.nz + 1))
     gz[:, 1:-1] = (vals[:, 1:] - vals[:, :-1]) / g.dz
-    if isinstance(bc, DirichletZ):
-        gb = _wall_array(bc.bottom, g.nx)
-        gt = _wall_array(bc.top, g.nx)
-        gz[:, 0] = 2.0 * (vals[:, 0] - gb) / g.dz
-        gz[:, -1] = 2.0 * (gt - vals[:, -1]) / g.dz
-    elif isinstance(bc, NeumannZ):
-        pass
-    else:
-        raise ShapeError(f"unsupported z boundary spec {bc!r}")
     return VectorField(g, gx, gz)
 
 
@@ -338,11 +325,6 @@ def zface_to_center(w):
     return 0.5 * (w[:, 1:] + w[:, :-1])
 
 
-def _pad_mirror_z(u):
-    """Tangential no-slip ghosts: u_ghost = -u_interior."""
-    return np.concatenate([-u[:, :1], u, -u[:, -1:]], axis=1)
-
-
 def advect_velocity(grid, u, w):
     """-(U . grad) U at the faces, centered second order.
 
@@ -352,8 +334,12 @@ def advect_velocity(grid, u, w):
     dx, dz = grid.dx, grid.dz
     ur, wl = _xnext(u), _xprev(w)
     dudx = (ur - _xprev(u)) / (2 * dx)
-    up = _pad_mirror_z(u)
-    dudz = (up[:, 2:] - up[:, :-2]) / (2 * dz)
+    # The no-slip mirror ghosts -u, folded into the wall differences exactly.
+    dudz = np.empty(u.shape)
+    dudz[:, 1:-1] = u[:, 2:] - u[:, :-2]
+    dudz[:, 0] = u[:, 1] + u[:, 0]
+    dudz[:, -1] = -(u[:, -1] + u[:, -2])
+    dudz /= 2 * dz
     # x-neighbor pairs are summed first, once over the whole array, so
     # mirroring the data in x commutes with the stencil bit for bit (pair
     # sums only ever swap operands).
@@ -485,8 +471,9 @@ def poisson_solve(rhs):
     return ScalarField(rhs.grid, phi, Staggering.CENTER), removed
 
 
-def helmholtz_solve(f, c, bc=DirichletZ(0.0, 0.0)):
-    """Solve (I - c lap) g = f with periodic x and Dirichlet z walls.
+def helmholtz_solve(f, c, bottom=0.0, top=0.0):
+    """Solve (I - c lap) g = f with periodic x and Dirichlet z walls g =
+    bottom / top, each a scalar or a per-x array of length nx.
 
     Center fields use the quadratic-extrapolation wall ghost; x-face fields
     (tangential velocity at the same z heights) use the mirror ghost.
@@ -495,10 +482,8 @@ def helmholtz_solve(f, c, bc=DirichletZ(0.0, 0.0)):
         raise DomainError("helmholtz_solve needs c > 0")
     if f.stag == Staggering.ZFACE:
         raise ShapeError("use helmholtz_solve_zface for z-face fields")
-    if not isinstance(bc, DirichletZ):
-        raise ShapeError("helmholtz_solve supports Dirichlet z walls")
     wall = "mirror" if f.stag == Staggering.XFACE else "extrapolate"
-    vals = _zop(f.grid, c, wall).solve(f.values, bc.bottom, bc.top)
+    vals = _zop(f.grid, c, wall).solve(f.values, bottom, top)
     return ScalarField(f.grid, vals, f.stag)
 
 

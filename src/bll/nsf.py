@@ -35,6 +35,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -92,6 +93,17 @@ __all__ = [
 ]
 
 
+def _require_static_walls(scenario):
+    """Raise DomainError naming the wall of scenario whose Theta_B is a
+    callable of t: the compressible solver takes static wall data only."""
+    for name in ("theta_b_bottom", "theta_b_top"):
+        if callable(getattr(scenario, name)):
+            raise DomainError(
+                f"{name} is time-dependent; compressible runs need static Theta_B "
+                "(time-dependent wall data is only supported by the incompressible solver)"
+            )
+
+
 @dataclass
 class NsfScenario:
     grid: Grid
@@ -108,6 +120,7 @@ class NsfScenario:
     U0: VectorField | None = None
 
     def __post_init__(self):
+        _require_static_walls(self)
         require_positive(self.rho_bar, "rho_bar")
         require_positive(self.theta_bar, "theta_bar")
         if not 0.0 < self.eps <= 1.0:
@@ -120,6 +133,7 @@ class NsfScenario:
         if not 0.0 < self.cfl <= 1.0:
             raise DomainError("cfl must lie in (0, 1]")
         gr._require_finite_walls(self.wall_values())
+        gr._require_finite_initial(self.T0, self.U0)
         wb, wt = self.wall_theta()
         if np.min(wb) <= 0 or np.min(wt) <= 0:
             raise DomainError(
@@ -360,6 +374,7 @@ def hydrostatic_stationary_1d(scenario):
         th_prime = dK / _kappa(th, eos)
         return [(eps * y[0] * float(g_prime(z)) - float(p_th) * th_prime) / float(p_r), y[0]]
 
+    @cache  # the bracket ends and the root are integrated once each
     def column(b):
         sol = solve_ivp(rhs, (0.0, 1.0), [b, 0.0], rtol=1e-11, atol=1e-13, dense_output=True)
         if not sol.success:

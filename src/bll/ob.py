@@ -52,7 +52,6 @@ from .errors import (
 )
 from .grid import (
     Grid,
-    NeumannZ,
     ScalarField,
     Staggering,
     VectorField,
@@ -118,13 +117,14 @@ class ObScenario:
         if self.lambda_override is not None and not 0.0 <= self.lambda_override < 1.0:
             raise DomainError("lambda_override must lie in [0, 1)")
         gr._require_finite_walls(self.wall_values(0.0))  # callable walls at t = 0
+        gr._require_finite_initial(self.T0, self.U0)
 
     @cached_property
     def _invariants(self):
         """(limit coefficients, kinematic viscosity mu(theta_bar)/rho_bar, grad G)."""
         coeffs = ob_coefficients(self.rho_bar, self.theta_bar, self.eos)
         nu = float(transport(self.theta_bar, self.eos)[0]) / self.rho_bar
-        return coeffs, nu, grad(self.G, NeumannZ())
+        return coeffs, nu, grad(self.G)
 
     def coefficients(self):
         return self._invariants[0]
@@ -164,7 +164,6 @@ TRACE_COLUMNS = ("t", "mean_T", "Lambda", "flux", "s24_residual")
 class ObTrajectory:
     scenario: ObScenario
     frame: str
-    dt: float
     times: list
     states: list
     trace: np.recarray  # one record per step, fields TRACE_COLUMNS
@@ -238,7 +237,10 @@ def transform_frame(state, scenario):
 
 def build_initial_ob(scenario, frame=T_FRAME):
     """Project U0 to the discrete divergence-free space and check that the
-    initial temperature trace matches Theta_B (to discretization order)."""
+    initial temperature trace matches Theta_B (to discretization order);
+    the state is in the given frame."""
+    if frame not in (T_FRAME, THETA_FRAME):
+        raise ShapeError(f"unknown frame {frame!r}")
     g = scenario.grid
     T0 = scenario.T0 if scenario.T0 is not None else ScalarField.zeros(g)
     U0 = scenario.U0 if scenario.U0 is not None else VectorField.zeros(g)
@@ -469,8 +471,9 @@ def _check_cfl(u, w, t, grid, dt):
         )
 
 
-def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
-    """Integrate to t_end; returns the trajectory with snapshots and trace.
+def run_ob(scenario, frame=T_FRAME, snapshot_dt=None):
+    """Integrate from build_initial_ob(scenario, frame) to t_end in that
+    frame; returns the trajectory with snapshots and trace.
 
     Snapshots are stored at multiples of snapshot_dt (which must be a
     multiple of dt) plus the initial and final states.  The loop steps raw
@@ -487,9 +490,7 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
         if every < 1 or abs(every * dt - snapshot_dt) > 1e-9 * snapshot_dt:
             raise DomainError("snapshot_dt must be a positive multiple of dt")
 
-    state = initial.copy() if initial is not None else build_initial_ob(scenario, frame)
-    if state.frame != frame:
-        raise ShapeError(f"initial state frame {state.frame!r} does not match {frame!r}")
+    state = build_initial_ob(scenario, frame)
 
     g, tframe = scenario.grid, frame == T_FRAME
     u, w, temp, t, hist = state.U.u, state.U.w, state.temp.values, state.t, None
@@ -512,4 +513,4 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None, initial=None):
         if (every is not None and n % every == 0) or n == n_steps:
             times.append(t)
             states.append(ObState(VectorField(g, u, w), ScalarField(g, temp), ScalarField(g, Pi), t, frame))
-    return ObTrajectory(scenario, frame, dt, times, states, trace.finish())
+    return ObTrajectory(scenario, frame, times, states, trace.finish())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bll.cli import _SCHEMA, ScenarioConfig, _resolve_threads, main, parse_config
+from bll.cli import _SCHEMA, ScenarioConfig, main, parse_config
 from bll.errors import ConfigError
 from bll.ob import TRACE_COLUMNS
 from bll.thermo import EosParams
@@ -122,18 +122,21 @@ def test_parse_cadence_and_t_end_multiples() -> None:
         parse_config("[ob]\ndt = 0.003\nt_end = 0.05\n")
 
 
-def test_resolve_threads_flag_env_fallback(monkeypatch) -> None:
-    monkeypatch.delenv("BLL_THREADS", raising=False)
-    assert _resolve_threads(None) is None
-    assert _resolve_threads(3) == 3
-    monkeypatch.setenv("BLL_THREADS", "2")
-    assert _resolve_threads(None) == 2
-    assert _resolve_threads(5) == 5  # flag wins over the env var
+def test_main_threads_flag_below_one_is_config_error(tmp_path, capsys) -> None:
+    cfg_path = _write(tmp_path, BASE)
+    out = tmp_path / "artifacts"
+    for bad in ("0", "-2"):
+        assert main(["thermo-check", "--config", cfg_path, "--out", str(out), "--threads", bad]) == 10
+        assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not (out / "manifest.ini").exists()
+    assert main(["thermo-check", "--config", cfg_path, "--out", str(out), "--threads", "2", "--quiet"]) == 0
+
+
+def test_main_ignores_bll_threads_environment_variable(tmp_path, monkeypatch) -> None:
+    # The variable is no longer read: a value that is not even an integer runs.
     monkeypatch.setenv("BLL_THREADS", "many")
-    with pytest.raises(ConfigError):
-        _resolve_threads(None)
-    with pytest.raises(ConfigError):
-        _resolve_threads(0)
+    cfg_path = _write(tmp_path, BASE)
+    assert main(["thermo-check", "--config", cfg_path, "--out", str(tmp_path / "o"), "--quiet"]) == 0
 
 
 def test_main_thermo_check_writes_reports(tmp_path, capsys) -> None:

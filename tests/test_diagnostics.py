@@ -263,7 +263,7 @@ def test_error_norms_x_mirror_symmetric() -> None:
         )
         for s in ob_traj.states
     ]
-    m_ob_traj = ObTrajectory(m_ob_sc, ob_traj.frame, ob_traj.dt, ob_traj.times, m_ob_states, ob_traj.trace)
+    m_ob_traj = ObTrajectory(m_ob_sc, ob_traj.frame, ob_traj.times, m_ob_states, ob_traj.trace)
     m_nsf_states = [
         NsfState(
             ScalarField(g, _mirror_center(s.rho.values)),

@@ -13,9 +13,7 @@ from hypothesis.extra.numpy import arrays
 from bll.cli import _write_table
 from bll.errors import DomainError, ShapeError
 from bll.grid import (
-    DirichletZ,
     Grid,
-    NeumannZ,
     ScalarField,
     Staggering,
     VectorField,
@@ -38,23 +36,24 @@ from bll.grid import (
 )
 
 
-def _ghost_pad_z(vals, bc, nx):
-    """(nx, nz+2) array with the reflection ghost rows of the z boundary spec."""
-    if isinstance(bc, NeumannZ):
+def _ghost_pad_z(vals, walls, nx):
+    """(nx, nz+2) array with the reflection ghost rows in z: homogeneous
+    Neumann when walls is None, else Dirichlet with walls = (bottom, top)."""
+    if walls is None:
         bottom = vals[:, :1]
         top = vals[:, -1:]
     else:
-        bottom = (2.0 * _wall_array(bc.bottom, nx))[:, None] - vals[:, :1]
-        top = (2.0 * _wall_array(bc.top, nx))[:, None] - vals[:, -1:]
+        bottom = (2.0 * _wall_array(walls[0], nx))[:, None] - vals[:, :1]
+        top = (2.0 * _wall_array(walls[1], nx))[:, None] - vals[:, -1:]
     return np.concatenate([bottom, vals, top], axis=1)
 
 
-def laplacian(f, bc):
+def laplacian(f, walls):
     """Oracle: five-point Laplacian of a center field, periodic in x, with
-    the reflection ghosts in z."""
+    the reflection ghosts in z (walls as in _ghost_pad_z)."""
     g = f.grid
     vals = f.values
-    padded = _ghost_pad_z(vals, bc, g.nx)
+    padded = _ghost_pad_z(vals, walls, g.nx)
     d2x = (np.roll(vals, -1, axis=0) - 2.0 * vals + np.roll(vals, 1, axis=0)) / g.dx ** 2
     d2z = (padded[:, 2:] - 2.0 * padded[:, 1:-1] + padded[:, :-2]) / g.dz ** 2
     return ScalarField(g, d2x + d2z, Staggering.CENTER)
@@ -159,9 +158,29 @@ def test_advect_velocity_matches_roll_formulas_bitwise(nx) -> None:
     assert np.array_equal(adv_w, want_w)
 
 
+@pytest.mark.parametrize("nx", [4, 5, 64])
+def test_advect_velocity_wall_z_differences_match_padded_ghosts_bitwise(nx) -> None:
+    # The z-difference of u folds the no-slip mirror ghosts -u into its wall
+    # rows; it must equal the difference over the padded array bit for bit,
+    # on data whose magnitudes span many decades.
+    nz = 4
+    rng = np.random.default_rng(10 + nx)
+    u = rng.standard_normal((nx, nz)) * np.exp(rng.uniform(-30.0, 30.0, (nx, nz)))
+    w = np.zeros((nx, nz + 1))
+    w[:, 1:-1] = rng.standard_normal((nx, nz - 1))
+    dz = 1.0 / nz
+    up = np.concatenate([-u[:, :1], u, -u[:, -1:]], axis=1)
+    wl = np.roll(w, 1, axis=0)
+    w_at_x = 0.25 * ((w[:, :-1] + wl[:, :-1]) + (w[:, 1:] + wl[:, 1:]))
+    dudx = (np.roll(u, -1, axis=0) - np.roll(u, 1, axis=0)) / (2.0 / nx)
+    want_u = -(u * dudx + w_at_x * ((up[:, 2:] - up[:, :-2]) / (2 * dz)))
+    adv_u, _ = advect_velocity(Grid(nx, nz), u, w)
+    assert np.array_equal(adv_u, want_u)
+
+
 def test_grad_of_constant_is_zero() -> None:
     g = Grid(8, 8)
-    v = grad(ScalarField(g, np.full((8, 8), 2.0)), NeumannZ())
+    v = grad(ScalarField(g, np.full((8, 8), 2.0)))
     assert np.all(v.u == 0.0)
     assert np.all(v.w == 0.0)
 
@@ -170,10 +189,9 @@ def test_div_grad_equals_laplacian_all_cells() -> None:
     g = Grid(16, 12)
     rng = np.random.default_rng(3)
     f = ScalarField(g, rng.standard_normal((16, 12)))
-    for bc in (NeumannZ(), DirichletZ(0.7, -0.2)):
-        lhs = div(grad(f, bc)).values
-        rhs = laplacian(f, bc).values
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
+    lhs = div(grad(f)).values
+    rhs = laplacian(f, None).values
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_laplacian_interior_second_order() -> None:
@@ -186,7 +204,7 @@ def test_laplacian_interior_second_order() -> None:
             lambda x, z: -4 * np.pi ** 2 * np.sin(2 * np.pi * x) * z * (1 - z)
             - 2 * np.sin(2 * np.pi * x),
         )
-        num = laplacian(f, DirichletZ(0.0, 0.0))
+        num = laplacian(f, (0.0, 0.0))
         errs.append(np.max(np.abs(num.values[:, 1:-1] - exact.values[:, 1:-1])))
     rate = np.log2(errs[0] / errs[1])
     assert rate >= 1.9
@@ -195,7 +213,7 @@ def test_laplacian_interior_second_order() -> None:
 def test_discrete_duality_grad_div() -> None:
     g = Grid(12, 10)
     f, v = random_fields(g, seed=5)
-    gf = grad(f, NeumannZ())
+    gf = grad(f)
     lhs = np.sum(gf.u * v.u) + np.sum(gf.w * v.w)
     rhs = -np.sum(f.values * div(v).values)
     assert lhs == pytest.approx(rhs, abs=1e-11)
@@ -344,7 +362,7 @@ def test_z_operators_are_cached_per_grid() -> None:
     assert op.unit_source is op.unit_source
     ones = ScalarField(g, np.ones((8, 8)))
     assert np.array_equal(op.unit_source.values, helmholtz_solve(ones, 0.1).values)
-    walls = helmholtz_solve(ScalarField.zeros(g), 0.1, DirichletZ(1.0, 1.0))
+    walls = helmholtz_solve(ScalarField.zeros(g), 0.1, 1.0, 1.0)
     assert np.array_equal(op.unit_wall.values, walls.values)
 
 
@@ -375,7 +393,7 @@ def test_poisson_zero_rhs() -> None:
 def test_poisson_roundtrip_discrete_operator() -> None:
     g = Grid(32, 16)
     f = ScalarField.from_function(g, lambda x, z: np.cos(2 * np.pi * x) * np.cos(np.pi * z))
-    rhs = laplacian(f, NeumannZ())
+    rhs = laplacian(f, None)
     phi, _ = poisson_solve(rhs)
     target = f.values - np.mean(f.values)
     assert np.max(np.abs(phi.values - target)) <= 1e-10
@@ -394,7 +412,7 @@ def test_poisson_then_grad_then_div_reproduces_rhs() -> None:
     rng = np.random.default_rng(9)
     rhs = ScalarField(g, rng.standard_normal((24, 20)))
     phi, m = poisson_solve(rhs)
-    back = div(grad(phi, NeumannZ())).values
+    back = div(grad(phi)).values
     assert np.max(np.abs(back - (rhs.values - m))) <= 1e-10
 
 
@@ -418,10 +436,10 @@ def test_poisson_continuum_convergence_second_order() -> None:
 
 def test_helmholtz_trivial_and_constant() -> None:
     g = Grid(8, 8)
-    out = helmholtz_solve(ScalarField.zeros(g), 0.3, DirichletZ(0.0, 0.0))
+    out = helmholtz_solve(ScalarField.zeros(g), 0.3, 0.0, 0.0)
     assert np.max(np.abs(out.values)) <= 1e-14
     ones = ScalarField(g, np.ones((8, 8)))
-    out = helmholtz_solve(ones, 0.7, DirichletZ(1.0, 1.0))
+    out = helmholtz_solve(ones, 0.7, 1.0, 1.0)
     assert np.max(np.abs(out.values - 1.0)) <= 1e-12
 
 
@@ -443,7 +461,7 @@ def test_helmholtz_roundtrip_discrete_operator() -> None:
     c = 0.05
     zero = np.zeros(32)
     f = ScalarField(g, _apply_center_dirichlet(gstar.values, g, c, zero, zero))
-    out = helmholtz_solve(f, c, DirichletZ(0.0, 0.0))
+    out = helmholtz_solve(f, c, 0.0, 0.0)
     assert np.max(np.abs(out.values - gstar.values)) <= 1e-10
 
 
@@ -457,7 +475,7 @@ def test_helmholtz_xface_roundtrip_mirror_operator() -> None:
         + (padded[:, 2:] - 2 * u + padded[:, :-2]) / g.dz ** 2
     )
     f = ScalarField(g, u - c * lap, Staggering.XFACE)
-    out = helmholtz_solve(f, c, DirichletZ(0.0, 0.0))
+    out = helmholtz_solve(f, c, 0.0, 0.0)
     assert np.max(np.abs(out.values - u)) <= 1e-10
 
 
@@ -468,7 +486,7 @@ def test_helmholtz_x_dependent_wall_values() -> None:
     bb = 0.5 + 0.25 * np.cos(2 * np.pi * g.x_centers)
     bt = -0.1 * np.ones(32)
     c = 0.02
-    out = helmholtz_solve(f, c, DirichletZ(bb, bt))
+    out = helmholtz_solve(f, c, bb, bt)
     resid = _apply_center_dirichlet(out.values, g, c, bb, bt) - f.values
     assert np.max(np.abs(resid)) <= 1e-10
 
@@ -482,7 +500,7 @@ def test_helmholtz_conservative_flux_is_quadratic_stencil() -> None:
     bb = 0.3 * np.sin(2 * np.pi * g.x_centers)
     bt = np.full(16, -0.2)
     c = 0.03
-    out = helmholtz_solve(f, c, DirichletZ(bb, bt)).values
+    out = helmholtz_solve(f, c, bb, bt).values
     lhs = (np.mean(out) - np.mean(f.values)) * g.volume / c
     dn_b = (-8 * bb / 3 + 3 * out[:, 0] - out[:, 1] / 3) / g.dz
     dn_t = (8 * bt / 3 - 3 * out[:, -1] + out[:, -2] / 3) / g.dz
@@ -504,7 +522,7 @@ def test_helmholtz_continuum_convergence_second_order() -> None:
             * np.sin(2 * np.pi * x)
             * np.sin(np.pi * z),
         )
-        out = helmholtz_solve(f, c, DirichletZ(0.0, 0.0))
+        out = helmholtz_solve(f, c, 0.0, 0.0)
         errs.append(np.max(np.abs(out.values - exact.values)))
     assert np.log2(errs[0] / errs[1]) >= 1.9
 

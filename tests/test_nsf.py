@@ -240,6 +240,49 @@ def test_discrete_reference_builds_radiation_dominated_column() -> None:
     assert abs(np.sum(rho_hat) * g.dz - 0.05) <= 1e-13 * 0.05
 
 
+def test_oracle_integrates_each_bottom_density_once(monkeypatch) -> None:
+    # The bracket ends and the root that brentq returns were integrated
+    # already; the oracle must not integrate them again.
+    import scipy.integrate
+
+    solve_ivp = scipy.integrate.solve_ivp
+    starts = []
+
+    def counting(fun, span, y0, **kw):
+        starts.append(float(y0[0]))
+        return solve_ivp(fun, span, y0, **kw)
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", counting)
+    g = Grid(4, 16)
+    hydrostatic_stationary_1d(_scenario(g, G=gravity_potential(g, 1.0), theta_b_bottom=0.25, theta_b_top=-0.25))
+    assert len(starts) > 2 and len(set(starts)) == len(starts)
+
+
+def _nan_T0(g):
+    T0 = ScalarField.zeros(g)
+    T0.values[2, 5] = np.nan
+    return {"T0": T0}
+
+
+def _nan_U0(g):
+    U0 = VectorField.zeros(g)
+    U0.w[0, 3] = np.nan
+    return {"U0": U0}
+
+
+@pytest.mark.parametrize("initial, name", [(_nan_T0, "T0"), (_nan_U0, "U0")], ids=["nan_T0", "nan_U0"])
+def test_scenario_rejects_non_finite_initial_field(initial, name) -> None:
+    g = Grid(8, 8)
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        _scenario(g, **initial(g))
+
+
+@pytest.mark.parametrize("wall", ["theta_b_bottom", "theta_b_top"])
+def test_scenario_rejects_time_dependent_wall_by_name(wall) -> None:
+    with pytest.raises(DomainError, match=f"{wall} is time-dependent"):
+        _scenario(Grid(8, 8), **{wall: lambda t: 0.1})
+
+
 def test_oracle_raises_when_mass_shooting_does_not_converge(monkeypatch) -> None:
     import scipy.optimize
 

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 import bll.ob
 from bll.errors import CompatibilityError, DomainError, ShapeError, StabilityError
 from bll.grid import (
-    DirichletZ,
     Grid,
-    NeumannZ,
     ScalarField,
     Staggering,
     VectorField,
@@ -133,6 +131,32 @@ def test_step_rejects_unknown_frame() -> None:
     state.frame = "X"
     with pytest.raises(ShapeError, match="unknown frame 'X'"):
         step_ob(state, sc, sc.dt)
+
+
+@pytest.mark.parametrize("start", [build_initial_ob, run_ob], ids=["build_initial_ob", "run_ob"])
+def test_unknown_frame_is_rejected_by_name(start) -> None:
+    sc = _scenario(Grid(8, 8), dt=0.01, t_end=0.01)
+    with pytest.raises(ShapeError, match="unknown frame 'X'"):
+        start(sc, "X")
+
+
+def _nan_T0(g):
+    T0 = ScalarField.zeros(g)
+    T0.values[3, 2] = np.nan
+    return {"T0": T0}
+
+
+def _inf_U0(g):
+    U0 = VectorField.zeros(g)
+    U0.u[1, 4] = np.inf
+    return {"U0": U0}
+
+
+@pytest.mark.parametrize("initial, name", [(_nan_T0, "T0"), (_inf_U0, "U0")], ids=["nan_T0", "inf_U0"])
+def test_scenario_rejects_non_finite_initial_field(initial, name) -> None:
+    g = Grid(8, 8)
+    with pytest.raises(DomainError, match=f"{name} must be finite"):
+        _scenario(g, **initial(g))
 
 
 def test_build_initial_rejects_incompatible_trace() -> None:
@@ -452,7 +476,7 @@ def _reference_step(state, sc, dt):
     k = lam / (1.0 - lam)
     coeffs = sc.coefficients()
     nu = float(transport(sc.theta_bar, sc.eos)[0]) / sc.rho_bar
-    gG = grad(sc.G, NeumannZ())
+    gG = grad(sc.G)
     if state.frame == T_FRAME:
         buoy = -coeffs.alpha * state.temp.values
     else:
@@ -472,13 +496,13 @@ def _reference_step(state, sc, dt):
     else:
         Fu_eff, Fw_eff = F_u, F_w
     ustar = helmholtz_solve(
-        ScalarField(g, state.U.u + dt * Fu_eff, Staggering.XFACE), dt * nu, DirichletZ(0.0, 0.0)
+        ScalarField(g, state.U.u + dt * Fu_eff, Staggering.XFACE), dt * nu
     ).values
     wstar = helmholtz_solve_zface(ScalarField(g, state.U.w + dt * Fw_eff, Staggering.ZFACE), dt * nu).values
     rhs = div(VectorField(g, ustar, wstar))
     rhs.values /= dt
     phi, _ = poisson_solve(rhs)
-    gphi = grad(phi, NeumannZ())
+    gphi = grad(phi)
     w = wstar - dt * gphi.w
     w[:, 0] = 0.0
     w[:, -1] = 0.0
@@ -497,11 +521,11 @@ def _reference_step(state, sc, dt):
     A_eff = A if state.rhs_hist is None else 1.5 * A - 0.5 * state.rhs_hist[2]
     c = dt * coeffs.kappa_bar / (sc.rho_bar * coeffs.c_p)
     wb, wt = sc.wall_values(state.t + dt)
-    temp = helmholtz_solve(ScalarField(g, vals + dt * A_eff), c, DirichletZ(wb, wt))
+    temp = helmholtz_solve(ScalarField(g, vals + dt * A_eff), c, wb, wt)
     if lam != 0.0:
         tframe = state.frame == T_FRAME
         unit = helmholtz_solve(ScalarField(g, np.ones((g.nx, g.nz))), c) if tframe else (
-            helmholtz_solve(ScalarField.zeros(g), c, DirichletZ(1.0, 1.0))
+            helmholtz_solve(ScalarField.zeros(g), c, 1.0, 1.0)
         )
         denom = 1.0 - lam * mean(unit) if tframe else 1.0 + k * mean(unit)
         if tframe:

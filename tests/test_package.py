@@ -1,13 +1,17 @@
-"""Package surface tests: exported names, and the step logs' named columns."""
+"""Package surface tests: exported names, the knobs that were removed, and
+the step logs' named columns."""
 
 import importlib
+import inspect
 import pkgutil
 
 import numpy as np
 import pytest
 
 import bll
-from bll.grid import Grid
+import bll.cli
+import bll.grid
+from bll.grid import Grid, grad
 from bll.nsf import LOG_COLUMNS, NsfScenario, run_nsf
 from bll.ob import TRACE_COLUMNS, ObScenario, gravity_potential, run_ob
 from bll.thermo import EosParams
@@ -19,6 +23,14 @@ MODULES = ["bll"] + [f"bll.{info.name}" for info in pkgutil.iter_modules(bll.__p
 def test_exported_names_resolve(name) -> None:
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_removed_knobs_stay_removed() -> None:
+    # No caller set them; re-adding one is a decision, not an accident.
+    assert not hasattr(bll.grid, "DirichletZ") and not hasattr(bll.grid, "NeumannZ")
+    assert "initial" not in inspect.signature(run_ob).parameters
+    assert list(inspect.signature(grad).parameters) == ["f"]
+    assert not hasattr(bll.cli, "_resolve_threads")
 
 
 def _ob_trace():
