@@ -23,10 +23,13 @@ potential is not z-only or the walls are not per-wall constant, the reference
 degenerates to zero profiles and the scheme reduces to the plain form.
 
 Validation runs at the public entry points and in the positivity guard after
-every stage.  A run evaluates each state's thermodynamics once, with the
-unchecked thermo kernels, and shares it between the log row, the CFL bound
-(evaluated once per step) and the next step's first stage.  Each stage starts
-the Newton recovery of theta from rho*e at the previous stage's theta.
+every stage (one min and one max per array).  A run evaluates each state's
+thermodynamics once and shares it between the log row, the CFL bound
+(evaluated once per step) and the next step's first stage: rho*e is the
+rho_e kernel, bit for bit, and p, c^2 and e_theta are closed forms with one
+cbrt and products of theta, equal to the public kernels to rounding.  Each
+stage starts the Newton recovery of theta from rho*e at the previous stage's
+theta.
 scipy is imported only by the continuum oracle hydrostatic_stationary_1d.
 """
 
@@ -62,15 +65,14 @@ from .grid import (
 )
 from .thermo import (
     _check_state,
-    _energy_dtheta,
     _entropy,
     _eta,
+    _finite_positive,
     _kappa,
     _mu,
     _pressure,
     _pressure_derivatives,
     _rho_e,
-    _sound_speed_squared,
     pressure,
     pressure_derivatives,
     rho_e,
@@ -199,7 +201,9 @@ class NsfTrajectory:
 
 @dataclass
 class _NsfAux:
-    """Hydrostatic reference profiles plus cached wall and potential stencils."""
+    """Hydrostatic reference profiles plus cached wall and potential stencils;
+    the full-shape *_xz profiles, dGz_eps = dGz / (eps dz) and the x-face wall
+    temperatures corner_b/corner_t are _rhs's per-scenario invariants."""
 
     rho_hat: np.ndarray
     theta_hat: np.ndarray
@@ -213,6 +217,12 @@ class _NsfAux:
     dGx: np.ndarray | None
     dGz: np.ndarray
     rho_hat_f: np.ndarray
+    rho_hat_xz: np.ndarray
+    p_hat_xz: np.ndarray
+    E_hat_xz: np.ndarray
+    dGz_eps: np.ndarray
+    corner_b: np.ndarray
+    corner_t: np.ndarray
 
 
 def _conduction_profile(grid, eos, gb, gt):
@@ -302,6 +312,7 @@ def _build_reference(scenario):
         E_hat = np.zeros(g.nz)
         balanced = False
     dGx = gr._xdiff_prev(Gv)
+    dGz = Gv[:, 1:] - Gv[:, :-1]
     return _NsfAux(
         rho_hat=rho_hat,
         theta_hat=theta_hat,
@@ -313,8 +324,14 @@ def _build_reference(scenario):
         kap_b=transport(wb, eos)[2],
         kap_t=transport(wt, eos)[2],
         dGx=None if not dGx.any() else dGx,
-        dGz=Gv[:, 1:] - Gv[:, :-1],
+        dGz=dGz,
         rho_hat_f=0.5 * (rho_hat[1:] + rho_hat[:-1]),
+        rho_hat_xz=np.tile(rho_hat, (g.nx, 1)),
+        p_hat_xz=np.tile(p_hat, (g.nx, 1)),
+        E_hat_xz=np.tile(E_hat, (g.nx, 1)),
+        dGz_eps=dGz / (scenario.eps * g.dz),
+        corner_b=center_to_xface(wb),
+        corner_t=center_to_xface(wt),
     )
 
 
@@ -428,15 +445,35 @@ def build_initial_nsf(scenario):
 
 
 # Thermo and transport fields of one checked (rho, theta), shared within a
-# stage; eta is None when eos.eta0 == 0, and the bulk-viscosity terms are skipped.
+# stage; e_theta is the float 1.5 when eos.a == 0, and eta is None when
+# eos.eta0 == 0, and the bulk-viscosity terms are skipped.
 _Thermo = namedtuple("_Thermo", "E p c2 e_theta mu eta")
 
 
 def _thermo(rho, th, eos):
-    e_theta = _energy_dtheta(rho, th, eos)
-    c2 = _sound_speed_squared(rho, th, eos, e_theta)
+    """Stage thermodynamics from the closed forms of P(Z) = Z + p_inf Z^{5/3}:
+    p = rho theta + p_inf rho^{5/3} + (a/3) theta^4, p_rho = theta + (5/3)
+    p_inf rho^{2/3}, p_theta = rho + (4a/3) theta^3 (the Z terms cancel) and
+    e_theta = 3/2 + 4a theta^3 / rho; equal to the public kernels to rounding.
+    E is _rho_e, bit for bit."""
+    E = _rho_e(rho, th, eos)
+    mu = _mu(th, eos)
     eta = _eta(th, eos) if eos.eta0 else None
-    return _Thermo(_rho_e(rho, th, eos), _pressure(rho, th, eos), c2, e_theta, _mu(th, eos), eta)
+    p = rho * th
+    if not (eos.p_inf or eos.a):
+        return _Thermo(E, p, (5.0 / 3.0) * th, 1.5, mu, eta)
+    p_rho, p_theta, e_theta = th, rho, 1.5
+    if eos.p_inf:
+        r23 = np.cbrt(rho) ** 2
+        p += eos.p_inf * (rho * r23)
+        p_rho = th + (5.0 / 3.0) * eos.p_inf * r23
+    if eos.a:
+        t3 = th * th * th
+        p += (eos.a / 3.0) * (t3 * th)
+        p_theta = rho + (4.0 * eos.a / 3.0) * t3
+        e_theta = 1.5 + 4.0 * eos.a * t3 / rho
+    c2 = p_rho + th * p_theta ** 2 / (rho ** 2 * e_theta)
+    return _Thermo(E, p, c2, e_theta, mu, eta)
 
 
 def _rhs(rho, th, u, w, scenario, aux, tf):
@@ -449,9 +486,9 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     E, p, c2, mu, eta = tf.E, tf.p, tf.c2, tf.mu, tf.eta
     spec_h = (E + p) / rho
 
-    dp = p - aux.p_hat[None, :]
-    dr = rho - aux.rho_hat[None, :]
-    dE = E - aux.E_hat[None, :]
+    dp = p - aux.p_hat_xz
+    dr = rho - aux.rho_hat_xz
+    dE = E - aux.E_hat_xz
 
     # x faces: face i sits between centers i-1 and i.
     th_l = gr._xprev(th)
@@ -499,11 +536,13 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     Dxx = gr._xdiff_next(u) / dx
     Dzz = (w[:, 1:] - w[:, :-1]) / dz
     divU = Dxx + Dzz
-    Sxx = mu * (Dxx - Dzz)
-    Szz = mu * (Dzz - Dxx)
+    Dxx_zz = Dxx - Dzz
+    Sxx = mu * Dxx_zz
+    Szz = -Sxx  # mu (Dzz - Dxx), bit for bit up to the sign of a zero
     if eta is not None:
-        Sxx += eta * divU
-        Szz += eta * divU
+        bulk = eta * divU
+        Sxx += bulk
+        Szz += bulk
     shear = np.zeros_like(w)
     shear[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / dz
     shear[:, 0] = 2.0 * u[:, 0] / dz
@@ -512,8 +551,8 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     th_corner = np.empty_like(w)
     # x-pairs first: keeps the average bitwise equal under x-mirroring.
     th_corner[:, 1:-1] = 0.25 * (th_pairs[:, 1:] + th_pairs[:, :-1])
-    th_corner[:, 0] = center_to_xface(aux.wall_b)
-    th_corner[:, -1] = center_to_xface(aux.wall_t)
+    th_corner[:, 0] = aux.corner_b
+    th_corner[:, -1] = aux.corner_t
     Sxz = _mu(th_corner, eos) * shear
 
     du = (
@@ -527,7 +566,7 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     dw[:, 1:-1] = (
         adv_w[:, 1:-1]
         - jp_z / (eps * eps * rho_fz * dz)
-        + aux.dGz / (eps * dz) * (1.0 - aux.rho_hat_f[None, :] / rho_fz)
+        + aux.dGz_eps * (1.0 - aux.rho_hat_f[None, :] / rho_fz)
         + (
             gr._xdiff_next(Sxz[:, 1:-1]) / dx
             + (Szz[:, 1:] - Szz[:, :-1]) / dz
@@ -540,7 +579,7 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     sh2_pairs = gr._xnext(sh2)
     sh2_pairs += sh2
     sh2_c = 0.25 * (sh2_pairs[:, :-1] + sh2_pairs[:, 1:])
-    diss = mu * ((Dxx - Dzz) ** 2 + sh2_c)
+    diss = mu * (Dxx_zz ** 2 + sh2_c)
     if eta is not None:
         diss += eta * divU * divU
     d_E += eps * eps * diss - p * divU
@@ -548,13 +587,13 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
 
 
 def _theta_of(rho, E, t, scenario, theta_guess):
-    if not np.all(np.isfinite(rho)) or np.any(rho <= 0):
+    if not _finite_positive(rho):
         raise DivergenceError("density lost positivity", time=t)
     try:
         th = theta_from_rho_e(rho, E, scenario.eos, theta_guess)
     except DomainError as exc:
         raise DivergenceError(f"energy left the admissible range: {exc}", time=t) from exc
-    if not np.all(np.isfinite(th)) or np.any(th <= 0):
+    if not _finite_positive(th):
         raise DivergenceError("temperature lost positivity", time=t)
     return th
 

@@ -16,7 +16,10 @@ test oracles (gibbs_residual).  Every function is vectorized over rho/theta.
 Each formula lives in one unchecked kernel (_pressure, ...); the public function
 of the same name is _check_state plus the kernel, for states not yet validated.
 A kernel skips the p_inf and a terms when their coefficient is 0 (adding 0.0
-leaves a finite value unchanged), so the ideal gas pays no fractional power.
+leaves a finite value unchanged), so the ideal gas pays no rho^{5/3} and no
+theta^4; pressure and pressure_derivatives still form Z = rho theta^{-3/2}
+and theta^{5/2} or theta^{3/2}.  The compressible stage evaluates its own
+closed forms (nsf._thermo), which need no power of theta.
 """
 
 from __future__ import annotations
@@ -99,6 +102,12 @@ def _check_state(rho, theta):
     if np.any(rho <= 0) or np.any(theta <= 0):
         raise DomainError("rho and theta must be > 0")
     return rho, theta
+
+
+def _finite_positive(x):
+    """Whether every entry of the array x is finite and > 0, by one min and
+    one max (a NaN propagates through both and fails); true when x is empty."""
+    return x.size == 0 or bool(x.min() > 0 and x.max() < np.inf)
 
 
 def _P(Z, eos):
@@ -217,22 +226,26 @@ def theta_from_rho_e(rho, E, eos, theta_guess=None):
     theta -> (3/2) rho theta + a theta^4 (monotone, so the root is unique),
     started from theta_guess if given (a nearby theta converges in 2-3 steps,
     not about 7), raising DomainError when 60 Newton steps do not converge.
+    R = E - (3/2) p_inf rho^{5/3} must be finite and > 0 (one min and one
+    max), else DomainError; rho itself is not checked.  Each Newton step
+    forms theta^3 as a product.  An empty input returns empty.
     """
     rho = np.asarray(rho, dtype=float)
     E = np.asarray(E, dtype=float)
     R = E - 1.5 * eos.p_inf * rho ** (5.0 / 3.0) if eos.p_inf else E
-    if np.any(~np.isfinite(R)) or np.any(R <= 0):
+    if not _finite_positive(R):
         raise DomainError("internal energy below the cold-pressure floor")
+    rho15 = 1.5 * rho
     if eos.a == 0.0:
-        return R / (1.5 * rho)
-    theta = np.maximum(R / (1.5 * rho) if theta_guess is None else theta_guess, 1e-30)
+        return R / rho15
+    theta = np.maximum(R / rho15 if theta_guess is None else theta_guess, 1e-30)
     for _ in range(60):
-        t3 = theta ** 3
-        f = 1.5 * rho * theta + eos.a * (t3 * theta) - R
-        df = 1.5 * rho + 4.0 * eos.a * t3
+        t3 = theta * theta * theta
+        f = rho15 * theta + eos.a * (t3 * theta) - R
+        df = rho15 + 4.0 * eos.a * t3
         step = f / df
         theta = np.maximum(theta - step, 0.5 * theta)
-        if np.max(np.abs(step)) <= 1e-14 * np.max(theta):
+        if np.abs(step).max(initial=0.0) <= 1e-14 * theta.max(initial=0.0):
             return theta
     raise DomainError("Newton inversion of rho*e for theta did not converge")
 

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bll import grid as gr
-from bll import nsf
+from bll import nsf, thermo
 from bll.errors import CompatibilityError, DivergenceError, DomainError, ShapeError, StabilityError
 from bll.grid import Grid, ScalarField, VectorField, advect_velocity, center_to_xface, laplace_dirichlet
 from bll.nsf import (
@@ -25,7 +26,19 @@ from bll.nsf import (
     step_nsf,
 )
 from bll.ob import gravity_potential
-from bll.thermo import EosParams, _eta, _kappa, _mu, entropy, pressure, sound_speed_squared
+from bll.thermo import (
+    EosParams,
+    _eta,
+    _kappa,
+    _mu,
+    energy_dtheta,
+    entropy,
+    pressure,
+    rho_e,
+    sound_speed_squared,
+    theta_from_rho_e,
+    transport,
+)
 
 IDEAL = EosParams()
 
@@ -761,3 +774,166 @@ def test_bulk_viscosity_still_acts_when_eta0_positive() -> None:
     assert not np.allclose(got[1], without[1], rtol=0.0, atol=1e-12)
     assert not np.allclose(got[2], without[2], rtol=0.0, atol=1e-12)
     assert cfl_dt(build_initial_nsf(sc), sc) <= cfl_dt(build_initial_nsf(sc0), sc0)
+
+
+STAGE_EOS = [IDEAL, EosParams(p_inf=1.0), EosParams(a=1.0), EosParams(p_inf=1.0, a=1.0)]
+
+
+@st.composite
+def _thermo_states(draw):
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+    positive = st.floats(1e-3, 1e3)
+    return draw(arrays(float, shape, elements=positive)), draw(arrays(float, shape, elements=positive))
+
+
+@given(
+    state=_thermo_states(),
+    p_inf=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    a=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    eta0=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_stage_thermo_matches_public_functions(state, p_inf, a, eta0) -> None:
+    # the stage's closed forms equal the public closure to rounding; E is the
+    # public rho_e bit for bit, so the logged ballistic energy is too
+    rho, th = state
+    eos = EosParams(p_inf=p_inf, a=a, eta0=eta0)
+    tf = nsf._thermo(rho, th, eos)
+    assert np.array_equal(tf.E, rho_e(rho, th, eos))
+    for got, want in (
+        (tf.p, pressure(rho, th, eos)),
+        (tf.c2, sound_speed_squared(rho, th, eos)),
+        (tf.e_theta, energy_dtheta(rho, th, eos)),
+    ):
+        got = np.broadcast_to(got, rho.shape)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+    mu, eta, _ = transport(th, eos)
+    assert np.array_equal(tf.mu, mu)
+    assert tf.eta is None if eta0 == 0.0 else np.array_equal(tf.eta, eta)
+
+
+# Frozen copies of the stage thermodynamics and the theta recovery as they were
+# before the stage formed its closed forms: every quantity from the public
+# kernels, theta^3 by a power, and the guards by isfinite/any.
+def _old_thermo(rho, th, eos):
+    e_theta = thermo._energy_dtheta(rho, th, eos)
+    c2 = thermo._sound_speed_squared(rho, th, eos, e_theta)
+    eta = _eta(th, eos) if eos.eta0 else None
+    return nsf._Thermo(
+        thermo._rho_e(rho, th, eos), thermo._pressure(rho, th, eos), c2, e_theta, _mu(th, eos), eta
+    )
+
+
+def _old_theta_from_rho_e(rho, E, eos, theta_guess=None):
+    rho = np.asarray(rho, dtype=float)
+    E = np.asarray(E, dtype=float)
+    R = E - 1.5 * eos.p_inf * rho ** (5.0 / 3.0) if eos.p_inf else E
+    if np.any(~np.isfinite(R)) or np.any(R <= 0):
+        raise DomainError("internal energy below the cold-pressure floor")
+    if eos.a == 0.0:
+        return R / (1.5 * rho)
+    theta = np.maximum(R / (1.5 * rho) if theta_guess is None else theta_guess, 1e-30)
+    for _ in range(60):
+        t3 = theta ** 3
+        f = 1.5 * rho * theta + eos.a * (t3 * theta) - R
+        df = 1.5 * rho + 4.0 * eos.a * t3
+        step = f / df
+        theta = np.maximum(theta - step, 0.5 * theta)
+        if np.max(np.abs(step)) <= 1e-14 * np.max(theta):
+            return theta
+    raise DomainError("Newton inversion of rho*e for theta did not converge")
+
+
+def _old_theta_of(rho, E, t, scenario, theta_guess):
+    if not np.all(np.isfinite(rho)) or np.any(rho <= 0):
+        raise DivergenceError("density lost positivity", time=t)
+    try:
+        th = _old_theta_from_rho_e(rho, E, scenario.eos, theta_guess)
+    except DomainError as exc:
+        raise DivergenceError(f"energy left the admissible range: {exc}", time=t) from exc
+    if not np.all(np.isfinite(th)) or np.any(th <= 0):
+        raise DivergenceError("temperature lost positivity", time=t)
+    return th
+
+
+def _outcome(fn, *args):
+    """fn's result, or the class and message of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    except (ValueError, RuntimeError) as exc:  # DomainError, DivergenceError, numpy's empty min
+        return type(exc), str(exc)
+
+
+def _recovery_cases():
+    """(rho, E) pairs with one bad entry in rho, in E, or in the theta they
+    recover (1e-300 / 1e300 overflows theta, 1e300 / 1e-300 underflows it)."""
+    rho, E = np.linspace(0.5, 2.0, 6), np.linspace(1.0, 3.0, 6)
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0):
+        for target in ("rho", "E"):
+            r, e = rho.copy(), E.copy()
+            (r if target == "rho" else e)[2] = bad
+            yield f"{target}={bad}", r, e
+    for r2, e2 in ((1e-300, 1e300), (1e300, 1e-300)):
+        r, e = rho.copy(), E.copy()
+        r[2], e[2] = r2, e2
+        yield f"theta_from({r2:g},{e2:g})", r, e
+
+
+@pytest.mark.parametrize("eos", STAGE_EOS, ids=["ideal", "stiffened", "radiation", "full"])
+def test_guards_raise_as_before_for_bad_entries(eos) -> None:
+    sc = _scenario(Grid(8, 8), eos=eos)
+    raised = 0
+    for case, rho, E in _recovery_cases():
+        for new, old, args in (
+            (theta_from_rho_e, _old_theta_from_rho_e, (rho, E, eos)),
+            (nsf._theta_of, _old_theta_of, (rho, E, 0.5, sc, np.ones_like(rho))),
+        ):
+            got, want = _outcome(new, *args), _outcome(old, *args)
+            if isinstance(want, tuple):
+                assert got == want, case
+                raised += 1
+            else:
+                assert isinstance(got, np.ndarray) and got.shape == want.shape, case
+                assert np.allclose(got, want, rtol=1e-14, atol=0.0, equal_nan=True), case
+    assert raised >= 12
+
+
+@pytest.mark.parametrize("eos", STAGE_EOS, ids=["ideal", "stiffened", "radiation", "full"])
+def test_theta_recovery_takes_scalars_and_empty_arrays(eos) -> None:
+    sc = _scenario(Grid(8, 8), eos=eos)
+    one = np.asarray(1.0)
+    E = rho_e(one, one, eos)
+    assert float(theta_from_rho_e(1.0, float(E), eos)) == pytest.approx(1.0, rel=1e-13)
+    assert float(nsf._theta_of(one, E, 0.0, sc, one)) == pytest.approx(1.0, rel=1e-13)
+    for shape in ((0,), (0, 3)):
+        empty = np.empty(shape)
+        assert theta_from_rho_e(empty, empty, eos).shape == shape
+        assert nsf._theta_of(empty, empty, 0.0, sc, empty).shape == shape
+
+
+@pytest.mark.parametrize("eos", [IDEAL, EosParams(p_inf=1.0, a=1.0)], ids=["ideal", "radiation"])
+def test_stage_closed_forms_move_a_run_by_rounding_only(eos, monkeypatch) -> None:
+    # the same run with the frozen stage thermodynamics and theta recovery
+    # swapped in agrees to rounding; velocities on the unit velocity scale
+    g = Grid(16, 8)
+    X, Z = g.cell_mesh()
+    T0 = ScalarField(g, 0.2 * (1 - 2 * Z) + 0.1 * np.sin(2 * np.pi * X) * np.sin(np.pi * Z) ** 2)
+    sc = _scenario(
+        g, eos=eos, G=gravity_potential(g, 1.0), theta_b_bottom=0.2, theta_b_top=-0.2, T0=T0, t_end=0.05
+    )
+    new = run_nsf(sc)
+    monkeypatch.setattr(nsf, "_thermo", _old_thermo)
+    monkeypatch.setattr(nsf, "theta_from_rho_e", _old_theta_from_rho_e)
+    old = run_nsf(sc)
+    monkeypatch.undo()
+    assert new.steps == old.steps > 5
+    a, b = new.states[-1], old.states[-1]
+    for x, y in ((a.rho.values, b.rho.values), (a.theta.values, b.theta.values)):
+        assert np.max(np.abs(x - y) / np.abs(y)) <= 1e-13
+    for x, y in ((a.U.u, b.U.u), (a.U.w, b.U.w)):
+        assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+    assert np.max(np.abs(a.U.w)) > 1e-4
+    for traj in (new, old):
+        mass = traj.log.mass
+        assert np.max(np.abs(mass - mass[0])) / mass[0] <= 1e-12
