@@ -18,18 +18,19 @@ the whole scheme, dissipation never acts on the equilibrium stratification,
 and the potential force enters z-momentum in the balanced form
 G' (1 - rho_hat_f / rho_f).  Jumps split into an acoustic part (from the
 pressure jump, dissipated at |u| + c/eps) and a material part (dissipated at
-|u|); the acoustic energy jump is weighted by the specific enthalpy.  When the
-potential is not z-only or the walls are not per-wall constant, the reference
-degenerates to zero profiles and the scheme reduces to the plain form.
+|u|); the acoustic energy jump is weighted by the specific enthalpy.  An
+x-varying wall gets the column between the x-mean wall temperatures: it is
+still in discrete face balance, which keeps the scheme consistent, and the
+Fourier wall flux keeps the per-x walls.  An x-varying potential gets zero
+profiles, and the scheme reduces to the plain form.
 
 Validation runs at the public entry points and in the positivity guard after
 every stage (one min and one max per array).  A run evaluates each state's
 thermodynamics once and shares it between the log row, the CFL bound
-(evaluated once per step) and the next step's first stage: rho*e is the
-rho_e kernel, bit for bit, and p, c^2 and e_theta are closed forms with one
-cbrt and products of theta, equal to the public kernels to rounding.  Each
-stage starts the Newton recovery of theta from rho*e at the previous stage's
-theta.
+(evaluated once per step) and the next step's first stage: rho*e is thermo's
+_rho_e and p, c^2 and e_theta its _closure (one cbrt and products of theta),
+so the stage forms no gas-model formula of its own.  Each stage starts the
+Newton recovery of theta from rho*e at the previous stage's theta.
 scipy is imported only by the continuum oracle hydrostatic_stationary_1d.
 """
 
@@ -65,17 +66,14 @@ from .grid import (
 )
 from .thermo import (
     _check_state,
+    _closure,
     _entropy,
     _eta,
     _finite_positive,
     _kappa,
     _mu,
-    _pressure,
-    _pressure_derivatives,
     _rho_e,
-    pressure,
     pressure_derivatives,
-    rho_e,
     theta_from_rho_e,
     transport,
 )
@@ -202,20 +200,19 @@ class NsfTrajectory:
 @dataclass
 class _NsfAux:
     """Hydrostatic reference profiles plus cached wall and potential stencils;
-    the full-shape *_xz profiles, dGz_eps = dGz / (eps dz) and the x-face wall
-    temperatures corner_b/corner_t are _rhs's per-scenario invariants."""
+    balanced tells whether the scheme has a reference (the potential is
+    z-only).  The full-shape *_xz profiles, dGz_eps = (G_{k+1} - G_k) /
+    (eps dz) and the x-face wall temperatures corner_b/corner_t are _rhs's
+    per-scenario invariants."""
 
     rho_hat: np.ndarray
     theta_hat: np.ndarray
-    p_hat: np.ndarray
-    E_hat: np.ndarray
     balanced: bool
     wall_b: np.ndarray
     wall_t: np.ndarray
     kap_b: np.ndarray
     kap_t: np.ndarray
     dGx: np.ndarray | None
-    dGz: np.ndarray
     rho_hat_f: np.ndarray
     rho_hat_xz: np.ndarray
     p_hat_xz: np.ndarray
@@ -264,8 +261,7 @@ def _balanced_density(grid, eos, theta_hat, G_prof, eps, rho_bar):
     last = np.inf
     for _ in range(60):
         with np.errstate(over="ignore", invalid="ignore"):  # caught as a non-finite iterate
-            p = _pressure(rho, theta_hat, eos)
-            p_rho = _pressure_derivatives(rho, theta_hat, eos)[0]
+            p, p_rho = _closure(rho, theta_hat, eos)[:2]
             res[:-1] = (p[1:] - p[:-1]) - half_dG * (rho[:-1] + rho[1:])
             res[-1] = float(np.sum(rho)) * grid.dz - rho_bar
             jac[k, k] = -p_rho[:-1] - half_dG
@@ -285,51 +281,53 @@ def _balanced_density(grid, eos, theta_hat, G_prof, eps, rho_bar):
     raise DomainError("hydrostatic face balance did not converge")
 
 
+def _z_only(Gv):
+    return float(np.max(np.abs(Gv - Gv[:1, :]))) <= 1e-12 * max(1.0, float(np.max(np.abs(Gv))))
+
+
+def _flat(wall):
+    return float(np.ptp(wall)) <= 1e-13
+
+
 def _is_column(scenario):
     """Whether the stationary state is a z-profile: the potential is z-only and
     each wall temperature theta_bar + eps Theta_B is constant."""
-    Gv = scenario.G.values
     wb, wt = scenario.wall_theta()
-    z_only = float(np.max(np.abs(Gv - Gv[:1, :]))) <= 1e-12 * max(1.0, float(np.max(np.abs(Gv))))
-    return z_only and float(np.ptp(wb)) <= 1e-13 and float(np.ptp(wt)) <= 1e-13
+    return _z_only(scenario.G.values) and _flat(wb) and _flat(wt)
 
 
 def _build_reference(scenario):
+    """The reference column whenever the potential is z-only, between wb[0]
+    for a flat wall (a mean may round off its value) and the x-mean for an
+    x-varying one; zero profiles otherwise."""
     g = scenario.grid
     eos = scenario.eos
     wb, wt = scenario.wall_theta()
     Gv = scenario.G.values
-    if _is_column(scenario):
-        theta_hat = _conduction_profile(g, eos, float(wb[0]), float(wt[0]))
+    balanced = _z_only(Gv)
+    if balanced:
+        gb, gt = (float(w[0]) if _flat(w) else float(np.mean(w)) for w in (wb, wt))
+        theta_hat = _conduction_profile(g, eos, gb, gt)
         rho_hat = _balanced_density(g, eos, theta_hat, Gv[0], scenario.eps, scenario.rho_bar)
-        p_hat = pressure(rho_hat, theta_hat, eos)
-        E_hat = rho_e(rho_hat, theta_hat, eos)
-        balanced = True
+        p_hat, E_hat = _closure(rho_hat, theta_hat, eos)[0], _rho_e(rho_hat, theta_hat, eos)
     else:
         theta_hat = np.full(g.nz, scenario.theta_bar)
-        rho_hat = np.zeros(g.nz)
-        p_hat = np.zeros(g.nz)
-        E_hat = np.zeros(g.nz)
-        balanced = False
+        rho_hat = p_hat = E_hat = np.zeros(g.nz)
     dGx = gr._xdiff_prev(Gv)
-    dGz = Gv[:, 1:] - Gv[:, :-1]
     return _NsfAux(
         rho_hat=rho_hat,
         theta_hat=theta_hat,
-        p_hat=p_hat,
-        E_hat=E_hat,
         balanced=balanced,
         wall_b=wb,
         wall_t=wt,
         kap_b=transport(wb, eos)[2],
         kap_t=transport(wt, eos)[2],
         dGx=None if not dGx.any() else dGx,
-        dGz=dGz,
         rho_hat_f=0.5 * (rho_hat[1:] + rho_hat[:-1]),
         rho_hat_xz=np.tile(rho_hat, (g.nx, 1)),
         p_hat_xz=np.tile(p_hat, (g.nx, 1)),
         E_hat_xz=np.tile(E_hat, (g.nx, 1)),
-        dGz_eps=dGz / (scenario.eps * g.dz),
+        dGz_eps=(Gv[:, 1:] - Gv[:, :-1]) / (scenario.eps * g.dz),
         corner_b=center_to_xface(wb),
         corner_t=center_to_xface(wt),
     )
@@ -339,11 +337,11 @@ def discrete_hydrostatic_reference(scenario):
     """(rho_hat, theta_hat) z-profiles: the exact discrete stationary state
     the scheme is balanced around.  Needs a z-only potential and per-wall
     constant Theta_B."""
-    aux = scenario.reference()
-    if not aux.balanced:
+    if not _is_column(scenario):
         raise ShapeError(
             "discrete reference needs a z-only potential and per-wall-constant Theta_B"
         )
+    aux = scenario.reference()
     return aux.rho_hat.copy(), aux.theta_hat.copy()
 
 
@@ -451,29 +449,11 @@ _Thermo = namedtuple("_Thermo", "E p c2 e_theta mu eta")
 
 
 def _thermo(rho, th, eos):
-    """Stage thermodynamics from the closed forms of P(Z) = Z + p_inf Z^{5/3}:
-    p = rho theta + p_inf rho^{5/3} + (a/3) theta^4, p_rho = theta + (5/3)
-    p_inf rho^{2/3}, p_theta = rho + (4a/3) theta^3 (the Z terms cancel) and
-    e_theta = 3/2 + 4a theta^3 / rho; equal to the public kernels to rounding.
-    E is _rho_e, bit for bit."""
-    E = _rho_e(rho, th, eos)
-    mu = _mu(th, eos)
+    """Stage thermodynamics: p, c^2 and e_theta from thermo's _closure and E
+    from _rho_e, each bit for bit what the public functions return."""
+    p, _, _, e_theta, c2 = _closure(rho, th, eos)
     eta = _eta(th, eos) if eos.eta0 else None
-    p = rho * th
-    if not (eos.p_inf or eos.a):
-        return _Thermo(E, p, (5.0 / 3.0) * th, 1.5, mu, eta)
-    p_rho, p_theta, e_theta = th, rho, 1.5
-    if eos.p_inf:
-        r23 = np.cbrt(rho) ** 2
-        p += eos.p_inf * (rho * r23)
-        p_rho = th + (5.0 / 3.0) * eos.p_inf * r23
-    if eos.a:
-        t3 = th * th * th
-        p += (eos.a / 3.0) * (t3 * th)
-        p_theta = rho + (4.0 * eos.a / 3.0) * t3
-        e_theta = 1.5 + 4.0 * eos.a * t3 / rho
-    c2 = p_rho + th * p_theta ** 2 / (rho ** 2 * e_theta)
-    return _Thermo(E, p, c2, e_theta, mu, eta)
+    return _Thermo(_rho_e(rho, th, eos), p, c2, e_theta, _mu(th, eos), eta)
 
 
 def _rhs(rho, th, u, w, scenario, aux, tf):

@@ -13,13 +13,14 @@ the combination (5/3 P - P' Z)/Z equals 2/3 exactly, which forces S'(Z) = -1/Z.
 All derivatives are analytic closed forms; finite differences appear only in
 test oracles (gibbs_residual).  Every function is vectorized over rho/theta.
 
-Each formula lives in one unchecked kernel (_pressure, ...); the public function
-of the same name is _check_state plus the kernel, for states not yet validated.
-A kernel skips the p_inf and a terms when their coefficient is 0 (adding 0.0
-leaves a finite value unchanged), so the ideal gas pays no rho^{5/3} and no
-theta^4; pressure and pressure_derivatives still form Z = rho theta^{-3/2}
-and theta^{5/2} or theta^{3/2}.  The compressible stage evaluates its own
-closed forms (nsf._thermo), which need no power of theta.
+Each formula lives in one unchecked kernel; the public function of the same
+name is _check_state plus the kernel, for states not yet validated.  p and
+its derivatives, de/dtheta and c^2 come from one kernel, _closure, in the
+closed forms P reduces to: they need no Z and no power of theta (rho^{2/3}
+is one cbrt), and dp/dtheta = rho + (4a/3) theta^3 carries no cancellation.
+The compressible stage calls _closure directly.  A kernel skips the p_inf and
+a terms when their coefficient is 0 (adding 0.0 leaves a finite value
+unchanged), so the ideal gas pays no rho^{5/3} and no theta^4.
 """
 
 from __future__ import annotations
@@ -110,24 +111,43 @@ def _finite_positive(x):
     return x.size == 0 or bool(x.min() > 0 and x.max() < np.inf)
 
 
-def _P(Z, eos):
-    return Z + eos.p_inf * Z ** (5.0 / 3.0) if eos.p_inf else Z
+def _closure(rho, theta, eos):
+    """(p, p_rho, p_theta, e_theta, c^2) in the closed forms of P(Z) = Z +
+    p_inf Z^{5/3}: p = rho theta + p_inf rho^{5/3} + (a/3) theta^4, p_rho =
+    theta + (5/3) p_inf rho^{2/3}, p_theta = rho + (4a/3) theta^3 (the Z
+    terms cancel, as in w10), e_theta = 3/2 + 4a theta^3 / rho and c^2 =
+    p_rho + theta p_theta^2 / (rho^2 e_theta).  The ideal gas returns the
+    inputs themselves as p_rho = theta and p_theta = rho, and e_theta = 1.5."""
+    p = rho * theta
+    if not (eos.p_inf or eos.a):
+        return p, theta, rho, 1.5, (5.0 / 3.0) * theta
+    p_rho, p_theta, e_theta = theta, rho, 1.5
+    if eos.p_inf:
+        r23 = np.cbrt(rho) ** 2
+        p += eos.p_inf * (rho * r23)
+        p_rho = theta + (5.0 / 3.0) * eos.p_inf * r23
+    if eos.a:
+        t3 = theta * theta * theta
+        p += (eos.a / 3.0) * (t3 * theta)
+        p_theta = rho + (4.0 * eos.a / 3.0) * t3
+        e_theta = 1.5 + 4.0 * eos.a * t3 / rho
+    c2 = p_rho + theta * p_theta ** 2 / (rho ** 2 * e_theta)
+    return p, p_rho, p_theta, e_theta, c2
 
 
-def _P_prime(Z, eos):
-    return 1.0 + (5.0 / 3.0) * eos.p_inf * Z ** (2.0 / 3.0) if eos.p_inf else np.ones_like(Z)
+def _fresh(x, rho, theta):
+    """x as a new array of the broadcast shape of rho and theta."""
+    return np.broadcast_to(x, np.broadcast(rho, theta).shape).copy()
 
 
 def _pressure(rho, theta, eos):
     """p = theta^{5/2} P(Z) + (a/3) theta^4."""
-    p = theta ** 2.5 * _P(rho * theta ** -1.5, eos)
-    return p + (eos.a / 3.0) * theta ** 4 if eos.a else p
+    return _closure(rho, theta, eos)[0]
 
 
 def _internal_energy(rho, theta, eos):
     """e = (3/2) theta^{5/2} P(Z) / rho + a theta^4 / rho, per unit mass."""
-    e = 1.5 * theta ** 2.5 * _P(rho * theta ** -1.5, eos) / rho
-    return e + eos.a * theta ** 4 / rho if eos.a else e
+    return _rho_e(rho, theta, eos) / rho
 
 
 def _entropy(rho, theta, eos):
@@ -145,17 +165,9 @@ def _rho_e(rho, theta, eos):
 
 
 def _pressure_derivatives(rho, theta, eos):
-    """(dp/drho, dp/dtheta) in closed form.
-
-    dp/drho = theta P'(Z); dp/dtheta = (5/2) theta^{3/2} P(Z)
-    - (3/2) rho P'(Z) + (4a/3) theta^3.
-    """
-    Z = rho * theta ** -1.5
-    P_prime = _P_prime(Z, eos)
-    p_theta = 2.5 * theta ** 1.5 * _P(Z, eos) - 1.5 * rho * P_prime
-    if eos.a:
-        p_theta += (4.0 * eos.a / 3.0) * theta ** 3
-    return theta * P_prime, p_theta
+    """(dp/drho, dp/dtheta) = (theta P'(Z), rho + (4a/3) theta^3)."""
+    _, p_rho, p_theta, _, _ = _closure(rho, theta, eos)
+    return _fresh(p_rho, rho, theta), _fresh(p_theta, rho, theta)
 
 
 def _entropy_derivatives(rho, theta, eos):
@@ -169,17 +181,12 @@ def _entropy_derivatives(rho, theta, eos):
 
 def _energy_dtheta(rho, theta, eos):
     """de/dtheta = 3/2 + 4a theta^3 / rho."""
-    if not eos.a:
-        return np.full(np.broadcast(rho, theta).shape, 1.5)
-    return 1.5 + 4.0 * eos.a * theta ** 3 / rho
+    return _fresh(_closure(rho, theta, eos)[3], rho, theta)
 
 
-def _sound_speed_squared(rho, theta, eos, e_theta=None):
+def _sound_speed_squared(rho, theta, eos):
     """Adiabatic sound speed squared: p_rho + theta p_theta^2 / (rho^2 e_theta)."""
-    if e_theta is None:
-        e_theta = _energy_dtheta(rho, theta, eos)
-    p_rho, p_theta = _pressure_derivatives(rho, theta, eos)
-    return p_rho + theta * p_theta ** 2 / (rho ** 2 * e_theta)
+    return _fresh(_closure(rho, theta, eos)[4], rho, theta)
 
 
 def _mu(theta, eos):
@@ -266,11 +273,7 @@ def ob_coefficients(rho_bar, theta_bar, eos):
     lam   = theta_bar alpha p_theta / (rho_bar c_p).
     """
     rho, theta = _check_state(rho_bar, theta_bar)
-    p_rho, p_theta = _pressure_derivatives(rho, theta, eos)
-    e_th = _energy_dtheta(rho, theta, eos)
-    p_rho = float(p_rho)
-    p_theta = float(p_theta)
-    e_th = float(e_th)
+    p_rho, p_theta, e_th = (float(x) for x in _closure(rho, theta, eos)[1:4])
     if p_rho <= 0 or e_th <= 0:
         raise StabilityError(
             f"thermodynamic stability fails at ({rho_bar}, {theta_bar}): "
@@ -375,6 +378,15 @@ class HypothesisReport:
             status = "pass" if c.passed else "FAIL"
             out.append(f"{c.name:8s} {status}  {c.detail}")
         return out
+
+
+# P and P' of Z itself, for the structure checks w10 and w11 only.
+def _P(Z, eos):
+    return Z + eos.p_inf * Z ** (5.0 / 3.0) if eos.p_inf else Z
+
+
+def _P_prime(Z, eos):
+    return 1.0 + (5.0 / 3.0) * eos.p_inf * Z ** (2.0 / 3.0) if eos.p_inf else np.ones_like(Z)
 
 
 # check_hypotheses samples _HYP_N log-spaced points per axis over these ranges.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bll.cli import parse_config
 from bll.diagnostics import (
     ComparisonReport,
     ConvergenceTable,
@@ -396,3 +397,36 @@ def test_compare_asymmetric_transient_report_io() -> None:
     assert np.isfinite(report.ratio) and report.ratio > 0
     text = report.format_text()
     assert "ratio" in text and "modified" in text
+
+
+# x-varying walls under gravity at 32x16: the compressible scheme is balanced
+# around the column between the x-mean wall temperatures.
+X_WALL_EPS = (0.05, 0.025, 0.0125)
+
+
+def test_sweep_with_x_varying_walls_converges() -> None:
+    cfg = parse_config(
+        "[forcing]\ng = 1\ntheta_b_bottom = 0.2\ntheta_b_top = -0.2\ntheta_b_cos = 0.1\n"
+        "[nsf]\neps_list = 0.05, 0.025, 0.0125\n"
+    )
+    assert (cfg.nx, cfg.nz, cfg.ob_dt, cfg.ob_t_end, cfg.cadence) == (32, 16, 1e-3, 0.25, 0.05)
+    table = sweep(cfg.ob_scenario(), cfg.eps_list, snapshot_dt=cfg.cadence)
+    assert not table.failures and [row.eps for row in table.rows] == list(X_WALL_EPS)
+    for name in ("err_rho", "err_theta", "err_mom"):
+        values = [getattr(row, name) for row in table.rows]
+        assert values[0] > values[1] > values[2], (name, values)
+    assert table.rows[-1].err_mom <= 1e-3
+
+
+def test_modified_target_wins_increasingly_with_x_varying_bottom_wall() -> None:
+    g = Grid(32, 16)
+    wall = lambda x: 0.5 + 0.1 * np.cos(2 * np.pi * x)  # noqa: E731
+    T0 = ScalarField.from_function(
+        g, lambda x, z: wall(x) * (1.0 - z) ** 2 + 0.3 * np.sin(np.pi * z) * np.cos(2 * np.pi * x)
+    )
+    sc = ObScenario(
+        g, IDEAL, G=gravity_potential(g, 1.0), theta_b_bottom=wall(g.x_centers), theta_b_top=0.0,
+        dt=1e-3, t_end=0.25, T0=T0,
+    )
+    ratios = [compare_modified_vs_naive(sc, eps, snapshot_dt=0.05).ratio for eps in X_WALL_EPS]
+    assert 1.0 < ratios[0] < ratios[1] < ratios[2], ratios

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bll import grid as gr
-from bll import nsf, thermo
+from bll import nsf
 from bll.errors import CompatibilityError, DivergenceError, DomainError, ShapeError, StabilityError
 from bll.grid import Grid, ScalarField, VectorField, advect_velocity, center_to_xface, laplace_dirichlet
 from bll.nsf import (
@@ -171,6 +171,24 @@ def test_discrete_reference_requires_flat_walls_and_z_only_potential() -> None:
     Gx = ScalarField.from_function(g, lambda x, z: np.cos(2 * np.pi * x) * (z - 0.5))
     with pytest.raises(ShapeError):
         discrete_hydrostatic_reference(_scenario(g, G=Gx))
+
+
+def test_reference_takes_flat_walls_bitwise_and_x_varying_walls_by_mean() -> None:
+    # the mean of 12 copies of the wall temperature 1.03 rounds off it, so a
+    # flat wall must enter the column as it is: 12 columns give 4 columns' bits
+    refs = []
+    for nx in (4, 12):
+        g = Grid(nx, 8)
+        sc = _scenario(g, G=gravity_potential(g, 1.0), theta_b_bottom=0.3, theta_b_top=-0.2)
+        refs.append(discrete_hydrostatic_reference(sc))
+    for a, b in zip(*refs):
+        assert np.array_equal(a, b)
+    g = Grid(16, 8)
+    bumpy = 0.3 + 0.05 * np.cos(2 * np.pi * g.x_centers)
+    aux = _scenario(g, G=gravity_potential(g, 1.0), theta_b_bottom=bumpy, theta_b_top=-0.2).reference()
+    assert aux.balanced
+    for a, b in zip((aux.rho_hat, aux.theta_hat), refs[0]):
+        assert np.allclose(a, b, rtol=1e-13, atol=0.0)
 
 
 def test_oracle_and_discrete_reference_agree_on_columns() -> None:
@@ -650,9 +668,9 @@ def _rhs_full_formula(rho, th, u, w, scenario, aux, tf, eta):
     E, p, c2, mu = tf.E, tf.p, tf.c2, tf.mu
     spec_h = (E + p) / rho
 
-    dp = p - aux.p_hat[None, :]
+    dp = p - aux.p_hat_xz
     dr = rho - aux.rho_hat[None, :]
-    dE = E - aux.E_hat[None, :]
+    dE = E - aux.E_hat_xz
 
     th_l = gr._xprev(th)
     rho_fx = center_to_xface(rho)
@@ -692,6 +710,8 @@ def _rhs_full_formula(rho, th, u, w, scenario, aux, tf, eta):
     d_E = -((gr._xnext(FE_x) - FE_x) / dx + (FE_z[:, 1:] - FE_z[:, :-1]) / dz)
 
     adv_u, adv_w = advect_velocity(g, u, w)
+    Gv = scenario.G.values
+    dGz = Gv[:, 1:] - Gv[:, :-1]
     Dxx = (gr._xnext(u) - u) / dx
     Dzz = (w[:, 1:] - w[:, :-1]) / dz
     divU = Dxx + Dzz
@@ -719,7 +739,7 @@ def _rhs_full_formula(rho, th, u, w, scenario, aux, tf, eta):
     dw[:, 1:-1] = (
         adv_w[:, 1:-1]
         - jp_z / (eps * eps * rho_fz * dz)
-        + aux.dGz / (eps * dz) * (1.0 - aux.rho_hat_f[None, :] / rho_fz)
+        + dGz / (eps * dz) * (1.0 - aux.rho_hat_f[None, :] / rho_fz)
         + (
             (gr._xnext(Sxz[:, 1:-1]) - Sxz[:, 1:-1]) / dx
             + (Szz[:, 1:] - Szz[:, :-1]) / dz
@@ -794,8 +814,8 @@ def _thermo_states(draw):
 )
 @settings(max_examples=200, deadline=None)
 def test_property_stage_thermo_matches_public_functions(state, p_inf, a, eta0) -> None:
-    # the stage's closed forms equal the public closure to rounding; E is the
-    # public rho_e bit for bit, so the logged ballistic energy is too
+    # the stage reads the public closure: E is the public rho_e bit for bit,
+    # so the logged ballistic energy is too, and so are p, c^2 and e_theta
     rho, th = state
     eos = EosParams(p_inf=p_inf, a=a, eta0=eta0)
     tf = nsf._thermo(rho, th, eos)
@@ -805,23 +825,72 @@ def test_property_stage_thermo_matches_public_functions(state, p_inf, a, eta0) -
         (tf.c2, sound_speed_squared(rho, th, eos)),
         (tf.e_theta, energy_dtheta(rho, th, eos)),
     ):
-        got = np.broadcast_to(got, rho.shape)
-        assert np.max(np.abs(got - want) / want) <= 1e-14
+        assert np.array_equal(np.broadcast_to(got, rho.shape), want)
     mu, eta, _ = transport(th, eos)
     assert np.array_equal(tf.mu, mu)
     assert tf.eta is None if eta0 == 0.0 else np.array_equal(tf.eta, eta)
 
 
+# Frozen copy of the stage thermodynamics in the closed forms the stage first
+# ran (one cbrt, products of theta, 5 theta / 3 for the ideal gas): the stage
+# must stay bit for bit on it.
+def _closed_form_thermo(rho, th, eos):
+    E = 1.5 * rho * th
+    if eos.p_inf:
+        E += 1.5 * eos.p_inf * rho ** (5.0 / 3.0)
+    if eos.a:
+        E = E + eos.a * th ** 4
+    mu = eos.mu0 * (1.0 + th)
+    eta = eos.eta0 * (1.0 + th) if eos.eta0 else None
+    p = rho * th
+    if not (eos.p_inf or eos.a):
+        return nsf._Thermo(E, p, (5.0 / 3.0) * th, 1.5, mu, eta)
+    p_rho, p_theta, e_theta = th, rho, 1.5
+    if eos.p_inf:
+        r23 = np.cbrt(rho) ** 2
+        p += eos.p_inf * (rho * r23)
+        p_rho = th + (5.0 / 3.0) * eos.p_inf * r23
+    if eos.a:
+        t3 = th * th * th
+        p += (eos.a / 3.0) * (t3 * th)
+        p_theta = rho + (4.0 * eos.a / 3.0) * t3
+        e_theta = 1.5 + 4.0 * eos.a * t3 / rho
+    c2 = p_rho + th * p_theta ** 2 / (rho ** 2 * e_theta)
+    return nsf._Thermo(E, p, c2, e_theta, mu, eta)
+
+
+@pytest.mark.parametrize("eos", STAGE_EOS, ids=["ideal", "stiffened", "radiation", "full"])
+def test_stage_thermo_equals_frozen_closed_forms_bitwise(eos) -> None:
+    rng = np.random.default_rng(7)
+    rho, th = 10.0 ** rng.uniform(-3.0, 3.0, (2, 16, 8))
+    for e in (eos, EosParams(p_inf=eos.p_inf, a=eos.a, eta0=0.5)):
+        got, want = nsf._thermo(rho, th, e), _closed_form_thermo(rho, th, e)
+        for name, x, y in zip(nsf._Thermo._fields, got, want):
+            assert (x is None and y is None) or np.array_equal(x, y), name
+
+
 # Frozen copies of the stage thermodynamics and the theta recovery as they were
-# before the stage formed its closed forms: every quantity from the public
-# kernels, theta^3 by a power, and the guards by isfinite/any.
+# before the stage formed its closed forms: the Z-form kernels, theta^3 by a
+# power, and the guards by isfinite/any.
 def _old_thermo(rho, th, eos):
-    e_theta = thermo._energy_dtheta(rho, th, eos)
-    c2 = thermo._sound_speed_squared(rho, th, eos, e_theta)
-    eta = _eta(th, eos) if eos.eta0 else None
-    return nsf._Thermo(
-        thermo._rho_e(rho, th, eos), thermo._pressure(rho, th, eos), c2, e_theta, _mu(th, eos), eta
-    )
+    Z = rho * th ** -1.5
+    P = Z + eos.p_inf * Z ** (5.0 / 3.0) if eos.p_inf else Z
+    P_prime = 1.0 + (5.0 / 3.0) * eos.p_inf * Z ** (2.0 / 3.0) if eos.p_inf else np.ones_like(Z)
+    p = th ** 2.5 * P
+    p_theta = 2.5 * th ** 1.5 * P - 1.5 * rho * P_prime
+    E = 1.5 * rho * th
+    if eos.p_inf:
+        E += 1.5 * eos.p_inf * rho ** (5.0 / 3.0)
+    if eos.a:
+        p = p + (eos.a / 3.0) * th ** 4
+        p_theta += (4.0 * eos.a / 3.0) * th ** 3
+        E = E + eos.a * th ** 4
+        e_theta = 1.5 + 4.0 * eos.a * th ** 3 / rho
+    else:
+        e_theta = np.full(np.broadcast(rho, th).shape, 1.5)
+    c2 = th * P_prime + th * p_theta ** 2 / (rho ** 2 * e_theta)
+    eta = eos.eta0 * (1.0 + th) if eos.eta0 else None
+    return nsf._Thermo(E, p, c2, e_theta, eos.mu0 * (1.0 + th), eta)
 
 
 def _old_theta_from_rho_e(rho, E, eos, theta_guess=None):

@@ -11,6 +11,7 @@ import pytest
 import bll
 import bll.cli
 import bll.grid
+import bll.thermo
 from bll.grid import Grid, grad
 from bll.nsf import LOG_COLUMNS, NsfScenario, run_nsf
 from bll.ob import TRACE_COLUMNS, ObScenario, gravity_potential, run_ob
@@ -31,6 +32,8 @@ def test_removed_knobs_stay_removed() -> None:
     assert "initial" not in inspect.signature(run_ob).parameters
     assert list(inspect.signature(grad).parameters) == ["f"]
     assert not hasattr(bll.cli, "_resolve_threads")
+    for fn in (bll.thermo.sound_speed_squared, bll.thermo._sound_speed_squared):
+        assert list(inspect.signature(fn).parameters) == ["rho", "theta", "eos"]
 
 
 def _ob_trace():

@@ -303,10 +303,6 @@ KERNEL_PAIRS = [
     (entropy_derivatives, thermo._entropy_derivatives),
     (energy_dtheta, thermo._energy_dtheta),
     (sound_speed_squared, thermo._sound_speed_squared),
-    (
-        sound_speed_squared,
-        lambda r, t, eos: thermo._sound_speed_squared(r, t, eos, thermo._energy_dtheta(r, t, eos)),
-    ),
     (lambda r, t, eos: transport(t, eos), lambda r, t, eos: thermo._transport(t, eos)),
 ]
 
@@ -345,78 +341,75 @@ def test_property_kernels_equal_public_functions_bitwise(state, p_inf, a, bad) -
             public(bad_rho, theta, eos)
 
 
-# Frozen copies of the kernel formulas as they were before the kernels learned
-# to skip zero-coefficient terms: every term is evaluated, also when its
-# coefficient is 0.  The kernels must stay bit-identical to these.
-def _old_P(Z, eos):
-    return Z + eos.p_inf * Z ** (5.0 / 3.0)
+# Frozen copies of the kernel formulas with every term evaluated, also when its
+# coefficient is 0: the kernels skip those terms and must stay bit-identical to
+# these.  The closed forms are those of _closure (one cbrt, products of theta);
+# the ideal gas's sound speed is its own closed form 5 theta / 3.
+def _full_pressure(rho, theta, eos):
+    t4 = theta * theta * theta * theta
+    return rho * theta + eos.p_inf * (rho * np.cbrt(rho) ** 2) + (eos.a / 3.0) * t4
 
 
-def _old_P_prime(Z, eos):
-    return 1.0 + (5.0 / 3.0) * eos.p_inf * Z ** (2.0 / 3.0)
+def _full_pressure_derivatives(rho, theta, eos):
+    p_rho = theta + (5.0 / 3.0) * eos.p_inf * np.cbrt(rho) ** 2
+    p_theta = rho + (4.0 * eos.a / 3.0) * (theta * theta * theta)
+    return p_rho, p_theta
 
 
-def _old_pressure(rho, theta, eos):
-    Z = rho * theta ** -1.5
-    return theta ** 2.5 * _old_P(Z, eos) + (eos.a / 3.0) * theta ** 4
+def _full_energy_dtheta(rho, theta, eos):
+    return 1.5 + 4.0 * eos.a * (theta * theta * theta) / rho
 
 
-def _old_internal_energy(rho, theta, eos):
-    Z = rho * theta ** -1.5
-    return 1.5 * theta ** 2.5 * _old_P(Z, eos) / rho + eos.a * theta ** 4 / rho
+def _full_sound_speed_squared(rho, theta, eos):
+    if not (eos.p_inf or eos.a):
+        return (5.0 / 3.0) * theta
+    p_rho, p_theta = _full_pressure_derivatives(rho, theta, eos)
+    return p_rho + theta * p_theta ** 2 / (rho ** 2 * _full_energy_dtheta(rho, theta, eos))
 
 
-def _old_entropy(rho, theta, eos):
+def _full_entropy(rho, theta, eos):
     Z = rho * theta ** -1.5
     return -np.log(Z) + eos.s0 + (4.0 * eos.a / 3.0) * theta ** 3 / rho
 
 
-def _old_rho_e(rho, theta, eos):
+def _full_rho_e(rho, theta, eos):
     return 1.5 * rho * theta + 1.5 * eos.p_inf * rho ** (5.0 / 3.0) + eos.a * theta ** 4
 
 
-def _old_pressure_derivatives(rho, theta, eos):
-    Z = rho * theta ** -1.5
-    p_rho = theta * _old_P_prime(Z, eos)
-    p_theta = (
-        2.5 * theta ** 1.5 * _old_P(Z, eos)
-        - 1.5 * rho * _old_P_prime(Z, eos)
-        + (4.0 * eos.a / 3.0) * theta ** 3
-    )
-    return p_rho, p_theta
+def _full_internal_energy(rho, theta, eos):
+    return _full_rho_e(rho, theta, eos) / rho
 
 
-def _old_entropy_derivatives(rho, theta, eos):
+def _full_entropy_derivatives(rho, theta, eos):
     s_rho = -1.0 / rho - (4.0 * eos.a / 3.0) * theta ** 3 / rho ** 2
     s_theta = 1.5 / theta + 4.0 * eos.a * theta ** 2 / rho
     return s_rho, s_theta
 
 
-def _old_energy_dtheta(rho, theta, eos):
-    return 1.5 + 4.0 * eos.a * theta ** 3 / rho
+def _full_P(Z, eos):
+    return Z + eos.p_inf * Z ** (5.0 / 3.0)
 
 
-def _old_sound_speed_squared(rho, theta, eos):
-    p_rho, p_theta = _old_pressure_derivatives(rho, theta, eos)
-    return p_rho + theta * p_theta ** 2 / (rho ** 2 * _old_energy_dtheta(rho, theta, eos))
+def _full_P_prime(Z, eos):
+    return 1.0 + (5.0 / 3.0) * eos.p_inf * Z ** (2.0 / 3.0)
 
 
-def _old_theta_from_rho_e_linear(rho, E, eos):
+def _full_theta_from_rho_e_linear(rho, E, eos):
     return (E - 1.5 * eos.p_inf * rho ** (5.0 / 3.0)) / (1.5 * rho)
 
 
 # (kernel, frozen formula) over (rho, theta, eos).
 FROZEN_PAIRS = [
-    (thermo._pressure, _old_pressure),
-    (thermo._internal_energy, _old_internal_energy),
-    (thermo._entropy, _old_entropy),
-    (thermo._rho_e, _old_rho_e),
-    (thermo._pressure_derivatives, _old_pressure_derivatives),
-    (thermo._entropy_derivatives, _old_entropy_derivatives),
-    (thermo._energy_dtheta, _old_energy_dtheta),
-    (thermo._sound_speed_squared, _old_sound_speed_squared),
-    (lambda r, t, eos: thermo._P(r, eos), lambda r, t, eos: _old_P(r, eos)),
-    (lambda r, t, eos: thermo._P_prime(r, eos), lambda r, t, eos: _old_P_prime(r, eos)),
+    (thermo._pressure, _full_pressure),
+    (thermo._internal_energy, _full_internal_energy),
+    (thermo._entropy, _full_entropy),
+    (thermo._rho_e, _full_rho_e),
+    (thermo._pressure_derivatives, _full_pressure_derivatives),
+    (thermo._entropy_derivatives, _full_entropy_derivatives),
+    (thermo._energy_dtheta, _full_energy_dtheta),
+    (thermo._sound_speed_squared, _full_sound_speed_squared),
+    (lambda r, t, eos: thermo._P(r, eos), lambda r, t, eos: _full_P(r, eos)),
+    (lambda r, t, eos: thermo._P_prime(r, eos), lambda r, t, eos: _full_P_prime(r, eos)),
 ]
 
 
@@ -444,8 +437,80 @@ def test_property_kernels_equal_frozen_formulas_bitwise(state, p_inf, a, scalar)
         else:
             assert _same(got, want)
     if a == 0.0:
-        E = _old_rho_e(rho, theta, eos)
-        assert _same(theta_from_rho_e(rho, E, eos), _old_theta_from_rho_e_linear(rho, E, eos))
+        E = _full_rho_e(rho, theta, eos)
+        assert _same(theta_from_rho_e(rho, E, eos), _full_theta_from_rho_e_linear(rho, E, eos))
+
+
+# The closure in its Z form, P(Z) = Z + p_inf Z^{5/3} with Z = rho theta^{-3/2},
+# as an oracle independent of _closure: name -> (value, scale), where scale sums
+# the absolute values of the Z form's own terms.  Those cancel in dp/dtheta at
+# large Z, so the Z form is only good to rounding of scale, not of the value.
+def _z_form(rho, theta, eos):
+    Z = rho * theta ** -1.5
+    P, P_prime = _full_P(Z, eos), _full_P_prime(Z, eos)
+    p = theta ** 2.5 * P + (eos.a / 3.0) * theta ** 4
+    e = 1.5 * theta ** 2.5 * P / rho + eos.a * theta ** 4 / rho
+    p_rho = theta * P_prime
+    terms = (2.5 * theta ** 1.5 * P, -1.5 * rho * P_prime, (4.0 * eos.a / 3.0) * theta ** 3)
+    p_theta, scale = sum(terms), sum(np.abs(t) for t in terms)
+    e_theta = 1.5 + 4.0 * eos.a * theta ** 3 / rho
+    c2 = p_rho + theta * p_theta ** 2 / (rho ** 2 * e_theta)
+    c2_scale = p_rho + theta * (np.abs(p_theta) + scale) ** 2 / (rho ** 2 * e_theta)
+    return {
+        "p": (p, p), "e": (e, e), "p_rho": (p_rho, p_rho), "p_theta": (p_theta, scale),
+        "e_theta": (e_theta, e_theta), "c2": (c2, c2_scale),
+    }
+
+
+# A kernel agrees with the Z form within Z_FORM_ULPS units of rounding of the
+# Z form's scale (the worst seen over [1e-3, 1e3]^2 is about 8).
+Z_FORM_ULPS = 32
+
+
+@given(
+    state=_states(),
+    p_inf=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+    a=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_property_kernels_match_z_form_to_rounding_of_its_terms(state, p_inf, a) -> None:
+    rho, theta = state
+    eos = EosParams(p_inf=p_inf, a=a)
+    p_rho, p_theta = thermo._pressure_derivatives(rho, theta, eos)
+    got = {
+        "p": thermo._pressure(rho, theta, eos),
+        "e": thermo._internal_energy(rho, theta, eos),
+        "p_rho": p_rho,
+        "p_theta": p_theta,
+        "e_theta": thermo._energy_dtheta(rho, theta, eos),
+        "c2": thermo._sound_speed_squared(rho, theta, eos),
+    }
+    for name, (want, scale) in _z_form(rho, theta, eos).items():
+        err = np.max(np.abs(got[name] - want) / scale)
+        assert err <= Z_FORM_ULPS * np.finfo(float).eps, (name, err)
+
+
+@pytest.mark.parametrize("eos", [EosParams(p_inf=1.0), EosParams(p_inf=5.0, a=0.1)],
+                         ids=["stiffened", "full"])
+def test_pressure_theta_derivative_exact_to_rounding_at_large_z(eos) -> None:
+    # dp/dtheta = rho + (4a/3) theta^3 exactly: no cancellation of Z terms
+    Z, theta = np.meshgrid(np.geomspace(1e-2, 1e6, 97), np.geomspace(1e-2, 1e2, 97), indexing="ij")
+    rho = Z * theta ** 1.5
+    _, p_theta = pressure_derivatives(rho, theta, eos)
+    r, t = rho.astype(np.longdouble), theta.astype(np.longdouble)
+    exact = r + (4 * np.longdouble(eos.a) / 3) * t ** 3
+    assert float(np.max(np.abs(p_theta - exact) / exact)) <= 1e-15
+
+
+def test_returned_arrays_never_alias_the_inputs() -> None:
+    # the ideal gas's p_rho and p_theta are theta and rho themselves inside
+    # the closure; the public functions hand out new arrays
+    rho, theta = np.linspace(0.5, 2.0, 5), np.linspace(1.0, 3.0, 5)
+    rho0, theta0 = rho.copy(), theta.copy()
+    for out in (*pressure_derivatives(rho, theta, IDEAL), pressure(rho, theta, IDEAL),
+                energy_dtheta(rho, theta, IDEAL), sound_speed_squared(rho, theta, IDEAL)):
+        out[...] = -1.0
+    assert np.array_equal(rho, rho0) and np.array_equal(theta, theta0)
 
 
 def test_theta_recovery_warm_start_agrees_with_cold_start() -> None:
