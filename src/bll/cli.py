@@ -98,6 +98,11 @@ def _token(value):
     return str(value) if isinstance(value, int) else format(value, ".17g")
 
 
+def _initial_temperature(grid, wb, wt):
+    z = grid.z_centers[None, :]
+    return ScalarField(grid, wb[:, None] * (1.0 - z) + wt[:, None] * z)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully-resolved scenario: every schema key with defaults applied."""
@@ -142,13 +147,6 @@ class ScenarioConfig:
         wave = self.theta_b_cos * np.cos(2 * np.pi * grid.x_centers / self.lx)
         return self.theta_b_bottom + wave, self.theta_b_top + wave
 
-    def _initial_temperature(self, grid):
-        wb, wt = self.wall_arrays(grid)
-        T0 = ScalarField.zeros(grid)
-        z = grid.z_centers[None, :]
-        T0.values[:] = wb[:, None] * (1.0 - z) + wt[:, None] * z
-        return T0
-
     def ob_scenario(self):
         grid = self.grid()
         wb, wt = self.wall_arrays(grid)
@@ -162,16 +160,16 @@ class ScenarioConfig:
             theta_b_top=wt,
             dt=self.ob_dt,
             t_end=self.ob_t_end,
-            T0=self._initial_temperature(grid),
+            T0=_initial_temperature(grid, wb, wt),
         )
 
-    def nsf_scenario(self, eps=None):
+    def nsf_scenario(self):
         grid = self.grid()
         wb, wt = self.wall_arrays(grid)
         return NsfScenario(
             grid,
             self.eos,
-            self.eps if eps is None else eps,
+            self.eps,
             rho_bar=self.rho_bar,
             theta_bar=self.theta_bar,
             G=gravity_potential(grid, self.g),
@@ -179,7 +177,7 @@ class ScenarioConfig:
             theta_b_top=wt,
             cfl=self.cfl,
             t_end=self.nsf_t_end,
-            T0=self._initial_temperature(grid),
+            T0=_initial_temperature(grid, wb, wt),
         )
 
 

@@ -15,10 +15,13 @@ Error norms are L-infinity in time over shared snapshots (cadences must
 match exactly; no interpolation) of: the L1 norm of (rho - rho_bar)/eps - r
 and (theta - theta_bar)/eps - T against the incompressible deviations, and
 the face-based L2 norm of sqrt(rho) u - sqrt(rho_bar) U (wall faces carry
-no-slip zeros and are omitted).  The sweep runs one incompressible target and
-one compressible member per eps, in eps order in the calling thread,
-assembling a table with log-log fitted rates; diverging members annotate the
-table instead of aborting it.
+no-slip zeros and are omitted); eps is read from the compressible run and the
+limit scenario from the target.  One runner builds a compressible member from
+its first target's initial state, runs it once and scores it against every
+target.  The sweep calls it per eps against one shared target, in eps order
+in the calling thread, assembling a table with log-log fitted rates; diverging
+members annotate the table instead of aborting it.  The comparison is its
+one-member case against the modified and the naive target.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import numpy as np
 from .errors import AlignmentError, ConfigError, DomainError, DivergenceError, ShapeError, StabilityError
 from .grid import ScalarField, Staggering, VectorField, center_to_xface, xface_to_center, zface_to_center
 from .nsf import NsfScenario, _require_static_walls, run_nsf
-from .ob import T_FRAME, THETA_FRAME, recover_density_deviation, run_ob, transform_frame
+from .ob import T_FRAME, recover_density_deviation, run_ob, transform_frame
 from .thermo import entropy, internal_energy, pressure, rho_e
 
 __all__ = [
@@ -242,27 +245,24 @@ class ConvergenceTable:
                 raise DomainError("error norms must be finite and non-negative")
 
 
-def _tframe_states(ob_traj):
-    if ob_traj.frame == T_FRAME:
-        return ob_traj.states
-    return [transform_frame(s, ob_traj.scenario) for s in ob_traj.states]
+def _tframe(state, scenario):
+    return state if state.frame == T_FRAME else transform_frame(state, scenario)
 
 
-def deviation_error_norms(nsf_traj, ob_traj, eps, scenario):
+def deviation_error_norms(nsf_traj, ob_traj):
     """Worst-over-snapshots norms of the compressible run against the
     incompressible target: L1 of (rho-rho_bar)/eps - r, L1 of
     (theta-theta_bar)/eps - T, and face L2 of sqrt(rho) u - sqrt(rho_bar) U.
 
+    eps is the compressible run's and the limit scenario the target's.
     Snapshot cadences must agree exactly (no time interpolation); r is
     recovered from the target temperature by the linearized balance.
     """
+    scenario = ob_traj.scenario
+    eps = nsf_traj.scenario.eps
     g = scenario.grid
-    if nsf_traj.scenario.grid != g or ob_traj.scenario.grid != g:
-        raise AlignmentError("trajectories must share the scenario grid")
-    if abs(nsf_traj.scenario.eps - eps) > 0:
-        raise AlignmentError(
-            f"eps={eps:g} disagrees with the compressible run ({nsf_traj.scenario.eps:g})"
-        )
+    if nsf_traj.scenario.grid != g:
+        raise AlignmentError("trajectories must share one grid")
     ts_n, ts_o = nsf_traj.times, ob_traj.times
     if len(ts_n) != len(ts_o):
         raise AlignmentError(
@@ -278,7 +278,8 @@ def deviation_error_norms(nsf_traj, ob_traj, eps, scenario):
     vol = g.cell_volume
     sr_bar = np.sqrt(rho_bar)
     err_rho = err_theta = err_mom = 0.0
-    for nstate, ostate in zip(nsf_traj.states, _tframe_states(ob_traj)):
+    for nstate, ostate in zip(nsf_traj.states, ob_traj.states):
+        ostate = _tframe(ostate, scenario)
         r_target = recover_density_deviation(ostate.temp, scenario).values
         rho = nstate.rho.values
         err_rho = max(err_rho, float(np.sum(np.abs((rho - rho_bar) / eps - r_target))) * vol)
@@ -295,20 +296,19 @@ def deviation_error_norms(nsf_traj, ob_traj, eps, scenario):
     return ErrorNorms(eps, err_rho, err_theta, err_mom)
 
 
-def _member_scenario(scenario, eps, T0, U0):
-    return NsfScenario(
-        scenario.grid,
-        scenario.eos,
-        eps,
-        rho_bar=scenario.rho_bar,
-        theta_bar=scenario.theta_bar,
-        G=scenario.G,
-        theta_b_bottom=scenario.theta_b_bottom,
-        theta_b_top=scenario.theta_b_top,
-        t_end=scenario.t_end,
-        T0=T0,
-        U0=U0,
+def _score_member(eps, targets, snapshot_dt):
+    """Run the compressible member at eps, well-prepared from the first
+    target's initial state (in the T frame) up to its t_end at the default
+    CFL 0.4, and return its ErrorNorms against each target trajectory."""
+    sc = targets[0].scenario
+    state0 = _tframe(targets[0].states[0], sc)
+    member = NsfScenario(
+        sc.grid, sc.eos, eps, rho_bar=sc.rho_bar, theta_bar=sc.theta_bar, G=sc.G,
+        theta_b_bottom=sc.theta_b_bottom, theta_b_top=sc.theta_b_top,
+        t_end=sc.t_end, T0=state0.temp, U0=state0.U,
     )
+    nsf_traj = run_nsf(member, snapshot_dt)
+    return [deviation_error_norms(nsf_traj, target) for target in targets]
 
 
 def _fit_rates(rows):
@@ -322,10 +322,9 @@ def _fit_rates(rows):
 
 
 def sweep(scenario, eps_list, frame=T_FRAME, snapshot_dt=None):
-    """Run the shared incompressible target once and one compressible member
-    per eps (well-prepared from the target's initial data), in eps order, and
-    assemble the ConvergenceTable.  Members run at the NsfScenario default
-    CFL 0.4 up to the target's t_end.
+    """Run the shared incompressible target once in `frame` and score one
+    compressible member per eps against it (the runner's one-target case),
+    in eps order, and assemble the ConvergenceTable.
 
     eps_list must be strictly descending in (0, 1].  Members that blow up or
     hit positivity limits are recorded as failure annotations.
@@ -338,16 +337,10 @@ def sweep(scenario, eps_list, frame=T_FRAME, snapshot_dt=None):
     _require_static_walls(scenario)
 
     ob_traj = run_ob(scenario, frame, snapshot_dt)
-    state0 = ob_traj.states[0]
-    if frame == THETA_FRAME:
-        state0 = transform_frame(state0, scenario)
-    T0, U0 = state0.temp, state0.U
-
     rows, failures = [], []
     for eps in eps_seq:
         try:
-            nsf_traj = run_nsf(_member_scenario(scenario, eps, T0, U0), snapshot_dt)
-            rows.append(deviation_error_norms(nsf_traj, ob_traj, eps, scenario))
+            rows += _score_member(eps, [ob_traj], snapshot_dt)
         except (DomainError, DivergenceError, StabilityError) as exc:
             failures.append((eps, str(exc)))
     return ConvergenceTable(rows, _fit_rates(rows), failures)
@@ -382,20 +375,16 @@ class ComparisonReport:
 
 
 def compare_modified_vs_naive(scenario, eps, snapshot_dt=None):
-    """Run one compressible solution at eps and measure it against the
-    non-local target and against the naive Dirichlet target (lambda hook
-    forced to zero).  The compressible run uses the NsfScenario default CFL
-    0.4 and the target's t_end.  Warns when the two targets coincide (the
-    scenario never builds a mean temperature deviation), which makes the
-    reported ratio uninformative."""
+    """Score one compressible member at eps against the non-local target and
+    the naive Dirichlet target (lambda hook forced to zero): the runner's
+    one-member case, started from the non-local target.  Failures of the
+    member raise.  Warns when the two targets coincide (the scenario never
+    builds a mean temperature deviation), which makes the reported ratio
+    uninformative."""
     _require_static_walls(scenario)
     mod_traj = run_ob(scenario, T_FRAME, snapshot_dt)
     naive_traj = run_ob(replace(scenario, lambda_override=0.0), T_FRAME, snapshot_dt)
-
-    state0 = mod_traj.states[0]
-    nsf_traj = run_nsf(_member_scenario(scenario, eps, state0.temp, state0.U), snapshot_dt)
-    mod_row = deviation_error_norms(nsf_traj, mod_traj, eps, scenario)
-    naive_row = deviation_error_norms(nsf_traj, naive_traj, eps, naive_traj.scenario)
+    mod_row, naive_row = _score_member(eps, [mod_traj, naive_traj], snapshot_dt)
 
     gap = max(
         float(np.max(np.abs(a.temp.values - b.temp.values)))

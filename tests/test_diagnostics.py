@@ -203,7 +203,7 @@ def test_error_norms_zero_dynamics_all_zero() -> None:
     ob_traj = run_ob(ob_sc, snapshot_dt=0.005)
     nsf_sc = NsfScenario(g, IDEAL, eps=1.0, t_end=0.01)
     nsf_traj = run_nsf(nsf_sc, snapshot_dt=0.005)
-    row = deviation_error_norms(nsf_traj, ob_traj, 1.0, ob_sc)
+    row = deviation_error_norms(nsf_traj, ob_traj)
     assert (row.err_rho, row.err_theta, row.err_mom) == (0.0, 0.0, 0.0)
 
 
@@ -213,14 +213,12 @@ def test_error_norms_alignment_guards() -> None:
     ob_traj = run_ob(ob_sc, snapshot_dt=0.005)
     nsf_sc = NsfScenario(g, IDEAL, eps=0.5, t_end=0.01)
     nsf_traj = run_nsf(nsf_sc, snapshot_dt=0.005)
-    with pytest.raises(AlignmentError):
-        deviation_error_norms(nsf_traj, ob_traj, 0.25, ob_sc)  # eps mismatch
     coarse = run_nsf(nsf_sc, snapshot_dt=0.01)
     with pytest.raises(AlignmentError):
-        deviation_error_norms(coarse, ob_traj, 0.5, ob_sc)  # cadence mismatch
+        deviation_error_norms(coarse, ob_traj)  # cadence mismatch
     other = ObScenario(Grid(8, 8), IDEAL, dt=1e-3, t_end=0.01)
     with pytest.raises(AlignmentError):
-        deviation_error_norms(nsf_traj, run_ob(other, snapshot_dt=0.005), 0.5, other)
+        deviation_error_norms(nsf_traj, run_ob(other, snapshot_dt=0.005))  # grid mismatch
 
 
 def _mirror_center(a):
@@ -248,7 +246,7 @@ def test_error_norms_x_mirror_symmetric() -> None:
         T0=ob_traj.states[0].temp, U0=ob_traj.states[0].U,
     )
     nsf_traj = run_nsf(nsf_sc, snapshot_dt=0.01)
-    row = deviation_error_norms(nsf_traj, ob_traj, eps, ob_sc)
+    row = deviation_error_norms(nsf_traj, ob_traj)
 
     mG = ScalarField(g, _mirror_center(G.values))
     m_ob_sc = ObScenario(
@@ -279,7 +277,7 @@ def test_error_norms_x_mirror_symmetric() -> None:
     m_nsf_traj = NsfTrajectory(
         m_nsf_sc, nsf_traj.times, m_nsf_states, nsf_traj.log, nsf_traj.steps, nsf_traj.wall_seconds
     )
-    m_row = deviation_error_norms(m_nsf_traj, m_ob_traj, eps, m_ob_sc)
+    m_row = deviation_error_norms(m_nsf_traj, m_ob_traj)
     for name in ("err_rho", "err_theta", "err_mom"):
         a, b = getattr(row, name), getattr(m_row, name)
         assert abs(a - b) <= 1e-13 * max(a, 1e-30)
@@ -347,6 +345,50 @@ def test_sweep_annotates_failed_member() -> None:
     assert len(table.rows) == 1 and table.rows[0].eps == 0.2
     assert len(table.failures) == 1 and table.failures[0][0] == 0.9
     assert "positivity" in table.failures[0][1]
+
+
+def _asymmetric_column(t_end):
+    g = Grid(16, 8)
+    T0 = ScalarField.from_function(g, lambda x, z: 0.5 * (1.0 - z) ** 2)
+    return ObScenario(
+        g, IDEAL, G=gravity_potential(g, 1.0), theta_b_bottom=0.5, theta_b_top=0.0,
+        dt=1e-3, t_end=t_end, T0=T0,
+    )
+
+
+def test_sweep_theta_frame_rows_match_t_frame() -> None:
+    # The mean temperature moves, so the Theta-frame target maps back to the
+    # T frame through a non-zero shift before members start and are scored.
+    ob_sc = _asymmetric_column(0.05)
+    t_rows = sweep(ob_sc, [0.1, 0.05], snapshot_dt=0.025).rows
+    theta = sweep(ob_sc, [0.1, 0.05], frame="Theta", snapshot_dt=0.025)
+    assert len(theta.rows) == 2 and not theta.failures
+    for a, b in zip(t_rows, theta.rows):
+        assert a.eps == b.eps
+        np.testing.assert_allclose(b[1:], a[1:], rtol=1e-11, atol=0.0)
+
+
+def test_each_member_runs_once(monkeypatch) -> None:
+    import bll.diagnostics
+
+    calls = []
+
+    def counting_run_nsf(scenario, snapshot_dt=None):
+        calls.append(scenario.eps)
+        return run_nsf(scenario, snapshot_dt)
+
+    monkeypatch.setattr(bll.diagnostics, "run_nsf", counting_run_nsf)
+    ob_sc = _asymmetric_column(0.02)
+    compare_modified_vs_naive(ob_sc, 0.2, snapshot_dt=0.01)
+    assert calls == [0.2]
+    sweep(ob_sc, [0.2, 0.1], snapshot_dt=0.01)
+    assert calls == [0.2, 0.2, 0.1]
+
+
+def test_compare_rejects_time_dependent_wall() -> None:
+    ramp = ObScenario(Grid(16, 8), IDEAL, theta_b_top=lambda t: 0.1 * t, dt=1e-3, t_end=0.02)
+    with pytest.raises(DomainError, match="theta_b_top"):
+        compare_modified_vs_naive(ramp, 0.2)
 
 
 def test_compare_symmetric_targets_coincide_with_warning() -> None:

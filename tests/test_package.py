@@ -12,6 +12,7 @@ import bll
 import bll.cli
 import bll.grid
 import bll.thermo
+from bll.diagnostics import deviation_error_norms
 from bll.grid import Grid, grad
 from bll.nsf import LOG_COLUMNS, NsfScenario, run_nsf
 from bll.ob import TRACE_COLUMNS, ObScenario, gravity_potential, run_ob
@@ -34,6 +35,8 @@ def test_removed_knobs_stay_removed() -> None:
     assert not hasattr(bll.cli, "_resolve_threads")
     for fn in (bll.thermo.sound_speed_squared, bll.thermo._sound_speed_squared):
         assert list(inspect.signature(fn).parameters) == ["rho", "theta", "eos"]
+    assert list(inspect.signature(bll.cli.ScenarioConfig.nsf_scenario).parameters) == ["self"]
+    assert list(inspect.signature(deviation_error_norms).parameters) == ["nsf_traj", "ob_traj"]
 
 
 def _ob_trace():
