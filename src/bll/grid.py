@@ -6,6 +6,16 @@ MAC layout, arrays indexed [i, k] = (x, z):
   x-faces        (nx, nz)   at (i dx, (k+1/2) dz), periodic in x
   z-faces        (nx, nz+1) at ((i+1/2) dx, k dz); k = 0 and nz are the walls
 
+Arrays are C-contiguous, so the z-neighbours of a[i, k] are the next and
+previous entries of its flat buffer.  A z-stencil is one ufunc over two
+offset flat views (_zhi, _zlo) instead of nx strided rows; the pairs that
+reach across the end of an x-column are spare entries that the caller
+overwrites or never reads.  The NSF kernel keeps interior z-face
+quantities in the z-face layout, an (nx, nz) array whose column k holds
+face k (column 0 the bottom wall face) with the top wall face as a
+separate (nx,) row, so that centre -> face and face -> centre stencils are
+such flat passes too.
+
 Ghost conventions at the z walls: grad is the homogeneous-Neumann gradient
 (ghost = g_int, so its wall rows are zero); tangential no-slip mirror
 u_ghost = -u_int; the wall-normal velocity w is stored exactly zero on the
@@ -254,6 +264,22 @@ def _xnext(a):
     return out
 
 
+def _zlo(a, n=1):
+    """The C-order buffer of a without its last n entries, a flat view of a
+    C-contiguous a (a copy otherwise, so write only to arrays made
+    contiguous).  Entry j is a[i, k] for j = i * a.shape[1] + k, so
+    ufunc(_zhi(a, n), _zlo(a, n)) pairs every a[i, k] with a[i, k - n], the
+    entry n rows below it along z, in one contiguous pass.  The pairs that
+    reach across the end of an x-column are spare entries, which the caller
+    overwrites or never reads."""
+    return a.reshape(-1)[:-n]
+
+
+def _zhi(a, n=1):
+    """The C-order buffer of a without its first n entries; see _zlo."""
+    return a.reshape(-1)[n:]
+
+
 # The periodic x-differences and face averages finish in the neighbour copy,
 # in place, so each allocates one array and makes no temporary.
 
@@ -322,7 +348,9 @@ def xface_to_center(u):
 
 
 def zface_to_center(w):
-    return 0.5 * (w[:, 1:] + w[:, :-1])
+    out = np.add(w[:, 1:], w[:, :-1])
+    out *= 0.5
+    return out
 
 
 def advect_velocity(grid, u, w):
@@ -333,26 +361,50 @@ def advect_velocity(grid, u, w):
     """
     dx, dz = grid.dx, grid.dz
     ur, wl = _xnext(u), _xprev(w)
-    dudx = (ur - _xprev(u)) / (2 * dx)
-    # The no-slip mirror ghosts -u, folded into the wall differences exactly.
+    dudx = _xprev(u)
+    np.subtract(ur, dudx, out=dudx)
+    dudx /= 2 * dx
+    # z-differences two rows apart as one flat pass; the no-slip mirror
+    # ghosts -u are folded into the wall differences exactly.
     dudz = np.empty(u.shape)
-    dudz[:, 1:-1] = u[:, 2:] - u[:, :-2]
-    dudz[:, 0] = u[:, 1] + u[:, 0]
+    np.subtract(_zhi(u, 2), _zlo(u, 2), out=dudz.reshape(-1)[1:-1])
+    np.add(u[:, 1], u[:, 0], out=dudz[:, 0])
     dudz[:, -1] = -(u[:, -1] + u[:, -2])
     dudz /= 2 * dz
+    dwdx = _xnext(w)
+    dwdx -= wl
+    dwdx /= 2 * dx
     # x-neighbor pairs are summed first, once over the whole array, so
     # mirroring the data in x commutes with the stencil bit for bit (pair
     # sums only ever swap operands).
-    w_pairs = w + wl
-    w_at_x = 0.25 * (w_pairs[:, :-1] + w_pairs[:, 1:])
-    adv_u = -(u * dudx + w_at_x * dudz)
+    w_pairs = wl
+    w_pairs += w
+    w_at_x = np.add(w_pairs[:, :-1], w_pairs[:, 1:])
+    w_at_x *= 0.25
+    w_at_x *= dudz
+    adv_u = dudx
+    adv_u *= u
+    adv_u += w_at_x
+    np.negative(adv_u, out=adv_u)
 
-    dwdx = (_xnext(w) - wl) / (2 * dx)
+    # adv_w in the w layout, its z-difference one flat pass over the buffer;
+    # the wall rows are set to zero last.
+    u_pairs = ur
+    u_pairs += u
     adv_w = np.zeros(w.shape)
-    u_pairs = u + ur
-    u_at_z = 0.25 * (u_pairs[:, :-1] + u_pairs[:, 1:])
-    dwdz = (w[:, 2:] - w[:, :-2]) / (2 * dz)
-    adv_w[:, 1:-1] = -(u_at_z * dwdx[:, 1:-1] + w[:, 1:-1] * dwdz)
+    np.add(u_pairs[:, :-1], u_pairs[:, 1:], out=adv_w[:, 1:-1])
+    adv_w *= 0.25
+    adv_w *= dwdx
+    dwdz = np.empty(w.shape)
+    flat = dwdz.reshape(-1)
+    np.subtract(_zhi(w, 2), _zlo(w, 2), out=flat[1:-1])
+    flat[0] = flat[-1] = 0.0
+    dwdz /= 2 * dz
+    dwdz *= w
+    adv_w += dwdz
+    np.negative(adv_w, out=adv_w)
+    adv_w[:, 0] = 0.0
+    adv_w[:, -1] = 0.0
     return adv_u, adv_w
 
 

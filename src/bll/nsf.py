@@ -31,6 +31,15 @@ thermodynamics once and shares it between the log row, the CFL bound
 _rho_e and p, c^2 and e_theta its _closure (one cbrt and products of theta),
 so the stage forms no gas-model formula of its own.  Each stage starts the
 Newton recovery of theta from rho*e at the previous stage's theta.
+
+The stage kernel _rhs is written for numpy's per-call cost.  Interior
+z-face quantities live in grid's z-face layout (column k holds face k,
+column 0 the bottom wall face, the top wall face a separate (nx,) row), so
+every z-neighbour stencil is one flat pass over the C-contiguous buffer
+(_zfaces, _zcenters), its spare entries finite neighbour pairs; and a
+temporary with no other reader is updated in place, as are the stage
+updates of _step.  Each element still takes the operations of the plain
+slice formulas in their order, so the results are theirs bit for bit.
 scipy is imported only by the continuum oracle hydrostatic_stationary_1d.
 """
 
@@ -201,9 +210,11 @@ class NsfTrajectory:
 class _NsfAux:
     """Hydrostatic reference profiles plus cached wall and potential stencils;
     balanced tells whether the scheme has a reference (the potential is
-    z-only).  The full-shape *_xz profiles, dGz_eps = (G_{k+1} - G_k) /
-    (eps dz) and the x-face wall temperatures corner_b/corner_t are _rhs's
-    per-scenario invariants."""
+    z-only).  _rhs's per-scenario invariants: the full-shape *_xz profiles;
+    in the z-face layout (column k >= 1 holds face k, column 0 a finite
+    spare), dGz_eps = (G_k - G_{k-1}) / (eps dz) and the face densities
+    rho_hat_f_xz; and the x-face wall temperatures corner_b/corner_t.
+    rho_hat_f is the (nz-1,) interior-face profile."""
 
     rho_hat: np.ndarray
     theta_hat: np.ndarray
@@ -215,6 +226,7 @@ class _NsfAux:
     dGx: np.ndarray | None
     rho_hat_f: np.ndarray
     rho_hat_xz: np.ndarray
+    rho_hat_f_xz: np.ndarray
     p_hat_xz: np.ndarray
     E_hat_xz: np.ndarray
     dGz_eps: np.ndarray
@@ -314,6 +326,9 @@ def _build_reference(scenario):
         theta_hat = np.full(g.nz, scenario.theta_bar)
         rho_hat = p_hat = E_hat = np.zeros(g.nz)
     dGx = gr._xdiff_prev(Gv)
+    rho_hat_f = 0.5 * (rho_hat[1:] + rho_hat[:-1])
+    dGz_eps = _zfaces(np.subtract, Gv)
+    dGz_eps /= scenario.eps * g.dz
     return _NsfAux(
         rho_hat=rho_hat,
         theta_hat=theta_hat,
@@ -323,11 +338,12 @@ def _build_reference(scenario):
         kap_b=transport(wb, eos)[2],
         kap_t=transport(wt, eos)[2],
         dGx=None if not dGx.any() else dGx,
-        rho_hat_f=0.5 * (rho_hat[1:] + rho_hat[:-1]),
+        rho_hat_f=rho_hat_f,
         rho_hat_xz=np.tile(rho_hat, (g.nx, 1)),
+        rho_hat_f_xz=np.tile(np.concatenate([rho_hat_f[:1], rho_hat_f]), (g.nx, 1)),
         p_hat_xz=np.tile(p_hat, (g.nx, 1)),
         E_hat_xz=np.tile(E_hat, (g.nx, 1)),
-        dGz_eps=(Gv[:, 1:] - Gv[:, :-1]) / (scenario.eps * g.dz),
+        dGz_eps=dGz_eps,
         corner_b=center_to_xface(wb),
         corner_t=center_to_xface(wt),
     )
@@ -456,15 +472,51 @@ def _thermo(rho, th, eos):
     return _Thermo(_rho_e(rho, th, eos), p, c2, e_theta, _mu(th, eos), eta)
 
 
+def _zfaces(ufunc, a):
+    """ufunc(a[:, k], a[:, k-1]) of a center array a in the z-face layout:
+    column k >= 1 holds interior face k, one flat pass over the buffer.
+    Column 0, the bottom wall face, holds spare pairs across x-columns and,
+    at [0, 0], a copy of [0, 1], so every entry is a finite neighbour pair."""
+    out = np.empty(a.shape)
+    flat = out.reshape(-1)
+    ufunc(gr._zhi(a), gr._zlo(a), out=flat[1:])
+    flat[0] = flat[1]
+    return out
+
+
+def _zcenters(ufunc, f, top):
+    """ufunc(f[:, k+1], f[:, k]) at the centers of a z-face-layout array f
+    whose top wall face is the (nx,) row (or scalar) top."""
+    out = np.empty(f.shape)
+    ufunc(gr._zhi(f), gr._zlo(f), out=gr._zlo(out))
+    ufunc(top, f[:, -1], out=out[:, -1])
+    return out
+
+
+def _rusanov(central, s_ac, s_ad, j_ac, j):
+    """central - 0.5 (s_ac j_ac + s_ad (j - j_ac)), finished in central;
+    spends j and j_ac."""
+    j -= j_ac
+    j *= s_ad
+    j_ac *= s_ac
+    j_ac += j
+    j_ac *= 0.5
+    central -= j_ac
+    return central
+
+
 def _rhs(rho, th, u, w, scenario, aux, tf):
     """Semi-discrete right-hand side for (rho, rho e, u, w); tf is the
-    _Thermo of (rho, th)."""
+    _Thermo of (rho, th).  Every temporary is fresh, and is updated in place
+    once it has no other reader; no input is written."""
     g = scenario.grid
     dx, dz = g.dx, g.dz
     eps = scenario.eps
+    ee = eps * eps
     eos = scenario.eos
     E, p, c2, mu, eta = tf.E, tf.p, tf.c2, tf.mu, tf.eta
-    spec_h = (E + p) / rho
+    spec_h = E + p
+    spec_h /= rho
 
     dp = p - aux.p_hat_xz
     dr = rho - aux.rho_hat_xz
@@ -477,92 +529,153 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     jp_x = gr._xdiff_prev(dp)
     jr_x = gr._xdiff_prev(dr)
     jE_x = gr._xdiff_prev(dE)
-    c2_fx = center_to_xface(c2)
-    s_ac = np.abs(u) + np.sqrt(c2_fx) / eps
     s_ad = np.abs(u)
-    jr_ac = jp_x / c2_fx
-    jE_ac = center_to_xface(spec_h) * jr_ac
-    Fm_x = u * rho_fx - 0.5 * (s_ac * jr_ac + s_ad * (jr_x - jr_ac))
-    FE_x = u * center_to_xface(E) - 0.5 * (s_ac * jE_ac + s_ad * (jE_x - jE_ac))
-    FE_x -= _kappa(0.5 * th_pairs, eos) * (th - th_l) / dx
+    c2_fx = center_to_xface(c2)
+    s_ac = np.sqrt(c2_fx)
+    s_ac /= eps
+    s_ac += s_ad
+    jr_ac = np.divide(jp_x, c2_fx, out=c2_fx)
+    jE_ac = center_to_xface(spec_h)
+    jE_ac *= jr_ac
+    Fm_x = _rusanov(u * rho_fx, s_ac, s_ad, jr_ac, jr_x)
+    FE_x = center_to_xface(E)
+    FE_x *= u
+    _rusanov(FE_x, s_ac, s_ad, jE_ac, jE_x)
+    cond = _kappa(0.5 * th_pairs, eos)
+    cond *= np.subtract(th, th_l, out=th_l)
+    cond /= dx
+    FE_x -= cond
 
-    # z faces: interior face k (1..nz-1) sits between centers k-1 and k.
-    wi = w[:, 1:-1]
-    rho_fz = 0.5 * (rho[:, :-1] + rho[:, 1:])
-    jp_z = dp[:, 1:] - dp[:, :-1]
-    jr_z = dr[:, 1:] - dr[:, :-1]
-    jE_z = dE[:, 1:] - dE[:, :-1]
-    c2_fz = 0.5 * (c2[:, :-1] + c2[:, 1:])
-    s_ac_z = np.abs(wi) + np.sqrt(c2_fz) / eps
-    s_ad_z = np.abs(wi)
-    jr_ac_z = jp_z / c2_fz
-    jE_ac_z = 0.5 * (spec_h[:, :-1] + spec_h[:, 1:]) * jr_ac_z
-    Fm_z = np.zeros_like(w)
-    Fm_z[:, 1:-1] = wi * rho_fz - 0.5 * (s_ac_z * jr_ac_z + s_ad_z * (jr_z - jr_ac_z))
-    FE_z = np.zeros_like(w)
-    FE_z[:, 1:-1] = wi * 0.5 * (E[:, :-1] + E[:, 1:]) - 0.5 * (
-        s_ac_z * jE_ac_z + s_ad_z * (jE_z - jE_ac_z)
-    )
-    FE_z[:, 1:-1] -= _kappa(0.5 * (th[:, :-1] + th[:, 1:]), eos) * (th[:, 1:] - th[:, :-1]) / dz
-    # Wall rows: no mass flux; Fourier flux against the Dirichlet wall value.
+    # z faces in the z-face layout: column k holds face k (1..nz-1, between
+    # centers k-1 and k), column 0 the bottom wall face; the top wall face
+    # is a separate (nx,) row.
+    wf = w[:, :-1].copy()
+    Dzz = _zcenters(np.subtract, wf, w[:, -1])
+    Dzz /= dz
+    # Shear at the corners; the top wall corners are their own row.
+    shear = _zfaces(np.subtract, u)
+    shear /= dz
+    shear[:, 0] = 2.0 * u[:, 0] / dz
+    shear_x = gr._xdiff_prev(wf)
+    shear_x /= dx
+    shear += shear_x
+    shear_top = -2.0 * u[:, -1] / dz
+    shear_x = gr._xdiff_prev(w[:, -1])
+    shear_x /= dx
+    shear_top += shear_x
+
+    s_ad_z = np.abs(wf)
+    rho_fz = _zfaces(np.add, rho)
+    rho_fz *= 0.5
+    jp_z = _zfaces(np.subtract, dp)
+    jr_z = _zfaces(np.subtract, dr)
+    jE_z = _zfaces(np.subtract, dE)
+    c2_fz = _zfaces(np.add, c2)
+    c2_fz *= 0.5
+    s_ac_z = np.sqrt(c2_fz)
+    s_ac_z /= eps
+    s_ac_z += s_ad_z
+    jr_ac_z = np.divide(jp_z, c2_fz, out=c2_fz)
+    jE_ac_z = _zfaces(np.add, spec_h)
+    jE_ac_z *= 0.5
+    jE_ac_z *= jr_ac_z
+    Fm_z = _rusanov(wf * rho_fz, s_ac_z, s_ad_z, jr_ac_z, jr_z)
+    Fm_z[:, 0] = 0.0  # no mass flux through the walls
+    wf *= 0.5
+    FE_z = _zfaces(np.add, E)
+    FE_z *= wf
+    _rusanov(FE_z, s_ac_z, s_ad_z, jE_ac_z, jE_z)
+    th_fz = _zfaces(np.add, th)
+    th_fz *= 0.5
+    cond = _kappa(th_fz, eos)
+    cond *= _zfaces(np.subtract, th)
+    cond /= dz
+    FE_z -= cond
+    # Wall faces: Fourier flux against the Dirichlet wall value.
     FE_z[:, 0] = -aux.kap_b * 2.0 * (th[:, 0] - aux.wall_b) / dz
-    FE_z[:, -1] = -aux.kap_t * 2.0 * (aux.wall_t - th[:, -1]) / dz
+    FE_top = -aux.kap_t * 2.0 * (aux.wall_t - th[:, -1]) / dz
 
-    d_rho = -(gr._xdiff_next(Fm_x) / dx + (Fm_z[:, 1:] - Fm_z[:, :-1]) / dz)
-    d_E = -(gr._xdiff_next(FE_x) / dx + (FE_z[:, 1:] - FE_z[:, :-1]) / dz)
+    d_rho = gr._xdiff_next(Fm_x)
+    d_rho /= dx
+    div_z = _zcenters(np.subtract, Fm_z, 0.0)
+    div_z /= dz
+    d_rho += div_z
+    np.negative(d_rho, out=d_rho)
+    d_E = gr._xdiff_next(FE_x)
+    d_E /= dx
+    div_z = _zcenters(np.subtract, FE_z, FE_top)
+    div_z /= dz
+    d_E += div_z
+    np.negative(d_E, out=d_E)
 
     # Newton stress in d = 2: S = mu (grad U + grad U^T - div U I) + eta div U I.
     adv_u, adv_w = advect_velocity(g, u, w)
-    Dxx = gr._xdiff_next(u) / dx
-    Dzz = (w[:, 1:] - w[:, :-1]) / dz
+    Dxx = gr._xdiff_next(u)
+    Dxx /= dx
     divU = Dxx + Dzz
-    Dxx_zz = Dxx - Dzz
+    Dxx_zz = Dxx
+    Dxx_zz -= Dzz
     Sxx = mu * Dxx_zz
     Szz = -Sxx  # mu (Dzz - Dxx), bit for bit up to the sign of a zero
     if eta is not None:
         bulk = eta * divU
         Sxx += bulk
         Szz += bulk
-    shear = np.zeros_like(w)
-    shear[:, 1:-1] = (u[:, 1:] - u[:, :-1]) / dz
-    shear[:, 0] = 2.0 * u[:, 0] / dz
-    shear[:, -1] = -2.0 * u[:, -1] / dz
-    shear += gr._xdiff_prev(w) / dx
-    th_corner = np.empty_like(w)
     # x-pairs first: keeps the average bitwise equal under x-mirroring.
-    th_corner[:, 1:-1] = 0.25 * (th_pairs[:, 1:] + th_pairs[:, :-1])
+    th_corner = _zfaces(np.add, th_pairs)
+    th_corner *= 0.25
     th_corner[:, 0] = aux.corner_b
-    th_corner[:, -1] = aux.corner_t
-    Sxz = _mu(th_corner, eos) * shear
+    Sxz = _mu(th_corner, eos)
+    Sxz *= shear
+    Sxz_top = _mu(aux.corner_t, eos)
+    Sxz_top *= shear_top
 
-    du = (
-        adv_u
-        - jp_x / (eps * eps * rho_fx * dx)
-        + (gr._xdiff_prev(Sxx) / dx + (Sxz[:, 1:] - Sxz[:, :-1]) / dz) / rho_fx
-    )
+    jp_x /= rho_fx * ee * dx
+    du = adv_u
+    du -= jp_x
+    visc = gr._xdiff_prev(Sxx)
+    visc /= dx
+    visc_z = _zcenters(np.subtract, Sxz, Sxz_top)
+    visc_z /= dz
+    visc += visc_z
+    visc /= rho_fx
+    du += visc
     if aux.dGx is not None:
         du += aux.dGx / (eps * dx)
-    dw = np.zeros_like(w)
-    dw[:, 1:-1] = (
-        adv_w[:, 1:-1]
-        - jp_z / (eps * eps * rho_fz * dz)
-        + aux.dGz_eps * (1.0 - aux.rho_hat_f[None, :] / rho_fz)
-        + (
-            gr._xdiff_next(Sxz[:, 1:-1]) / dx
-            + (Szz[:, 1:] - Szz[:, :-1]) / dz
-        )
-        / rho_fz
-    )
+    jp_z /= rho_fz * ee * dz
+    dw_f = np.subtract(adv_w[:, :-1], jp_z, out=jp_z)
+    buoy = aux.rho_hat_f_xz / rho_fz
+    np.subtract(1.0, buoy, out=buoy)
+    buoy *= aux.dGz_eps
+    dw_f += buoy
+    visc = gr._xdiff_next(Sxz)
+    visc /= dx
+    visc_z = _zfaces(np.subtract, Szz)
+    visc_z /= dz
+    visc += visc_z
+    visc /= rho_fz
+    dw = np.zeros(w.shape)
+    np.add(dw_f[:, 1:], visc[:, 1:], out=dw[:, 1:-1])
 
     # eps^2 S : grad U >= 0 cell-wise; the shear square is corner-averaged.
-    sh2 = shear * shear
+    sh2 = np.multiply(shear, shear, out=shear)
     sh2_pairs = gr._xnext(sh2)
     sh2_pairs += sh2
-    sh2_c = 0.25 * (sh2_pairs[:, :-1] + sh2_pairs[:, 1:])
-    diss = mu * (Dxx_zz ** 2 + sh2_c)
+    sh2_top = shear_top * shear_top
+    sh2_pairs_top = gr._xnext(sh2_top)
+    sh2_pairs_top += sh2_top
+    sh2_c = _zcenters(np.add, sh2_pairs, sh2_pairs_top)
+    sh2_c *= 0.25
+    diss = np.multiply(Dxx_zz, Dxx_zz, out=Dxx_zz)
+    diss += sh2_c
+    diss *= mu
     if eta is not None:
-        diss += eta * divU * divU
-    d_E += eps * eps * diss - p * divU
+        bulk = eta * divU
+        bulk *= divU
+        diss += bulk
+    diss *= ee
+    diss -= p * divU
+    d_E += diss
     return d_rho, d_E, du, dw
 
 
@@ -582,12 +695,26 @@ def _cfl_bound(state, scenario, tf):
     g = scenario.grid
     rho = state.rho.values
     c = np.sqrt(tf.c2)
-    rate = (np.abs(xface_to_center(state.U.u)) + c / scenario.eps) / g.dx
-    rate += (np.abs(zface_to_center(state.U.w)) + c / scenario.eps) / g.dz
+    c /= scenario.eps
+    rate = xface_to_center(state.U.u)
+    np.abs(rate, out=rate)
+    rate += c
+    rate /= g.dx
+    rate_z = zface_to_center(state.U.w)
+    np.abs(rate_z, out=rate_z)
+    rate_z += c
+    rate_z /= g.dz
+    rate += rate_z
+    D = 2.0 * tf.mu
+    if tf.eta is not None:
+        D += tf.eta
+    D /= rho
     kappa = _kappa(state.theta.values, scenario.eos)
-    visc = 2.0 * tf.mu if tf.eta is None else 2.0 * tf.mu + tf.eta
-    D = np.maximum(visc / rho, kappa / (rho * tf.e_theta))
-    rate += 2.0 * D * (1.0 / g.dx ** 2 + 1.0 / g.dz ** 2)
+    kappa /= rho * tf.e_theta
+    np.maximum(D, kappa, out=D)
+    D *= 2.0
+    D *= 1.0 / g.dx ** 2 + 1.0 / g.dz ** 2
+    rate += D
     return scenario.cfl / float(np.max(rate))
 
 
@@ -611,18 +738,23 @@ def _step(state, scenario, dt, tf, bound):
     r0, th0 = state.rho.values, state.theta.values
     u0, w0 = state.U.u, state.U.w
 
-    k0 = _rhs(r0, th0, u0, w0, scenario, aux, tf)
-    r1 = r0 + dt * k0[0]
-    E1 = tf.E + dt * k0[1]
-    u1 = u0 + dt * k0[2]
-    w1 = w0 + dt * k0[3]
+    # The stages finish in the fresh rates: x0 + dt k, then
+    # 0.5 ((x0 + x1) + dt k) in the first stage's arrays.
+    stage0 = (r0, tf.E, u0, w0)
+    stage1 = _rhs(r0, th0, u0, w0, scenario, aux, tf)
+    for x0, k in zip(stage0, stage1):
+        k *= dt
+        k += x0
+    r1, E1, u1, w1 = stage1
     th1 = _theta_of(r1, E1, state.t + dt, scenario, th0)
 
-    k1 = _rhs(r1, th1, u1, w1, scenario, aux, _thermo(r1, th1, scenario.eos))
-    r2 = 0.5 * (r0 + r1 + dt * k1[0])
-    E2 = 0.5 * (tf.E + E1 + dt * k1[1])
-    u2 = 0.5 * (u0 + u1 + dt * k1[2])
-    w2 = 0.5 * (w0 + w1 + dt * k1[3])
+    rates = _rhs(r1, th1, u1, w1, scenario, aux, _thermo(r1, th1, scenario.eos))
+    for x0, x1, k in zip(stage0, stage1, rates):
+        k *= dt
+        x1 += x0
+        x1 += k
+        x1 *= 0.5
+    r2, E2, u2, w2 = stage1
     th2 = _theta_of(r2, E2, state.t + dt, scenario, th1)
     return _checked_state(
         ScalarField(g, r2), ScalarField(g, th2), VectorField(g, u2, w2), state.t + dt, state.eps
@@ -677,10 +809,17 @@ def _log_row(state, scenario, E, theta_tilde, dt):
     rho = state.rho.values
     u, w = state.U.u, state.U.w
     s = _entropy(rho, state.theta.values, scenario.eos)
-    kin = 0.5 * rho * (xface_to_center(u * u) + zface_to_center(w * w))
-    dens = state.eps ** 2 * kin + E
-    dens -= theta_tilde * rho * s
-    return state.t, float(np.sum(rho)) * cv, float(np.sum(dens)) * cv, float(np.sum(rho * s)) * cv, dt
+    kin = xface_to_center(u * u)
+    kin += zface_to_center(w * w)
+    dens = 0.5 * rho
+    dens *= kin
+    dens *= state.eps ** 2
+    dens += E
+    bound = theta_tilde * rho
+    bound *= s
+    dens -= bound
+    s *= rho
+    return state.t, float(np.sum(rho)) * cv, float(np.sum(dens)) * cv, float(np.sum(s)) * cv, dt
 
 
 def run_nsf(scenario, snapshot_dt=None, initial=None):

@@ -11,7 +11,9 @@ the exact discrete fixed point of the coupling.  One routine steps either
 frame; the frames differ only in the buoyancy and in the unit response
 (source or wall) that closes the mean.  That routine, _step, is an unchecked
 kernel on raw arrays: step_ob validates and wraps it, and run_ob calls it
-directly and builds fields only for its snapshots.
+directly and builds fields only for its snapshots.  run_ob builds a wall
+that is not a callable of t once per run (_wall_schedule); only callable
+walls are evaluated per step.
 
 run_ob's trace audits the non-local coupling at every step.  The loop only
 records each step's mean, the cell rows next to the walls, the wall values
@@ -269,14 +271,35 @@ def _source(scenario, t):
     return scenario.temp_source(t, *scenario.grid._cell_mesh)
 
 
-def _step(scenario, tframe, dt, t, u, w, temp, m, hist, source):
+def _wall_schedule(scenario):
+    """Theta_B of one run as a function of t that returns two (bottom, top)
+    pairs: the (nx,) wall arrays at t, and the walls for the scalar solve,
+    in which an all-zero wall is 0.0 (the solve skips a zero wall, and a
+    scalar one unexpanded).  A wall that is not a callable of t is built
+    and checked for zeros once, when the schedule is made."""
+    nx = scenario.grid.nx
+    bottom, top = scenario.theta_b_bottom, scenario.theta_b_top
+    fixed_b = None if callable(bottom) else gr._wall_array(bottom, nx)
+    fixed_t = None if callable(top) else gr._wall_array(top, nx)
+    solve_b = fixed_b if fixed_b is None or fixed_b.any() else 0.0
+    solve_t = fixed_t if fixed_t is None or fixed_t.any() else 0.0
+
+    def at(t):
+        wb = gr._wall_array(bottom(t), nx) if fixed_b is None else fixed_b
+        wt = gr._wall_array(top(t), nx) if fixed_t is None else fixed_t
+        return (wb, wt), (wb if solve_b is None else solve_b, wt if solve_t is None else solve_t)
+
+    return at
+
+
+def _step(scenario, tframe, dt, t, u, w, temp, m, hist, source, walls):
     """One step on raw arrays, unchecked: the state (u, w, temp) at time t in
     the T frame (tframe) or the Theta frame, m = mean(temp), hist the
-    previous step's explicit right-hand sides (None on a first step) and
-    source = _source(scenario, t).
+    previous step's explicit right-hand sides (None on a first step),
+    source = _source(scenario, t) and walls the Dirichlet (bottom, top)
+    wall values at t + dt, as helmholtz_solve takes them.
 
-    Returns (u, w, temp, Pi, hist, walls) at t + dt; walls are the Dirichlet
-    wall values at t + dt that the scalar step used.  No input is modified.
+    Returns (u, w, temp, Pi, hist) at t + dt.  No input is modified.
     """
     g = scenario.grid
     coeffs, nu, gG = scenario._invariants
@@ -313,7 +336,6 @@ def _step(scenario, tframe, dt, t, u, w, temp, m, hist, source):
         A += source
     A_eff = A if hist is None else 1.5 * A - 0.5 * hist[2]
     c = dt * coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
-    walls = scenario.wall_values(t + dt)
     op = gr._zop(g, c, "extrapolate")
     temp_new = op.solve(temp + dt * A_eff, *walls)
     if lam != 0.0:
@@ -327,7 +349,7 @@ def _step(scenario, tframe, dt, t, u, w, temp, m, hist, source):
             q = -k * (gr._mean(temp_new) / denom)
         unit = op.unit_source if tframe else op.unit_wall
         temp_new = temp_new + q * unit.values
-    return u_new, w_new, temp_new, scenario.rho_bar * phi, (F_u, F_w, A), walls
+    return u_new, w_new, temp_new, scenario.rho_bar * phi, (F_u, F_w, A)
 
 
 def step_ob(state, scenario, dt):
@@ -335,10 +357,10 @@ def step_ob(state, scenario, dt):
     require_positive(dt, "dt")
     if state.frame not in (T_FRAME, THETA_FRAME):
         raise ShapeError(f"unknown frame {state.frame!r}")
-    u, w, temp, Pi, hist, _ = _step(
+    u, w, temp, Pi, hist = _step(
         scenario, state.frame == T_FRAME, dt, state.t,
         state.U.u, state.U.w, state.temp.values, mean(state.temp), state.rhs_hist,
-        _source(scenario, state.t),
+        _source(scenario, state.t), scenario.wall_values(state.t + dt),
     )
     g = scenario.grid
     return ObState(VectorField(g, u, w), ScalarField(g, temp), ScalarField(g, Pi), state.t + dt, state.frame, hist)
@@ -500,10 +522,12 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None):
     # The source at each step time feeds both that time's trace record and
     # the step that starts there, so it is evaluated once per time.
     source = _source(scenario, t)
-    trace = _TraceRecorder(scenario, tframe, n_steps, temp, m, scenario.wall_values(t), source)
+    walls_at = _wall_schedule(scenario)
+    trace = _TraceRecorder(scenario, tframe, n_steps, temp, m, walls_at(t)[0], source)
     for n in range(1, n_steps + 1):
         _check_cfl(u, w, t, g, dt)
-        u, w, temp, Pi, hist, walls = _step(scenario, tframe, dt, t, u, w, temp, m, hist, source)
+        walls, solve_walls = walls_at(t + dt)
+        u, w, temp, Pi, hist = _step(scenario, tframe, dt, t, u, w, temp, m, hist, source, solve_walls)
         t = t + dt
         if not (np.isfinite(temp).all() and np.isfinite(u).all()):
             raise DivergenceError("non-finite fields", step=n, time=t)

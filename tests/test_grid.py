@@ -31,6 +31,8 @@ from bll.grid import (
     _wall_array,
     _xdiff_next,
     _xdiff_prev,
+    _zhi,
+    _zlo,
     _ZOperator,
     _zop,
 )
@@ -136,13 +138,9 @@ def test_periodic_x_stencils_match_roll_formulas_bitwise(nx, nz) -> None:
         assert got.shape == want.shape and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("nx", [4, 5, 64])
-def test_advect_velocity_matches_roll_formulas_bitwise(nx) -> None:
-    nz = 9
-    rng = np.random.default_rng(nx)
-    u = rng.standard_normal((nx, nz))
-    w = rng.standard_normal((nx, nz + 1))
-    w[:, [0, -1]] = 0.0
+def _roll_advection(u, w):
+    """advect_velocity's stencil written with np.roll and a ghost-padded u."""
+    nx, nz = u.shape
     dx, dz = 1.0 / nx, 1.0 / nz
     ur, ul, wr, wl = (np.roll(a, s, axis=0) for a in (u, w) for s in (-1, 1))
     up = np.concatenate([-u[:, :1], u, -u[:, -1:]], axis=1)
@@ -153,7 +151,47 @@ def test_advect_velocity_matches_roll_formulas_bitwise(nx) -> None:
     want_w[:, 1:-1] = -(
         u_at_z * ((wr - wl) / (2 * dx))[:, 1:-1] + w[:, 1:-1] * ((w[:, 2:] - w[:, :-2]) / (2 * dz))
     )
+    return want_u, want_w
+
+
+@pytest.mark.parametrize("nx", [4, 5, 64])
+def test_advect_velocity_matches_roll_formulas_bitwise(nx) -> None:
+    nz = 9
+    rng = np.random.default_rng(nx)
+    u = rng.standard_normal((nx, nz))
+    w = rng.standard_normal((nx, nz + 1))
+    w[:, [0, -1]] = 0.0
+    want_u, want_w = _roll_advection(u, w)
     adv_u, adv_w = advect_velocity(Grid(nx, nz), u, w)
+    assert np.array_equal(adv_u, want_u)
+    assert np.array_equal(adv_w, want_w)
+
+
+@given(nx=st.integers(4, 12), nz=st.integers(4, 12), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_property_flat_z_shifts_match_slice_formulas(nx, nz, seed) -> None:
+    # ufunc(_zhi(a, n), _zlo(a, n)) pairs a[i, k] with a[i, k - n] on the
+    # center (nz) and the z-face (nz + 1) layouts, written where the pair's
+    # upper or lower entry sits; advect_velocity, built on these shifts,
+    # equals its roll formula at every size, including the row lengths
+    # whose strides numpy loops over differently
+    rng = np.random.default_rng(seed)
+    for cols in (nz, nz + 1):
+        a = rng.uniform(0.5, 2.0, (nx, cols))
+        for n in (1, 2):
+            for ufunc in (np.add, np.subtract):
+                want = ufunc(a[:, n:], a[:, :-n])
+                up, down = np.full(a.shape, np.nan), np.full(a.shape, np.nan)
+                ufunc(_zhi(a, n), _zlo(a, n), out=_zhi(up, n))
+                ufunc(_zhi(a, n), _zlo(a, n), out=_zlo(down, n))
+                assert np.array_equal(up[:, n:], want)
+                assert np.array_equal(down[:, :-n], want)
+                assert np.isfinite(up.reshape(-1)[n:]).all() and np.isfinite(down.reshape(-1)[:-n]).all()
+    u = rng.standard_normal((nx, nz))
+    w = rng.standard_normal((nx, nz + 1))
+    w[:, [0, -1]] = 0.0
+    adv_u, adv_w = advect_velocity(Grid(nx, nz), u, w)
+    want_u, want_w = _roll_advection(u, w)
     assert np.array_equal(adv_u, want_u)
     assert np.array_equal(adv_w, want_w)
 

@@ -1,5 +1,6 @@
 """Compressible-solver tests: fixed points, balance, oracles, conservation."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -754,30 +755,93 @@ def _rhs_full_formula(rho, th, u, w, scenario, aux, tf, eta):
     return d_rho, d_E, du, dw
 
 
-def _moving_state(eos):
-    """A scenario with x-varying walls and gravity, and a moving state on it."""
-    g = Grid(16, 8)
+def _moving_state(eos, nx=16, nz=8, x_potential=False):
+    """A scenario with x-varying walls and gravity, and a moving state on it;
+    x_potential adds an x-varying part to the potential."""
+    g = Grid(nx, nz)
     X, Z = g.cell_mesh()
     wall = 0.2 + 0.05 * np.cos(2 * np.pi * g.x_centers)
     T0 = ScalarField(g, wall[:, None] * (1 - Z) - 0.2 * Z + 0.1 * np.sin(2 * np.pi * X) * np.sin(np.pi * Z) ** 2)
-    sc = _scenario(g, eos=eos, G=gravity_potential(g, 1.0), theta_b_bottom=wall, theta_b_top=-0.2, T0=T0)
+    G = gravity_potential(g, 1.0)
+    if x_potential:
+        G = ScalarField(g, G.values + 0.3 * np.sin(2 * np.pi * X) * np.cos(np.pi * Z))
+    sc = _scenario(g, eos=eos, G=G, theta_b_bottom=wall, theta_b_top=-0.2, T0=T0)
     state = build_initial_nsf(sc)
     rng = np.random.default_rng(4)
-    w = 0.1 * rng.standard_normal((16, 9))
+    w = 0.1 * rng.standard_normal((nx, nz + 1))
     w[:, 0] = w[:, -1] = 0.0
-    return sc, state.rho.values, state.theta.values, 0.1 * rng.standard_normal((16, 8)), w
+    return sc, state.rho.values, state.theta.values, 0.1 * rng.standard_normal((nx, nz)), w
 
 
-def test_rhs_without_bulk_viscosity_matches_full_formula_bitwise() -> None:
-    sc, rho, th, u, w = _moving_state(IDEAL)
+@pytest.mark.parametrize(
+    "nx, nz, x_potential",
+    [(16, 8, False), (16, 8, True), (5, 4, False)],
+    ids=["16x8_z_potential", "16x8_x_potential", "5x4_z_potential"],
+)
+def test_rhs_without_bulk_viscosity_matches_full_formula_bitwise(nx, nz, x_potential) -> None:
+    # the x-varying potential takes the dGx branch around zero reference
+    # profiles; 5x4 (odd nx, the smallest nz) puts the spare column of the
+    # z-face layout next to the separate top row
+    sc, rho, th, u, w = _moving_state(IDEAL, nx, nz, x_potential)
+    aux = sc.reference()
+    assert aux.balanced is not x_potential
+    assert (aux.dGx is not None) is x_potential
     assert IDEAL.eta0 == 0.0
     tf = nsf._thermo(rho, th, IDEAL)
     assert tf.eta is None
-    got = nsf._rhs(rho, th, u, w, sc, sc.reference(), tf)
-    want = _rhs_full_formula(rho, th, u, w, sc, sc.reference(), tf, _eta(th, IDEAL))
+    got = nsf._rhs(rho, th, u, w, sc, aux, tf)
+    want = _rhs_full_formula(rho, th, u, w, sc, aux, tf, _eta(th, IDEAL))
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
     assert np.max(np.abs(got[2])) > 0.0 and np.max(np.abs(got[1])) > 0.0
+
+
+def test_runs_share_no_state_across_scenarios() -> None:
+    # each scenario's z-face-layout invariants live on its own _NsfAux: a
+    # member run after a dropped member at another eps equals the first run
+    # at its eps bit for bit, in the states and the log.  A cache keyed by
+    # id(aux) fails this once a dropped aux's id is reused, which takes
+    # some rounds of freeing and allocating
+    g = Grid(16, 8)
+
+    def member(eps):
+        return run_nsf(_scenario(
+            g, eps=eps, G=gravity_potential(g, 1.0), theta_b_bottom=0.2, theta_b_top=-0.2, t_end=0.002
+        ), snapshot_dt=0.001)
+
+    fresh = member(0.1)
+    for _ in range(100):
+        dropped = member(0.2)
+        assert not np.array_equal(dropped.states[-1].rho.values, fresh.states[-1].rho.values)
+        del dropped
+        gc.collect()
+        again = member(0.1)
+        assert again.steps == fresh.steps and len(again.states) == len(fresh.states) == 3
+        for a, b in zip(again.states, fresh.states):
+            for x, y in ((a.rho.values, b.rho.values), (a.theta.values, b.theta.values), (a.U.u, b.U.u), (a.U.w, b.U.w)):
+                assert np.array_equal(x, y)
+        for name in nsf.LOG_COLUMNS:
+            assert np.array_equal(again.log[name], fresh.log[name])
+
+
+@given(nx=st.integers(4, 12), nz=st.integers(4, 12), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_property_z_face_layout_matches_slice_formulas(nx, nz, seed) -> None:
+    # center -> face: column k >= 1 holds face k, the spare column 0 stays
+    # finite (and positive for sums of positives); face -> center closes
+    # with the separate top row
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.5, 2.0, (nx, nz))
+    top = rng.uniform(0.5, 2.0, nx)
+    with_top = np.concatenate([a, top[:, None]], axis=1)
+    for ufunc in (np.add, np.subtract):
+        faces = nsf._zfaces(ufunc, a)
+        assert np.array_equal(faces[:, 1:], ufunc(a[:, 1:], a[:, :-1]))
+        assert np.isfinite(faces[:, 0]).all()
+        centers = nsf._zcenters(ufunc, a, top)
+        assert np.array_equal(centers, ufunc(with_top[:, 1:], with_top[:, :-1]))
+        assert np.array_equal(nsf._zcenters(ufunc, a, 0.0)[:, -1], ufunc(0.0, a[:, -1]))
+    assert (nsf._zfaces(np.add, a)[:, 0] > 0.0).all()
 
 
 def test_bulk_viscosity_still_acts_when_eta0_positive() -> None:

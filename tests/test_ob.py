@@ -681,3 +681,46 @@ def test_run_ob_evaluates_source_once_per_step_time(frame) -> None:
         assert np.array_equal(got.values, want.values)
     assert np.array_equal(final.U.u, state.U.u)
     assert np.array_equal(final.U.w, state.U.w)
+
+
+@pytest.mark.parametrize("frame", [T_FRAME, THETA_FRAME])
+def test_run_ob_builds_static_walls_once_per_run(frame, monkeypatch) -> None:
+    # A wall that is not a callable of t becomes its (nx,) array once per
+    # run, however many steps it takes, and a zero one is not checked again
+    # per step; a callable wall is evaluated once per step time.  The run
+    # stays the step_ob loop's bit for bit.
+    g = Grid(6, 10)
+    builds, times = [], []
+    inner = bll.grid._wall_array
+    monkeypatch.setattr(bll.grid, "_wall_array", lambda value, nx: builds.append(value) or inner(value, nx))
+
+    def bottom(t):
+        times.append(t)
+        return 0.3 * t
+
+    def run(top, t_end):
+        sc = _scenario(g, G=gravity_potential(g, 1.0), theta_b_bottom=bottom, theta_b_top=top,
+                       T0=_linear_profile(g, 0.0, top), dt=1e-3, t_end=t_end)
+        builds.clear()
+        times.clear()
+        traj = run_ob(sc, frame=frame)
+        return sc, traj, sum(value is top for value in builds), len(builds), len(times)
+
+    short, long = run(0.1, 0.01), run(0.1, 0.02)
+    assert long[2] == short[2]  # the static top wall: no build per step
+    assert long[4] - short[4] == 10  # the callable bottom wall: once per step
+    zero_short, zero_long = run(0.0, 0.01), run(0.0, 0.02)
+    # per step only the bottom wall's build and the solve's check of it
+    assert zero_long[3] - zero_short[3] == 20
+
+    sc, traj = long[:2]
+    monkeypatch.undo()
+    state = build_initial_ob(sc, frame)
+    for _ in range(20):
+        state = step_ob(state, sc, sc.dt)
+    final = traj.states[-1]
+    assert final.t == state.t
+    for got, want in ((final.temp, state.temp), (final.Pi, state.Pi)):
+        assert np.array_equal(got.values, want.values)
+    assert np.array_equal(final.U.u, state.U.u)
+    assert np.array_equal(final.U.w, state.U.w)
