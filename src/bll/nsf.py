@@ -18,28 +18,36 @@ the whole scheme, dissipation never acts on the equilibrium stratification,
 and the potential force enters z-momentum in the balanced form
 G' (1 - rho_hat_f / rho_f).  Jumps split into an acoustic part (from the
 pressure jump, dissipated at |u| + c/eps) and a material part (dissipated at
-|u|); the acoustic energy jump is weighted by the specific enthalpy.  An
+|u|); the acoustic energy jump is weighted by the specific enthalpy.  The
+two rates are applied as the two-term flux central - (c/(2 eps)) j_ac -
+(|u|/2) j, which equals the split form in exact arithmetic.  An
 x-varying wall gets the column between the x-mean wall temperatures: it is
 still in discrete face balance, which keeps the scheme consistent, and the
 Fourier wall flux keeps the per-x walls.  An x-varying potential gets zero
 profiles, and the scheme reduces to the plain form.
 
-Validation runs at the public entry points and in the positivity guard after
-every stage (one min and one max per array).  A run evaluates each state's
-thermodynamics once and shares it between the log row, the CFL bound
-(evaluated once per step) and the next step's first stage: rho*e is thermo's
-_rho_e and p, c^2 and e_theta its _closure (one cbrt and products of theta),
-so the stage forms no gas-model formula of its own.  Each stage starts the
-Newton recovery of theta from rho*e at the previous stage's theta.
+Validation runs at the public entry points, which also reject a state built
+on another grid (ShapeError) or at another eps (CompatibilityError), and in
+the positivity guard after every stage (one min and one max per array).  A
+run evaluates each state's thermodynamics once and shares it between the log
+row, the CFL bound (evaluated once per step) and the next step's first
+stage: rho*e is thermo's _rho_e and p, c^2 and e_theta its _closure, both on
+one _powers (one cbrt and products of theta, no fractional power), so the
+stage forms no gas-model formula of its own.  Each stage starts the Newton
+recovery of theta from rho*e at the previous stage's theta.
 
-The stage kernel _rhs is written for numpy's per-call cost.  Interior
+The stage kernel _rhs is written for the number of array passes.  Interior
 z-face quantities live in grid's z-face layout (column k holds face k,
 column 0 the bottom wall face, the top wall face a separate (nx,) row), so
 every z-neighbour stencil is one flat pass over the C-contiguous buffer
-(_zfaces, _zcenters), its spare entries finite neighbour pairs; and a
-temporary with no other reader is updated in place, as are the stage
-updates of _step.  Each element still takes the operations of the plain
-slice formulas in their order, so the results are theirs bit for bit.
+(_zfaces, _zcenters), its spare entries finite neighbour pairs; a temporary
+with no other reader is updated in place, as are the stage updates of
+_step.  Every grid, eps and wall factor is a per-scenario constant on
+_NsfAux that the stage multiplies by, and each face density divides once,
+as the common denominator of the pressure gradient, the viscous term and
+the potential force.  The results therefore differ from the plain formulas
+(every factor divided where it appears) by rounding only, and the discrete
+reference at rest still gives exactly zero mass and momentum rates.
 scipy is imported only by the continuum oracle hydrostatic_stationary_1d.
 """
 
@@ -81,6 +89,7 @@ from .thermo import (
     _finite_positive,
     _kappa,
     _mu,
+    _powers,
     _rho_e,
     pressure_derivatives,
     theta_from_rho_e,
@@ -184,6 +193,20 @@ class NsfState:
         return NsfState(self.rho.copy(), self.theta.copy(), self.U.copy(), self.t, self.eps)
 
 
+def _require_compatible(state, scenario):
+    """Raise ShapeError unless every field of state lives on scenario's grid,
+    and CompatibilityError unless state was built at scenario's eps."""
+    for field in (state.rho, state.theta, state.U):
+        if field.grid != scenario.grid:
+            raise ShapeError(
+                f"state grid {field.grid} does not match the scenario grid {scenario.grid}"
+            )
+    if state.eps != scenario.eps:
+        raise CompatibilityError(
+            f"state eps={state.eps!r} does not match the scenario eps={scenario.eps!r}"
+        )
+
+
 def _checked_state(rho, theta, U, t, eps):
     """An NsfState whose rho and theta _theta_of has just checked; skips __post_init__."""
     state = object.__new__(NsfState)
@@ -213,17 +236,24 @@ class _NsfAux:
     z-only).  _rhs's per-scenario invariants: the full-shape *_xz profiles;
     in the z-face layout (column k >= 1 holds face k, column 0 a finite
     spare), dGz_eps = (G_k - G_{k-1}) / (eps dz) and the face densities
-    rho_hat_f_xz; and the x-face wall temperatures corner_b/corner_t.
-    rho_hat_f is the (nz-1,) interior-face profile."""
+    rho_hat_f_xz; the x-varying potential force dGx_eps = (G_i - G_{i-1}) /
+    (eps dx), None when G is z-only; the bottom x-face wall temperature
+    corner_b and the top wall row's viscosity mu_corner_t; the wall
+    conduction factors kap_b2/kap_t2 = -2 kappa(wall) / dz; and the grid and
+    eps constants the stage multiplies by instead of dividing: inv_dx,
+    inv_dz, half_inv_eps = 1/(2 eps), pg_x/pg_z = 1/(eps^2 dx), 1/(eps^2
+    dz), and the signed divergence scales div_x/div_z = -1/dx, -1/dz;
+    _cfl_bound's cfl_acoustic = (1/dx + 1/dz)/eps and cfl_diffusive =
+    4 (1/dx^2 + 1/dz^2).  rho_hat_f is the (nz-1,) interior-face profile."""
 
     rho_hat: np.ndarray
     theta_hat: np.ndarray
     balanced: bool
     wall_b: np.ndarray
     wall_t: np.ndarray
-    kap_b: np.ndarray
-    kap_t: np.ndarray
-    dGx: np.ndarray | None
+    kap_b2: np.ndarray
+    kap_t2: np.ndarray
+    dGx_eps: np.ndarray | None
     rho_hat_f: np.ndarray
     rho_hat_xz: np.ndarray
     rho_hat_f_xz: np.ndarray
@@ -231,7 +261,16 @@ class _NsfAux:
     E_hat_xz: np.ndarray
     dGz_eps: np.ndarray
     corner_b: np.ndarray
-    corner_t: np.ndarray
+    mu_corner_t: np.ndarray
+    inv_dx: float
+    inv_dz: float
+    half_inv_eps: float
+    pg_x: float
+    pg_z: float
+    div_x: float
+    div_z: float
+    cfl_acoustic: float
+    cfl_diffusive: float
 
 
 def _conduction_profile(grid, eos, gb, gt):
@@ -325,19 +364,20 @@ def _build_reference(scenario):
     else:
         theta_hat = np.full(g.nz, scenario.theta_bar)
         rho_hat = p_hat = E_hat = np.zeros(g.nz)
+    eps, dx, dz = scenario.eps, g.dx, g.dz
     dGx = gr._xdiff_prev(Gv)
     rho_hat_f = 0.5 * (rho_hat[1:] + rho_hat[:-1])
     dGz_eps = _zfaces(np.subtract, Gv)
-    dGz_eps /= scenario.eps * g.dz
+    dGz_eps /= eps * dz
     return _NsfAux(
         rho_hat=rho_hat,
         theta_hat=theta_hat,
         balanced=balanced,
         wall_b=wb,
         wall_t=wt,
-        kap_b=transport(wb, eos)[2],
-        kap_t=transport(wt, eos)[2],
-        dGx=None if not dGx.any() else dGx,
+        kap_b2=transport(wb, eos)[2] * (-2.0 / dz),
+        kap_t2=transport(wt, eos)[2] * (-2.0 / dz),
+        dGx_eps=dGx / (eps * dx) if dGx.any() else None,
         rho_hat_f=rho_hat_f,
         rho_hat_xz=np.tile(rho_hat, (g.nx, 1)),
         rho_hat_f_xz=np.tile(np.concatenate([rho_hat_f[:1], rho_hat_f]), (g.nx, 1)),
@@ -345,7 +385,16 @@ def _build_reference(scenario):
         E_hat_xz=np.tile(E_hat, (g.nx, 1)),
         dGz_eps=dGz_eps,
         corner_b=center_to_xface(wb),
-        corner_t=center_to_xface(wt),
+        mu_corner_t=_mu(center_to_xface(wt), eos),
+        inv_dx=1.0 / dx,
+        inv_dz=1.0 / dz,
+        half_inv_eps=0.5 / eps,
+        pg_x=1.0 / (eps * eps * dx),
+        pg_z=1.0 / (eps * eps * dz),
+        div_x=-1.0 / dx,
+        div_z=-1.0 / dz,
+        cfl_acoustic=(1.0 / dx + 1.0 / dz) / eps,
+        cfl_diffusive=4.0 * (1.0 / dx ** 2 + 1.0 / dz ** 2),
     )
 
 
@@ -466,10 +515,12 @@ _Thermo = namedtuple("_Thermo", "E p c2 e_theta mu eta")
 
 def _thermo(rho, th, eos):
     """Stage thermodynamics: p, c^2 and e_theta from thermo's _closure and E
-    from _rho_e, each bit for bit what the public functions return."""
-    p, _, _, e_theta, c2 = _closure(rho, th, eos)
+    from _rho_e, both on one _powers, each bit for bit what the public
+    functions return."""
+    powers = _powers(rho, th, eos)
+    p, _, _, e_theta, c2 = _closure(rho, th, eos, powers)
     eta = _eta(th, eos) if eos.eta0 else None
-    return _Thermo(_rho_e(rho, th, eos), p, c2, e_theta, _mu(th, eos), eta)
+    return _Thermo(_rho_e(rho, th, eos, powers), p, c2, e_theta, _mu(th, eos), eta)
 
 
 def _zfaces(ufunc, a):
@@ -493,15 +544,13 @@ def _zcenters(ufunc, f, top):
     return out
 
 
-def _rusanov(central, s_ac, s_ad, j_ac, j):
-    """central - 0.5 (s_ac j_ac + s_ad (j - j_ac)), finished in central;
-    spends j and j_ac."""
-    j -= j_ac
-    j *= s_ad
-    j_ac *= s_ac
-    j_ac += j
-    j_ac *= 0.5
+def _rusanov(central, half_u, j_ac, j):
+    """The two-term Rusanov flux central - j_ac - (|u|/2) j, finished in
+    central; j_ac is the acoustic jump already scaled by c/(2 eps), and j is
+    spent."""
     central -= j_ac
+    j *= half_u
+    central -= j
     return central
 
 
@@ -510,10 +559,8 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     _Thermo of (rho, th).  Every temporary is fresh, and is updated in place
     once it has no other reader; no input is written."""
     g = scenario.grid
-    dx, dz = g.dx, g.dz
-    eps = scenario.eps
-    ee = eps * eps
     eos = scenario.eos
+    inv_dx, inv_dz = aux.inv_dx, aux.inv_dz
     E, p, c2, mu, eta = tf.E, tf.p, tf.c2, tf.mu, tf.eta
     spec_h = E + p
     spec_h /= rho
@@ -522,28 +569,29 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     dr = rho - aux.rho_hat_xz
     dE = E - aux.E_hat_xz
 
-    # x faces: face i sits between centers i-1 and i.
+    # x faces: face i sits between centers i-1 and i.  Dissipation at |u| +
+    # c/eps on the acoustic jump jp/c^2 and at |u| on the rest of the jump
+    # j is, in exact arithmetic, (c/(2 eps)) jp/c^2 + (|u|/2) j.
     th_l = gr._xprev(th)
     th_pairs = th + th_l  # x-pairs summed once, for the faces and the corners
     rho_fx = center_to_xface(rho)
     jp_x = gr._xdiff_prev(dp)
     jr_x = gr._xdiff_prev(dr)
     jE_x = gr._xdiff_prev(dE)
-    s_ad = np.abs(u)
-    c2_fx = center_to_xface(c2)
-    s_ac = np.sqrt(c2_fx)
-    s_ac /= eps
-    s_ac += s_ad
-    jr_ac = np.divide(jp_x, c2_fx, out=c2_fx)
+    half_u = np.abs(u)
+    half_u *= 0.5
+    c_fx = center_to_xface(c2)
+    np.sqrt(c_fx, out=c_fx)
+    jr_ac = np.divide(jp_x, c_fx, out=c_fx)
+    jr_ac *= aux.half_inv_eps
     jE_ac = center_to_xface(spec_h)
     jE_ac *= jr_ac
-    Fm_x = _rusanov(u * rho_fx, s_ac, s_ad, jr_ac, jr_x)
+    Fm_x = _rusanov(u * rho_fx, half_u, jr_ac, jr_x)
     FE_x = center_to_xface(E)
     FE_x *= u
-    _rusanov(FE_x, s_ac, s_ad, jE_ac, jE_x)
-    cond = _kappa(0.5 * th_pairs, eos)
+    _rusanov(FE_x, half_u, jE_ac, jE_x)
+    cond = _kappa(0.5 * th_pairs, eos, inv_dx)
     cond *= np.subtract(th, th_l, out=th_l)
-    cond /= dx
     FE_x -= cond
 
     # z faces in the z-face layout: column k holds face k (1..nz-1, between
@@ -551,67 +599,66 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     # is a separate (nx,) row.
     wf = w[:, :-1].copy()
     Dzz = _zcenters(np.subtract, wf, w[:, -1])
-    Dzz /= dz
+    Dzz *= inv_dz
     # Shear at the corners; the top wall corners are their own row.
     shear = _zfaces(np.subtract, u)
-    shear /= dz
-    shear[:, 0] = 2.0 * u[:, 0] / dz
+    shear *= inv_dz
+    shear[:, 0] = u[:, 0] * (2.0 * inv_dz)
     shear_x = gr._xdiff_prev(wf)
-    shear_x /= dx
+    shear_x *= inv_dx
     shear += shear_x
-    shear_top = -2.0 * u[:, -1] / dz
+    shear_top = u[:, -1] * (-2.0 * inv_dz)
     shear_x = gr._xdiff_prev(w[:, -1])
-    shear_x /= dx
+    shear_x *= inv_dx
     shear_top += shear_x
 
-    s_ad_z = np.abs(wf)
     rho_fz = _zfaces(np.add, rho)
     rho_fz *= 0.5
     jp_z = _zfaces(np.subtract, dp)
     jr_z = _zfaces(np.subtract, dr)
     jE_z = _zfaces(np.subtract, dE)
-    c2_fz = _zfaces(np.add, c2)
-    c2_fz *= 0.5
-    s_ac_z = np.sqrt(c2_fz)
-    s_ac_z /= eps
-    s_ac_z += s_ad_z
-    jr_ac_z = np.divide(jp_z, c2_fz, out=c2_fz)
+    c_fz = _zfaces(np.add, c2)
+    c_fz *= 0.5
+    np.sqrt(c_fz, out=c_fz)
+    jr_ac_z = np.divide(jp_z, c_fz, out=c_fz)
+    jr_ac_z *= aux.half_inv_eps
     jE_ac_z = _zfaces(np.add, spec_h)
     jE_ac_z *= 0.5
     jE_ac_z *= jr_ac_z
-    Fm_z = _rusanov(wf * rho_fz, s_ac_z, s_ad_z, jr_ac_z, jr_z)
-    Fm_z[:, 0] = 0.0  # no mass flux through the walls
+    Fm_z = wf * rho_fz
     wf *= 0.5
+    half_w = np.abs(wf)
+    _rusanov(Fm_z, half_w, jr_ac_z, jr_z)
+    Fm_z[:, 0] = 0.0  # no mass flux through the walls
     FE_z = _zfaces(np.add, E)
     FE_z *= wf
-    _rusanov(FE_z, s_ac_z, s_ad_z, jE_ac_z, jE_z)
+    _rusanov(FE_z, half_w, jE_ac_z, jE_z)
     th_fz = _zfaces(np.add, th)
     th_fz *= 0.5
-    cond = _kappa(th_fz, eos)
+    cond = _kappa(th_fz, eos, inv_dz)
     cond *= _zfaces(np.subtract, th)
-    cond /= dz
     FE_z -= cond
     # Wall faces: Fourier flux against the Dirichlet wall value.
-    FE_z[:, 0] = -aux.kap_b * 2.0 * (th[:, 0] - aux.wall_b) / dz
-    FE_top = -aux.kap_t * 2.0 * (aux.wall_t - th[:, -1]) / dz
+    np.subtract(th[:, 0], aux.wall_b, out=FE_z[:, 0])
+    FE_z[:, 0] *= aux.kap_b2
+    FE_top = aux.wall_t - th[:, -1]
+    FE_top *= aux.kap_t2
 
     d_rho = gr._xdiff_next(Fm_x)
-    d_rho /= dx
+    d_rho *= aux.div_x
     div_z = _zcenters(np.subtract, Fm_z, 0.0)
-    div_z /= dz
+    div_z *= aux.div_z
     d_rho += div_z
-    np.negative(d_rho, out=d_rho)
     d_E = gr._xdiff_next(FE_x)
-    d_E /= dx
+    d_E *= aux.div_x
     div_z = _zcenters(np.subtract, FE_z, FE_top)
-    div_z /= dz
+    div_z *= aux.div_z
     d_E += div_z
-    np.negative(d_E, out=d_E)
 
     # Newton stress in d = 2: S = mu (grad U + grad U^T - div U I) + eta div U I.
     adv_u, adv_w = advect_velocity(g, u, w)
     Dxx = gr._xdiff_next(u)
-    Dxx /= dx
+    Dxx *= inv_dx
     divU = Dxx + Dzz
     Dxx_zz = Dxx
     Dxx_zz -= Dzz
@@ -627,35 +674,36 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     th_corner[:, 0] = aux.corner_b
     Sxz = _mu(th_corner, eos)
     Sxz *= shear
-    Sxz_top = _mu(aux.corner_t, eos)
-    Sxz_top *= shear_top
+    Sxz_top = aux.mu_corner_t * shear_top
 
-    jp_x /= rho_fx * ee * dx
-    du = adv_u
-    du -= jp_x
+    # Each face density divides once: du = adv_u + (div S - jp / (eps^2
+    # dx)) / rho_f, and dw adds the balanced potential force G' (rho_f -
+    # rho_hat_f) / rho_f, which is exactly zero where rho_f = rho_hat_f.
     visc = gr._xdiff_prev(Sxx)
-    visc /= dx
+    visc *= inv_dx
     visc_z = _zcenters(np.subtract, Sxz, Sxz_top)
-    visc_z /= dz
+    visc_z *= inv_dz
     visc += visc_z
+    jp_x *= aux.pg_x
+    visc -= jp_x
     visc /= rho_fx
+    du = adv_u
     du += visc
-    if aux.dGx is not None:
-        du += aux.dGx / (eps * dx)
-    jp_z /= rho_fz * ee * dz
-    dw_f = np.subtract(adv_w[:, :-1], jp_z, out=jp_z)
-    buoy = aux.rho_hat_f_xz / rho_fz
-    np.subtract(1.0, buoy, out=buoy)
-    buoy *= aux.dGz_eps
-    dw_f += buoy
+    if aux.dGx_eps is not None:
+        du += aux.dGx_eps
     visc = gr._xdiff_next(Sxz)
-    visc /= dx
+    visc *= inv_dx
     visc_z = _zfaces(np.subtract, Szz)
-    visc_z /= dz
+    visc_z *= inv_dz
     visc += visc_z
+    jp_z *= aux.pg_z
+    visc -= jp_z
+    buoy = np.subtract(rho_fz, aux.rho_hat_f_xz, out=jp_z)
+    buoy *= aux.dGz_eps
+    visc += buoy
     visc /= rho_fz
     dw = np.zeros(w.shape)
-    np.add(dw_f[:, 1:], visc[:, 1:], out=dw[:, 1:-1])
+    np.add(adv_w[:, 1:-1], visc[:, 1:], out=dw[:, 1:-1])
 
     # eps^2 S : grad U >= 0 cell-wise; the shear square is corner-averaged.
     sh2 = np.multiply(shear, shear, out=shear)
@@ -673,7 +721,7 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
         bulk = eta * divU
         bulk *= divU
         diss += bulk
-    diss *= ee
+    diss *= scenario.eps * scenario.eps
     diss -= p * divU
     d_E += diss
     return d_rho, d_E, du, dw
@@ -692,29 +740,30 @@ def _theta_of(rho, E, t, scenario, theta_guess):
 
 
 def _cfl_bound(state, scenario, tf):
-    g = scenario.grid
-    rho = state.rho.values
-    c = np.sqrt(tf.c2)
-    c /= scenario.eps
-    rate = xface_to_center(state.U.u)
-    np.abs(rate, out=rate)
-    rate += c
-    rate /= g.dx
-    rate_z = zface_to_center(state.U.w)
-    np.abs(rate_z, out=rate_z)
-    rate_z += c
-    rate_z /= g.dz
-    rate += rate_z
-    D = 2.0 * tf.mu
-    if tf.eta is not None:
-        D += tf.eta
-    D /= rho
-    kappa = _kappa(state.theta.values, scenario.eos)
-    kappa /= rho * tf.e_theta
-    np.maximum(D, kappa, out=D)
-    D *= 2.0
-    D *= 1.0 / g.dx ** 2 + 1.0 / g.dz ** 2
-    rate += D
+    """cfl / max of (|u| + c/eps)/dx + (|w| + c/eps)/dz + 2 max(2 mu + eta,
+    kappa/e_theta) / rho (1/dx^2 + 1/dz^2) over the centres: c/eps summed
+    over both directions once, and the diffusive max halved inside and
+    doubled in the constant."""
+    aux = scenario.reference()
+    u, w = state.U.u, state.U.w
+    rate = np.sqrt(tf.c2)
+    rate *= aux.cfl_acoustic
+    adv = gr._xnext(u)
+    adv += u
+    np.abs(adv, out=adv)
+    adv *= 0.5 * aux.inv_dx
+    rate += adv
+    adv = np.add(w[:, 1:], w[:, :-1])
+    np.abs(adv, out=adv)
+    adv *= 0.5 * aux.inv_dz
+    rate += adv
+    kappa = _kappa(state.theta.values, scenario.eos, 0.5)
+    kappa /= tf.e_theta
+    visc = tf.mu if tf.eta is None else tf.mu + 0.5 * tf.eta
+    diff = np.maximum(visc, kappa, out=kappa)
+    diff /= state.rho.values
+    diff *= aux.cfl_diffusive
+    rate += diff
     return scenario.cfl / float(np.max(rate))
 
 
@@ -722,6 +771,7 @@ def cfl_dt(state, scenario):
     """Largest stable step at this state: acoustic/advective transport rates
     plus explicit-diffusion rates, scaled by the scenario safety factor.
     Validates the state; run_nsf evaluates the same bound once per step."""
+    _require_compatible(state, scenario)
     rho, th = _check_state(state.rho.values, state.theta.values)
     return _cfl_bound(state, scenario, _thermo(rho, th, scenario.eos))
 
@@ -769,6 +819,7 @@ def step_nsf(state, scenario, dt):
     error when a stage loses positivity.
     """
     require_positive(dt, "dt")
+    _require_compatible(state, scenario)
     rho, th = _check_state(state.rho.values, state.theta.values)
     tf = _thermo(rho, th, scenario.eos)
     return _step(state, scenario, dt, tf, _cfl_bound(state, scenario, tf))
@@ -798,6 +849,7 @@ def ballistic_energy(state, scenario, theta_tilde=None):
     theta_tilde defaults to the harmonic extension of the wall temperatures;
     a supplied center field must be positive and carry the wall trace
     (checked by quadratic extrapolation, tolerance O(dz^2))."""
+    _require_compatible(state, scenario)
     vals = _theta_tilde(scenario, theta_tilde)
     rho, th = _check_state(state.rho.values, state.theta.values)
     return _log_row(state, scenario, _rho_e(rho, th, scenario.eos), vals, 0.0)[2]
@@ -828,9 +880,14 @@ def run_nsf(scenario, snapshot_dt=None, initial=None):
 
     Steps adapt to the CFL bound, evaluated once per step, and are clamped to
     land exactly on snapshot times and t_end.  The acoustic bound makes the
-    step count scale like 1/eps; steps and wall_seconds report the cost."""
+    step count scale like 1/eps; steps and wall_seconds report the cost.
+    An initial state must live on the scenario's grid (else ShapeError) and
+    carry its eps (else CompatibilityError), as for every entry point that
+    takes a state."""
     if snapshot_dt is not None:
         require_positive(snapshot_dt, "snapshot_dt")
+    if initial is not None:
+        _require_compatible(initial, scenario)
     state = initial.copy() if initial is not None else build_initial_nsf(scenario)
     theta_tilde = _theta_tilde(scenario, None)
     t_end = scenario.t_end

@@ -16,11 +16,15 @@ test oracles (gibbs_residual).  Every function is vectorized over rho/theta.
 Each formula lives in one unchecked kernel; the public function of the same
 name is _check_state plus the kernel, for states not yet validated.  p and
 its derivatives, de/dtheta and c^2 come from one kernel, _closure, in the
-closed forms P reduces to: they need no Z and no power of theta (rho^{2/3}
-is one cbrt), and dp/dtheta = rho + (4a/3) theta^3 carries no cancellation.
-The compressible stage calls _closure directly.  A kernel skips the p_inf and
-a terms when their coefficient is 0 (adding 0.0 leaves a finite value
-unchanged), so the ideal gas pays no rho^{5/3} and no theta^4.
+closed forms P reduces to: they need no Z, and dp/dtheta = rho + (4a/3)
+theta^3 carries no cancellation.  No kernel of the closure takes a
+fractional power: _powers forms rho^{2/3} and rho^{5/3} as cbrt(rho)^2 and
+rho cbrt(rho)^2, theta^3 and theta^4 as products, and _closure, _rho_e and
+the cold floor of theta_from_rho_e all read them from there.  The
+compressible stage calls _powers once and hands the result to _closure and
+_rho_e.  A kernel skips the p_inf and a terms when their coefficient is 0
+(adding 0.0 leaves a finite value unchanged), so the ideal gas pays no
+rho^{5/3} and no theta^4.
 """
 
 from __future__ import annotations
@@ -111,24 +115,43 @@ def _finite_positive(x):
     return x.size == 0 or bool(x.min() > 0 and x.max() < np.inf)
 
 
-def _closure(rho, theta, eos):
+def _rho_powers(rho):
+    """(rho^{2/3}, rho^{5/3}) as cbrt(rho)^2 and rho cbrt(rho)^2."""
+    r23 = np.cbrt(rho) ** 2
+    return r23, rho * r23
+
+
+def _powers(rho, theta, eos):
+    """The closure's powers, by one cbrt and products: (rho^{2/3}, rho^{5/3})
+    when p_inf > 0 and (theta^3, theta^4) when a > 0, each pair None when its
+    coefficient is 0."""
+    rp = _rho_powers(rho) if eos.p_inf else None
+    if not eos.a:
+        return rp, None
+    t3 = theta * theta * theta
+    return rp, (t3, t3 * theta)
+
+
+def _closure(rho, theta, eos, powers=None):
     """(p, p_rho, p_theta, e_theta, c^2) in the closed forms of P(Z) = Z +
     p_inf Z^{5/3}: p = rho theta + p_inf rho^{5/3} + (a/3) theta^4, p_rho =
     theta + (5/3) p_inf rho^{2/3}, p_theta = rho + (4a/3) theta^3 (the Z
     terms cancel, as in w10), e_theta = 3/2 + 4a theta^3 / rho and c^2 =
-    p_rho + theta p_theta^2 / (rho^2 e_theta).  The ideal gas returns the
-    inputs themselves as p_rho = theta and p_theta = rho, and e_theta = 1.5."""
+    p_rho + theta p_theta^2 / (rho^2 e_theta); powers is _powers(rho, theta,
+    eos) when the caller holds it.  The ideal gas returns the inputs
+    themselves as p_rho = theta and p_theta = rho, and e_theta = 1.5."""
     p = rho * theta
     if not (eos.p_inf or eos.a):
         return p, theta, rho, 1.5, (5.0 / 3.0) * theta
+    rp, tp = _powers(rho, theta, eos) if powers is None else powers
     p_rho, p_theta, e_theta = theta, rho, 1.5
-    if eos.p_inf:
-        r23 = np.cbrt(rho) ** 2
-        p += eos.p_inf * (rho * r23)
+    if rp:
+        r23, r53 = rp
+        p += eos.p_inf * r53
         p_rho = theta + (5.0 / 3.0) * eos.p_inf * r23
-    if eos.a:
-        t3 = theta * theta * theta
-        p += (eos.a / 3.0) * (t3 * theta)
+    if tp:
+        t3, t4 = tp
+        p += (eos.a / 3.0) * t4
         p_theta = rho + (4.0 * eos.a / 3.0) * t3
         e_theta = 1.5 + 4.0 * eos.a * t3 / rho
     c2 = p_rho + theta * p_theta ** 2 / (rho ** 2 * e_theta)
@@ -156,12 +179,16 @@ def _entropy(rho, theta, eos):
     return s + (4.0 * eos.a / 3.0) * theta ** 3 / rho if eos.a else s
 
 
-def _rho_e(rho, theta, eos):
-    """Volumetric internal energy rho*e; the conserved quantity of the heat balance."""
+def _rho_e(rho, theta, eos, powers=None):
+    """Volumetric internal energy rho*e = (3/2) rho theta + (3/2) p_inf
+    rho^{5/3} + a theta^4; the conserved quantity of the heat balance."""
     E = 1.5 * rho * theta
-    if eos.p_inf:
-        E += 1.5 * eos.p_inf * rho ** (5.0 / 3.0)
-    return E + eos.a * theta ** 4 if eos.a else E
+    rp, tp = _powers(rho, theta, eos) if powers is None else powers
+    if rp:
+        E += 1.5 * eos.p_inf * rp[1]
+    if tp:
+        E += eos.a * tp[1]
+    return E
 
 
 def _pressure_derivatives(rho, theta, eos):
@@ -197,8 +224,13 @@ def _eta(theta, eos):
     return eos.eta0 * (1.0 + theta)
 
 
-def _kappa(theta, eos):
-    return eos.kappa0 * (1.0 + theta ** eos.beta)
+def _kappa(theta, eos, scale=1.0):
+    """kappa0 (1 + theta^beta), times scale (a constant factor the caller
+    folds into kappa0)."""
+    kappa = theta ** eos.beta
+    kappa += 1.0
+    kappa *= eos.kappa0 * scale
+    return kappa
 
 
 def _transport(theta, eos):
@@ -233,13 +265,14 @@ def theta_from_rho_e(rho, E, eos, theta_guess=None):
     theta -> (3/2) rho theta + a theta^4 (monotone, so the root is unique),
     started from theta_guess if given (a nearby theta converges in 2-3 steps,
     not about 7), raising DomainError when 60 Newton steps do not converge.
-    R = E - (3/2) p_inf rho^{5/3} must be finite and > 0 (one min and one
-    max), else DomainError; rho itself is not checked.  Each Newton step
-    forms theta^3 as a product.  An empty input returns empty.
+    R = E - (3/2) p_inf rho^{5/3} (rho^{5/3} as rho cbrt(rho)^2) must be
+    finite and > 0 (one min and one max), else DomainError; rho itself is
+    not checked.  Each Newton step forms theta^3 as a product.  An empty
+    input returns empty.
     """
     rho = np.asarray(rho, dtype=float)
     E = np.asarray(E, dtype=float)
-    R = E - 1.5 * eos.p_inf * rho ** (5.0 / 3.0) if eos.p_inf else E
+    R = E - 1.5 * eos.p_inf * _rho_powers(rho)[1] if eos.p_inf else E
     if not _finite_positive(R):
         raise DomainError("internal energy below the cold-pressure floor")
     rho15 = 1.5 * rho

@@ -29,6 +29,7 @@ from bll.nsf import (
 from bll.ob import gravity_potential
 from bll.thermo import (
     EosParams,
+    _closure,
     _eta,
     _kappa,
     _mu,
@@ -660,8 +661,105 @@ def test_import_bll_does_not_import_scipy() -> None:
 
 
 def _rhs_full_formula(rho, th, u, w, scenario, aux, tf, eta):
-    """nsf._rhs as it was before the eta0 == 0 skip: the bulk-viscosity terms
-    eta div U (stresses) and eta (div U)^2 (dissipation) always evaluated."""
+    """nsf._rhs in plain slice formulas, operation for operation, with the
+    bulk-viscosity terms eta div U (stresses) and eta (div U)^2 (dissipation)
+    always evaluated."""
+    g = scenario.grid
+    eps = scenario.eps
+    eos = scenario.eos
+    inv_dx, inv_dz, half_inv_eps = aux.inv_dx, aux.inv_dz, aux.half_inv_eps
+    E, p, c2, mu = tf.E, tf.p, tf.c2, tf.mu
+    spec_h = (E + p) / rho
+
+    dp = p - aux.p_hat_xz
+    dr = rho - aux.rho_hat[None, :]
+    dE = E - aux.E_hat_xz
+
+    th_l = gr._xprev(th)
+    rho_fx = center_to_xface(rho)
+    jp_x = dp - gr._xprev(dp)
+    jr_x = dr - gr._xprev(dr)
+    jE_x = dE - gr._xprev(dE)
+    half_u = np.abs(u) * 0.5
+    jr_ac = jp_x / np.sqrt(center_to_xface(c2)) * half_inv_eps
+    jE_ac = center_to_xface(spec_h) * jr_ac
+    Fm_x = u * rho_fx - jr_ac - half_u * jr_x
+    FE_x = center_to_xface(E) * u - jE_ac - half_u * jE_x
+    FE_x -= _kappa(0.5 * (th + th_l), eos, inv_dx) * (th - th_l)
+
+    wi = w[:, 1:-1]
+    rho_fz = 0.5 * (rho[:, 1:] + rho[:, :-1])
+    jp_z = dp[:, 1:] - dp[:, :-1]
+    jr_z = dr[:, 1:] - dr[:, :-1]
+    jE_z = dE[:, 1:] - dE[:, :-1]
+    jr_ac_z = jp_z / np.sqrt(0.5 * (c2[:, 1:] + c2[:, :-1])) * half_inv_eps
+    jE_ac_z = 0.5 * (spec_h[:, 1:] + spec_h[:, :-1]) * jr_ac_z
+    half_w = np.abs(0.5 * wi)
+    Fm_z = np.zeros_like(w)
+    Fm_z[:, 1:-1] = wi * rho_fz - jr_ac_z - half_w * jr_z
+    FE_z = np.zeros_like(w)
+    FE_z[:, 1:-1] = (E[:, 1:] + E[:, :-1]) * (0.5 * wi) - jE_ac_z - half_w * jE_z
+    FE_z[:, 1:-1] -= _kappa(0.5 * (th[:, 1:] + th[:, :-1]), eos, inv_dz) * (th[:, 1:] - th[:, :-1])
+    FE_z[:, 0] = (th[:, 0] - aux.wall_b) * aux.kap_b2
+    FE_z[:, -1] = (aux.wall_t - th[:, -1]) * aux.kap_t2
+
+    d_rho = (gr._xnext(Fm_x) - Fm_x) * aux.div_x + (Fm_z[:, 1:] - Fm_z[:, :-1]) * aux.div_z
+    d_E = (gr._xnext(FE_x) - FE_x) * aux.div_x + (FE_z[:, 1:] - FE_z[:, :-1]) * aux.div_z
+
+    adv_u, adv_w = advect_velocity(g, u, w)
+    Gv = scenario.G.values
+    dGz_eps = (Gv[:, 1:] - Gv[:, :-1]) / (eps * g.dz)
+    Dxx = (gr._xnext(u) - u) * inv_dx
+    Dzz = (w[:, 1:] - w[:, :-1]) * inv_dz
+    divU = Dxx + Dzz
+    Sxx = mu * (Dxx - Dzz) + eta * divU
+    Szz = mu * (Dzz - Dxx) + eta * divU
+    shear = np.zeros_like(w)
+    shear[:, 1:-1] = (u[:, 1:] - u[:, :-1]) * inv_dz
+    shear[:, 0] = u[:, 0] * (2.0 * inv_dz)
+    shear[:, -1] = u[:, -1] * (-2.0 * inv_dz)
+    shear += (w - gr._xprev(w)) * inv_dx
+    th_corner = np.empty_like(w)
+    th_corner[:, 1:-1] = 0.25 * ((th[:, 1:] + th_l[:, 1:]) + (th[:, :-1] + th_l[:, :-1]))
+    th_corner[:, 0] = 0.5 * (aux.wall_b + gr._xprev(aux.wall_b))
+    th_corner[:, -1] = 0.5 * (aux.wall_t + gr._xprev(aux.wall_t))
+    Sxz = _mu(th_corner, eos) * shear
+
+    visc_u = (Sxx - gr._xprev(Sxx)) * inv_dx + (Sxz[:, 1:] - Sxz[:, :-1]) * inv_dz
+    du = adv_u + (visc_u - jp_x * aux.pg_x) / rho_fx
+    if aux.dGx_eps is not None:
+        du += aux.dGx_eps
+    visc_w = (gr._xnext(Sxz[:, 1:-1]) - Sxz[:, 1:-1]) * inv_dx + (Szz[:, 1:] - Szz[:, :-1]) * inv_dz
+    dw = np.zeros_like(w)
+    dw[:, 1:-1] = adv_w[:, 1:-1] + (
+        visc_w - jp_z * aux.pg_z + (rho_fz - aux.rho_hat_f[None, :]) * dGz_eps
+    ) / rho_fz
+
+    sh2 = shear * shear
+    sh2_r = gr._xnext(sh2)
+    sh2_c = 0.25 * ((sh2[:, :-1] + sh2_r[:, :-1]) + (sh2[:, 1:] + sh2_r[:, 1:]))
+    d_E += eps * eps * (mu * ((Dxx - Dzz) ** 2 + sh2_c) + eta * divU * divU) - p * divU
+    return d_rho, d_E, du, dw
+
+
+# Frozen copies of the stage as it was before its constants were folded and
+# its Rusanov fluxes took two terms: rho*e with its powers, the slice formulas
+# of _rhs (the six-term Rusanov flux, every grid and eps factor divided per
+# stage, the potential force as G' (1 - rho_hat_f / rho_f)) and the CFL bound.
+def _old_rho_e(rho, theta, eos):
+    E = 1.5 * rho * theta
+    if eos.p_inf:
+        E += 1.5 * eos.p_inf * rho ** (5.0 / 3.0)
+    return E + eos.a * theta ** 4 if eos.a else E
+
+
+def _old_stage_thermo(rho, th, eos):
+    p, _, _, e_theta, c2 = _closure(rho, th, eos)
+    eta = _eta(th, eos) if eos.eta0 else None
+    return nsf._Thermo(_old_rho_e(rho, th, eos), p, c2, e_theta, _mu(th, eos), eta)
+
+
+def _old_rhs(rho, th, u, w, scenario, aux, tf, eta):
     g = scenario.grid
     dx, dz = g.dx, g.dz
     eps = scenario.eps
@@ -671,7 +769,7 @@ def _rhs_full_formula(rho, th, u, w, scenario, aux, tf, eta):
 
     dp = p - aux.p_hat_xz
     dr = rho - aux.rho_hat[None, :]
-    dE = E - aux.E_hat_xz
+    dE = E - _old_rho_e(aux.rho_hat, aux.theta_hat, eos)[None, :]
 
     th_l = gr._xprev(th)
     rho_fx = center_to_xface(rho)
@@ -704,8 +802,8 @@ def _rhs_full_formula(rho, th, u, w, scenario, aux, tf, eta):
         s_ac_z * jE_ac_z + s_ad_z * (jE_z - jE_ac_z)
     )
     FE_z[:, 1:-1] -= _kappa(0.5 * (th[:, :-1] + th[:, 1:]), eos) * (th[:, 1:] - th[:, :-1]) / dz
-    FE_z[:, 0] = -aux.kap_b * 2.0 * (th[:, 0] - aux.wall_b) / dz
-    FE_z[:, -1] = -aux.kap_t * 2.0 * (aux.wall_t - th[:, -1]) / dz
+    FE_z[:, 0] = -transport(aux.wall_b, eos)[2] * 2.0 * (th[:, 0] - aux.wall_b) / dz
+    FE_z[:, -1] = -transport(aux.wall_t, eos)[2] * 2.0 * (aux.wall_t - th[:, -1]) / dz
 
     d_rho = -((gr._xnext(Fm_x) - Fm_x) / dx + (Fm_z[:, 1:] - Fm_z[:, :-1]) / dz)
     d_E = -((gr._xnext(FE_x) - FE_x) / dx + (FE_z[:, 1:] - FE_z[:, :-1]) / dz)
@@ -734,8 +832,9 @@ def _rhs_full_formula(rho, th, u, w, scenario, aux, tf, eta):
         - jp_x / (eps * eps * rho_fx * dx)
         + ((Sxx - gr._xprev(Sxx)) / dx + (Sxz[:, 1:] - Sxz[:, :-1]) / dz) / rho_fx
     )
-    if aux.dGx is not None:
-        du += aux.dGx / (eps * dx)
+    dGx = gr._xdiff_prev(Gv)
+    if dGx.any():
+        du += dGx / (eps * dx)
     dw = np.zeros_like(w)
     dw[:, 1:-1] = (
         adv_w[:, 1:-1]
@@ -753,6 +852,20 @@ def _rhs_full_formula(rho, th, u, w, scenario, aux, tf, eta):
     sh2_c = 0.25 * ((sh2[:, :-1] + sh2_r[:, :-1]) + (sh2[:, 1:] + sh2_r[:, 1:]))
     d_E += eps * eps * (mu * ((Dxx - Dzz) ** 2 + sh2_c) + eta * divU * divU) - p * divU
     return d_rho, d_E, du, dw
+
+
+def _old_cfl_bound(state, scenario, tf):
+    g = scenario.grid
+    rho = state.rho.values
+    c = np.sqrt(tf.c2) / scenario.eps
+    rate = (np.abs(0.5 * (state.U.u + gr._xnext(state.U.u))) + c) / g.dx
+    rate += (np.abs(0.5 * (state.U.w[:, 1:] + state.U.w[:, :-1])) + c) / g.dz
+    D = 2.0 * tf.mu
+    if tf.eta is not None:
+        D += tf.eta
+    D = np.maximum(D / rho, _kappa(state.theta.values, scenario.eos) / (rho * tf.e_theta))
+    rate += 2.0 * D * (1.0 / g.dx ** 2 + 1.0 / g.dz ** 2)
+    return scenario.cfl / float(np.max(rate))
 
 
 def _moving_state(eos, nx=16, nz=8, x_potential=False):
@@ -785,7 +898,7 @@ def test_rhs_without_bulk_viscosity_matches_full_formula_bitwise(nx, nz, x_poten
     sc, rho, th, u, w = _moving_state(IDEAL, nx, nz, x_potential)
     aux = sc.reference()
     assert aux.balanced is not x_potential
-    assert (aux.dGx is not None) is x_potential
+    assert (aux.dGx_eps is not None) is x_potential
     assert IDEAL.eta0 == 0.0
     tf = nsf._thermo(rho, th, IDEAL)
     assert tf.eta is None
@@ -895,15 +1008,15 @@ def test_property_stage_thermo_matches_public_functions(state, p_inf, a, eta0) -
     assert tf.eta is None if eta0 == 0.0 else np.array_equal(tf.eta, eta)
 
 
-# Frozen copy of the stage thermodynamics in the closed forms the stage first
-# ran (one cbrt, products of theta, 5 theta / 3 for the ideal gas): the stage
-# must stay bit for bit on it.
+# Frozen copy of the stage thermodynamics in its closed forms (one cbrt,
+# products of theta, 5 theta / 3 for the ideal gas; rho*e power-free too):
+# the stage must stay bit for bit on it.
 def _closed_form_thermo(rho, th, eos):
     E = 1.5 * rho * th
     if eos.p_inf:
-        E += 1.5 * eos.p_inf * rho ** (5.0 / 3.0)
+        E += 1.5 * eos.p_inf * (rho * np.cbrt(rho) ** 2)
     if eos.a:
-        E = E + eos.a * th ** 4
+        E = E + eos.a * (th * th * th * th)
     mu = eos.mu0 * (1.0 + th)
     eta = eos.eta0 * (1.0 + th) if eos.eta0 else None
     p = rho * th
@@ -1070,3 +1183,75 @@ def test_stage_closed_forms_move_a_run_by_rounding_only(eos, monkeypatch) -> Non
     for traj in (new, old):
         mass = traj.log.mass
         assert np.max(np.abs(mass - mass[0])) / mass[0] <= 1e-12
+
+
+@pytest.mark.parametrize("eos", [IDEAL, EosParams(p_inf=1.0, a=1.0)], ids=["ideal", "radiation"])
+def test_stage_folding_moves_a_run_by_rounding_only(eos, monkeypatch) -> None:
+    # the same run with the frozen stage (rho*e by powers, the six-term
+    # Rusanov flux, divided constants, the old CFL bound) swapped in agrees
+    # to rounding
+    g = Grid(16, 8)
+    X, Z = g.cell_mesh()
+    T0 = ScalarField(g, 0.2 * (1 - 2 * Z) + 0.1 * np.sin(2 * np.pi * X) * np.sin(np.pi * Z) ** 2)
+    sc = _scenario(
+        g, eos=eos, G=gravity_potential(g, 1.0), theta_b_bottom=0.2, theta_b_top=-0.2, T0=T0, t_end=0.05
+    )
+    new = run_nsf(sc)
+    monkeypatch.setattr(nsf, "_thermo", _old_stage_thermo)
+    monkeypatch.setattr(
+        nsf, "_rhs", lambda rho, th, u, w, sc, aux, tf: _old_rhs(rho, th, u, w, sc, aux, tf, _eta(th, sc.eos))
+    )
+    monkeypatch.setattr(nsf, "_cfl_bound", _old_cfl_bound)
+    monkeypatch.setattr(nsf, "theta_from_rho_e", _old_theta_from_rho_e)
+    old = run_nsf(sc)
+    monkeypatch.undo()
+    assert new.steps == old.steps > 5
+    a, b = new.states[-1], old.states[-1]
+    for x, y in ((a.rho.values, b.rho.values), (a.theta.values, b.theta.values)):
+        assert np.max(np.abs(x - y) / np.abs(y)) <= 1e-13
+    for x, y in ((a.U.u, b.U.u), (a.U.w, b.U.w)):
+        assert np.max(np.abs(x - y)) <= 1e-12 * max(1.0, np.max(np.abs(y)))
+    assert np.max(np.abs(a.U.w)) > 1e-4
+    assert not np.array_equal(a.U.w, b.U.w)  # the swap took effect
+    for traj in (new, old):
+        mass = traj.log.mass
+        assert np.max(np.abs(mass - mass[0])) / mass[0] <= 1e-12
+
+
+@pytest.mark.parametrize("eos", [IDEAL, EosParams(p_inf=1.0, a=1.0)], ids=["ideal", "radiation"])
+@pytest.mark.parametrize("nx, nz", [(16, 12), (64, 32)], ids=["16x12", "64x32"])
+def test_rhs_is_exactly_zero_at_rest_on_the_discrete_reference(eos, nx, nz) -> None:
+    # the potential force G' (rho_f - rho_hat_f) / rho_f vanishes exactly
+    # where rho_f = rho_hat_f; G' (1 - rho_hat_f (1 / rho_f)) would not
+    g = Grid(nx, nz)
+    sc = _scenario(g, eos=eos, G=gravity_potential(g, 1.0), theta_b_bottom=0.3, theta_b_top=-0.2)
+    rho_hat, theta_hat = discrete_hydrostatic_reference(sc)
+    state = _profile_state(g, rho_hat, theta_hat, sc.eps)
+    rho, th = state.rho.values, state.theta.values
+    d_rho, _, du, dw = nsf._rhs(rho, th, state.U.u, state.U.w, sc, sc.reference(), nsf._thermo(rho, th, eos))
+    assert np.array_equal(d_rho, np.zeros_like(rho))
+    assert np.array_equal(du, np.zeros_like(state.U.u))
+    assert np.array_equal(dw, np.zeros_like(state.U.w))
+
+
+def _entry_points():
+    """(name, call(state, scenario)) for every public NSF entry point that takes a state."""
+    return [
+        ("run_nsf", lambda st, sc: run_nsf(sc, initial=st)),
+        ("step_nsf", lambda st, sc: step_nsf(st, sc, 1e-6)),
+        ("cfl_dt", cfl_dt),
+        ("ballistic_energy", ballistic_energy),
+    ]
+
+
+@pytest.mark.parametrize("name, call", _entry_points(), ids=[n for n, _ in _entry_points()])
+def test_entry_points_reject_a_state_of_another_scenario(name, call) -> None:
+    g = Grid(16, 8)
+    sc = _scenario(g, t_end=1e-4)
+    call(build_initial_nsf(sc), sc)  # the matching state runs
+    other_eps = build_initial_nsf(_scenario(g, eps=0.05))
+    with pytest.raises(CompatibilityError, match=r"eps=0\.05 .*eps=0\.1"):
+        call(other_eps, sc)
+    other_grid = build_initial_nsf(_scenario(Grid(8, 8)))
+    with pytest.raises(ShapeError, match=r"nx=8, nz=8.*nx=16, nz=8"):
+        call(other_grid, sc)

@@ -343,8 +343,8 @@ def test_property_kernels_equal_public_functions_bitwise(state, p_inf, a, bad) -
 
 # Frozen copies of the kernel formulas with every term evaluated, also when its
 # coefficient is 0: the kernels skip those terms and must stay bit-identical to
-# these.  The closed forms are those of _closure (one cbrt, products of theta);
-# the ideal gas's sound speed is its own closed form 5 theta / 3.
+# these.  The closed forms are those of _closure and _rho_e (one cbrt, products
+# of theta); the ideal gas's sound speed is its own closed form 5 theta / 3.
 def _full_pressure(rho, theta, eos):
     t4 = theta * theta * theta * theta
     return rho * theta + eos.p_inf * (rho * np.cbrt(rho) ** 2) + (eos.a / 3.0) * t4
@@ -373,7 +373,8 @@ def _full_entropy(rho, theta, eos):
 
 
 def _full_rho_e(rho, theta, eos):
-    return 1.5 * rho * theta + 1.5 * eos.p_inf * rho ** (5.0 / 3.0) + eos.a * theta ** 4
+    t4 = theta * theta * theta * theta
+    return 1.5 * rho * theta + 1.5 * eos.p_inf * (rho * np.cbrt(rho) ** 2) + eos.a * t4
 
 
 def _full_internal_energy(rho, theta, eos):
@@ -395,7 +396,7 @@ def _full_P_prime(Z, eos):
 
 
 def _full_theta_from_rho_e_linear(rho, E, eos):
-    return (E - 1.5 * eos.p_inf * rho ** (5.0 / 3.0)) / (1.5 * rho)
+    return (E - 1.5 * eos.p_inf * (rho * np.cbrt(rho) ** 2)) / (1.5 * rho)
 
 
 # (kernel, frozen formula) over (rho, theta, eos).
