@@ -500,12 +500,18 @@ def _zop(grid, c, wall, a=1.0):
     return op
 
 
-def _poisson(vals, grid):
-    """poisson_solve on the array of a center field: (phi, removed mean)."""
+def _poisson_op(grid):
+    """The pinned operator -lap of poisson_solve, cached on the grid."""
+    return _zop(grid, -1.0, "pinned", a=0.0)
+
+
+def _poisson(vals, op):
+    """poisson_solve on the array of a center field, with the grid's
+    _poisson_op op: (phi, removed mean)."""
     if not np.isfinite(vals).all():
         raise DomainError("non-finite right-hand side")
     removed = _mean(vals)
-    phi = _zop(grid, -1.0, "pinned", a=0.0).solve(vals - removed)
+    phi = op.solve(vals - removed)
     phi -= _mean(phi)
     return phi, removed
 
@@ -519,7 +525,7 @@ def poisson_solve(rhs):
     """
     if rhs.stag != Staggering.CENTER:
         raise ShapeError("poisson_solve expects a center-staggered field")
-    phi, removed = _poisson(rhs.values, rhs.grid)
+    phi, removed = _poisson(rhs.values, _poisson_op(rhs.grid))
     return ScalarField(rhs.grid, phi, Staggering.CENTER), removed
 
 

@@ -31,8 +31,19 @@ The lambda_override hook replaces lam everywhere it encodes the non-local
 coupling (source, moving trace, frame transforms); 0 gives the classical
 Dirichlet limit system.
 
-Step invariants (coefficients, mu(theta_bar)/rho_bar, grad G) are cached on
-the ObScenario at first use, so a scenario is not to be mutated once run.
+The step takes a run's invariants from a private plan (_StepPlan) that
+run_ob builds once per run and step_ob once per call: lam, k, the
+viscosity nu = mu(theta_bar)/rho_bar and theta_bar alpha/c_p, the mirror,
+zface, extrapolate and pinned Poisson z-operators, the closure's unit
+response and its denominator, checked once, and grad G as its x and z
+components, each None when it is identically zero.  The step skips every
+term that multiplies a zero component: with G = 0 the buoyancy, the
+Theta-frame density deviation and the adiabatic term (theta_bar alpha/c_p)
+grad G . U; with a z-only potential (every gravity_potential) the x halves
+of both.  A skipped term would add an exact zero, so every value equals
+the full form's (a zero may differ in sign).  The scenario caches its
+coefficients, nu and grad G at first use, so a scenario is not to be
+mutated once run.
 """
 
 from __future__ import annotations
@@ -171,13 +182,13 @@ class ObTrajectory:
     trace: np.recarray  # one record per step, fields TRACE_COLUMNS
 
 
-def _project(u, w, dt, grid):
-    """Chorin projection of the face arrays (u, w): returns the discretely
-    divergence-free pair (w with zero wall rows) and the potential phi whose
-    gradient was removed."""
+def _project(u, w, dt, grid, poisson):
+    """Chorin projection of the face arrays (u, w) with the grid's pinned
+    operator poisson: returns the discretely divergence-free pair (w with
+    zero wall rows) and the potential phi whose gradient was removed."""
     rhs = gr._xdiff_next(u) / grid.dx + (w[:, 1:] - w[:, :-1]) / grid.dz
     rhs /= dt
-    phi, _ = gr._poisson(rhs, grid)
+    phi, _ = gr._poisson(rhs, poisson)
     u_new = u - dt * (gr._xdiff_prev(phi) / grid.dx)
     w_new = np.zeros(w.shape)
     w_new[:, 1:-1] = w[:, 1:-1] - dt * ((phi[:, 1:] - phi[:, :-1]) / grid.dz)
@@ -194,23 +205,14 @@ def _advect_scalar(grid, u, w, vals):
     return -(dfx + dfz)
 
 
-def _grad_dot_faces(u, w, gG):
-    """grad G . U averaged from face products back to centers."""
-    return xface_to_center(u * gG.u) + zface_to_center(w * gG.w)
-
-
-def _buoyancy_faces(coef_center, gG):
-    """Face force coef * grad G from a center coefficient field."""
-    fx = center_to_xface(coef_center) * gG.u
-    fz = np.zeros(gG.w.shape)
-    fz[:, 1:-1] = 0.5 * (coef_center[:, 1:] + coef_center[:, :-1]) * gG.w[:, 1:-1]
-    return fx, fz
-
-
-def _density_deviation(vals, m, scenario):
-    """recover_density_deviation on T-frame values vals whose mean is m."""
-    c = scenario.coefficients()
-    return (scenario.rho_bar * scenario.G.values + c.p_theta * m - c.p_theta * vals) / c.p_rho
+def _grad_dot_faces(u, w, gx, gz):
+    """grad G . U averaged from face products back to centers, for the
+    components (gx, gz) of grad G; a component None is zero and skipped."""
+    if gx is None:
+        return zface_to_center(w * gz)
+    if gz is None:
+        return xface_to_center(u * gx)
+    return xface_to_center(u * gx) + zface_to_center(w * gz)
 
 
 def recover_density_deviation(temp_field, scenario):
@@ -219,7 +221,9 @@ def recover_density_deviation(temp_field, scenario):
 
     temp_field must hold the T-frame deviation.
     """
-    vals = _density_deviation(temp_field.values, mean(temp_field), scenario)
+    c = scenario.coefficients()
+    m = mean(temp_field)
+    vals = (scenario.rho_bar * scenario.G.values + c.p_theta * m - c.p_theta * temp_field.values) / c.p_rho
     return ScalarField(scenario.grid, vals, Staggering.CENTER)
 
 
@@ -257,7 +261,7 @@ def build_initial_ob(scenario, frame=T_FRAME):
     w = U0.w.copy()
     w[:, 0] = 0.0
     w[:, -1] = 0.0
-    u, w, _ = _project(U0.u, w, 1.0, g)
+    u, w, _ = _project(U0.u, w, 1.0, g, gr._poisson_op(g))
     state = ObState(VectorField(g, u, w), T0.copy(), ScalarField.zeros(g), 0.0, T_FRAME, None)
     if frame == THETA_FRAME:
         state = transform_frame(state, scenario)
@@ -292,77 +296,113 @@ def _wall_schedule(scenario):
     return at
 
 
-def _step(scenario, tframe, dt, t, u, w, temp, m, hist, source, walls):
-    """One step on raw arrays, unchecked: the state (u, w, temp) at time t in
-    the T frame (tframe) or the Theta frame, m = mean(temp), hist the
-    previous step's explicit right-hand sides (None on a first step),
-    source = _source(scenario, t) and walls the Dirichlet (bottom, top)
-    wall values at t + dt, as helmholtz_solve takes them.
+def _closure_denominator(lam, k, unit_mean, tframe):
+    """Denominator of the mean's closure: the step is affine in the unknown
+    mean, temp + q * unit response, and q divides by this."""
+    return 1.0 - lam * unit_mean if tframe else 1.0 + k * unit_mean
 
-    Returns (u, w, temp, Pi, hist) at t + dt.  No input is modified.
+
+class _StepPlan:
+    """What every step of one run shares, bound once: the coefficients, the
+    four z-operators, the closure's unit response with its checked
+    denominator, and grad G as (gx, gz), a component None when it is
+    identically zero.  The step skips every term multiplying such a zero."""
+
+    def __init__(self, scenario, tframe, dt):
+        coeffs, nu, gG = scenario._invariants
+        g = scenario.grid
+        self.grid, self.tframe, self.dt, self.rho_bar = g, tframe, dt, scenario.rho_bar
+        self.lam = lam = scenario.lam_effective()
+        self.k = k = lam / (1.0 - lam)
+        self.neg_alpha = -coeffs.alpha
+        self.p_theta, self.p_rho = coeffs.p_theta, coeffs.p_rho
+        self.rho_G = scenario.rho_bar * scenario.G.values
+        self.adiabatic = scenario.theta_bar * coeffs.alpha / coeffs.c_p
+        self.gx = gG.u if gG.u.any() else None
+        self.gz = gG.w if gG.w.any() else None
+        self.mirror = gr._zop(g, dt * nu, "mirror")
+        self.zface = gr._zop(g, dt * nu, "zface")
+        c = dt * coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
+        self.extrapolate = op = gr._zop(g, c, "extrapolate")
+        self.poisson = gr._poisson_op(g)
+        self.unit = None
+        if lam != 0.0:
+            unit_mean = op.unit_source_mean if tframe else op.unit_wall_mean
+            self.denom = _closure_denominator(lam, k, unit_mean, tframe)
+            if abs(self.denom) < 1e-12:
+                raise ClosureError(f"degenerate scalar closure, denominator {self.denom:.3e}")
+            self.unit = (op.unit_source if tframe else op.unit_wall).values
+            self.lam_unit_mean = lam * unit_mean
+
+
+def _step(plan, u, w, temp, m, hist, source, walls):
+    """One step on raw arrays, unchecked: the state (u, w, temp) in the
+    plan's frame, m = mean(temp), hist the previous step's explicit
+    right-hand sides (None on a first step), source the scenario's
+    temp_source at the step's start (None without one) and walls the
+    Dirichlet (bottom, top) wall values at its end, as helmholtz_solve
+    takes them.
+
+    Returns (u, w, temp, Pi, hist) at the step's end.  No input is modified.
     """
-    g = scenario.grid
-    coeffs, nu, gG = scenario._invariants
-    lam = scenario.lam_effective()
-    k = lam / (1.0 - lam)
+    p = plan
+    g, dt, gx, gz = p.grid, p.dt, p.gx, p.gz
 
     # Momentum: AB2 advection and buoyancy, implicit diffusion, projection.
-    if tframe:
-        buoy = -coeffs.alpha * temp
-    else:
-        equiv = temp + k * m
-        buoy = _density_deviation(equiv, gr._mean(equiv), scenario) / scenario.rho_bar
-    adv_u, adv_w = advect_velocity(g, u, w)
-    bx, bz = _buoyancy_faces(buoy, gG)
-    F_u = adv_u + bx
-    F_w = adv_w + bz
-    F_w[:, 0] = 0.0
-    F_w[:, -1] = 0.0
+    # The wall rows of F_w are advect_velocity's zeros.
+    F_u, F_w = advect_velocity(g, u, w)
+    if gx is not None or gz is not None:
+        if p.tframe:
+            buoy = p.neg_alpha * temp
+        else:
+            # The density deviation of the T-frame values temp + k m.
+            equiv = temp + p.k * m
+            buoy = (p.rho_G + p.p_theta * gr._mean(equiv) - p.p_theta * equiv) / p.p_rho / p.rho_bar
+        if gx is not None:
+            F_u += center_to_xface(buoy) * gx
+        if gz is not None:
+            F_w[:, 1:-1] += 0.5 * (buoy[:, 1:] + buoy[:, :-1]) * gz[:, 1:-1]
     if hist is None:
         Fu_eff, Fw_eff = F_u, F_w
     else:
         Fu_eff = 1.5 * F_u - 0.5 * hist[0]
         Fw_eff = 1.5 * F_w - 0.5 * hist[1]
-    ustar = gr._zop(g, dt * nu, "mirror").solve(u + dt * Fu_eff)
+    ustar = p.mirror.solve(u + dt * Fu_eff)
     wstar = np.zeros(w.shape)
-    wstar[:, 1:-1] = gr._zop(g, dt * nu, "zface").solve((w + dt * Fw_eff)[:, 1:-1])
-    u_new, w_new, phi = _project(ustar, wstar, dt, g)
+    wstar[:, 1:-1] = p.zface.solve((w + dt * Fw_eff)[:, 1:-1])
+    u_new, w_new, phi = _project(ustar, wstar, dt, g, p.poisson)
 
     # Scalar: AB2 advection (plus source), implicit diffusion under the
     # Dirichlet walls at t + dt, then the closure of the mean.
     A = _advect_scalar(g, u_new, w_new, temp)
-    A += (scenario.theta_bar * coeffs.alpha / coeffs.c_p) * _grad_dot_faces(u_new, w_new, gG)
+    if gx is not None or gz is not None:
+        A += p.adiabatic * _grad_dot_faces(u_new, w_new, gx, gz)
     if source is not None:
         A += source
     A_eff = A if hist is None else 1.5 * A - 0.5 * hist[2]
-    c = dt * coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
-    op = gr._zop(g, c, "extrapolate")
-    temp_new = op.solve(temp + dt * A_eff, *walls)
-    if lam != 0.0:
-        # The step is affine in the unknown mean: temp + q * unit response.
-        denom = 1.0 - lam * op.unit_source_mean if tframe else 1.0 + k * op.unit_wall_mean
-        if abs(denom) < 1e-12:
-            raise ClosureError(f"degenerate scalar closure, denominator {denom:.3e}")
-        if tframe:
-            q = lam * ((gr._mean(temp_new) - lam * op.unit_source_mean * m) / denom - m)
+    temp_new = p.extrapolate.solve(temp + dt * A_eff, *walls)
+    if p.unit is not None:
+        if p.tframe:
+            q = p.lam * ((gr._mean(temp_new) - p.lam_unit_mean * m) / p.denom - m)
         else:
-            q = -k * (gr._mean(temp_new) / denom)
-        unit = op.unit_source if tframe else op.unit_wall
-        temp_new = temp_new + q * unit.values
-    return u_new, w_new, temp_new, scenario.rho_bar * phi, (F_u, F_w, A)
+            q = -p.k * (gr._mean(temp_new) / p.denom)
+        temp_new += q * p.unit
+    return u_new, w_new, temp_new, p.rho_bar * phi, (F_u, F_w, A)
 
 
 def step_ob(state, scenario, dt):
-    """One step of the state's frame: its buoyancy, then its closure of the mean."""
+    """One step of the state's frame: its buoyancy, then its closure of the
+    mean.  Like run_ob, it rejects a dt over the advective CFL bound."""
     require_positive(dt, "dt")
     if state.frame not in (T_FRAME, THETA_FRAME):
         raise ShapeError(f"unknown frame {state.frame!r}")
+    g = scenario.grid
+    _check_cfl(state.U.u, state.U.w, state.t, g, dt)
     u, w, temp, Pi, hist = _step(
-        scenario, state.frame == T_FRAME, dt, state.t,
+        _StepPlan(scenario, state.frame == T_FRAME, dt),
         state.U.u, state.U.w, state.temp.values, mean(state.temp), state.rhs_hist,
         _source(scenario, state.t), scenario.wall_values(state.t + dt),
     )
-    g = scenario.grid
     return ObState(VectorField(g, u, w), ScalarField(g, temp), ScalarField(g, Pi), state.t + dt, state.frame, hist)
 
 
@@ -515,6 +555,7 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None):
     state = build_initial_ob(scenario, frame)
 
     g, tframe = scenario.grid, frame == T_FRAME
+    plan = _StepPlan(scenario, tframe, dt)
     u, w, temp, t, hist = state.U.u, state.U.w, state.temp.values, state.t, None
     m = mean(state.temp)
     times = [t]
@@ -527,7 +568,7 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None):
     for n in range(1, n_steps + 1):
         _check_cfl(u, w, t, g, dt)
         walls, solve_walls = walls_at(t + dt)
-        u, w, temp, Pi, hist = _step(scenario, tframe, dt, t, u, w, temp, m, hist, source, solve_walls)
+        u, w, temp, Pi, hist = _step(plan, u, w, temp, m, hist, source, solve_walls)
         t = t + dt
         if not (np.isfinite(temp).all() and np.isfinite(u).all()):
             raise DivergenceError("non-finite fields", step=n, time=t)

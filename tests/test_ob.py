@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bll.ob
-from bll.errors import CompatibilityError, DomainError, ShapeError, StabilityError
+from bll.errors import ClosureError, CompatibilityError, DomainError, ShapeError, StabilityError
 from bll.grid import (
     Grid,
     ScalarField,
@@ -441,6 +441,21 @@ def test_cfl_guard_raises() -> None:
         run_ob(sc)
 
 
+def test_step_ob_runs_the_cfl_guard() -> None:
+    # step_ob rejects the step run_ob rejects, with the same message, and
+    # takes a step under the bound.
+    g = Grid(8, 8)
+    U0 = VectorField(g, np.full((8, 8), 50.0), np.zeros((8, 9)))
+    sc = _scenario(g, U0=U0, dt=0.1, t_end=0.2)
+    state = build_initial_ob(sc)
+    with pytest.raises(StabilityError, match=r"dt=1\.000e-01 exceeds 1\.250e-03") as stepped:
+        step_ob(state, sc, 0.1)
+    with pytest.raises(StabilityError) as run:
+        run_ob(sc)
+    assert str(stepped.value) == str(run.value)
+    assert step_ob(state, sc, 1e-3).t == 1e-3
+
+
 def test_run_ob_snapshot_cadence_and_validation() -> None:
     g = Grid(8, 8)
     sc = _scenario(g, dt=0.01, t_end=0.1)
@@ -568,22 +583,47 @@ def _reference_trace_row(prev, state, sc, dt):
     return (state.t, M, lam * sc.rho_bar * coeffs.c_p * dm_dt, flux, resid), (M, fc, sm)
 
 
-@pytest.mark.parametrize("lam", [None, 0.0])
-@pytest.mark.parametrize("frame", [T_FRAME, THETA_FRAME])
-def test_run_ob_matches_public_api_reference_bitwise(frame, lam) -> None:
-    # run_ob steps raw arrays through the cached z-operators; its snapshots,
-    # trace, and the public step_ob must equal the field-API step exactly.
+def _potential(g, name):
+    """The potentials of the three grad-G branches: none (G = 0), z-only
+    (gravity) and x-varying (gravity plus a mean-free cosine in x)."""
+    if name == "zero":
+        return None
+    G = gravity_potential(g, 1.5)
+    if name == "x_varying":
+        G = ScalarField(g, G.values + 0.1 * np.cos(2 * np.pi * g.x_centers)[:, None])
+    return G
+
+
+# (frame, lam, potential); the gravity cases keep their ids frame-lam.
+_REFERENCE_CASES = [
+    pytest.param(frame, lam, potential, id="-".join([frame, str(lam)] + ([potential] if potential != "gravity" else [])))
+    for potential in ("gravity", "zero", "x_varying")
+    for frame in (T_FRAME, THETA_FRAME)
+    for lam in (0.0, None)
+]
+
+
+@pytest.mark.parametrize(("frame", "lam", "potential"), _REFERENCE_CASES)
+def test_run_ob_matches_public_api_reference_bitwise(frame, lam, potential) -> None:
+    # run_ob steps raw arrays through the per-run plan, which skips the
+    # terms of an identically zero component of grad G; its snapshots,
+    # trace, and the public step_ob must equal the field-API step exactly
+    # for no potential, a z-only one and an x-varying one.
     g = Grid(8, 12)
     rng = np.random.default_rng(11)
     U0 = VectorField(g, 0.1 * rng.standard_normal((8, 12)), 0.1 * rng.standard_normal((8, 13)))
     T0 = ScalarField.from_function(g, lambda x, z: 0.3 * np.sin(np.pi * z) ** 2 * np.cos(2 * np.pi * x))
     shape = 1.0 + 0.3 * np.cos(2 * np.pi * g.x_centers)
     sc = ObScenario(
-        grid=g, eos=EosParams(kappa0=0.2), G=gravity_potential(g, 1.5),
+        grid=g, eos=EosParams(kappa0=0.2), G=_potential(g, potential),
         theta_b_bottom=lambda t: 0.5 * t * shape, theta_b_top=0.0, T0=T0, U0=U0,
         dt=2e-3, t_end=0.04, lambda_override=lam,
         temp_source=lambda t, X, Z: 0.5 * np.cos(2 * np.pi * X) * np.sin(np.pi * Z) * (1.0 + t),
     )
+    plan = bll.ob._StepPlan(sc, frame == T_FRAME, sc.dt)
+    assert (plan.gx is not None, plan.gz is not None) == {
+        "zero": (False, False), "gravity": (False, True), "x_varying": (True, True)
+    }[potential]
     traj = run_ob(sc, frame=frame, snapshot_dt=0.01)
 
     state = build_initial_ob(sc, frame)
@@ -724,3 +764,45 @@ def test_run_ob_builds_static_walls_once_per_run(frame, monkeypatch) -> None:
         assert np.array_equal(got.values, want.values)
     assert np.array_equal(final.U.u, state.U.u)
     assert np.array_equal(final.U.w, state.U.w)
+
+
+@pytest.mark.parametrize("frame", [T_FRAME, THETA_FRAME])
+def test_run_ob_binds_operators_and_closure_once_per_run(frame, monkeypatch) -> None:
+    # The z-operators are looked up and the closure's denominator formed once
+    # per run, however many steps it takes, as the static walls are built.
+    g = Grid(6, 10)
+    lookups, denominators = [], []
+    zop, denominator = bll.grid._zop, bll.ob._closure_denominator
+    monkeypatch.setattr(bll.grid, "_zop", lambda *a, **kw: lookups.append(a) or zop(*a, **kw))
+    monkeypatch.setattr(bll.ob, "_closure_denominator", lambda *a: denominators.append(a) or denominator(*a))
+
+    def run(t_end):
+        sc = _scenario(g, G=gravity_potential(g, 1.0), theta_b_bottom=lambda t: 0.3 * t,
+                       T0=ScalarField.zeros(g), dt=1e-3, t_end=t_end)
+        lookups.clear()
+        denominators.clear()
+        traj = run_ob(sc, frame=frame)
+        assert np.max(np.abs(traj.states[-1].U.w)) > 0.0  # the steps did run
+        return len(lookups), len(denominators)
+
+    short, long = run(0.01), run(0.02)
+    assert short == long
+    assert short[1] == 1
+
+
+@pytest.mark.parametrize("frame", [T_FRAME, THETA_FRAME])
+def test_degenerate_closure_raises_before_any_step(frame, monkeypatch) -> None:
+    g = Grid(6, 10)
+    sc = _scenario(g, dt=1e-3, t_end=0.01)
+    state = build_initial_ob(sc, frame)
+    classical = _scenario(g, dt=1e-3, t_end=0.01, lambda_override=0.0)
+    steps = []
+    monkeypatch.setattr(bll.ob, "_closure_denominator", lambda *a: 1e-13)
+    # Without the non-local coupling there is no closure to degenerate.
+    assert step_ob(build_initial_ob(classical, frame), classical, classical.dt).t == classical.dt
+    monkeypatch.setattr(bll.ob, "_step", lambda *a: steps.append(a))
+    with pytest.raises(ClosureError, match="degenerate scalar closure, denominator 1.000e-13"):
+        run_ob(sc, frame=frame)
+    with pytest.raises(ClosureError, match="degenerate scalar closure"):
+        step_ob(state, sc, sc.dt)
+    assert steps == []
