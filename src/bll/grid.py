@@ -34,7 +34,11 @@ face-weighted ones (the NSF conduction profile) are not.  The DFT matrices
 cost O(nx^2) per column and hold 2 (nx/2+1) nx doubles each (66 KiB for both
 at nx = 64); at bll's grids that beats the FFT's per-call overhead, and the
 two break even near 128x64, so an FFT path comes back only with a workload
-whose nx needs it.
+whose nx needs it.  A solve writes into caller-owned arrays when given them
+(out, and work from _ZOperator.workspace()); the solvers' per-run plans own
+those, never the operator, which its Grid caches for every run.  Likewise
+advect_velocity is a thin wrapper over _Advection, the stencil bound to its
+work arrays, of which each run holds one.
 """
 
 from __future__ import annotations
@@ -240,6 +244,13 @@ def _require_finite_initial(T0, U0):
         raise DomainError("U0 must be finite")
 
 
+def _require_grid(grid, fields):
+    """Raise ShapeError naming both grids unless every field lives on grid."""
+    for f in fields:
+        if f.grid != grid:
+            raise ShapeError(f"state grid {f.grid} does not match the scenario grid {grid}")
+
+
 def _wall_trace_gap(vals, wall_bottom, wall_top):
     """Largest gap between the wall data and the quadratic extrapolation
     1.5 v0 - 0.5 v1 of the center values vals to each wall."""
@@ -304,6 +315,15 @@ def _mean(vals):
     return float(vals.sum()) / vals.size
 
 
+def _const(x):
+    """x as a read-only 0-d float array.  A ufunc broadcasts it like the
+    float x, to the same bits, without converting the float again on every
+    call: 0.26 against 0.4-0.56 us for a 4x32 multiply."""
+    c = np.array(x, dtype=float)
+    c.flags.writeable = False
+    return c
+
+
 def mean(f):
     """Volume-weighted average over the domain; exact for constants."""
     if f.stag != Staggering.CENTER:
@@ -353,59 +373,102 @@ def zface_to_center(w):
     return out
 
 
-def advect_velocity(grid, u, w):
-    """-(U . grad) U at the faces, centered second order.
+def _pad_x(pad, a):
+    """Copy a into the rows 1..nx of pad, (nx + 2, ...), and its periodic
+    ghosts a[-1] and a[0] into the first and last rows, so that pad[:-2] and
+    pad[2:] are a's previous and next x-neighbours, each one contiguous
+    slice."""
+    pad[1:-1] = a
+    pad[0] = a[-1]
+    pad[-1] = a[0]
+
+
+class _Advection:
+    """-(U . grad) U at the faces, centered second order, bound to one grid
+    with its work arrays and the views its stencils read: x-ghost-padded
+    copies of u and w (_pad_x), the z-differences and the pair sums.  A
+    call returns fresh (adv_u, adv_w) and writes only the object's own
+    arrays, so an object serves one run (or one call) and no other.
 
     u is x-face staggered, w z-face staggered; tangential ghosts are no-slip
     mirrors and the wall rows of the w component stay zero.
     """
-    dx, dz = grid.dx, grid.dz
-    ur, wl = _xnext(u), _xprev(w)
-    dudx = _xprev(u)
-    np.subtract(ur, dudx, out=dudx)
-    dudx /= 2 * dx
-    # z-differences two rows apart as one flat pass; the no-slip mirror
-    # ghosts -u are folded into the wall differences exactly.
-    dudz = np.empty(u.shape)
-    np.subtract(_zhi(u, 2), _zlo(u, 2), out=dudz.reshape(-1)[1:-1])
-    np.add(u[:, 1], u[:, 0], out=dudz[:, 0])
-    dudz[:, -1] = -(u[:, -1] + u[:, -2])
-    dudz /= 2 * dz
-    dwdx = _xnext(w)
-    dwdx -= wl
-    dwdx /= 2 * dx
-    # x-neighbor pairs are summed first, once over the whole array, so
-    # mirroring the data in x commutes with the stencil bit for bit (pair
-    # sums only ever swap operands).
-    w_pairs = wl
-    w_pairs += w
-    w_at_x = np.add(w_pairs[:, :-1], w_pairs[:, 1:])
-    w_at_x *= 0.25
-    w_at_x *= dudz
-    adv_u = dudx
-    adv_u *= u
-    adv_u += w_at_x
-    np.negative(adv_u, out=adv_u)
 
-    # adv_w in the w layout, its z-difference one flat pass over the buffer;
-    # the wall rows are set to zero last.
-    u_pairs = ur
-    u_pairs += u
-    adv_w = np.zeros(w.shape)
-    np.add(u_pairs[:, :-1], u_pairs[:, 1:], out=adv_w[:, 1:-1])
-    adv_w *= 0.25
-    adv_w *= dwdx
-    dwdz = np.empty(w.shape)
-    flat = dwdz.reshape(-1)
-    np.subtract(_zhi(w, 2), _zlo(w, 2), out=flat[1:-1])
-    flat[0] = flat[-1] = 0.0
-    dwdz /= 2 * dz
-    dwdz *= w
-    adv_w += dwdz
-    np.negative(adv_w, out=adv_w)
-    adv_w[:, 0] = 0.0
-    adv_w[:, -1] = 0.0
-    return adv_u, adv_w
+    def __init__(self, grid):
+        nx, nz = grid.nx, grid.nz
+        self.two_dx, self.two_dz = _const(2 * grid.dx), _const(2 * grid.dz)
+        self.quarter = _const(0.25)
+        self.u_pad, self.w_pad = np.empty((nx + 2, nz)), np.empty((nx + 2, nz + 1))
+        self.u_prev, self.u_next = self.u_pad[:-2], self.u_pad[2:]
+        self.w_prev, self.w_next = self.w_pad[:-2], self.w_pad[2:]
+        self.dudz = np.empty((nx, nz))
+        self.dudz_inner = self.dudz.reshape(-1)[1:-1]
+        self.dudz_bottom, self.dudz_top = self.dudz[:, 0], self.dudz[:, -1]
+        self.top = np.empty(nx)
+        self.w_pairs, self.w_at_x = np.empty((nx, nz + 1)), np.empty((nx, nz))
+        self.w_pairs_lo, self.w_pairs_hi = self.w_pairs[:, :-1], self.w_pairs[:, 1:]
+        self.u_pairs = np.empty((nx, nz))
+        self.u_pairs_lo, self.u_pairs_hi = self.u_pairs[:, :-1], self.u_pairs[:, 1:]
+        self.dwdx, self.dwdz = np.empty((nx, nz + 1)), np.empty((nx, nz + 1))
+        self.dwdz_flat = self.dwdz.reshape(-1)
+        self.dwdz_inner = self.dwdz_flat[1:-1]
+
+    def __call__(self, u, w):
+        _pad_x(self.u_pad, u)
+        _pad_x(self.w_pad, w)
+        u_next, w_prev = self.u_next, self.w_prev
+        adv_u = np.subtract(u_next, self.u_prev)
+        adv_u /= self.two_dx
+        # z-differences two rows apart as one flat pass; the no-slip mirror
+        # ghosts -u are folded into the wall differences exactly.
+        dudz, flat_u = self.dudz, u.reshape(-1)
+        np.subtract(flat_u[2:], flat_u[:-2], out=self.dudz_inner)
+        np.add(u[:, 1], u[:, 0], out=self.dudz_bottom)
+        # (numpy 2.4's np.negative, in place on a strided column, reads it
+        # as if it were contiguous, so the top wall's sum is a row first.)
+        top = np.add(u[:, -1], u[:, -2], out=self.top)
+        np.negative(top, out=self.dudz_top)
+        dudz /= self.two_dz
+        dwdx = np.subtract(self.w_next, w_prev, out=self.dwdx)
+        dwdx /= self.two_dx
+        # x-neighbor pairs are summed first, once over the whole array, so
+        # mirroring the data in x commutes with the stencil bit for bit (pair
+        # sums only ever swap operands).
+        np.add(w_prev, w, out=self.w_pairs)
+        w_at_x = np.add(self.w_pairs_lo, self.w_pairs_hi, out=self.w_at_x)
+        w_at_x *= self.quarter
+        w_at_x *= dudz
+        adv_u *= u
+        adv_u += w_at_x
+        np.negative(adv_u, out=adv_u)
+
+        # adv_w in the w layout, its z-difference one flat pass over the
+        # buffer; the wall rows are set to zero last.
+        np.add(u_next, u, out=self.u_pairs)
+        adv_w = np.zeros(w.shape)
+        np.add(self.u_pairs_lo, self.u_pairs_hi, out=adv_w[:, 1:-1])
+        adv_w *= self.quarter
+        adv_w *= dwdx
+        dwdz, flat_w = self.dwdz, w.reshape(-1)
+        np.subtract(flat_w[2:], flat_w[:-2], out=self.dwdz_inner)
+        self.dwdz_flat[0] = self.dwdz_flat[-1] = 0.0
+        dwdz /= self.two_dz
+        dwdz *= w
+        adv_w += dwdz
+        np.negative(adv_w, out=adv_w)
+        adv_w[:, 0] = 0.0
+        adv_w[:, -1] = 0.0
+        return adv_u, adv_w
+
+
+def advect_velocity(grid, u, w):
+    """-(U . grad) U at the faces, centered second order.
+
+    u is x-face staggered, w z-face staggered; tangential ghosts are no-slip
+    mirrors and the wall rows of the w component stay zero.  A thin wrapper
+    that binds a _Advection for one call; the solvers hold theirs per run.
+    """
+    return _Advection(grid)(u, w)
 
 
 class _ZOperator:
@@ -452,24 +515,39 @@ class _ZOperator:
         if wall == "pinned":
             self.inv_t[0, 0, 0] = 0.0  # the pinned cell stays zero whatever the data
 
-    def solve(self, vals, bottom=0.0, top=0.0):
-        """Solution for real data vals (None: zero data); bottom and top are
-        the wall values of the Dirichlet closures."""
-        nx = self.grid.nx
-        fwd, inverse = self.grid._dft
+    def workspace(self):
+        """Fresh work arrays for solve: the spectrum (2m, n) with its view by
+        mode (m, 2, n), one wall's spectrum (2m,), and the per-mode solutions
+        (m, 2, n) with their view as a spectrum (2m, n)."""
         m, n = self.inv_t.shape[:2]
-        rhs = np.zeros((2 * m, n)) if vals is None else fwd @ vals
+        rhs, modes = np.empty((2 * m, n)), np.empty((m, 2, n))
+        return rhs, rhs.reshape(2, m, n).transpose(1, 0, 2), np.empty(2 * m), modes, modes.reshape(2 * m, n)
+
+    def solve(self, vals, bottom=0.0, top=0.0, out=None, work=None):
+        """Solution for real data vals (None: zero data); bottom and top are
+        the wall values of the Dirichlet closures.  The solution is written
+        to out (nx, n) and the intermediates to work (from workspace()), each
+        allocated when None; the data are read before out is written, so out
+        may be vals."""
+        fwd, inverse = self.grid._dft
+        rhs, rhs_by_mode, wall_rhs, modes, spectrum = self.workspace() if work is None else work
+        if vals is None:
+            rhs.fill(0.0)
+        else:
+            np.matmul(fwd, vals, out=rhs)
         if self.wall_coef is not None:
             for row, value, coef in zip((0, -1), (bottom, top), self.wall_coef):
                 # A zero wall adds nothing; a scalar zero is not even expanded.
                 if isinstance(value, (int, float)) and value == 0:
                     continue
-                wall = _wall_array(value, nx)
+                wall = _wall_array(value, self.grid.nx)
                 if wall.any():
-                    rhs[:, row] += coef * (fwd @ wall)
+                    np.matmul(fwd, wall, out=wall_rhs)
+                    wall_rhs *= coef
+                    rhs[:, row] += wall_rhs
         # Mode k's real and imaginary parts are two rows against its inverse.
-        x = np.matmul(rhs.reshape(2, m, n).transpose(1, 0, 2), self.inv_t)
-        return inverse @ x.reshape(2 * m, n)
+        np.matmul(rhs_by_mode, self.inv_t, out=modes)
+        return np.matmul(inverse, spectrum, out=out)
 
     @cached_property
     def unit_source(self):
@@ -505,13 +583,16 @@ def _poisson_op(grid):
     return _zop(grid, -1.0, "pinned", a=0.0)
 
 
-def _poisson(vals, op):
+def _poisson(vals, op, out=None, work=None):
     """poisson_solve on the array of a center field, with the grid's
-    _poisson_op op: (phi, removed mean)."""
+    _poisson_op op: (phi, removed mean).  phi is written to out and the
+    solve's intermediates to work, each allocated when None (see
+    _ZOperator.solve)."""
     if not np.isfinite(vals).all():
         raise DomainError("non-finite right-hand side")
     removed = _mean(vals)
-    phi = op.solve(vals - removed)
+    phi = np.subtract(vals, removed, out=out)
+    op.solve(phi, out=phi, work=work)
     phi -= _mean(phi)
     return phi, removed
 

@@ -34,7 +34,10 @@ row, the CFL bound (evaluated once per step) and the next step's first
 stage: rho*e is thermo's _rho_e and p, c^2 and e_theta its _closure, both on
 one _powers (one cbrt and products of theta, no fractional power), so the
 stage forms no gas-model formula of its own.  Each stage starts the Newton
-recovery of theta from rho*e at the previous stage's theta.
+recovery of theta from rho*e at the previous stage's theta, and forms the
+cbrt of its density once: the recovery's cold floor hands it to the
+_thermo that follows.  A run binds one grid._Advection (step_nsf one per
+call), whose work arrays serve every stage.
 
 The stage kernel _rhs is written for the number of array passes.  Interior
 z-face quantities live in grid's z-face layout (column k holds face k,
@@ -74,7 +77,6 @@ from .grid import (
     ScalarField,
     Staggering,
     VectorField,
-    advect_velocity,
     center_to_xface,
     laplace_dirichlet,
     mean,
@@ -91,8 +93,9 @@ from .thermo import (
     _mu,
     _powers,
     _rho_e,
+    _rho_powers,
+    _theta_from_rho_e,
     pressure_derivatives,
-    theta_from_rho_e,
     transport,
 )
 
@@ -196,11 +199,7 @@ class NsfState:
 def _require_compatible(state, scenario):
     """Raise ShapeError unless every field of state lives on scenario's grid,
     and CompatibilityError unless state was built at scenario's eps."""
-    for field in (state.rho, state.theta, state.U):
-        if field.grid != scenario.grid:
-            raise ShapeError(
-                f"state grid {field.grid} does not match the scenario grid {scenario.grid}"
-            )
+    gr._require_grid(scenario.grid, (state.rho, state.theta, state.U))
     if state.eps != scenario.eps:
         raise CompatibilityError(
             f"state eps={state.eps!r} does not match the scenario eps={scenario.eps!r}"
@@ -513,11 +512,12 @@ def build_initial_nsf(scenario):
 _Thermo = namedtuple("_Thermo", "E p c2 e_theta mu eta")
 
 
-def _thermo(rho, th, eos):
+def _thermo(rho, th, eos, rho_powers=None):
     """Stage thermodynamics: p, c^2 and e_theta from thermo's _closure and E
     from _rho_e, both on one _powers, each bit for bit what the public
-    functions return."""
-    powers = _powers(rho, th, eos)
+    functions return.  rho_powers, when given, is _rho_powers(rho), which
+    the stage's theta recovery has formed."""
+    powers = _powers(rho, th, eos, rho_powers)
     p, _, _, e_theta, c2 = _closure(rho, th, eos, powers)
     eta = _eta(th, eos) if eos.eta0 else None
     return _Thermo(_rho_e(rho, th, eos, powers), p, c2, e_theta, _mu(th, eos), eta)
@@ -554,11 +554,11 @@ def _rusanov(central, half_u, j_ac, j):
     return central
 
 
-def _rhs(rho, th, u, w, scenario, aux, tf):
+def _rhs(rho, th, u, w, scenario, aux, tf, advect):
     """Semi-discrete right-hand side for (rho, rho e, u, w); tf is the
-    _Thermo of (rho, th).  Every temporary is fresh, and is updated in place
-    once it has no other reader; no input is written."""
-    g = scenario.grid
+    _Thermo of (rho, th) and advect the run's grid._Advection.  Every other
+    temporary is fresh, and is updated in place once it has no other
+    reader; no input is written."""
     eos = scenario.eos
     inv_dx, inv_dz = aux.inv_dx, aux.inv_dz
     E, p, c2, mu, eta = tf.E, tf.p, tf.c2, tf.mu, tf.eta
@@ -656,7 +656,7 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     d_E += div_z
 
     # Newton stress in d = 2: S = mu (grad U + grad U^T - div U I) + eta div U I.
-    adv_u, adv_w = advect_velocity(g, u, w)
+    adv_u, adv_w = advect(u, w)
     Dxx = gr._xdiff_next(u)
     Dxx *= inv_dx
     divU = Dxx + Dzz
@@ -727,11 +727,14 @@ def _rhs(rho, th, u, w, scenario, aux, tf):
     return d_rho, d_E, du, dw
 
 
-def _theta_of(rho, E, t, scenario, theta_guess):
+def _theta_of(rho, E, t, scenario, theta_guess, rho_powers):
+    """theta of a stage's (rho, rho*e), started from theta_guess, or
+    DivergenceError; rho_powers is _rho_powers(rho) (None when p_inf == 0),
+    which the stage's _thermo reads again."""
     if not _finite_positive(rho):
         raise DivergenceError("density lost positivity", time=t)
     try:
-        th = theta_from_rho_e(rho, E, scenario.eos, theta_guess)
+        th = _theta_from_rho_e(rho, E, scenario.eos, theta_guess, rho_powers)
     except DomainError as exc:
         raise DivergenceError(f"energy left the admissible range: {exc}", time=t) from exc
     if not _finite_positive(th):
@@ -776,8 +779,11 @@ def cfl_dt(state, scenario):
     return _cfl_bound(state, scenario, _thermo(rho, th, scenario.eos))
 
 
-def _step(state, scenario, dt, tf, bound):
-    """SSP-RK2 step from a state whose _Thermo is tf and CFL bound is bound."""
+def _step(state, scenario, dt, tf, bound, advect):
+    """SSP-RK2 step from a state whose _Thermo is tf and CFL bound is
+    bound; advect is the run's grid._Advection.  Returns the new state and
+    _rho_powers of its density (None when p_inf == 0), formed once for the
+    theta recovery and the next _thermo."""
     if dt > bound * (1.0 + 1e-12):
         raise StabilityError(
             f"dt={dt:.3e} rejected at t={state.t:.4g}: stability bound {bound:.3e}; "
@@ -791,24 +797,26 @@ def _step(state, scenario, dt, tf, bound):
     # The stages finish in the fresh rates: x0 + dt k, then
     # 0.5 ((x0 + x1) + dt k) in the first stage's arrays.
     stage0 = (r0, tf.E, u0, w0)
-    stage1 = _rhs(r0, th0, u0, w0, scenario, aux, tf)
+    stage1 = _rhs(r0, th0, u0, w0, scenario, aux, tf, advect)
     for x0, k in zip(stage0, stage1):
         k *= dt
         k += x0
     r1, E1, u1, w1 = stage1
-    th1 = _theta_of(r1, E1, state.t + dt, scenario, th0)
+    eos = scenario.eos
+    rp1 = _rho_powers(r1) if eos.p_inf else None
+    th1 = _theta_of(r1, E1, state.t + dt, scenario, th0, rp1)
 
-    rates = _rhs(r1, th1, u1, w1, scenario, aux, _thermo(r1, th1, scenario.eos))
+    rates = _rhs(r1, th1, u1, w1, scenario, aux, _thermo(r1, th1, eos, rp1), advect)
     for x0, x1, k in zip(stage0, stage1, rates):
         k *= dt
         x1 += x0
         x1 += k
         x1 *= 0.5
     r2, E2, u2, w2 = stage1
-    th2 = _theta_of(r2, E2, state.t + dt, scenario, th1)
-    return _checked_state(
-        ScalarField(g, r2), ScalarField(g, th2), VectorField(g, u2, w2), state.t + dt, state.eps
-    )
+    rp2 = _rho_powers(r2) if eos.p_inf else None
+    th2 = _theta_of(r2, E2, state.t + dt, scenario, th1, rp2)
+    new = _checked_state(ScalarField(g, r2), ScalarField(g, th2), VectorField(g, u2, w2), state.t + dt, state.eps)
+    return new, rp2
 
 
 def step_nsf(state, scenario, dt):
@@ -822,7 +830,7 @@ def step_nsf(state, scenario, dt):
     _require_compatible(state, scenario)
     rho, th = _check_state(state.rho.values, state.theta.values)
     tf = _thermo(rho, th, scenario.eos)
-    return _step(state, scenario, dt, tf, _cfl_bound(state, scenario, tf))
+    return _step(state, scenario, dt, tf, _cfl_bound(state, scenario, tf), gr._Advection(scenario.grid))[0]
 
 
 def _theta_tilde(scenario, theta_tilde):
@@ -897,6 +905,7 @@ def run_nsf(scenario, snapshot_dt=None, initial=None):
     states = [state.copy()]
     rows = [_log_row(state, scenario, tf.E, theta_tilde, 0.0)]
     next_snap = snapshot_dt if snapshot_dt is not None else np.inf
+    advect = gr._Advection(scenario.grid)
     started = time.perf_counter()
     steps = 0
     while state.t < t_end - 1e-12:
@@ -904,8 +913,8 @@ def run_nsf(scenario, snapshot_dt=None, initial=None):
         dt = min(bound, min(next_snap, t_end) - state.t)
         if dt <= 1e-14:
             raise StabilityError(f"time step collapsed at t={state.t:.4g}")
-        state = _step(state, scenario, dt, tf, bound)
-        tf = _thermo(state.rho.values, state.theta.values, scenario.eos)
+        state, rho_powers = _step(state, scenario, dt, tf, bound, advect)
+        tf = _thermo(state.rho.values, state.theta.values, scenario.eos, rho_powers)
         steps += 1
         rows.append(_log_row(state, scenario, tf.E, theta_tilde, dt))
         at_snap = state.t >= next_snap - 1e-12

@@ -44,6 +44,20 @@ of both.  A skipped term would add an exact zero, so every value equals
 the full form's (a zero may differ in sign).  The scenario caches its
 coefficients, nu and grad G at first use, so a scenario is not to be
 mutated once run.
+
+The plan also owns every work array of the step and the views its
+stencils read: the advection stencil's (grid._Advection) and the
+projection's (_Projection), x-ghost-padded so that a periodic neighbour is
+a contiguous slice, the spectra of the four z-solves, the AB2 combinations,
+the padded temperature and the scalar fluxes; the factors of its array
+operations are 0-d arrays (grid._const).  The step writes them with out=
+and allocates only what it returns (u, w, temp, Pi and the AB2 history),
+which run_ob keeps as snapshots and history, and the boolean mask of the
+projection's finite check; every value is bit for bit the allocating
+form's.  Work arrays live on the plan only, never on the
+grid-cached z-operators, the Grid or the scenario, so that runs share no
+state.  step_ob rejects a state on another grid (ShapeError) or with a NaN
+or inf (DomainError).
 """
 
 from __future__ import annotations
@@ -68,12 +82,8 @@ from .grid import (
     ScalarField,
     Staggering,
     VectorField,
-    advect_velocity,
-    center_to_xface,
     grad,
     mean,
-    xface_to_center,
-    zface_to_center,
 )
 from .thermo import ob_coefficients, transport
 
@@ -165,7 +175,9 @@ class ObState:
     rhs_hist: tuple | None = field(default=None, compare=False)
 
     def copy(self):
-        return ObState(self.U.copy(), self.temp.copy(), self.Pi.copy(), self.t, self.frame, None)
+        """A deep copy, the AB2 history included."""
+        hist = None if self.rhs_hist is None else tuple(np.array(a, dtype=float) for a in self.rhs_hist)
+        return ObState(self.U.copy(), self.temp.copy(), self.Pi.copy(), self.t, self.frame, hist)
 
 
 # Columns of run_ob's per-step trace of the non-local coupling: time, fint(T),
@@ -182,37 +194,52 @@ class ObTrajectory:
     trace: np.recarray  # one record per step, fields TRACE_COLUMNS
 
 
-def _project(u, w, dt, grid, poisson):
-    """Chorin projection of the face arrays (u, w) with the grid's pinned
-    operator poisson: returns the discretely divergence-free pair (w with
-    zero wall rows) and the potential phi whose gradient was removed."""
-    rhs = gr._xdiff_next(u) / grid.dx + (w[:, 1:] - w[:, :-1]) / grid.dz
-    rhs /= dt
-    phi, _ = gr._poisson(rhs, poisson)
-    u_new = u - dt * (gr._xdiff_prev(phi) / grid.dx)
-    w_new = np.zeros(w.shape)
-    w_new[:, 1:-1] = w[:, 1:-1] - dt * ((phi[:, 1:] - phi[:, :-1]) / grid.dz)
-    return u_new, w_new, phi
+class _Projection:
+    """Chorin projection on one grid, with its work arrays and the views its
+    stencils read: write the face arrays to be projected into u and w_in,
+    the interior rows of w (its wall rows stay zero), then call it with dt."""
 
+    def __init__(self, grid):
+        nx, nz = grid.nx, grid.nz
+        self.op = gr._poisson_op(grid)
+        self.work = self.op.workspace()
+        self.dx, self.dz = gr._const(grid.dx), gr._const(grid.dz)
+        # u with its periodic next row u[0] below it, and phi with its
+        # periodic previous row phi[-1] above it.
+        self.u_pad = np.empty((nx + 1, nz))
+        self.u, self.u_next = self.u_pad[:-1], self.u_pad[1:]
+        self.w = np.zeros((nx, nz + 1))
+        self.w_in, self.w_hi, self.w_lo = self.w[:, 1:-1], self.w[:, 1:], self.w[:, :-1]
+        self.phi_pad = np.empty((nx + 1, nz))
+        self.phi, self.phi_prev = self.phi_pad[1:], self.phi_pad[:-1]
+        self.phi_hi, self.phi_lo = self.phi[:, 1:], self.phi[:, :-1]
+        self.rhs, self.dz_part = np.empty((nx, nz)), np.empty((nx, nz))
+        self.grad_z = np.empty((nx, nz - 1))
 
-def _advect_scalar(grid, u, w, vals):
-    """-div(U s) at centers; wall fluxes vanish because w = 0 there."""
-    fx = u * center_to_xface(vals)
-    fz = np.zeros(w.shape)
-    fz[:, 1:-1] = w[:, 1:-1] * 0.5 * (vals[:, 1:] + vals[:, :-1])
-    dfx = gr._xdiff_next(fx) / grid.dx
-    dfz = (fz[:, 1:] - fz[:, :-1]) / grid.dz
-    return -(dfx + dfz)
-
-
-def _grad_dot_faces(u, w, gx, gz):
-    """grad G . U averaged from face products back to centers, for the
-    components (gx, gz) of grad G; a component None is zero and skipped."""
-    if gx is None:
-        return zface_to_center(w * gz)
-    if gz is None:
-        return xface_to_center(u * gx)
-    return xface_to_center(u * gx) + zface_to_center(w * gz)
+    def __call__(self, dt):
+        """The discretely divergence-free pair (u, w), fresh arrays, w with
+        zero wall rows, and the potential phi whose gradient was removed, a
+        work array that the next call overwrites."""
+        u, phi = self.u, self.phi
+        self.u_pad[-1] = u[0]
+        rhs = np.subtract(self.u_next, u, out=self.rhs)
+        rhs /= self.dx
+        dz_part = np.subtract(self.w_hi, self.w_lo, out=self.dz_part)
+        dz_part /= self.dz
+        rhs += dz_part
+        rhs /= dt
+        gr._poisson(rhs, self.op, out=phi, work=self.work)
+        self.phi_pad[0] = phi[-1]
+        grad_x = np.subtract(phi, self.phi_prev, out=self.rhs)
+        grad_x /= self.dx
+        grad_x *= dt
+        u_new = np.subtract(u, grad_x)
+        grad_z = np.subtract(self.phi_hi, self.phi_lo, out=self.grad_z)
+        grad_z /= self.dz
+        grad_z *= dt
+        w_new = np.zeros(self.w.shape)
+        np.subtract(self.w_in, grad_z, out=w_new[:, 1:-1])
+        return u_new, w_new, phi
 
 
 def recover_density_deviation(temp_field, scenario):
@@ -258,10 +285,10 @@ def build_initial_ob(scenario, frame=T_FRAME):
         raise CompatibilityError(
             f"initial temperature trace deviates from Theta_B by {mismatch:.3e} (tol {tol:.3e})"
         )
-    w = U0.w.copy()
-    w[:, 0] = 0.0
-    w[:, -1] = 0.0
-    u, w, _ = _project(U0.u, w, 1.0, g, gr._poisson_op(g))
+    project = _Projection(g)
+    project.u[...] = U0.u
+    project.w_in[...] = U0.w[:, 1:-1]
+    u, w, _ = project(1.0)
     state = ObState(VectorField(g, u, w), T0.copy(), ScalarField.zeros(g), 0.0, T_FRAME, None)
     if frame == THETA_FRAME:
         state = transform_frame(state, scenario)
@@ -306,25 +333,34 @@ class _StepPlan:
     """What every step of one run shares, bound once: the coefficients, the
     four z-operators, the closure's unit response with its checked
     denominator, and grad G as (gx, gz), a component None when it is
-    identically zero.  The step skips every term multiplying such a zero."""
+    identically zero.  The step skips every term multiplying such a zero.
+
+    The plan also owns every work array of the step, which the step
+    overwrites with out=: the advection stencil's and the projection's, the
+    spectra of the z-solves, the AB2 combinations, the x-ghost-padded
+    temperature, the scalar fluxes and the buoyancy.  A plan therefore
+    serves one run, or one step_ob call, and no other."""
 
     def __init__(self, scenario, tframe, dt):
         coeffs, nu, gG = scenario._invariants
         g = scenario.grid
-        self.grid, self.tframe, self.dt, self.rho_bar = g, tframe, dt, scenario.rho_bar
+        self.tframe = tframe
         self.lam = lam = scenario.lam_effective()
         self.k = k = lam / (1.0 - lam)
-        self.neg_alpha = -coeffs.alpha
-        self.p_theta, self.p_rho = coeffs.p_theta, coeffs.p_rho
+        # The factors of array operations as 0-d arrays (grid._const).
+        const = gr._const
+        self.dt, self.dx, self.dz, self.rho_bar = const(dt), const(g.dx), const(g.dz), const(scenario.rho_bar)
+        self.half, self.three_halves = const(0.5), const(1.5)
+        self.neg_alpha = const(-coeffs.alpha)
+        self.p_theta, self.p_rho = const(coeffs.p_theta), const(coeffs.p_rho)
         self.rho_G = scenario.rho_bar * scenario.G.values
-        self.adiabatic = scenario.theta_bar * coeffs.alpha / coeffs.c_p
+        self.adiabatic = const(scenario.theta_bar * coeffs.alpha / coeffs.c_p)
         self.gx = gG.u if gG.u.any() else None
         self.gz = gG.w if gG.w.any() else None
         self.mirror = gr._zop(g, dt * nu, "mirror")
         self.zface = gr._zop(g, dt * nu, "zface")
         c = dt * coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
         self.extrapolate = op = gr._zop(g, c, "extrapolate")
-        self.poisson = gr._poisson_op(g)
         self.unit = None
         if lam != 0.0:
             unit_mean = op.unit_source_mean if tframe else op.unit_wall_mean
@@ -333,6 +369,100 @@ class _StepPlan:
                 raise ClosureError(f"degenerate scalar closure, denominator {self.denom:.3e}")
             self.unit = (op.unit_source if tframe else op.unit_wall).values
             self.lam_unit_mean = lam * unit_mean
+
+        nx, nz = g.nx, g.nz
+        self.advect = gr._Advection(g)
+        self.project = _Projection(g)  # with the pinned Poisson operator
+        self.mirror_work = self.mirror.workspace()
+        self.zface_work = self.zface.workspace()
+        self.extrapolate_work = op.workspace()
+        # x + dt F_eff (_explicit) and its lag term, per staggering.
+        self.data_u, self.lag_u = np.empty((nx, nz)), np.empty((nx, nz))
+        self.data_w, self.lag_w = np.empty((nx, nz + 1)), np.empty((nx, nz + 1))
+        self.data_w_in = self.data_w[:, 1:-1]
+        self.data, self.lag = np.empty((nx, nz)), np.empty((nx, nz))
+        # Centre arrays with their periodic previous row above them, and the
+        # x-flux with its periodic next row below it.
+        self.buoy_pad = np.empty((nx + 1, nz))
+        self.buoy, self.buoy_prev = self.buoy_pad[1:], self.buoy_pad[:-1]
+        self.temp_pad = np.empty((nx + 1, nz))
+        self.temp_in, self.temp_prev = self.temp_pad[1:], self.temp_pad[:-1]
+        self.flux_x_pad = np.empty((nx + 1, nz))
+        self.flux_x, self.flux_x_next = self.flux_x_pad[:-1], self.flux_x_pad[1:]
+        self.flux_z = np.zeros((nx, nz + 1))  # wall rows stay zero: w = 0 there
+        self.flux_z_in, self.flux_z_hi, self.flux_z_lo = self.flux_z[:, 1:-1], self.flux_z[:, 1:], self.flux_z[:, :-1]
+        self.div_x, self.div_z = np.empty((nx, nz)), np.empty((nx, nz))
+        self.pairs_z = np.empty((nx, nz - 1))
+        self.center = np.empty((nx, nz))
+        self.face_z = np.empty((nx, nz + 1))
+
+
+def _explicit(p, x, F, old, out, lag):
+    """x + dt F_eff written to out, F_eff the AB2 combination 1.5 F - 0.5 old
+    (F itself on a first step, old None); lag is a work array."""
+    if old is None:
+        np.multiply(F, p.dt, out=out)
+    else:
+        np.multiply(F, p.three_halves, out=out)
+        np.multiply(old, p.half, out=lag)
+        out -= lag
+        out *= p.dt
+    out += x
+    return out
+
+
+def _buoyancy(p, temp, m):
+    """The buoyancy of the plan's frame at the centres, a work array:
+    -alpha T in the T frame, the density deviation of the T-frame values
+    temp + k m over rho_bar in the Theta frame."""
+    buoy = p.buoy
+    if p.tframe:
+        return np.multiply(temp, p.neg_alpha, out=buoy)
+    equiv = np.add(temp, p.k * m, out=p.center)
+    np.add(p.rho_G, p.p_theta * gr._mean(equiv), out=buoy)
+    equiv *= p.p_theta
+    buoy -= equiv
+    buoy /= p.p_rho
+    buoy /= p.rho_bar
+    return buoy
+
+
+def _advect_scalar(p, u, w, vals):
+    """-div(U s) at centers, a fresh array; wall fluxes vanish because w = 0
+    there."""
+    p.temp_in[...] = vals
+    p.temp_pad[0] = vals[-1]
+    fx = np.add(p.temp_prev, vals, out=p.flux_x)
+    fx *= p.half
+    fx *= u
+    p.flux_x_pad[-1] = fx[0]
+    dfx = np.subtract(p.flux_x_next, fx, out=p.div_x)
+    dfx /= p.dx
+    fz = np.multiply(w[:, 1:-1], p.half, out=p.flux_z_in)
+    fz *= np.add(vals[:, 1:], vals[:, :-1], out=p.pairs_z)
+    dfz = np.subtract(p.flux_z_hi, p.flux_z_lo, out=p.div_z)
+    dfz /= p.dz
+    A = np.add(dfx, dfz)
+    return np.negative(A, out=A)
+
+
+def _adiabatic_term(p, u, w):
+    """(theta_bar alpha/c_p) grad G . U, averaged from face products back to
+    centers, a work array; a component of grad G that is None is zero and
+    skipped."""
+    gx, gz = p.gx, p.gz
+    if gz is not None:
+        wz = np.multiply(w, gz, out=p.face_z)
+        out = np.add(wz[:, 1:], wz[:, :-1], out=p.div_z)
+        out *= p.half
+    if gx is not None:
+        ux = np.multiply(u, gx, out=p.flux_x)
+        p.flux_x_pad[-1] = ux[0]
+        xc = np.add(p.flux_x_next, ux, out=p.div_x)
+        xc *= p.half
+        out = xc if gz is None else np.add(xc, out, out=xc)
+    out *= p.adiabatic
+    return out
 
 
 def _step(plan, u, w, temp, m, hist, source, walls):
@@ -343,59 +473,81 @@ def _step(plan, u, w, temp, m, hist, source, walls):
     Dirichlet (bottom, top) wall values at its end, as helmholtz_solve
     takes them.
 
-    Returns (u, w, temp, Pi, hist) at the step's end.  No input is modified.
+    Returns (u, w, temp, Pi, hist) at the step's end, each a fresh array;
+    every other array the step writes is a work array of the plan.  No
+    input is modified.
     """
     p = plan
-    g, dt, gx, gz = p.grid, p.dt, p.gx, p.gz
+    gx, gz = p.gx, p.gz
+    old_u, old_w, old_A = (None, None, None) if hist is None else hist
 
     # Momentum: AB2 advection and buoyancy, implicit diffusion, projection.
-    # The wall rows of F_w are advect_velocity's zeros.
-    F_u, F_w = advect_velocity(g, u, w)
+    # The wall rows of F_w are the advection's zeros.
+    F_u, F_w = p.advect(u, w)
     if gx is not None or gz is not None:
-        if p.tframe:
-            buoy = p.neg_alpha * temp
-        else:
-            # The density deviation of the T-frame values temp + k m.
-            equiv = temp + p.k * m
-            buoy = (p.rho_G + p.p_theta * gr._mean(equiv) - p.p_theta * equiv) / p.p_rho / p.rho_bar
+        buoy = _buoyancy(p, temp, m)
         if gx is not None:
-            F_u += center_to_xface(buoy) * gx
+            p.buoy_pad[0] = buoy[-1]
+            face = np.add(p.buoy_prev, buoy, out=p.center)
+            face *= p.half
+            face *= gx
+            F_u += face
         if gz is not None:
-            F_w[:, 1:-1] += 0.5 * (buoy[:, 1:] + buoy[:, :-1]) * gz[:, 1:-1]
-    if hist is None:
-        Fu_eff, Fw_eff = F_u, F_w
-    else:
-        Fu_eff = 1.5 * F_u - 0.5 * hist[0]
-        Fw_eff = 1.5 * F_w - 0.5 * hist[1]
-    ustar = p.mirror.solve(u + dt * Fu_eff)
-    wstar = np.zeros(w.shape)
-    wstar[:, 1:-1] = p.zface.solve((w + dt * Fw_eff)[:, 1:-1])
-    u_new, w_new, phi = _project(ustar, wstar, dt, g, p.poisson)
+            face = np.add(buoy[:, 1:], buoy[:, :-1], out=p.pairs_z)
+            face *= p.half
+            face *= gz[:, 1:-1]
+            F_w[:, 1:-1] += face
+    # The diffused velocities land in the projection's input arrays.
+    project = p.project
+    p.mirror.solve(_explicit(p, u, F_u, old_u, p.data_u, p.lag_u), out=project.u, work=p.mirror_work)
+    _explicit(p, w, F_w, old_w, p.data_w, p.lag_w)
+    p.zface.solve(p.data_w_in, out=project.w_in, work=p.zface_work)
+    u_new, w_new, phi = project(p.dt)
 
     # Scalar: AB2 advection (plus source), implicit diffusion under the
     # Dirichlet walls at t + dt, then the closure of the mean.
-    A = _advect_scalar(g, u_new, w_new, temp)
+    A = _advect_scalar(p, u_new, w_new, temp)
     if gx is not None or gz is not None:
-        A += p.adiabatic * _grad_dot_faces(u_new, w_new, gx, gz)
+        A += _adiabatic_term(p, u_new, w_new)
     if source is not None:
         A += source
-    A_eff = A if hist is None else 1.5 * A - 0.5 * hist[2]
-    temp_new = p.extrapolate.solve(temp + dt * A_eff, *walls)
+    data = _explicit(p, temp, A, old_A, p.data, p.lag)
+    temp_new = p.extrapolate.solve(data, *walls, work=p.extrapolate_work)
     if p.unit is not None:
         if p.tframe:
             q = p.lam * ((gr._mean(temp_new) - p.lam_unit_mean * m) / p.denom - m)
         else:
             q = -p.k * (gr._mean(temp_new) / p.denom)
-        temp_new += q * p.unit
-    return u_new, w_new, temp_new, p.rho_bar * phi, (F_u, F_w, A)
+        temp_new += np.multiply(p.unit, q, out=p.center)
+    return u_new, w_new, temp_new, np.multiply(phi, p.rho_bar), (F_u, F_w, A)
+
+
+def _require_compatible(state, scenario):
+    """Raise ShapeError unless every field of state lives on scenario's grid
+    and its AB2 history holds three arrays of the (u, w, temp) shapes, and
+    DomainError unless what the step reads (U, temp, the history) is
+    finite."""
+    gr._require_grid(scenario.grid, (state.U, state.temp, state.Pi))
+    named = {"U.u": state.U.u, "U.w": state.U.w, "temp": state.temp.values}
+    if state.rhs_hist is not None:
+        hist = state.rhs_hist
+        if len(hist) != 3 or any(np.shape(h) != a.shape for h, a in zip(hist, named.values())):
+            raise ShapeError("rhs_hist must hold three arrays shaped like U.u, U.w and temp")
+        named.update(zip(("rhs_hist[0]", "rhs_hist[1]", "rhs_hist[2]"), hist))
+    for name, a in named.items():
+        if not np.isfinite(a).all():
+            raise DomainError(f"state {name} must be finite")
 
 
 def step_ob(state, scenario, dt):
     """One step of the state's frame: its buoyancy, then its closure of the
-    mean.  Like run_ob, it rejects a dt over the advective CFL bound."""
+    mean.  Rejects a state on another grid (ShapeError) or with a NaN or
+    inf (DomainError), and, like run_ob, a dt over the advective CFL
+    bound."""
     require_positive(dt, "dt")
     if state.frame not in (T_FRAME, THETA_FRAME):
         raise ShapeError(f"unknown frame {state.frame!r}")
+    _require_compatible(state, scenario)
     g = scenario.grid
     _check_cfl(state.U.u, state.U.w, state.t, g, dt)
     u, w, temp, Pi, hist = _step(

@@ -22,7 +22,9 @@ fractional power: _powers forms rho^{2/3} and rho^{5/3} as cbrt(rho)^2 and
 rho cbrt(rho)^2, theta^3 and theta^4 as products, and _closure, _rho_e and
 the cold floor of theta_from_rho_e all read them from there.  The
 compressible stage calls _powers once and hands the result to _closure and
-_rho_e.  A kernel skips the p_inf and a terms when their coefficient is 0
+_rho_e; it forms rho's pair (_rho_powers) once, for the cold floor of its
+theta recovery (_theta_from_rho_e, the kernel behind theta_from_rho_e) and
+for that _powers.  A kernel skips the p_inf and a terms when their coefficient is 0
 (adding 0.0 leaves a finite value unchanged), so the ideal gas pays no
 rho^{5/3} and no theta^4.
 """
@@ -121,11 +123,12 @@ def _rho_powers(rho):
     return r23, rho * r23
 
 
-def _powers(rho, theta, eos):
+def _powers(rho, theta, eos, rho_powers=None):
     """The closure's powers, by one cbrt and products: (rho^{2/3}, rho^{5/3})
     when p_inf > 0 and (theta^3, theta^4) when a > 0, each pair None when its
-    coefficient is 0."""
-    rp = _rho_powers(rho) if eos.p_inf else None
+    coefficient is 0.  rho_powers, when given, is _rho_powers(rho) already
+    formed, and no cbrt is taken."""
+    rp = (_rho_powers(rho) if rho_powers is None else rho_powers) if eos.p_inf else None
     if not eos.a:
         return rp, None
     t3 = theta * theta * theta
@@ -271,8 +274,17 @@ def theta_from_rho_e(rho, E, eos, theta_guess=None):
     input returns empty.
     """
     rho = np.asarray(rho, dtype=float)
-    E = np.asarray(E, dtype=float)
-    R = E - 1.5 * eos.p_inf * _rho_powers(rho)[1] if eos.p_inf else E
+    return _theta_from_rho_e(
+        rho, np.asarray(E, dtype=float), eos, theta_guess, _rho_powers(rho) if eos.p_inf else None
+    )
+
+
+def _theta_from_rho_e(rho, E, eos, theta_guess, rho_powers):
+    """theta_from_rho_e on float arrays, with rho_powers = _rho_powers(rho)
+    formed by the caller (None when p_inf == 0), so that a caller that needs
+    the powers again, as the compressible stage's _thermo does, takes one
+    cbrt."""
+    R = E - 1.5 * eos.p_inf * rho_powers[1] if eos.p_inf else E
     if not _finite_positive(R):
         raise DomainError("internal energy below the cold-pressure floor")
     rho15 = 1.5 * rho

@@ -421,6 +421,32 @@ def test_zoperator_scalar_zero_walls_match_zero_arrays() -> None:
         assert np.array_equal(op.solve(vals, 0.25, 0.0), op.solve(vals, np.full(8, 0.25), zeros))
 
 
+@pytest.mark.parametrize("nx", [4, 5, 8])
+def test_zoperator_buffered_solve_matches_allocating_bitwise(nx) -> None:
+    # One workspace serves every solve of an operator: reused across data,
+    # walls and a None right-hand side, written into a strided out or into
+    # the data array itself, the solve equals the allocating one bit for bit
+    # for all four closures with zero, scalar and per-x walls.
+    nz = 9
+    g = Grid(nx, nz)
+    rng = np.random.default_rng(40 + nx)
+    for wall, c, a in (("pinned", -1.0, 0.0), ("extrapolate", 0.05, 1.0), ("mirror", 0.05, 1.0), ("zface", 0.05, 1.0)):
+        op = _ZOperator(g, c, wall, a)
+        n = nz - 1 if wall == "zface" else nz
+        work = op.workspace()
+        for walls in ((0.0, 0.0), (0.3, -1.25), (rng.standard_normal(nx), rng.standard_normal(nx))):
+            for vals in (rng.standard_normal((nx, n)), None):
+                want = op.solve(vals, *walls)
+                assert np.array_equal(op.solve(vals, *walls, work=work), want), wall
+                padded = np.full((nx, n + 2), np.nan)
+                got = op.solve(vals, *walls, out=padded[:, 1:-1], work=work)
+                assert got.base is padded and np.array_equal(padded[:, 1:-1], want), wall
+                assert np.isnan(padded[:, [0, -1]]).all()
+                if vals is not None:
+                    data = vals.copy()
+                    assert np.array_equal(op.solve(data, *walls, out=data, work=work), want), wall
+
+
 def test_poisson_zero_rhs() -> None:
     g = Grid(8, 8)
     phi, m = poisson_solve(ScalarField.zeros(g))

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bll import grid as gr
-from bll import nsf
+from bll import nsf, thermo
 from bll.errors import CompatibilityError, DivergenceError, DomainError, ShapeError, StabilityError
-from bll.grid import Grid, ScalarField, VectorField, advect_velocity, center_to_xface, laplace_dirichlet
+from bll.grid import Grid, ScalarField, VectorField, _Advection, advect_velocity, center_to_xface, laplace_dirichlet
 from bll.nsf import (
     NsfScenario,
     NsfState,
@@ -33,6 +33,7 @@ from bll.thermo import (
     _eta,
     _kappa,
     _mu,
+    _rho_powers,
     energy_dtheta,
     entropy,
     pressure,
@@ -606,6 +607,33 @@ def test_x_mirror_symmetry_bitwise() -> None:
     assert np.array_equal(b.U.w, _mirror_center(a.U.w))
 
 
+def test_radiation_stage_takes_one_cbrt_per_density(monkeypatch) -> None:
+    # a stage's theta recovery forms _rho_powers of its density (the cold
+    # floor) and hands it to the _thermo that follows: two cbrt passes per
+    # step, one per stage, where each stage used to take two
+    g = Grid(16, 8)
+    calls = []
+    inner = thermo._rho_powers
+
+    def counted(rho):
+        calls.append(rho.shape)
+        return inner(rho)
+
+    monkeypatch.setattr(thermo, "_rho_powers", counted)
+    monkeypatch.setattr(nsf, "_rho_powers", counted)
+
+    def run(t_end):
+        sc = _scenario(g, eos=EosParams(p_inf=1.0, a=1.0), G=gravity_potential(g, 1.0),
+                       theta_b_bottom=0.2, theta_b_top=-0.2, t_end=t_end)
+        sc.reference()  # the discrete reference is built outside the count
+        calls.clear()
+        return run_nsf(sc).steps, len(calls)
+
+    (short, short_calls), (long, long_calls) = run(0.01), run(0.02)
+    assert long > short > 2
+    assert long_calls - short_calls == 2 * (long - short)
+
+
 def test_radiation_run_warm_start_matches_cold_start(monkeypatch) -> None:
     # every RK stage recovers theta from rho*e starting at the previous
     # stage's theta; a cold start (no guess) reaches the same trajectory to
@@ -618,17 +646,17 @@ def test_radiation_run_warm_start_matches_cold_start(monkeypatch) -> None:
         g, eos=EosParams(p_inf=1.0, a=1.0), G=gravity_potential(g, 1.0),
         theta_b_bottom=0.2, theta_b_top=-0.2, T0=T0, t_end=0.05,
     )
-    inner = nsf.theta_from_rho_e
+    inner = nsf._theta_from_rho_e
     guesses = []
 
-    def counted(rho, E, eos, theta_guess=None):
+    def counted(rho, E, eos, theta_guess, rho_powers):
         guesses.append(theta_guess is not None)
-        return inner(rho, E, eos, theta_guess)
+        return inner(rho, E, eos, theta_guess, rho_powers)
 
-    monkeypatch.setattr(nsf, "theta_from_rho_e", counted)
+    monkeypatch.setattr(nsf, "_theta_from_rho_e", counted)
     warm = run_nsf(sc)
     assert len(guesses) == 2 * warm.steps and all(guesses)
-    monkeypatch.setattr(nsf, "theta_from_rho_e", lambda rho, E, eos, theta_guess=None: inner(rho, E, eos))
+    monkeypatch.setattr(nsf, "_theta_from_rho_e", lambda rho, E, eos, _, pair: inner(rho, E, eos, None, pair))
     cold = run_nsf(sc)
     assert warm.steps == cold.steps > 5
     a, b = warm.states[-1], cold.states[-1]
@@ -902,7 +930,7 @@ def test_rhs_without_bulk_viscosity_matches_full_formula_bitwise(nx, nz, x_poten
     assert IDEAL.eta0 == 0.0
     tf = nsf._thermo(rho, th, IDEAL)
     assert tf.eta is None
-    got = nsf._rhs(rho, th, u, w, sc, aux, tf)
+    got = nsf._rhs(rho, th, u, w, sc, aux, tf, _Advection(sc.grid))
     want = _rhs_full_formula(rho, th, u, w, sc, aux, tf, _eta(th, IDEAL))
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
@@ -962,11 +990,11 @@ def test_bulk_viscosity_still_acts_when_eta0_positive() -> None:
     sc, rho, th, u, w = _moving_state(bulk)
     sc0, *_ = _moving_state(IDEAL)
     tf = nsf._thermo(rho, th, bulk)
-    got = nsf._rhs(rho, th, u, w, sc, sc.reference(), tf)
+    got = nsf._rhs(rho, th, u, w, sc, sc.reference(), tf, _Advection(sc.grid))
     want = _rhs_full_formula(rho, th, u, w, sc, sc.reference(), tf, tf.eta)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
-    without = nsf._rhs(rho, th, u, w, sc0, sc0.reference(), nsf._thermo(rho, th, IDEAL))
+    without = nsf._rhs(rho, th, u, w, sc0, sc0.reference(), nsf._thermo(rho, th, IDEAL), _Advection(sc0.grid))
     assert np.array_equal(got[0], without[0])  # mass has no viscous term
     assert not np.allclose(got[1], without[1], rtol=0.0, atol=1e-12)
     assert not np.allclose(got[2], without[2], rtol=0.0, atol=1e-12)
@@ -1090,6 +1118,17 @@ def _old_theta_from_rho_e(rho, E, eos, theta_guess=None):
     raise DomainError("Newton inversion of rho*e for theta did not converge")
 
 
+def _old_stage_theta_from_rho_e(rho, E, eos, theta_guess, _pair):
+    """_old_theta_from_rho_e behind the stage's private path, which also
+    hands over the rho powers."""
+    return _old_theta_from_rho_e(rho, E, eos, theta_guess)
+
+
+def _stage_theta_of(rho, E, t, scenario, theta_guess):
+    """nsf._theta_of with the rho powers a stage forms for it."""
+    return nsf._theta_of(rho, E, t, scenario, theta_guess, _rho_powers(rho) if scenario.eos.p_inf else None)
+
+
 def _old_theta_of(rho, E, t, scenario, theta_guess):
     if not np.all(np.isfinite(rho)) or np.any(rho <= 0):
         raise DivergenceError("density lost positivity", time=t)
@@ -1133,7 +1172,7 @@ def test_guards_raise_as_before_for_bad_entries(eos) -> None:
     for case, rho, E in _recovery_cases():
         for new, old, args in (
             (theta_from_rho_e, _old_theta_from_rho_e, (rho, E, eos)),
-            (nsf._theta_of, _old_theta_of, (rho, E, 0.5, sc, np.ones_like(rho))),
+            (_stage_theta_of, _old_theta_of, (rho, E, 0.5, sc, np.ones_like(rho))),
         ):
             got, want = _outcome(new, *args), _outcome(old, *args)
             if isinstance(want, tuple):
@@ -1151,11 +1190,11 @@ def test_theta_recovery_takes_scalars_and_empty_arrays(eos) -> None:
     one = np.asarray(1.0)
     E = rho_e(one, one, eos)
     assert float(theta_from_rho_e(1.0, float(E), eos)) == pytest.approx(1.0, rel=1e-13)
-    assert float(nsf._theta_of(one, E, 0.0, sc, one)) == pytest.approx(1.0, rel=1e-13)
+    assert float(_stage_theta_of(one, E, 0.0, sc, one)) == pytest.approx(1.0, rel=1e-13)
     for shape in ((0,), (0, 3)):
         empty = np.empty(shape)
         assert theta_from_rho_e(empty, empty, eos).shape == shape
-        assert nsf._theta_of(empty, empty, 0.0, sc, empty).shape == shape
+        assert _stage_theta_of(empty, empty, 0.0, sc, empty).shape == shape
 
 
 @pytest.mark.parametrize("eos", [IDEAL, EosParams(p_inf=1.0, a=1.0)], ids=["ideal", "radiation"])
@@ -1169,8 +1208,8 @@ def test_stage_closed_forms_move_a_run_by_rounding_only(eos, monkeypatch) -> Non
         g, eos=eos, G=gravity_potential(g, 1.0), theta_b_bottom=0.2, theta_b_top=-0.2, T0=T0, t_end=0.05
     )
     new = run_nsf(sc)
-    monkeypatch.setattr(nsf, "_thermo", _old_thermo)
-    monkeypatch.setattr(nsf, "theta_from_rho_e", _old_theta_from_rho_e)
+    monkeypatch.setattr(nsf, "_thermo", lambda rho, th, eos, _=None: _old_thermo(rho, th, eos))
+    monkeypatch.setattr(nsf, "_theta_from_rho_e", _old_stage_theta_from_rho_e)
     old = run_nsf(sc)
     monkeypatch.undo()
     assert new.steps == old.steps > 5
@@ -1197,12 +1236,12 @@ def test_stage_folding_moves_a_run_by_rounding_only(eos, monkeypatch) -> None:
         g, eos=eos, G=gravity_potential(g, 1.0), theta_b_bottom=0.2, theta_b_top=-0.2, T0=T0, t_end=0.05
     )
     new = run_nsf(sc)
-    monkeypatch.setattr(nsf, "_thermo", _old_stage_thermo)
+    monkeypatch.setattr(nsf, "_thermo", lambda rho, th, eos, _=None: _old_stage_thermo(rho, th, eos))
     monkeypatch.setattr(
-        nsf, "_rhs", lambda rho, th, u, w, sc, aux, tf: _old_rhs(rho, th, u, w, sc, aux, tf, _eta(th, sc.eos))
+        nsf, "_rhs", lambda rho, th, u, w, sc, aux, tf, _: _old_rhs(rho, th, u, w, sc, aux, tf, _eta(th, sc.eos))
     )
     monkeypatch.setattr(nsf, "_cfl_bound", _old_cfl_bound)
-    monkeypatch.setattr(nsf, "theta_from_rho_e", _old_theta_from_rho_e)
+    monkeypatch.setattr(nsf, "_theta_from_rho_e", _old_stage_theta_from_rho_e)
     old = run_nsf(sc)
     monkeypatch.undo()
     assert new.steps == old.steps > 5
@@ -1228,7 +1267,9 @@ def test_rhs_is_exactly_zero_at_rest_on_the_discrete_reference(eos, nx, nz) -> N
     rho_hat, theta_hat = discrete_hydrostatic_reference(sc)
     state = _profile_state(g, rho_hat, theta_hat, sc.eps)
     rho, th = state.rho.values, state.theta.values
-    d_rho, _, du, dw = nsf._rhs(rho, th, state.U.u, state.U.w, sc, sc.reference(), nsf._thermo(rho, th, eos))
+    d_rho, _, du, dw = nsf._rhs(
+        rho, th, state.U.u, state.U.w, sc, sc.reference(), nsf._thermo(rho, th, eos), _Advection(g)
+    )
     assert np.array_equal(d_rho, np.zeros_like(rho))
     assert np.array_equal(du, np.zeros_like(state.U.u))
     assert np.array_equal(dw, np.zeros_like(state.U.w))

@@ -806,3 +806,145 @@ def test_degenerate_closure_raises_before_any_step(frame, monkeypatch) -> None:
     with pytest.raises(ClosureError, match="degenerate scalar closure"):
         step_ob(state, sc, sc.dt)
     assert steps == []
+
+
+def _fields(state):
+    """The arrays of an OB state: U.u, U.w, temp and Pi."""
+    return state.U.u, state.U.w, state.temp.values, state.Pi.values
+
+
+def _flowing_scenario(g, seed, rate, **kw):
+    """A flowing state under gravity with a moving x-varying bottom wall."""
+    rng = np.random.default_rng(seed)
+    U0 = VectorField(g, 0.1 * rng.standard_normal((g.nx, g.nz)), 0.1 * rng.standard_normal((g.nx, g.nz + 1)))
+    T0 = ScalarField.from_function(g, lambda x, z: 0.3 * np.sin(np.pi * z) ** 2 * np.cos(2 * np.pi * (x + 0.1 * seed)))
+    shape = 1.0 + 0.3 * np.cos(2 * np.pi * g.x_centers)
+    return ObScenario(
+        grid=g, eos=EosParams(kappa0=0.2), G=gravity_potential(g, 1.5),
+        theta_b_bottom=lambda t: rate * t * shape, theta_b_top=0.0, T0=T0, U0=U0, dt=2e-3, **kw,
+    )
+
+
+def test_state_copy_carries_the_ab2_history() -> None:
+    g = Grid(8, 12)
+    sc = _flowing_scenario(g, 1, 0.5, t_end=0.04)
+    state = step_ob(build_initial_ob(sc), sc, sc.dt)
+    copied = state.copy()
+    assert len(copied.rhs_hist) == 3
+    for a, b in zip(copied.rhs_hist, state.rhs_hist):
+        assert np.array_equal(a, b) and not np.shares_memory(a, b)
+    got, want = step_ob(copied, sc, sc.dt), step_ob(state, sc, sc.dt)
+    assert np.max(np.abs(want.U.u)) > 1e-3
+    for a, b in zip(_fields(got), _fields(want)):
+        assert np.array_equal(a, b)
+
+
+def _corrupt(state, what):
+    """state with one defect: another grid's fields, or one non-finite entry."""
+    if what == "grid":
+        g = Grid(8, 16)
+        return build_initial_ob(_scenario(g, dt=0.01, t_end=0.01))
+    if what == "Lx":
+        g = Grid(4, 32, Lx=2.0)
+        return build_initial_ob(_scenario(g, dt=0.01, t_end=0.01))
+    state = state.copy()
+    if what == "temp":
+        state.temp.values[1, 2] = np.nan
+    elif what == "U.w":
+        state.U.w[2, 3] = np.inf
+    elif what == "rhs_hist[2]":
+        state.rhs_hist[2][0, 0] = -np.inf
+    elif what == "hist_shape":
+        state.rhs_hist = state.rhs_hist[:2] + (np.zeros((3, 3)),)
+    return state
+
+
+@pytest.mark.parametrize(
+    ("what", "error", "match"),
+    [
+        ("grid", ShapeError, r"state grid Grid\(nx=8, nz=16, Lx=1.0\) does not match the scenario grid Grid\(nx=4,"),
+        ("Lx", ShapeError, r"Lx=2.0\) does not match the scenario grid Grid\(nx=4, nz=32, Lx=1.0\)"),
+        ("hist_shape", ShapeError, "rhs_hist must hold three arrays"),
+        ("temp", DomainError, "state temp must be finite"),
+        ("U.w", DomainError, r"state U\.w must be finite"),
+        ("rhs_hist[2]", DomainError, r"state rhs_hist\[2\] must be finite"),
+    ],
+)
+def test_step_ob_rejects_incompatible_or_non_finite_state(what, error, match) -> None:
+    g = Grid(4, 32)
+    sc = _scenario(g, G=gravity_potential(g, 1.0), theta_b_bottom=lambda t: 0.2 * t, dt=1e-3, t_end=0.01)
+    state = step_ob(build_initial_ob(sc), sc, sc.dt)
+    with pytest.raises(error, match=match):
+        step_ob(_corrupt(state, what), sc, sc.dt)
+    assert step_ob(state, sc, sc.dt).t == 2 * sc.dt  # the intact state still steps
+
+
+@pytest.mark.parametrize("frame", [T_FRAME, THETA_FRAME])
+def test_plans_on_one_grid_share_no_work_array(frame, monkeypatch) -> None:
+    # Two runs on one Grid share its cached z-operators.  Run A steps
+    # through run_ob while plan B takes one step in the middle of each of
+    # A's steps: inside A's scalar solve, where A builds its moving wall,
+    # after A's spectrum is formed and before A's phi is read.  Both equal
+    # the same runs done one after the other, bit for bit, at every step.
+    # A work array cached on an operator or on the grid would be
+    # overwritten under A.
+    g = Grid(8, 12)
+    sc_a = _flowing_scenario(g, 1, 0.5, t_end=0.04)
+    sc_b = _flowing_scenario(g, 2, -0.3, t_end=0.04)
+    want_a, want_b = run_ob(sc_a, frame, snapshot_dt=sc_a.dt), run_ob(sc_b, frame, snapshot_dt=sc_b.dt)
+    assert not np.array_equal(want_a.states[-1].temp.values, want_b.states[-1].temp.values)
+
+    plan = bll.ob._StepPlan(sc_b, frame == T_FRAME, sc_b.dt)
+    walls_at = bll.ob._wall_schedule(sc_b)
+    start = build_initial_ob(sc_b, frame)
+    b = {"state": (start.U.u, start.U.w, start.temp.values, mean(start.temp), None), "t": 0.0, "in_a": False}
+    got_b = [start]
+    wall_array, step = bll.grid._wall_array, bll.ob._step
+
+    def step_b():
+        u, w, temp, m, hist = b["state"]
+        u, w, temp, Pi, hist = step(plan, u, w, temp, m, hist, None, walls_at(b["t"] + sc_b.dt)[1])
+        b["state"], b["t"] = (u, w, temp, bll.grid._mean(temp), hist), b["t"] + sc_b.dt
+        got_b.append(bll.ob.ObState(VectorField(g, u, w), ScalarField(g, temp), ScalarField(g, Pi), b["t"], frame))
+
+    def step_a(*args):
+        b["in_a"] = True
+        out = step(*args)
+        b["in_a"] = False
+        return out
+
+    def interleaved(value, nx):
+        # Within A's step, only A's scalar solve builds a wall.
+        if b["in_a"]:
+            b["in_a"] = False
+            step_b()
+        return wall_array(value, nx)
+
+    monkeypatch.setattr(bll.ob, "_step", step_a)
+    monkeypatch.setattr(bll.grid, "_wall_array", interleaved)
+    got_a = run_ob(sc_a, frame, snapshot_dt=sc_a.dt)
+    monkeypatch.undo()
+    assert len(got_b) == len(want_b.states) == 21
+    for got, want in zip(got_a.states + got_b, want_a.states + want_b.states):
+        assert got.t == want.t
+        for x, y in zip(_fields(got), _fields(want)):
+            assert np.array_equal(x, y)
+    for name in bll.ob.TRACE_COLUMNS:
+        assert np.array_equal(got_a.trace[name], want_a.trace[name])
+
+
+def test_run_ob_snapshots_and_history_share_no_memory() -> None:
+    # Every step allocates what it returns: no snapshot array of a run, and
+    # no array of a step_ob state or its AB2 history, is a view of another.
+    g = Grid(6, 10)
+    sc = _flowing_scenario(g, 3, 0.5, t_end=0.02)
+    traj = run_ob(sc, snapshot_dt=sc.dt)
+    assert len(traj.states) == 11
+    arrays = [a for s in traj.states for a in (s.U.u, s.U.w, s.temp.values, s.Pi.values)]
+    state = build_initial_ob(sc)
+    for _ in range(3):
+        state = step_ob(state, sc, sc.dt)
+        arrays += [state.U.u, state.U.w, state.temp.values, state.Pi.values, *state.rhs_hist]
+    for i, a in enumerate(arrays):
+        for other in arrays[i + 1:]:
+            assert not np.shares_memory(a, other)
