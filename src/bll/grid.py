@@ -29,16 +29,21 @@ The elliptic solves are direct, all through the one z-solver _ZOperator: a
 real-DFT matrix in x (Grid._dft, rfft and irfft as dense matrices), then one
 z-tridiagonal system per Fourier mode.  Each operator is inverted once per
 mode, so a solve is three matrix products; the constant-coefficient ones are
-cached on their Grid, (nx/2+1) nz^2 doubles each, 0.27 MB at 64x32, and the
-face-weighted ones (the NSF conduction profile) are not.  The DFT matrices
-cost O(nx^2) per column and hold 2 (nx/2+1) nx doubles each (66 KiB for both
-at nx = 64); at bll's grids that beats the FFT's per-call overhead, and the
-two break even near 128x64, so an FFT path comes back only with a workload
-whose nx needs it.  A solve writes into caller-owned arrays when given them
-(out, and work from _ZOperator.workspace()); the solvers' per-run plans own
-those, never the operator, which its Grid caches for every run.  Likewise
-advect_velocity is a thin wrapper over _Advection, the stencil bound to its
-work arrays, of which each run holds one.
+cached on their Grid, (nx/2+1) nz^2 doubles each (0.27 MB at 64x32, 2.1 MB
+at 128x64, 17 MB at 256x128), and the face-weighted ones (the NSF conduction
+profile) are not.  An operator keeps the DFT matrices, (nx, nz) and its unit
+responses as plain arrays, never its Grid, so reference counting alone frees
+the cache with the grid, not a later cyclic collection.  Any future cache on
+a Grid or a scenario (say an acoustic operator on scenario.reference()) must
+likewise never refer back to its owner.  The DFT matrices cost O(nx^2) per
+column and hold 2 (nx/2+1) nx doubles each (66 KiB for both at nx = 64); at
+bll's grids that beats the FFT's per-call overhead, and the two break even
+near 128x64, so an FFT path comes back only with a workload whose nx needs
+it.  A solve writes into caller-owned arrays when given them (out, and work
+from _ZOperator.workspace()); the solvers' per-run plans own those, never
+the operator, which its Grid caches for every run.  Likewise advect_velocity
+is a thin wrapper over _Advection, the stencil bound to its work arrays, of
+which each run holds one.
 """
 
 from __future__ import annotations
@@ -486,7 +491,7 @@ class _ZOperator:
     wall's ghost term.  None means unit weights."""
 
     def __init__(self, grid, c, wall, a=1.0, faces=None):
-        self.grid = grid
+        self.nx, self.nz, self.dft = grid.nx, grid.nz, grid._dft  # not the grid (module docstring)
         m, n = grid.nx // 2 + 1, grid.nz - 1 if wall == "zface" else grid.nz
         # Discrete symbols k~^2 >= 0 of -d^2/dx^2 for the rfft modes.
         kx2 = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(m) / grid.nx)) / grid.dx ** 2
@@ -529,7 +534,7 @@ class _ZOperator:
         to out (nx, n) and the intermediates to work (from workspace()), each
         allocated when None; the data are read before out is written, so out
         may be vals."""
-        fwd, inverse = self.grid._dft
+        fwd, inverse = self.dft
         rhs, rhs_by_mode, wall_rhs, modes, spectrum = self.workspace() if work is None else work
         if vals is None:
             rhs.fill(0.0)
@@ -540,7 +545,7 @@ class _ZOperator:
                 # A zero wall adds nothing; a scalar zero is not even expanded.
                 if isinstance(value, (int, float)) and value == 0:
                     continue
-                wall = _wall_array(value, self.grid.nx)
+                wall = _wall_array(value, self.nx)
                 if wall.any():
                     np.matmul(fwd, wall, out=wall_rhs)
                     wall_rhs *= coef
@@ -551,21 +556,13 @@ class _ZOperator:
 
     @cached_property
     def unit_source(self):
-        """Response to a unit right-hand side with zero walls."""
-        return ScalarField(self.grid, self.solve(np.ones((self.grid.nx, self.grid.nz))))
+        """Response to a unit right-hand side with zero walls, (nx, nz)."""
+        return self.solve(np.ones((self.nx, self.nz)))
 
     @cached_property
     def unit_wall(self):
-        """Response to a zero right-hand side with unit walls."""
-        return ScalarField(self.grid, self.solve(None, 1.0, 1.0))
-
-    @cached_property
-    def unit_source_mean(self):
-        return mean(self.unit_source)
-
-    @cached_property
-    def unit_wall_mean(self):
-        return mean(self.unit_wall)
+        """Response to a zero right-hand side with unit walls, (nx, nz)."""
+        return self.solve(None, 1.0, 1.0)
 
 
 def _zop(grid, c, wall, a=1.0):

@@ -363,11 +363,11 @@ class _StepPlan:
         self.extrapolate = op = gr._zop(g, c, "extrapolate")
         self.unit = None
         if lam != 0.0:
-            unit_mean = op.unit_source_mean if tframe else op.unit_wall_mean
+            self.unit = op.unit_source if tframe else op.unit_wall
+            unit_mean = gr._mean(self.unit)
             self.denom = _closure_denominator(lam, k, unit_mean, tframe)
             if abs(self.denom) < 1e-12:
                 raise ClosureError(f"degenerate scalar closure, denominator {self.denom:.3e}")
-            self.unit = (op.unit_source if tframe else op.unit_wall).values
             self.lam_unit_mean = lam * unit_mean
 
         nx, nz = g.nx, g.nz
@@ -549,7 +549,7 @@ def step_ob(state, scenario, dt):
         raise ShapeError(f"unknown frame {state.frame!r}")
     _require_compatible(state, scenario)
     g = scenario.grid
-    _check_cfl(state.U.u, state.U.w, state.t, g, dt)
+    _check_cfl(_vmax(state.U.u, state.U.w), state.t, g, dt)
     u, w, temp, Pi, hist = _step(
         _StepPlan(scenario, state.frame == T_FRAME, dt),
         state.U.u, state.U.w, state.temp.values, mean(state.temp), state.rhs_hist,
@@ -674,8 +674,14 @@ class _TraceRecorder:
         return self.trace
 
 
-def _check_cfl(u, w, t, grid, dt):
-    vmax = max(float(np.abs(u).max()), float(np.abs(w).max()))
+def _vmax(u, w):
+    """max(|u|, |w|), or inf if either holds a NaN or an inf (max(1.0, nan)
+    is 1.0); vu - vw cannot overflow, so it is finite iff both maxima are."""
+    vu, vw = float(np.abs(u).max()), float(np.abs(w).max())
+    return max(vu, vw) if abs(vu - vw) < np.inf else np.inf
+
+
+def _check_cfl(vmax, t, grid, dt):
     if vmax == 0.0:
         return
     bound = 0.5 * min(grid.dx, grid.dz) / vmax
@@ -717,12 +723,15 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None):
     source = _source(scenario, t)
     walls_at = _wall_schedule(scenario)
     trace = _TraceRecorder(scenario, tframe, n_steps, temp, m, walls_at(t)[0], source)
+    vmax = _vmax(u, w)
     for n in range(1, n_steps + 1):
-        _check_cfl(u, w, t, g, dt)
+        _check_cfl(vmax, t, g, dt)
         walls, solve_walls = walls_at(t + dt)
         u, w, temp, Pi, hist = _step(plan, u, w, temp, m, hist, source, solve_walls)
         t = t + dt
-        if not (np.isfinite(temp).all() and np.isfinite(u).all()):
+        # One pass over the velocities serves this check and the next CFL one.
+        vmax = _vmax(u, w)
+        if not (np.isfinite(temp).all() and vmax < np.inf):
             raise DivergenceError("non-finite fields", step=n, time=t)
         m = gr._mean(temp)
         source = _source(scenario, t)

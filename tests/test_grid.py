@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bll.cli import _write_table
+from bll.diagnostics import compare_modified_vs_naive, sweep
 from bll.errors import DomainError, ShapeError
 from bll.grid import (
     Grid,
@@ -36,6 +39,9 @@ from bll.grid import (
     _ZOperator,
     _zop,
 )
+from bll.nsf import NsfScenario, build_initial_nsf, run_nsf, step_nsf
+from bll.ob import THETA_FRAME, ObScenario, build_initial_ob, gravity_potential, run_ob, step_ob
+from bll.thermo import EosParams
 
 
 def _ghost_pad_z(vals, walls, nx):
@@ -399,9 +405,60 @@ def test_z_operators_are_cached_per_grid() -> None:
     assert _zop(Grid(8, 8), 0.1, "extrapolate") is not op
     assert op.unit_source is op.unit_source
     ones = ScalarField(g, np.ones((8, 8)))
-    assert np.array_equal(op.unit_source.values, helmholtz_solve(ones, 0.1).values)
+    assert np.array_equal(op.unit_source, helmholtz_solve(ones, 0.1).values)
     walls = helmholtz_solve(ScalarField.zeros(g), 0.1, 1.0, 1.0)
-    assert np.array_equal(op.unit_wall.values, walls.values)
+    assert np.array_equal(op.unit_wall, walls.values)
+
+
+def _ob_column(g):
+    # Asymmetric walls, so the mean moves and the two targets of
+    # compare_modified_vs_naive differ (no coincidence warning).
+    T0 = ScalarField.from_function(g, lambda x, z: 0.5 * (1.0 - z) ** 2)
+    return ObScenario(g, EosParams(), G=gravity_potential(g, 1.0), theta_b_bottom=0.5,
+                      theta_b_top=0.0, dt=1e-3, t_end=0.004, T0=T0)
+
+
+def _step_ob(g):
+    sc = _ob_column(g)
+    return step_ob(build_initial_ob(sc), sc, sc.dt)
+
+
+def _nsf_column(g):
+    return NsfScenario(g, EosParams(), 0.2, G=gravity_potential(g, 1.0), theta_b_bottom=0.2,
+                       theta_b_top=-0.2, t_end=0.004)
+
+
+def _step_nsf(g):
+    sc = _nsf_column(g)
+    return step_nsf(build_initial_nsf(sc), sc, 1e-4)
+
+
+_RUNS = {
+    "run_ob": lambda g: run_ob(_ob_column(g)),
+    "run_ob_theta": lambda g: run_ob(_ob_column(g), THETA_FRAME),
+    "run_nsf": lambda g: run_nsf(_nsf_column(g)),
+    "sweep": lambda g: sweep(_ob_column(g), [0.2], snapshot_dt=0.002),
+    "compare": lambda g: compare_modified_vs_naive(_ob_column(g), 0.2, snapshot_dt=0.002),
+    "step_ob": _step_ob,
+    "step_nsf": _step_nsf,
+}
+
+
+@pytest.mark.parametrize("run", list(_RUNS))
+def test_grid_and_its_cache_die_with_the_last_reference(run) -> None:
+    # Nothing a run caches on its grid (the z-operators, their unit
+    # responses, the DFT matrices) refers back to the grid, so reference
+    # counting alone frees the grid once the caller drops the results.
+    gc.disable()
+    try:
+        g = Grid(8, 8)
+        ref = weakref.ref(g)
+        result = _RUNS[run](g)
+        assert g._zops or run == "step_nsf"  # every other run caches operators
+        del g, result
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_zoperator_scalar_zero_walls_match_zero_arrays() -> None:

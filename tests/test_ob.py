@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bll.ob
-from bll.errors import ClosureError, CompatibilityError, DomainError, ShapeError, StabilityError
+from bll.errors import ClosureError, CompatibilityError, DivergenceError, DomainError, ShapeError, StabilityError
 from bll.grid import (
     Grid,
     ScalarField,
@@ -454,6 +454,41 @@ def test_step_ob_runs_the_cfl_guard() -> None:
         run_ob(sc)
     assert str(stepped.value) == str(run.value)
     assert step_ob(state, sc, 1e-3).t == 1e-3
+
+
+@pytest.mark.parametrize("frame", [T_FRAME, THETA_FRAME])
+def test_run_ob_names_the_first_non_finite_step(frame) -> None:
+    # The source turns NaN from t = 0.005 on, so the step that starts there,
+    # the sixth, is the first with a NaN temperature.
+    g = Grid(6, 8)
+
+    def source(t, X, Z):
+        return np.full_like(X, np.nan if t > 0.0045 else 0.1)
+
+    sc = _scenario(g, T0=ScalarField.zeros(g), dt=1e-3, t_end=0.01, temp_source=source)
+    with pytest.raises(DivergenceError, match="^non-finite fields$") as err:
+        run_ob(sc, frame=frame)
+    assert err.value.step == 6
+    assert err.value.time == sum([1e-3] * 6)  # run_ob's t, accumulated step by step
+
+
+def test_run_ob_catches_a_nan_in_w_alone(monkeypatch) -> None:
+    # max(|u|, nan) is |u| in Python, so a NaN confined to w once passed
+    # both checks and surfaced a step later.
+    step, calls = bll.ob._step, []
+
+    def poisoned(*args):
+        u, w, temp, Pi, hist = step(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            w[2, 4] = np.nan
+        return u, w, temp, Pi, hist
+
+    monkeypatch.setattr(bll.ob, "_step", poisoned)
+    g = Grid(6, 8)
+    with pytest.raises(DivergenceError, match="^non-finite fields$") as err:
+        run_ob(_scenario(g, dt=1e-3, t_end=0.01))
+    assert err.value.step == 3
 
 
 def test_run_ob_snapshot_cadence_and_validation() -> None:
