@@ -148,6 +148,8 @@ class NsfScenario:
             raise DomainError(f"eps must lie in (0, 1], got {self.eps}")
         if self.G is None:
             self.G = ScalarField.zeros(self.grid)
+        if not np.isfinite(self.G.values).all():
+            raise DomainError("G must be finite")
         if abs(mean(self.G)) > 1e-12:
             raise DomainError(f"potential G must be mean-free, got mean {mean(self.G):.3e}")
         require_positive(self.t_end, "t_end")

@@ -33,17 +33,16 @@ Dirichlet limit system.
 
 The step takes a run's invariants from a private plan (_StepPlan) that
 run_ob builds once per run and step_ob once per call: lam, k, the
-viscosity nu = mu(theta_bar)/rho_bar and theta_bar alpha/c_p, the mirror,
-zface, extrapolate and pinned Poisson z-operators, the closure's unit
-response and its denominator, checked once, and grad G as its x and z
-components, each None when it is identically zero.  The step skips every
-term that multiplies a zero component: with G = 0 the buoyancy, the
-Theta-frame density deviation and the adiabatic term (theta_bar alpha/c_p)
-grad G . U; with a z-only potential (every gravity_potential) the x halves
-of both.  A skipped term would add an exact zero, so every value equals
-the full form's (a zero may differ in sign).  The scenario caches its
-coefficients, nu and grad G at first use, so a scenario is not to be
-mutated once run.
+viscosity nu = mu(theta_bar)/rho_bar and theta_bar alpha/c_p, the
+z-operators, the closure's unit response and its denominator, checked
+once, and grad G as its x and z components, each None when it is
+identically zero; the step skips every term that multiplies such a zero.
+A run at rest (G = 0 and a projected U0 exactly 0) has no buoyancy, so U
+stays exactly 0: run_ob's plan then builds no momentum half, and its step
+runs only the scalar diffusion and closure.  step_ob takes the full path.
+A skipped term would add an exact zero, so every value equals the full
+form's (a zero may differ in sign).  The scenario caches its coefficients,
+nu and grad G at first use, so a scenario is not to be mutated once run.
 
 The plan also owns every work array of the step and the views its
 stencils read: the advection stencil's (grid._Advection) and the
@@ -133,6 +132,8 @@ class ObScenario:
         require_positive(self.theta_bar, "theta_bar")
         if self.G is None:
             self.G = ScalarField.zeros(self.grid)
+        if not np.isfinite(self.G.values).all():
+            raise DomainError("G must be finite")
         if abs(mean(self.G)) > 1e-12:
             raise DomainError(f"potential G must be mean-free, got mean {mean(self.G):.3e}")
         require_positive(self.dt, "dt")
@@ -331,9 +332,10 @@ def _closure_denominator(lam, k, unit_mean, tframe):
 
 class _StepPlan:
     """What every step of one run shares, bound once: the coefficients, the
-    four z-operators, the closure's unit response with its checked
-    denominator, and grad G as (gx, gz), a component None when it is
-    identically zero.  The step skips every term multiplying such a zero.
+    z-operators, the closure's unit response with its checked denominator,
+    and grad G as (gx, gz), a component None when it is identically zero.
+    The step skips every term multiplying such a zero, and an at-rest plan
+    has no momentum half.
 
     The plan also owns every work array of the step, which the step
     overwrites with out=: the advection stencil's and the projection's, the
@@ -341,7 +343,7 @@ class _StepPlan:
     temperature, the scalar fluxes and the buoyancy.  A plan therefore
     serves one run, or one step_ob call, and no other."""
 
-    def __init__(self, scenario, tframe, dt):
+    def __init__(self, scenario, tframe, dt, at_rest=False):
         coeffs, nu, gG = scenario._invariants
         g = scenario.grid
         self.tframe = tframe
@@ -357,8 +359,9 @@ class _StepPlan:
         self.adiabatic = const(scenario.theta_bar * coeffs.alpha / coeffs.c_p)
         self.gx = gG.u if gG.u.any() else None
         self.gz = gG.w if gG.w.any() else None
-        self.mirror = gr._zop(g, dt * nu, "mirror")
-        self.zface = gr._zop(g, dt * nu, "zface")
+        # at_rest: the run starts from U = 0 exactly.  Without grad G it stays
+        # there, and the plan has no momentum half.
+        self.at_rest = at_rest and self.gx is None and self.gz is None
         c = dt * coeffs.kappa_bar / (scenario.rho_bar * coeffs.c_p)
         self.extrapolate = op = gr._zop(g, c, "extrapolate")
         self.unit = None
@@ -371,16 +374,21 @@ class _StepPlan:
             self.lam_unit_mean = lam * unit_mean
 
         nx, nz = g.nx, g.nz
+        self.extrapolate_work = op.workspace()
+        # x + dt F_eff (_explicit) and its lag term, per staggering.
+        self.data, self.lag = np.empty((nx, nz)), np.empty((nx, nz))
+        self.center = np.empty((nx, nz))
+        if self.at_rest:
+            return
+        self.mirror = gr._zop(g, dt * nu, "mirror")
+        self.zface = gr._zop(g, dt * nu, "zface")
         self.advect = gr._Advection(g)
         self.project = _Projection(g)  # with the pinned Poisson operator
         self.mirror_work = self.mirror.workspace()
         self.zface_work = self.zface.workspace()
-        self.extrapolate_work = op.workspace()
-        # x + dt F_eff (_explicit) and its lag term, per staggering.
         self.data_u, self.lag_u = np.empty((nx, nz)), np.empty((nx, nz))
         self.data_w, self.lag_w = np.empty((nx, nz + 1)), np.empty((nx, nz + 1))
         self.data_w_in = self.data_w[:, 1:-1]
-        self.data, self.lag = np.empty((nx, nz)), np.empty((nx, nz))
         # Centre arrays with their periodic previous row above them, and the
         # x-flux with its periodic next row below it.
         self.buoy_pad = np.empty((nx + 1, nz))
@@ -393,7 +401,6 @@ class _StepPlan:
         self.flux_z_in, self.flux_z_hi, self.flux_z_lo = self.flux_z[:, 1:-1], self.flux_z[:, 1:], self.flux_z[:, :-1]
         self.div_x, self.div_z = np.empty((nx, nz)), np.empty((nx, nz))
         self.pairs_z = np.empty((nx, nz - 1))
-        self.center = np.empty((nx, nz))
         self.face_z = np.empty((nx, nz + 1))
 
 
@@ -465,23 +472,11 @@ def _adiabatic_term(p, u, w):
     return out
 
 
-def _step(plan, u, w, temp, m, hist, source, walls):
-    """One step on raw arrays, unchecked: the state (u, w, temp) in the
-    plan's frame, m = mean(temp), hist the previous step's explicit
-    right-hand sides (None on a first step), source the scenario's
-    temp_source at the step's start (None without one) and walls the
-    Dirichlet (bottom, top) wall values at its end, as helmholtz_solve
-    takes them.
-
-    Returns (u, w, temp, Pi, hist) at the step's end, each a fresh array;
-    every other array the step writes is a work array of the plan.  No
-    input is modified.
-    """
-    p = plan
+def _momentum(p, u, w, temp, m, old_u, old_w):
+    """The momentum half of a step: AB2 advection and buoyancy, implicit
+    diffusion, projection.  Returns (u, w, Pi) at the step's end and the
+    explicit right-hand sides (F_u, F_w), each a fresh array."""
     gx, gz = p.gx, p.gz
-    old_u, old_w, old_A = (None, None, None) if hist is None else hist
-
-    # Momentum: AB2 advection and buoyancy, implicit diffusion, projection.
     # The wall rows of F_w are the advection's zeros.
     F_u, F_w = p.advect(u, w)
     if gx is not None or gz is not None:
@@ -503,12 +498,35 @@ def _step(plan, u, w, temp, m, hist, source, walls):
     _explicit(p, w, F_w, old_w, p.data_w, p.lag_w)
     p.zface.solve(p.data_w_in, out=project.w_in, work=p.zface_work)
     u_new, w_new, phi = project(p.dt)
+    return u_new, w_new, np.multiply(phi, p.rho_bar), F_u, F_w
 
-    # Scalar: AB2 advection (plus source), implicit diffusion under the
+
+def _step(plan, u, w, temp, m, hist, source, walls):
+    """One step on raw arrays, unchecked: the state (u, w, temp) in the
+    plan's frame, m = mean(temp), hist the previous step's explicit
+    right-hand sides (None on a first step), source the scenario's
+    temp_source at the step's start (None without one) and walls the
+    Dirichlet (bottom, top) wall values at its end, as helmholtz_solve
+    takes them.
+
+    Returns (u, w, temp, Pi, hist) at the step's end, each a fresh array;
+    every other array the step writes is a work array of the plan.  No
+    input is modified.  On an at-rest plan u, w and Pi are zeros, which
+    hist's first two entries share, and only the scalar half runs.
+    """
+    p = plan
+    old_u, old_w, old_A = (None, None, None) if hist is None else hist
+    if p.at_rest:
+        # U = 0 exactly: every momentum term and every scalar flux is zero.
+        u_new, w_new, Pi = np.zeros(u.shape), np.zeros(w.shape), np.zeros(temp.shape)
+        F_u, F_w, A = u_new, w_new, np.zeros(temp.shape)
+    else:
+        u_new, w_new, Pi, F_u, F_w = _momentum(p, u, w, temp, m, old_u, old_w)
+        A = _advect_scalar(p, u_new, w_new, temp)
+        if p.gx is not None or p.gz is not None:
+            A += _adiabatic_term(p, u_new, w_new)
+    # Scalar: AB2 advection plus source, implicit diffusion under the
     # Dirichlet walls at t + dt, then the closure of the mean.
-    A = _advect_scalar(p, u_new, w_new, temp)
-    if gx is not None or gz is not None:
-        A += _adiabatic_term(p, u_new, w_new)
     if source is not None:
         A += source
     data = _explicit(p, temp, A, old_A, p.data, p.lag)
@@ -519,7 +537,7 @@ def _step(plan, u, w, temp, m, hist, source, walls):
         else:
             q = -p.k * (gr._mean(temp_new) / p.denom)
         temp_new += np.multiply(p.unit, q, out=p.center)
-    return u_new, w_new, temp_new, np.multiply(phi, p.rho_bar), (F_u, F_w, A)
+    return u_new, w_new, temp_new, Pi, (F_u, F_w, A)
 
 
 def _require_compatible(state, scenario):
@@ -713,8 +731,9 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None):
     state = build_initial_ob(scenario, frame)
 
     g, tframe = scenario.grid, frame == T_FRAME
-    plan = _StepPlan(scenario, tframe, dt)
     u, w, temp, t, hist = state.U.u, state.U.w, state.temp.values, state.t, None
+    vmax = _vmax(u, w)
+    plan = _StepPlan(scenario, tframe, dt, at_rest=vmax == 0.0)
     m = mean(state.temp)
     times = [t]
     states = [state]  # a private copy, and the steps never write to their inputs
@@ -723,7 +742,6 @@ def run_ob(scenario, frame=T_FRAME, snapshot_dt=None):
     source = _source(scenario, t)
     walls_at = _wall_schedule(scenario)
     trace = _TraceRecorder(scenario, tframe, n_steps, temp, m, walls_at(t)[0], source)
-    vmax = _vmax(u, w)
     for n in range(1, n_steps + 1):
         _check_cfl(vmax, t, g, dt)
         walls, solve_walls = walls_at(t + dt)

@@ -122,6 +122,17 @@ def test_scenario_rejects_biased_potential() -> None:
         _scenario(g, G=ScalarField(g, np.ones((8, 8))))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_scenario_rejects_non_finite_potential(bad) -> None:
+    # Checked before the mean-free check, which would report an inf G as a
+    # biased one and let a NaN G through to fail late in the solver.
+    g = Grid(8, 8)
+    G = gravity_potential(g, 1.0)
+    G.values[3, 2] = bad
+    with pytest.raises(DomainError, match="^G must be finite$"):
+        _scenario(g, G=G)
+
+
 def test_build_initial_rejects_eps_too_large_for_deviations() -> None:
     g = Grid(8, 8)
     T0 = ScalarField(g, np.full((8, 8), -2.5))

@@ -77,6 +77,17 @@ def test_scenario_rejects_biased_potential() -> None:
         _scenario(g, G=ScalarField(g, np.ones((8, 8))))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_scenario_rejects_non_finite_potential(bad) -> None:
+    # Checked before the mean-free check, which would report an inf G as a
+    # biased one and let a NaN G through to fail late in the solver.
+    g = Grid(8, 8)
+    G = gravity_potential(g, 1.0)
+    G.values[3, 2] = bad
+    with pytest.raises(DomainError, match="^G must be finite$"):
+        _scenario(g, G=G)
+
+
 def test_ob_time_parameters_reject_nan_and_inf() -> None:
     g = Grid(8, 8)
     for bad in (float("nan"), float("inf"), 0.0):
@@ -983,3 +994,76 @@ def test_run_ob_snapshots_and_history_share_no_memory() -> None:
     for i, a in enumerate(arrays):
         for other in arrays[i + 1:]:
             assert not np.shares_memory(a, other)
+
+
+def _assert_run_is_the_step_ob_loop_bytewise(traj):
+    """A run_ob trajectory with a snapshot at every step against a hand loop
+    of step_ob, which always takes the full path: the bytes (so the sign of
+    each zero) of every field at every step and of every trace column.
+    Returns the final state."""
+    sc = traj.scenario
+    state = build_initial_ob(sc, traj.frame)
+    _, roll = _reference_trace_row(None, state, sc, sc.dt)
+    want_states, rows = [state], []
+    for _ in range(len(traj.trace)):
+        state = step_ob(state, sc, sc.dt)
+        row, roll = _reference_trace_row(roll, state, sc, sc.dt)
+        want_states.append(state)
+        rows.append(row)
+    assert traj.times == [s.t for s in want_states]
+    for got, want in zip(traj.states, want_states):
+        for a, b in zip(_fields(got), _fields(want)):
+            assert a.tobytes() == b.tobytes()
+    want_trace = np.array(rows).T
+    for k, name in enumerate(bll.ob.TRACE_COLUMNS):
+        assert np.ascontiguousarray(traj.trace[name]).tobytes() == want_trace[k].tobytes(), name
+    return traj.states[-1]
+
+
+def _velocity_operators(g):
+    """The wall closures of the z-operators cached on g that only the
+    momentum half builds."""
+    return {key[2] for key in g._zops} & {"mirror", "zface"}
+
+
+@pytest.mark.parametrize("source", [None, "x_varying"])
+@pytest.mark.parametrize("lam", [None, 0.0])
+@pytest.mark.parametrize("frame", [T_FRAME, THETA_FRAME])
+@pytest.mark.parametrize("shape", [(4, 32), (8, 12)])
+def test_run_ob_at_rest_is_the_step_ob_loop_bytewise(shape, frame, lam, source) -> None:
+    # With G = 0 and a zero projected start U stays exactly 0, so run_ob
+    # skips the momentum half and the scalar advection; step_ob does not.
+    # A moving x-varying wall and a source drive the temperature.
+    g = Grid(*shape)
+    wave = 1.0 + 0.3 * np.cos(2 * np.pi * g.x_centers)
+    sc = ObScenario(
+        grid=g, eos=EosParams(kappa0=0.2), theta_b_bottom=lambda t: 0.5 * t * wave, theta_b_top=0.0,
+        dt=2e-3, t_end=0.04, lambda_override=lam,
+        temp_source=None if source is None else (
+            lambda t, X, Z: 0.5 * np.cos(2 * np.pi * X) * np.sin(np.pi * Z) * (1.0 + t)
+        ),
+    )
+    traj = run_ob(sc, frame=frame, snapshot_dt=sc.dt)
+    assert _velocity_operators(g) == set()  # the run built no momentum half
+    final = _assert_run_is_the_step_ob_loop_bytewise(traj)
+    assert np.max(np.abs(final.temp.values)) > 1e-3
+    assert np.max(np.abs(final.U.u)) == np.max(np.abs(final.U.w)) == 0.0
+
+
+@pytest.mark.parametrize("frame", [T_FRAME, THETA_FRAME])
+@pytest.mark.parametrize("start", ["flowing_without_G", "still_under_gravity"])
+def test_run_ob_off_rest_takes_the_full_path(start, frame) -> None:
+    # Negative controls: a nonzero U0 without G, and gravity acting on an
+    # x-varying T0 from U0 = 0.  Both move, so neither run is at rest.
+    g = Grid(8, 12)
+    rng = np.random.default_rng(5)
+    T0 = ScalarField.from_function(g, lambda x, z: 0.3 * np.sin(np.pi * z) ** 2 * np.cos(2 * np.pi * x))
+    if start == "flowing_without_G":
+        kw = dict(U0=VectorField(g, 0.1 * rng.standard_normal((8, 12)), 0.1 * rng.standard_normal((8, 13))))
+    else:
+        kw = dict(G=gravity_potential(g, 1.5), T0=T0)
+    sc = ObScenario(grid=g, eos=EosParams(kappa0=0.2), theta_b_bottom=lambda t: 0.5 * t, dt=2e-3, t_end=0.04, **kw)
+    traj = run_ob(sc, frame=frame, snapshot_dt=sc.dt)
+    assert _velocity_operators(g) == {"mirror", "zface"}
+    final = _assert_run_is_the_step_ob_loop_bytewise(traj)
+    assert np.max(np.abs(final.U.u)) > 0.0
