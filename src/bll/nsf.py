@@ -37,7 +37,10 @@ stage forms no gas-model formula of its own.  Each stage starts the Newton
 recovery of theta from rho*e at the previous stage's theta, and forms the
 cbrt of its density once: the recovery's cold floor hands it to the
 _thermo that follows.  A run binds one grid._Advection (step_nsf one per
-call), whose work arrays serve every stage.
+call), whose work arrays serve every stage.  An exactly x-invariant run
+(_x_strip) steps a 4-column strip and tiles its log rows and snapshots back
+to full width, bit for bit the full-width run (nsf-radiation 1.00 -> 0.52
+ms/step, BENCH_29.json).
 
 The stage kernel _rhs is written for the number of array passes.  Interior
 z-face quantities live in grid's z-face layout (column k holds face k,
@@ -56,9 +59,10 @@ scipy is imported only by the continuum oracle hydrostatic_stationary_1d.
 
 from __future__ import annotations
 
+import copy
 import time
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -865,8 +869,11 @@ def ballistic_energy(state, scenario, theta_tilde=None):
     return _log_row(state, scenario, _rho_e(rho, th, scenario.eos), vals, 0.0)[2]
 
 
-def _log_row(state, scenario, E, theta_tilde, dt):
-    """The LOG_COLUMNS row of state, reached by a step dt; E is rho*e of the state."""
+def _log_row(state, scenario, E, theta_tilde, dt, nx=None):
+    """The LOG_COLUMNS row of state, reached by a step dt; E is rho*e of the
+    state.  nx, when given, is the full width of a state on an x-invariant
+    strip: its row 0 is tiled to nx rows before the full-width theta_tilde
+    term and the sums, which then see the bytes of the full-width run."""
     cv = scenario.grid.cell_volume
     rho = state.rho.values
     u, w = state.U.u, state.U.w
@@ -877,11 +884,56 @@ def _log_row(state, scenario, E, theta_tilde, dt):
     dens *= kin
     dens *= state.eps ** 2
     dens += E
+    if nx is not None:
+        rho, s, dens = (np.repeat(a[:1], nx, axis=0) for a in (rho, s, dens))
     bound = theta_tilde * rho
     bound *= s
     dens -= bound
     s *= rho
     return state.t, float(np.sum(rho)) * cv, float(np.sum(dens)) * cv, float(np.sum(s)) * cv, dt
+
+
+# The _NsfAux fields that hold one row per x-column; the others are z-profiles
+# and scalars, which a strip shares.
+_X_ROWS = ("wall_b", "wall_t", "kap_b2", "kap_t2", "rho_hat_xz", "rho_hat_f_xz",
+           "p_hat_xz", "E_hat_xz", "dGz_eps", "corner_b", "mu_corner_t")
+
+
+def _rows_equal(a):
+    """Whether every row of a (every entry of a 1-d a) is bytewise equal to
+    the first: -0.0 differs from +0.0."""
+    bits = a.view(np.uint64)
+    return bool((bits == bits[:1]).all())
+
+
+def _x_strip(scenario, state):
+    """(scenario, state, nx): both cut to a 4-column strip, and the full
+    width nx, when the run is x-invariant, else unchanged with nx None.  The
+    run is x-invariant when nx > 4 and every row of G, of the initial rho,
+    theta, u and w, and of the wall arrays is bytewise row 0.  The scheme
+    then keeps every row bytewise equal: an x-difference of equal neighbours
+    is +0.0, an x-average is the neighbours' value, and max, min and the
+    Newton stop test see the same values on the strip.  The strip scenario
+    is a copy with a grid of the same dx and dz and a reference that keeps
+    the first 4 rows of each x-row field; only the stepping reads it."""
+    g, aux = scenario.grid, scenario.reference()
+    fields = (state.rho.values, state.theta.values, state.U.u, state.U.w)
+    if g.nx <= 4 or not all(map(_rows_equal, (scenario.G.values, aux.wall_b, aux.wall_t) + fields)):
+        return scenario, state, None
+    strip = copy.copy(scenario)
+    strip.grid = sg = Grid(4, g.nz, 4 * g.dx)
+    strip._aux = replace(aux, **{name: getattr(aux, name)[:4] for name in _X_ROWS})
+    rho, th, u, w = (a[:4] for a in fields)
+    cut = _checked_state(ScalarField(sg, rho), ScalarField(sg, th), VectorField(sg, u, w), state.t, state.eps)
+    return strip, cut, g.nx
+
+
+def _widened(state, grid):
+    """A copy of state, on an x-invariant strip, with row 0 tiled to grid."""
+    rho, th, u, w = (
+        np.repeat(a[:1], grid.nx, axis=0) for a in (state.rho.values, state.theta.values, state.U.u, state.U.w)
+    )
+    return _checked_state(ScalarField(grid, rho), ScalarField(grid, th), VectorField(grid, u, w), state.t, state.eps)
 
 
 def run_nsf(scenario, snapshot_dt=None, initial=None):
@@ -902,27 +954,30 @@ def run_nsf(scenario, snapshot_dt=None, initial=None):
     theta_tilde = _theta_tilde(scenario, None)
     t_end = scenario.t_end
 
-    tf = _thermo(state.rho.values, state.theta.values, scenario.eos)
     times = [state.t]
     states = [state.copy()]
-    rows = [_log_row(state, scenario, tf.E, theta_tilde, 0.0)]
+    # An x-invariant run steps a 4-column strip; its log rows and snapshots
+    # are widened to the caller's grid (nx is None on the full path).
+    run, state, nx = _x_strip(scenario, state)
+    tf = _thermo(state.rho.values, state.theta.values, run.eos)
+    rows = [_log_row(state, run, tf.E, theta_tilde, 0.0, nx)]
     next_snap = snapshot_dt if snapshot_dt is not None else np.inf
-    advect = gr._Advection(scenario.grid)
+    advect = gr._Advection(run.grid)
     started = time.perf_counter()
     steps = 0
     while state.t < t_end - 1e-12:
-        bound = _cfl_bound(state, scenario, tf)
+        bound = _cfl_bound(state, run, tf)
         dt = min(bound, min(next_snap, t_end) - state.t)
         if dt <= 1e-14:
             raise StabilityError(f"time step collapsed at t={state.t:.4g}")
-        state, rho_powers = _step(state, scenario, dt, tf, bound, advect)
-        tf = _thermo(state.rho.values, state.theta.values, scenario.eos, rho_powers)
+        state, rho_powers = _step(state, run, dt, tf, bound, advect)
+        tf = _thermo(state.rho.values, state.theta.values, run.eos, rho_powers)
         steps += 1
-        rows.append(_log_row(state, scenario, tf.E, theta_tilde, dt))
+        rows.append(_log_row(state, run, tf.E, theta_tilde, dt, nx))
         at_snap = state.t >= next_snap - 1e-12
         if at_snap or state.t >= t_end - 1e-12:
             times.append(state.t)
-            states.append(state.copy())
+            states.append(state.copy() if nx is None else _widened(state, scenario.grid))
             if at_snap:
                 next_snap += snapshot_dt
     log = np.rec.fromrecords(rows, names=LOG_COLUMNS)

@@ -270,9 +270,9 @@ def transform_frame(state, scenario):
 
 
 def build_initial_ob(scenario, frame=T_FRAME):
-    """Project U0 to the discrete divergence-free space and check that the
-    initial temperature trace matches Theta_B (to discretization order);
-    the state is in the given frame."""
+    """Project U0 to the discrete divergence-free space (no U0 starts at
+    rest, unprojected) and check that the initial temperature trace matches
+    Theta_B (to discretization order); the state is in the given frame."""
     if frame not in (T_FRAME, THETA_FRAME):
         raise ShapeError(f"unknown frame {frame!r}")
     g = scenario.grid
@@ -286,10 +286,13 @@ def build_initial_ob(scenario, frame=T_FRAME):
         raise CompatibilityError(
             f"initial temperature trace deviates from Theta_B by {mismatch:.3e} (tol {tol:.3e})"
         )
-    project = _Projection(g)
-    project.u[...] = U0.u
-    project.w_in[...] = U0.w[:, 1:-1]
-    u, w, _ = project(1.0)
+    if scenario.U0 is None:  # projected zeros are +0.0 zeros: build no projection
+        u, w = U0.u, U0.w
+    else:
+        project = _Projection(g)
+        project.u[...] = U0.u
+        project.w_in[...] = U0.w[:, 1:-1]
+        u, w, _ = project(1.0)
     state = ObState(VectorField(g, u, w), T0.copy(), ScalarField.zeros(g), 0.0, T_FRAME, None)
     if frame == THETA_FRAME:
         state = transform_frame(state, scenario)

@@ -1307,3 +1307,96 @@ def test_entry_points_reject_a_state_of_another_scenario(name, call) -> None:
     other_grid = build_initial_nsf(_scenario(Grid(8, 8)))
     with pytest.raises(ShapeError, match=r"nx=8, nz=8.*nx=16, nz=8"):
         call(other_grid, sc)
+
+
+def _step_loop(sc, snapshot_dt):
+    """run_nsf's log rows and snapshots, formed at full width by the public
+    step_nsf, cfl_dt and ballistic_energy with run_nsf's step clamping."""
+    g, eos = sc.grid, sc.eos
+    theta_tilde = laplace_dirichlet(g, *sc.wall_theta())
+
+    def row(s, dt):
+        rho = s.rho.values
+        s_int = float(np.sum(rho * entropy(rho, s.theta.values, eos))) * g.cell_volume
+        return (s.t, float(np.sum(rho)) * g.cell_volume, ballistic_energy(s, sc, theta_tilde), s_int, dt)
+
+    state = build_initial_nsf(sc)
+    rows, states, next_snap = [row(state, 0.0)], [state], snapshot_dt
+    while state.t < sc.t_end - 1e-12:
+        dt = min(cfl_dt(state, sc), min(next_snap, sc.t_end) - state.t)
+        state = step_nsf(state, sc, dt)
+        rows.append(row(state, dt))
+        at_snap = state.t >= next_snap - 1e-12
+        if at_snap or state.t >= sc.t_end - 1e-12:
+            states.append(state)
+            next_snap += snapshot_dt if at_snap else 0.0
+    return np.array(rows), states
+
+
+def _assert_run_is_the_step_loop_bytewise(sc, monkeypatch):
+    """Run sc through run_nsf and compare every log column and every
+    snapshot's fields bytewise with _step_loop; returns the widths of the
+    states that run_nsf stepped."""
+    widths = set()
+    step = nsf._step
+    monkeypatch.setattr(nsf, "_step", lambda state, *args: widths.add(state.rho.values.shape[0]) or step(state, *args))
+    traj = run_nsf(sc, snapshot_dt=0.005)
+    monkeypatch.undo()
+    rows, states = _step_loop(sc, 0.005)
+    assert traj.steps == len(rows) - 1 > 5 and traj.scenario is sc
+    for k, name in enumerate(nsf.LOG_COLUMNS):
+        assert traj.log[name].tobytes() == rows[:, k].tobytes()
+    assert traj.times == [s.t for s in states] and len(states) == 5
+    for a, b in zip(traj.states, states):
+        assert a.rho.grid == a.U.grid == sc.grid
+        for x, y in ((a.rho.values, b.rho.values), (a.theta.values, b.theta.values), (a.U.u, b.U.u), (a.U.w, b.U.w)):
+            assert x.tobytes() == y.tobytes()
+    return widths
+
+
+def _column_scenario(g, eos, **kw):
+    """The criterion-7/8 column, gravity, walls 0.2 / -0.2 and T0 linear in
+    z, with kw replacing any of them."""
+    Z = g.cell_mesh()[1]
+    column = dict(
+        G=gravity_potential(g, 1.0), theta_b_bottom=0.2, theta_b_top=-0.2, T0=ScalarField(g, 0.2 * (1 - 2 * Z))
+    )
+    return _scenario(g, eos=eos, t_end=0.02, **(column | kw))
+
+
+@pytest.mark.parametrize("start", ["rest", "shear"])
+@pytest.mark.parametrize("nx", [16, 6])
+@pytest.mark.parametrize("eos", [IDEAL, EosParams(p_inf=1.0, a=1.0)], ids=["ideal", "radiation"])
+def test_x_invariant_run_steps_a_strip_bytewise(eos, nx, start, monkeypatch) -> None:
+    # An x-invariant run steps 4 columns and tiles them back: its log and
+    # snapshots are the full-width step loop's, byte for byte.  6 is an nx
+    # that 4 does not divide; the shear start has a z-varying u.
+    g = Grid(nx, 8)
+    kw = {}
+    if start == "shear":
+        z = g.z_centers
+        w = np.zeros((nx, 9))
+        w[:, 1:-1] = 0.02 * np.sin(np.pi * g.z_faces[1:-1])
+        kw["U0"] = VectorField(g, np.tile(0.1 * np.sin(np.pi * z) * (1 - z), (nx, 1)), w)
+    assert _assert_run_is_the_step_loop_bytewise(_column_scenario(g, eos, **kw), monkeypatch) == {4}
+
+
+def _x_varying(g, case):
+    """Scenario keywords that break x-invariance in one place."""
+    X, Z = g.cell_mesh()
+    if case == "T0":
+        return {"T0": ScalarField(g, 0.2 * (1 - 2 * Z) + 0.05 * np.cos(2 * np.pi * X) * Z * (1 - Z))}
+    if case == "wall":
+        return {"theta_b_bottom": 0.2 + 0.05 * np.cos(2 * np.pi * g.x_centers)}
+    u = np.zeros((g.nx, g.nz))
+    u[3, 2] = -0.0  # one negative zero in a single column
+    return {"U0": VectorField(g, u, np.zeros((g.nx, g.nz + 1)))}
+
+
+@pytest.mark.parametrize("case", ["T0", "wall", "negative_zero"])
+def test_x_varying_run_takes_the_full_path_bytewise(case, monkeypatch) -> None:
+    # Negative controls: each breaks x-invariance in one place, so the run
+    # steps the full width, and still equals the step loop byte for byte.
+    g = Grid(16, 8)
+    sc = _column_scenario(g, IDEAL, **_x_varying(g, case))
+    assert _assert_run_is_the_step_loop_bytewise(sc, monkeypatch) == {16}

@@ -1067,3 +1067,19 @@ def test_run_ob_off_rest_takes_the_full_path(start, frame) -> None:
     assert _velocity_operators(g) == {"mirror", "zface"}
     final = _assert_run_is_the_step_ob_loop_bytewise(traj)
     assert np.max(np.abs(final.U.u)) > 0.0
+
+
+@pytest.mark.parametrize("frame", [T_FRAME, THETA_FRAME])
+def test_run_ob_at_rest_builds_no_projection(frame) -> None:
+    # Without U0 the start is the +0.0 zeros that projecting zeros gives, so
+    # no _Projection is built and no pinned Poisson operator is cached.
+    g = Grid(8, 12)
+    sc = ObScenario(grid=g, eos=EosParams(kappa0=0.2), theta_b_bottom=lambda t: 0.5 * t, dt=2e-3, t_end=0.01)
+    run_ob(sc, frame=frame)
+    assert {key[2] for key in g._zops} & {"pinned", "mirror", "zface"} == set()
+    start = build_initial_ob(sc, frame)
+    zeros = ObScenario(grid=g, eos=sc.eos, theta_b_bottom=sc.theta_b_bottom, U0=VectorField.zeros(g))
+    projected = build_initial_ob(zeros, frame)
+    assert "pinned" in {key[2] for key in g._zops}  # the explicit zeros were projected
+    for a, b in ((start.U.u, projected.U.u), (start.U.w, projected.U.w)):
+        assert a.tobytes() == b.tobytes()
