@@ -255,14 +255,24 @@ def deviation_error_norms(nsf_traj, ob_traj):
     (theta-theta_bar)/eps - T, and face L2 of sqrt(rho) u - sqrt(rho_bar) U.
 
     eps is the compressible run's and the limit scenario the target's.
-    Snapshot cadences must agree exactly (no time interpolation); r is
+    The two must share the grid, rho_bar, theta_bar, eos and G, and their
+    snapshot cadences must agree exactly (no time interpolation); r is
     recovered from the target temperature by the linearized balance.
     """
-    scenario = ob_traj.scenario
-    eps = nsf_traj.scenario.eps
+    scenario, nsf_sc = ob_traj.scenario, nsf_traj.scenario
+    eps = nsf_sc.eps
     g = scenario.grid
-    if nsf_traj.scenario.grid != g:
+    if nsf_sc.grid != g:
         raise AlignmentError("trajectories must share one grid")
+    for name in ("rho_bar", "theta_bar", "eos"):
+        if getattr(nsf_sc, name) != getattr(scenario, name):
+            raise AlignmentError(
+                f"{name} differs: {getattr(nsf_sc, name)!r} in the compressible run, "
+                f"{getattr(scenario, name)!r} in the target"
+            )
+    if not np.array_equal(nsf_sc.G.values, scenario.G.values):
+        gap = float(np.max(np.abs(nsf_sc.G.values - scenario.G.values)))
+        raise AlignmentError(f"G differs between the compressible run and the target by up to {gap:.3e}")
     ts_n, ts_o = nsf_traj.times, ob_traj.times
     if len(ts_n) != len(ts_o):
         raise AlignmentError(
@@ -273,8 +283,7 @@ def deviation_error_norms(nsf_traj, ob_traj):
     if max(gaps) > tol:
         raise AlignmentError(f"snapshot times differ by up to {max(gaps):.3e}")
 
-    rho_bar = scenario.rho_bar
-    theta_bar = nsf_traj.scenario.theta_bar
+    rho_bar, theta_bar = scenario.rho_bar, scenario.theta_bar
     vol = g.cell_volume
     sr_bar = np.sqrt(rho_bar)
     err_rho = err_theta = err_mom = 0.0

@@ -28,23 +28,28 @@ profiles, and the scheme reduces to the plain form.
 
 Validation runs at the public entry points, which also reject a state built
 on another grid (ShapeError) or at another eps (CompatibilityError), and in
-the positivity guard after every stage (one min and one max per array).  A
-run evaluates each state's thermodynamics once and shares it between the log
-row, the CFL bound (evaluated once per step) and the next step's first
-stage: rho*e is thermo's _rho_e and p, c^2 and e_theta its _closure, both on
-one _powers (one cbrt and products of theta, no fractional power), so the
-stage forms no gas-model formula of its own.  Each stage starts the Newton
-recovery of theta from rho*e at the previous stage's theta, and forms the
-cbrt of its density once: the recovery's cold floor hands it to the
-_thermo that follows.  A run binds one grid._Advection (step_nsf one per
-call), whose work arrays serve every stage.  An exactly x-invariant run
-(_x_strip) steps a 4-column strip and tiles its log rows and snapshots back
-to full width, bit for bit the full-width run (nsf-radiation 1.00 -> 0.52
-ms/step, BENCH_29.json).
+the positivity guard after every stage (one min and one max per array).
+run_nsf steps raw arrays x = (rho, theta, u, w) through the kernels _step,
+_cfl_bound and _log_row and builds an NsfState only for a snapshot; step_nsf,
+cfl_dt and ballistic_energy unpack their validated state once and call the
+same kernels.  A run evaluates each state's thermodynamics once and shares
+it between the log row, the CFL bound (once per step) and the next step's
+first stage: rho*e is thermo's _rho_e and p, c^2 and e_theta its _closure,
+both on one _powers (one cbrt and products of theta), so the stage forms no
+gas-model formula of its own.  Each stage starts the Newton recovery of
+theta at the previous stage's theta and forms the cbrt of its density once,
+for the recovery's cold floor and the _thermo that follows.  A run binds one
+grid._Advection (step_nsf one per call).  An exactly x-invariant run
+(_x_strip) steps x and the reference cut to 4 columns under the caller's
+scenario, and tiles its log rows and snapshots back to full width, bit for
+bit the full-width run.
 
-The stage kernel _rhs is written for the number of array passes.  Interior
-z-face quantities live in grid's z-face layout (column k holds face k,
-column 0 the bottom wall face, the top wall face a separate (nx,) row), so
+The stage kernel _rhs is written for the number of array passes.  One
+routine, _face_fluxes, forms the face fluxes of both directions on their
+neighbour-pair stencils (_xfaces, periodic, and _zfaces), and one
+_divergence turns them into rates.  Interior z-face quantities live in
+grid's z-face layout (column k holds face k, column 0 the bottom wall face,
+the top wall face a separate (nx,) row), so
 every z-neighbour stencil is one flat pass over the C-contiguous buffer
 (_zfaces, _zcenters), its spare entries finite neighbour pairs; a temporary
 with no other reader is updated in place, as are the stage updates of
@@ -59,7 +64,6 @@ scipy is imported only by the continuum oracle hydrostatic_stationary_1d.
 
 from __future__ import annotations
 
-import copy
 import time
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -202,21 +206,17 @@ class NsfState:
         return NsfState(self.rho.copy(), self.theta.copy(), self.U.copy(), self.t, self.eps)
 
 
-def _require_compatible(state, scenario):
-    """Raise ShapeError unless every field of state lives on scenario's grid,
-    and CompatibilityError unless state was built at scenario's eps."""
+def _fields(state, scenario):
+    """x = (rho, theta, u, w) of state; ShapeError unless every field lives
+    on scenario's grid, CompatibilityError unless state was built at
+    scenario's eps, DomainError unless rho and theta are finite and > 0."""
     gr._require_grid(scenario.grid, (state.rho, state.theta, state.U))
     if state.eps != scenario.eps:
         raise CompatibilityError(
             f"state eps={state.eps!r} does not match the scenario eps={scenario.eps!r}"
         )
-
-
-def _checked_state(rho, theta, U, t, eps):
-    """An NsfState whose rho and theta _theta_of has just checked; skips __post_init__."""
-    state = object.__new__(NsfState)
-    state.rho, state.theta, state.U, state.t, state.eps = rho, theta, U, t, eps
-    return state
+    rho, th = _check_state(state.rho.values, state.theta.values)
+    return rho, th, state.U.u, state.U.w
 
 
 # Columns of run_nsf's per-step log: time, total mass, ballistic energy, the
@@ -560,6 +560,57 @@ def _rusanov(central, half_u, j_ac, j):
     return central
 
 
+def _xfaces(ufunc, a):
+    """ufunc(a[i], a[i-1]) of a center array a at the x-faces along the
+    periodic x axis: face i sits between centers i-1 and i."""
+    out = gr._xprev(a)
+    ufunc(a, out, out=out)
+    return out
+
+
+def _face_fluxes(faces, vel, rho, th, tf, devs, spec_h, aux, eos, inv_d):
+    """(rho_f, jp, Fm, FE, th_sum) at one direction's faces, of stencil faces
+    (_xfaces or _zfaces) and normal velocity vel: face density, jump of the
+    pressure deviation (devs: p, rho, rho e minus the reference), mass flux,
+    energy flux (Rusanov plus Fourier) and the neighbours' theta sum.
+    Dissipation at |vel| + c/eps on the acoustic jump jp/c^2 and at |vel| on
+    the rest of the jump j is, exactly, (c/(2 eps)) jp/c^2 + (|vel|/2) j."""
+    rho_f = faces(np.add, rho)
+    rho_f *= 0.5
+    jp, jr, jE = (faces(np.subtract, d) for d in devs)
+    half_v = np.abs(vel)
+    half_v *= 0.5
+    c_f = faces(np.add, tf.c2)
+    c_f *= 0.5
+    np.sqrt(c_f, out=c_f)
+    jr_ac = np.divide(jp, c_f, out=c_f)
+    jr_ac *= aux.half_inv_eps
+    jE_ac = faces(np.add, spec_h)
+    jE_ac *= 0.5
+    jE_ac *= jr_ac
+    Fm = _rusanov(vel * rho_f, half_v, jr_ac, jr)
+    FE = faces(np.add, tf.E)
+    FE *= 0.5
+    FE *= vel
+    _rusanov(FE, half_v, jE_ac, jE)
+    th_sum = faces(np.add, th)
+    cond = _kappa(0.5 * th_sum, eos, inv_d)
+    cond *= faces(np.subtract, th)
+    FE -= cond
+    return rho_f, jp, Fm, FE, th_sum
+
+
+def _divergence(Fx, Fz, top, aux):
+    """-div F at the centers of x-face fluxes Fx and z-face-layout fluxes Fz
+    whose top wall face is the (nx,) row (or scalar) top."""
+    d = gr._xdiff_next(Fx)
+    d *= aux.div_x
+    div_z = _zcenters(np.subtract, Fz, top)
+    div_z *= aux.div_z
+    d += div_z
+    return d
+
+
 def _rhs(rho, th, u, w, scenario, aux, tf, advect):
     """Semi-discrete right-hand side for (rho, rho e, u, w); tf is the
     _Thermo of (rho, th) and advect the run's grid._Advection.  Every other
@@ -567,43 +618,25 @@ def _rhs(rho, th, u, w, scenario, aux, tf, advect):
     reader; no input is written."""
     eos = scenario.eos
     inv_dx, inv_dz = aux.inv_dx, aux.inv_dz
-    E, p, c2, mu, eta = tf.E, tf.p, tf.c2, tf.mu, tf.eta
+    E, p, mu, eta = tf.E, tf.p, tf.mu, tf.eta
     spec_h = E + p
     spec_h /= rho
+    devs = (p - aux.p_hat_xz, rho - aux.rho_hat_xz, E - aux.E_hat_xz)
 
-    dp = p - aux.p_hat_xz
-    dr = rho - aux.rho_hat_xz
-    dE = E - aux.E_hat_xz
-
-    # x faces: face i sits between centers i-1 and i.  Dissipation at |u| +
-    # c/eps on the acoustic jump jp/c^2 and at |u| on the rest of the jump
-    # j is, in exact arithmetic, (c/(2 eps)) jp/c^2 + (|u|/2) j.
-    th_l = gr._xprev(th)
-    th_pairs = th + th_l  # x-pairs summed once, for the faces and the corners
-    rho_fx = center_to_xface(rho)
-    jp_x = gr._xdiff_prev(dp)
-    jr_x = gr._xdiff_prev(dr)
-    jE_x = gr._xdiff_prev(dE)
-    half_u = np.abs(u)
-    half_u *= 0.5
-    c_fx = center_to_xface(c2)
-    np.sqrt(c_fx, out=c_fx)
-    jr_ac = np.divide(jp_x, c_fx, out=c_fx)
-    jr_ac *= aux.half_inv_eps
-    jE_ac = center_to_xface(spec_h)
-    jE_ac *= jr_ac
-    Fm_x = _rusanov(u * rho_fx, half_u, jr_ac, jr_x)
-    FE_x = center_to_xface(E)
-    FE_x *= u
-    _rusanov(FE_x, half_u, jE_ac, jE_x)
-    cond = _kappa(0.5 * th_pairs, eos, inv_dx)
-    cond *= np.subtract(th, th_l, out=th_l)
-    FE_x -= cond
-
-    # z faces in the z-face layout: column k holds face k (1..nz-1, between
-    # centers k-1 and k), column 0 the bottom wall face; the top wall face
-    # is a separate (nx,) row.
+    # z faces in the z-face layout (column 0 the bottom wall face, the top
+    # one a separate row); the x-pairs of theta serve the corners too.
     wf = w[:, :-1].copy()
+    rho_fx, jp_x, Fm_x, FE_x, th_pairs = _face_fluxes(_xfaces, u, rho, th, tf, devs, spec_h, aux, eos, inv_dx)
+    rho_fz, jp_z, Fm_z, FE_z, _ = _face_fluxes(_zfaces, wf, rho, th, tf, devs, spec_h, aux, eos, inv_dz)
+    Fm_z[:, 0] = 0.0  # no mass flux through the walls
+    # Wall faces: Fourier flux against the Dirichlet wall value.
+    np.subtract(th[:, 0], aux.wall_b, out=FE_z[:, 0])
+    FE_z[:, 0] *= aux.kap_b2
+    FE_top = aux.wall_t - th[:, -1]
+    FE_top *= aux.kap_t2
+    d_rho = _divergence(Fm_x, Fm_z, 0.0, aux)
+    d_E = _divergence(FE_x, FE_z, FE_top, aux)
+
     Dzz = _zcenters(np.subtract, wf, w[:, -1])
     Dzz *= inv_dz
     # Shear at the corners; the top wall corners are their own row.
@@ -617,49 +650,6 @@ def _rhs(rho, th, u, w, scenario, aux, tf, advect):
     shear_x = gr._xdiff_prev(w[:, -1])
     shear_x *= inv_dx
     shear_top += shear_x
-
-    rho_fz = _zfaces(np.add, rho)
-    rho_fz *= 0.5
-    jp_z = _zfaces(np.subtract, dp)
-    jr_z = _zfaces(np.subtract, dr)
-    jE_z = _zfaces(np.subtract, dE)
-    c_fz = _zfaces(np.add, c2)
-    c_fz *= 0.5
-    np.sqrt(c_fz, out=c_fz)
-    jr_ac_z = np.divide(jp_z, c_fz, out=c_fz)
-    jr_ac_z *= aux.half_inv_eps
-    jE_ac_z = _zfaces(np.add, spec_h)
-    jE_ac_z *= 0.5
-    jE_ac_z *= jr_ac_z
-    Fm_z = wf * rho_fz
-    wf *= 0.5
-    half_w = np.abs(wf)
-    _rusanov(Fm_z, half_w, jr_ac_z, jr_z)
-    Fm_z[:, 0] = 0.0  # no mass flux through the walls
-    FE_z = _zfaces(np.add, E)
-    FE_z *= wf
-    _rusanov(FE_z, half_w, jE_ac_z, jE_z)
-    th_fz = _zfaces(np.add, th)
-    th_fz *= 0.5
-    cond = _kappa(th_fz, eos, inv_dz)
-    cond *= _zfaces(np.subtract, th)
-    FE_z -= cond
-    # Wall faces: Fourier flux against the Dirichlet wall value.
-    np.subtract(th[:, 0], aux.wall_b, out=FE_z[:, 0])
-    FE_z[:, 0] *= aux.kap_b2
-    FE_top = aux.wall_t - th[:, -1]
-    FE_top *= aux.kap_t2
-
-    d_rho = gr._xdiff_next(Fm_x)
-    d_rho *= aux.div_x
-    div_z = _zcenters(np.subtract, Fm_z, 0.0)
-    div_z *= aux.div_z
-    d_rho += div_z
-    d_E = gr._xdiff_next(FE_x)
-    d_E *= aux.div_x
-    div_z = _zcenters(np.subtract, FE_z, FE_top)
-    div_z *= aux.div_z
-    d_E += div_z
 
     # Newton stress in d = 2: S = mu (grad U + grad U^T - div U I) + eta div U I.
     adv_u, adv_w = advect(u, w)
@@ -748,13 +738,12 @@ def _theta_of(rho, E, t, scenario, theta_guess, rho_powers):
     return th
 
 
-def _cfl_bound(state, scenario, tf):
+def _cfl_bound(x, scenario, aux, tf):
     """cfl / max of (|u| + c/eps)/dx + (|w| + c/eps)/dz + 2 max(2 mu + eta,
-    kappa/e_theta) / rho (1/dx^2 + 1/dz^2) over the centres: c/eps summed
-    over both directions once, and the diffusive max halved inside and
-    doubled in the constant."""
-    aux = scenario.reference()
-    u, w = state.U.u, state.U.w
+    kappa/e_theta) / rho (1/dx^2 + 1/dz^2) over the centres of x = (rho,
+    theta, u, w): c/eps summed over both directions once, and the diffusive
+    max halved inside and doubled in the constant."""
+    rho, th, u, w = x
     rate = np.sqrt(tf.c2)
     rate *= aux.cfl_acoustic
     adv = gr._xnext(u)
@@ -766,11 +755,11 @@ def _cfl_bound(state, scenario, tf):
     np.abs(adv, out=adv)
     adv *= 0.5 * aux.inv_dz
     rate += adv
-    kappa = _kappa(state.theta.values, scenario.eos, 0.5)
+    kappa = _kappa(th, scenario.eos, 0.5)
     kappa /= tf.e_theta
     visc = tf.mu if tf.eta is None else tf.mu + 0.5 * tf.eta
     diff = np.maximum(visc, kappa, out=kappa)
-    diff /= state.rho.values
+    diff /= rho
     diff *= aux.cfl_diffusive
     rate += diff
     return scenario.cfl / float(np.max(rate))
@@ -780,25 +769,21 @@ def cfl_dt(state, scenario):
     """Largest stable step at this state: acoustic/advective transport rates
     plus explicit-diffusion rates, scaled by the scenario safety factor.
     Validates the state; run_nsf evaluates the same bound once per step."""
-    _require_compatible(state, scenario)
-    rho, th = _check_state(state.rho.values, state.theta.values)
-    return _cfl_bound(state, scenario, _thermo(rho, th, scenario.eos))
+    x = _fields(state, scenario)
+    return _cfl_bound(x, scenario, scenario.reference(), _thermo(x[0], x[1], scenario.eos))
 
 
-def _step(state, scenario, dt, tf, bound, advect):
-    """SSP-RK2 step from a state whose _Thermo is tf and CFL bound is
-    bound; advect is the run's grid._Advection.  Returns the new state and
-    _rho_powers of its density (None when p_inf == 0), formed once for the
-    theta recovery and the next _thermo."""
+def _step(x, t, dt, scenario, aux, tf, bound, advect):
+    """SSP-RK2 step of size dt from x = (rho, theta, u, w) at time t, with
+    _Thermo tf, CFL bound bound, reference aux and the run's _Advection.
+    Returns the new x and _rho_powers of its density (None when p_inf == 0),
+    formed once for the theta recovery and the next _thermo."""
     if dt > bound * (1.0 + 1e-12):
         raise StabilityError(
-            f"dt={dt:.3e} rejected at t={state.t:.4g}: stability bound {bound:.3e}; "
+            f"dt={dt:.3e} rejected at t={t:.4g}: stability bound {bound:.3e}; "
             f"retry with dt <= {bound:.3e}"
         )
-    aux = scenario.reference()
-    g = scenario.grid
-    r0, th0 = state.rho.values, state.theta.values
-    u0, w0 = state.U.u, state.U.w
+    r0, th0, u0, w0 = x
 
     # The stages finish in the fresh rates: x0 + dt k, then
     # 0.5 ((x0 + x1) + dt k) in the first stage's arrays.
@@ -810,7 +795,7 @@ def _step(state, scenario, dt, tf, bound, advect):
     r1, E1, u1, w1 = stage1
     eos = scenario.eos
     rp1 = _rho_powers(r1) if eos.p_inf else None
-    th1 = _theta_of(r1, E1, state.t + dt, scenario, th0, rp1)
+    th1 = _theta_of(r1, E1, t + dt, scenario, th0, rp1)
 
     rates = _rhs(r1, th1, u1, w1, scenario, aux, _thermo(r1, th1, eos, rp1), advect)
     for x0, x1, k in zip(stage0, stage1, rates):
@@ -820,9 +805,7 @@ def _step(state, scenario, dt, tf, bound, advect):
         x1 *= 0.5
     r2, E2, u2, w2 = stage1
     rp2 = _rho_powers(r2) if eos.p_inf else None
-    th2 = _theta_of(r2, E2, state.t + dt, scenario, th1, rp2)
-    new = _checked_state(ScalarField(g, r2), ScalarField(g, th2), VectorField(g, u2, w2), state.t + dt, state.eps)
-    return new, rp2
+    return (r2, _theta_of(r2, E2, t + dt, scenario, th1, rp2), u2, w2), rp2
 
 
 def step_nsf(state, scenario, dt):
@@ -833,10 +816,11 @@ def step_nsf(state, scenario, dt):
     error when a stage loses positivity.
     """
     require_positive(dt, "dt")
-    _require_compatible(state, scenario)
-    rho, th = _check_state(state.rho.values, state.theta.values)
-    tf = _thermo(rho, th, scenario.eos)
-    return _step(state, scenario, dt, tf, _cfl_bound(state, scenario, tf), gr._Advection(scenario.grid))[0]
+    x = _fields(state, scenario)
+    aux = scenario.reference()
+    tf = _thermo(x[0], x[1], scenario.eos)
+    x = _step(x, state.t, dt, scenario, aux, tf, _cfl_bound(x, scenario, aux, tf), gr._Advection(scenario.grid))[0]
+    return _snapshot(x, state.t + dt, scenario)
 
 
 def _theta_tilde(scenario, theta_tilde):
@@ -863,34 +847,45 @@ def ballistic_energy(state, scenario, theta_tilde=None):
     theta_tilde defaults to the harmonic extension of the wall temperatures;
     a supplied center field must be positive and carry the wall trace
     (checked by quadratic extrapolation, tolerance O(dz^2))."""
-    _require_compatible(state, scenario)
-    vals = _theta_tilde(scenario, theta_tilde)
-    rho, th = _check_state(state.rho.values, state.theta.values)
-    return _log_row(state, scenario, _rho_e(rho, th, scenario.eos), vals, 0.0)[2]
+    x = _fields(state, scenario)
+    E = _rho_e(x[0], x[1], scenario.eos)
+    return _log_row(x, state.t, scenario, E, _theta_tilde(scenario, theta_tilde), 0.0)[2]
 
 
-def _log_row(state, scenario, E, theta_tilde, dt, nx=None):
-    """The LOG_COLUMNS row of state, reached by a step dt; E is rho*e of the
-    state.  nx, when given, is the full width of a state on an x-invariant
-    strip: its row 0 is tiled to nx rows before the full-width theta_tilde
-    term and the sums, which then see the bytes of the full-width run."""
-    cv = scenario.grid.cell_volume
-    rho = state.rho.values
-    u, w = state.U.u, state.U.w
-    s = _entropy(rho, state.theta.values, scenario.eos)
+def _log_row(x, t, scenario, E, theta_tilde, dt):
+    """The LOG_COLUMNS row of x = (rho, theta, u, w) at time t, reached by a
+    step dt; E is rho*e of x.  A strip (fewer rows than the grid) has its
+    row 0 tiled to the full width before the theta_tilde term and the sums,
+    which then see the bytes of the full-width run."""
+    rho, th, u, w = x
+    s = _entropy(rho, th, scenario.eos)
     kin = xface_to_center(u * u)
     kin += zface_to_center(w * w)
     dens = 0.5 * rho
     dens *= kin
-    dens *= state.eps ** 2
+    dens *= scenario.eps ** 2
     dens += E
-    if nx is not None:
+    nx = scenario.grid.nx
+    if rho.shape[0] != nx:
         rho, s, dens = (np.repeat(a[:1], nx, axis=0) for a in (rho, s, dens))
     bound = theta_tilde * rho
     bound *= s
     dens -= bound
     s *= rho
-    return state.t, float(np.sum(rho)) * cv, float(np.sum(dens)) * cv, float(np.sum(s)) * cv, dt
+    cv = scenario.grid.cell_volume
+    return t, float(np.sum(rho)) * cv, float(np.sum(dens)) * cv, float(np.sum(s)) * cv, dt
+
+
+def _snapshot(x, t, scenario):
+    """The NsfState of x at time t on scenario's grid, a strip's row 0 tiled
+    to the full width; a full-width x, never written once stepped, is
+    shared.  rho and theta passed the stage guard: __post_init__ is skipped."""
+    g = scenario.grid
+    rho, th, u, w = (a if a.shape[0] == g.nx else np.repeat(a[:1], g.nx, axis=0) for a in x)
+    state = object.__new__(NsfState)
+    state.rho, state.theta, state.U = ScalarField(g, rho), ScalarField(g, th), VectorField(g, u, w)
+    state.t, state.eps = t, scenario.eps
+    return state
 
 
 # The _NsfAux fields that hold one row per x-column; the others are z-profiles
@@ -906,34 +901,19 @@ def _rows_equal(a):
     return bool((bits == bits[:1]).all())
 
 
-def _x_strip(scenario, state):
-    """(scenario, state, nx): both cut to a 4-column strip, and the full
-    width nx, when the run is x-invariant, else unchanged with nx None.  The
-    run is x-invariant when nx > 4 and every row of G, of the initial rho,
-    theta, u and w, and of the wall arrays is bytewise row 0.  The scheme
-    then keeps every row bytewise equal: an x-difference of equal neighbours
-    is +0.0, an x-average is the neighbours' value, and max, min and the
-    Newton stop test see the same values on the strip.  The strip scenario
-    is a copy with a grid of the same dx and dz and a reference that keeps
-    the first 4 rows of each x-row field; only the stepping reads it."""
+def _x_strip(scenario, x):
+    """(x, aux, grid) to step from x: the scenario's reference and grid, or
+    all three cut to 4 columns (dx and dz kept) when the run is x-invariant:
+    nx > 4 and every row of G, of the initial rho, theta, u and w, and of
+    the wall arrays is bytewise row 0.  The scheme then keeps every row
+    bytewise equal: an x-difference of equal neighbours is +0.0, an
+    x-average is the neighbours' value, and max, min and the Newton stop
+    test see the same values on the strip.  The scenario is not cut."""
     g, aux = scenario.grid, scenario.reference()
-    fields = (state.rho.values, state.theta.values, state.U.u, state.U.w)
-    if g.nx <= 4 or not all(map(_rows_equal, (scenario.G.values, aux.wall_b, aux.wall_t) + fields)):
-        return scenario, state, None
-    strip = copy.copy(scenario)
-    strip.grid = sg = Grid(4, g.nz, 4 * g.dx)
-    strip._aux = replace(aux, **{name: getattr(aux, name)[:4] for name in _X_ROWS})
-    rho, th, u, w = (a[:4] for a in fields)
-    cut = _checked_state(ScalarField(sg, rho), ScalarField(sg, th), VectorField(sg, u, w), state.t, state.eps)
-    return strip, cut, g.nx
-
-
-def _widened(state, grid):
-    """A copy of state, on an x-invariant strip, with row 0 tiled to grid."""
-    rho, th, u, w = (
-        np.repeat(a[:1], grid.nx, axis=0) for a in (state.rho.values, state.theta.values, state.U.u, state.U.w)
-    )
-    return _checked_state(ScalarField(grid, rho), ScalarField(grid, th), VectorField(grid, u, w), state.t, state.eps)
+    if g.nx <= 4 or not all(map(_rows_equal, (scenario.G.values, aux.wall_b, aux.wall_t) + x)):
+        return x, aux, g
+    strip = replace(aux, **{name: getattr(aux, name)[:4] for name in _X_ROWS})
+    return tuple(a[:4] for a in x), strip, Grid(4, g.nz, 4 * g.dx)
 
 
 def run_nsf(scenario, snapshot_dt=None, initial=None):
@@ -941,43 +921,42 @@ def run_nsf(scenario, snapshot_dt=None, initial=None):
     conservation log.
 
     Steps adapt to the CFL bound, evaluated once per step, and are clamped to
-    land exactly on snapshot times and t_end.  The acoustic bound makes the
-    step count scale like 1/eps; steps and wall_seconds report the cost.
-    An initial state must live on the scenario's grid (else ShapeError) and
-    carry its eps (else CompatibilityError), as for every entry point that
-    takes a state."""
+    land exactly on snapshot times, the multiples of snapshot_dt after the
+    start, and t_end.  The acoustic bound makes the step count scale like
+    1/eps; steps and wall_seconds report the cost.  An initial state must
+    live on the scenario's grid (else ShapeError) and carry its eps (else
+    CompatibilityError), as for every entry point that takes a state."""
     if snapshot_dt is not None:
         require_positive(snapshot_dt, "snapshot_dt")
     if initial is not None:
-        _require_compatible(initial, scenario)
+        _fields(initial, scenario)
     state = initial.copy() if initial is not None else build_initial_nsf(scenario)
     theta_tilde = _theta_tilde(scenario, None)
-    t_end = scenario.t_end
-
-    times = [state.t]
-    states = [state.copy()]
-    # An x-invariant run steps a 4-column strip; its log rows and snapshots
-    # are widened to the caller's grid (nx is None on the full path).
-    run, state, nx = _x_strip(scenario, state)
-    tf = _thermo(state.rho.values, state.theta.values, run.eos)
-    rows = [_log_row(state, run, tf.E, theta_tilde, 0.0, nx)]
+    t_end, t = scenario.t_end, state.t
+    times, states = [t], [state]
+    x, aux, grid = _x_strip(scenario, (state.rho.values, state.theta.values, state.U.u, state.U.w))
+    tf = _thermo(x[0], x[1], scenario.eos)
+    rows = [_log_row(x, t, scenario, tf.E, theta_tilde, 0.0)]
     next_snap = snapshot_dt if snapshot_dt is not None else np.inf
-    advect = gr._Advection(run.grid)
+    while next_snap <= t + 1e-12:  # a late start: the first multiple after it
+        next_snap += snapshot_dt
+    advect = gr._Advection(grid)
     started = time.perf_counter()
     steps = 0
-    while state.t < t_end - 1e-12:
-        bound = _cfl_bound(state, run, tf)
-        dt = min(bound, min(next_snap, t_end) - state.t)
+    while t < t_end - 1e-12:
+        bound = _cfl_bound(x, scenario, aux, tf)
+        dt = min(bound, min(next_snap, t_end) - t)
         if dt <= 1e-14:
-            raise StabilityError(f"time step collapsed at t={state.t:.4g}")
-        state, rho_powers = _step(state, run, dt, tf, bound, advect)
-        tf = _thermo(state.rho.values, state.theta.values, run.eos, rho_powers)
+            raise StabilityError(f"time step collapsed at t={t:.4g}")
+        x, rho_powers = _step(x, t, dt, scenario, aux, tf, bound, advect)
+        t += dt
+        tf = _thermo(x[0], x[1], scenario.eos, rho_powers)
         steps += 1
-        rows.append(_log_row(state, run, tf.E, theta_tilde, dt, nx))
-        at_snap = state.t >= next_snap - 1e-12
-        if at_snap or state.t >= t_end - 1e-12:
-            times.append(state.t)
-            states.append(state.copy() if nx is None else _widened(state, scenario.grid))
+        rows.append(_log_row(x, t, scenario, tf.E, theta_tilde, dt))
+        at_snap = t >= next_snap - 1e-12
+        if at_snap or t >= t_end - 1e-12:
+            times.append(t)
+            states.append(_snapshot(x, t, scenario))
             if at_snap:
                 next_snap += snapshot_dt
     log = np.rec.fromrecords(rows, names=LOG_COLUMNS)

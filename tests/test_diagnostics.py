@@ -219,6 +219,16 @@ def test_error_norms_alignment_guards() -> None:
     other = ObScenario(Grid(8, 8), IDEAL, dt=1e-3, t_end=0.01)
     with pytest.raises(AlignmentError):
         deviation_error_norms(nsf_traj, run_ob(other, snapshot_dt=0.005))  # grid mismatch
+    # a run of another reference state, gas or potential than the target's
+    for kw, match in (
+        ({"rho_bar": 2.0, "theta_bar": 3.0}, r"rho_bar differs: 2\.0 .*, 1\.0 in the target"),
+        ({"theta_bar": 3.0}, r"theta_bar differs: 3\.0 .*, 1\.0 in the target"),
+        ({"eos": EosParams(mu0=0.5)}, r"eos differs: .*mu0=0\.5.*mu0=0\.01"),
+        ({"G": gravity_potential(g, 1.0)}, r"G differs .* by up to 4\.167e-01"),
+    ):
+        mismatched = run_nsf(NsfScenario(g, kw.pop("eos", IDEAL), eps=0.5, t_end=0.01, **kw), snapshot_dt=0.005)
+        with pytest.raises(AlignmentError, match=match):
+            deviation_error_norms(mismatched, ob_traj)
 
 
 def _mirror_center(a):
@@ -273,7 +283,7 @@ def test_error_norms_x_mirror_symmetric() -> None:
         )
         for s in nsf_traj.states
     ]
-    m_nsf_sc = NsfScenario(g, IDEAL, eps=eps, t_end=0.02)
+    m_nsf_sc = NsfScenario(g, IDEAL, eps=eps, G=mG, t_end=0.02)
     m_nsf_traj = NsfTrajectory(
         m_nsf_sc, nsf_traj.times, m_nsf_states, nsf_traj.log, nsf_traj.steps, nsf_traj.wall_seconds
     )

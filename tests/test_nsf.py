@@ -893,16 +893,16 @@ def _old_rhs(rho, th, u, w, scenario, aux, tf, eta):
     return d_rho, d_E, du, dw
 
 
-def _old_cfl_bound(state, scenario, tf):
+def _old_cfl_bound(x, scenario, aux, tf):
     g = scenario.grid
-    rho = state.rho.values
+    rho, th, u, w = x
     c = np.sqrt(tf.c2) / scenario.eps
-    rate = (np.abs(0.5 * (state.U.u + gr._xnext(state.U.u))) + c) / g.dx
-    rate += (np.abs(0.5 * (state.U.w[:, 1:] + state.U.w[:, :-1])) + c) / g.dz
+    rate = (np.abs(0.5 * (u + gr._xnext(u))) + c) / g.dx
+    rate += (np.abs(0.5 * (w[:, 1:] + w[:, :-1])) + c) / g.dz
     D = 2.0 * tf.mu
     if tf.eta is not None:
         D += tf.eta
-    D = np.maximum(D / rho, _kappa(state.theta.values, scenario.eos) / (rho * tf.e_theta))
+    D = np.maximum(D / rho, _kappa(th, scenario.eos) / (rho * tf.e_theta))
     rate += 2.0 * D * (1.0 / g.dx ** 2 + 1.0 / g.dz ** 2)
     return scenario.cfl / float(np.max(rate))
 
@@ -1336,14 +1336,21 @@ def _step_loop(sc, snapshot_dt):
 def _assert_run_is_the_step_loop_bytewise(sc, monkeypatch):
     """Run sc through run_nsf and compare every log column and every
     snapshot's fields bytewise with _step_loop; returns the widths of the
-    states that run_nsf stepped."""
-    widths = set()
+    states that run_nsf stepped, each under the caller's scenario object."""
+    widths, runs = set(), []
     step = nsf._step
-    monkeypatch.setattr(nsf, "_step", lambda state, *args: widths.add(state.rho.values.shape[0]) or step(state, *args))
+
+    def spy(x, t, dt, run, *args):
+        widths.add(x[0].shape[0])
+        runs.append(run)
+        return step(x, t, dt, run, *args)
+
+    monkeypatch.setattr(nsf, "_step", spy)
     traj = run_nsf(sc, snapshot_dt=0.005)
     monkeypatch.undo()
     rows, states = _step_loop(sc, 0.005)
     assert traj.steps == len(rows) - 1 > 5 and traj.scenario is sc
+    assert len(runs) == traj.steps and all(run is sc for run in runs)
     for k, name in enumerate(nsf.LOG_COLUMNS):
         assert traj.log[name].tobytes() == rows[:, k].tobytes()
     assert traj.times == [s.t for s in states] and len(states) == 5
@@ -1379,6 +1386,21 @@ def test_x_invariant_run_steps_a_strip_bytewise(eos, nx, start, monkeypatch) -> 
         w[:, 1:-1] = 0.02 * np.sin(np.pi * g.z_faces[1:-1])
         kw["U0"] = VectorField(g, np.tile(0.1 * np.sin(np.pi * z) * (1 - z), (nx, 1)), w)
     assert _assert_run_is_the_step_loop_bytewise(_column_scenario(g, eos, **kw), monkeypatch) == {4}
+
+
+@pytest.mark.parametrize(
+    "start, times", [(0.02, [0.02, 0.03, 0.04, 0.05]), (0.015, [0.015, 0.02, 0.03, 0.04, 0.05])]
+)
+def test_late_start_snapshots_stay_on_multiples_of_snapshot_dt(start, times) -> None:
+    # A run from a state at t > snapshot_dt takes its first snapshot at the
+    # first multiple of snapshot_dt after the start, not behind it.
+    sc = _scenario(Grid(8, 6), t_end=0.05)
+    state = build_initial_nsf(sc)
+    state.t = start
+    traj = run_nsf(sc, snapshot_dt=0.01, initial=state)
+    assert traj.times == pytest.approx(times, rel=0.0, abs=1e-12)
+    assert [s.t for s in traj.states] == traj.times
+    assert traj.log.t[0] == start and traj.log.t[-1] == pytest.approx(0.05, rel=0.0, abs=1e-12)
 
 
 def _x_varying(g, case):
