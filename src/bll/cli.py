@@ -402,6 +402,9 @@ def _cmd_sweep(cfg, outdir, say):
         say(f"fitted rates: {table.rates[0]:.3g} {table.rates[1]:.3g} {table.rates[2]:.3g}")
     for eps, msg in table.failures:
         say(f"failed eps={eps:g}: {msg}")
+    if not table.rows:  # the annotated table stays, the run failed
+        print("error: solver: no sweep member finished", file=sys.stderr)
+        return 12
     return 0
 
 
@@ -464,7 +467,8 @@ def main(argv=None):
         outdir = Path(args.out) if args.out is not None else Path(cfg.directory)
         outdir.mkdir(parents=True, exist_ok=True)
         code = _HANDLERS[args.command](cfg, outdir, say)
-        (outdir / "manifest.ini").write_text(cfg.echo(), encoding="utf-8")
+        if code == 0:
+            (outdir / "manifest.ini").write_text(cfg.echo(), encoding="utf-8")
         return code
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

@@ -396,7 +396,10 @@ class _Advection:
     arrays, so an object serves one run (or one call) and no other.
 
     u is x-face staggered, w z-face staggered; tangential ghosts are no-slip
-    mirrors and the wall rows of the w component stay zero.
+    mirrors and the wall rows of the w component stay zero.  u None stands
+    for an exactly zero u under an x-invariant w, where every u term is
+    +0.0: the call returns (None, -(w d_z w + 0.0)), the +0.0 kept as that
+    term's first operand, bit for bit the full call's adv_w.
     """
 
     def __init__(self, grid):
@@ -419,6 +422,23 @@ class _Advection:
         self.dwdz_inner = self.dwdz_flat[1:-1]
 
     def __call__(self, u, w):
+        adv_w = np.zeros(w.shape)
+        adv_u = None if u is None else self._u_terms(u, w, adv_w)
+        # adv_w in the w layout, its z-difference one flat pass over the
+        # buffer; the wall rows are set to zero last.
+        dwdz, flat_w = self.dwdz, w.reshape(-1)
+        np.subtract(flat_w[2:], flat_w[:-2], out=self.dwdz_inner)
+        self.dwdz_flat[0] = self.dwdz_flat[-1] = 0.0
+        dwdz /= self.two_dz
+        dwdz *= w
+        adv_w += dwdz
+        np.negative(adv_w, out=adv_w)
+        adv_w[:, 0] = 0.0
+        adv_w[:, -1] = 0.0
+        return adv_u, adv_w
+
+    def _u_terms(self, u, w, adv_w):
+        """The returned adv_u, and u d_x w written into the zero adv_w."""
         _pad_x(self.u_pad, u)
         _pad_x(self.w_pad, w)
         u_next, w_prev = self.u_next, self.w_prev
@@ -446,24 +466,11 @@ class _Advection:
         adv_u *= u
         adv_u += w_at_x
         np.negative(adv_u, out=adv_u)
-
-        # adv_w in the w layout, its z-difference one flat pass over the
-        # buffer; the wall rows are set to zero last.
         np.add(u_next, u, out=self.u_pairs)
-        adv_w = np.zeros(w.shape)
         np.add(self.u_pairs_lo, self.u_pairs_hi, out=adv_w[:, 1:-1])
         adv_w *= self.quarter
         adv_w *= dwdx
-        dwdz, flat_w = self.dwdz, w.reshape(-1)
-        np.subtract(flat_w[2:], flat_w[:-2], out=self.dwdz_inner)
-        self.dwdz_flat[0] = self.dwdz_flat[-1] = 0.0
-        dwdz /= self.two_dz
-        dwdz *= w
-        adv_w += dwdz
-        np.negative(adv_w, out=adv_w)
-        adv_w[:, 0] = 0.0
-        adv_w[:, -1] = 0.0
-        return adv_u, adv_w
+        return adv_u
 
 
 def advect_velocity(grid, u, w):

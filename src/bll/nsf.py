@@ -42,7 +42,8 @@ for the recovery's cold floor and the _thermo that follows.  A run binds one
 grid._Advection (step_nsf one per call).  An exactly x-invariant run
 (_x_strip) steps x and the reference cut to 4 columns under the caller's
 scenario, and tiles its log rows and snapshots back to full width, bit for
-bit the full-width run.
+bit the full-width run; one at rest in x is a column, stepping only its
+z-terms (the rule and its + 0.0 operands are in _x_strip's docstring).
 
 The stage kernel _rhs is written for the number of array passes.  One
 routine, _face_fluxes, forms the face fluxes of both directions on their
@@ -249,7 +250,8 @@ class _NsfAux:
     inv_dz, half_inv_eps = 1/(2 eps), pg_x/pg_z = 1/(eps^2 dx), 1/(eps^2
     dz), and the signed divergence scales div_x/div_z = -1/dx, -1/dz;
     _cfl_bound's cfl_acoustic = (1/dx + 1/dz)/eps and cfl_diffusive =
-    4 (1/dx^2 + 1/dz^2).  rho_hat_f is the (nz-1,) interior-face profile."""
+    4 (1/dx^2 + 1/dz^2).  rho_hat_f is the (nz-1,) interior-face profile.
+    column marks a strip whose x-terms are all zero (_x_strip)."""
 
     rho_hat: np.ndarray
     theta_hat: np.ndarray
@@ -276,6 +278,7 @@ class _NsfAux:
     div_z: float
     cfl_acoustic: float
     cfl_diffusive: float
+    column: bool = False
 
 
 def _conduction_profile(grid, eos, gb, gt):
@@ -602,12 +605,14 @@ def _face_fluxes(faces, vel, rho, th, tf, devs, spec_h, aux, eos, inv_d):
 
 def _divergence(Fx, Fz, top, aux):
     """-div F at the centers of x-face fluxes Fx and z-face-layout fluxes Fz
-    whose top wall face is the (nx,) row (or scalar) top."""
-    d = gr._xdiff_next(Fx)
-    d *= aux.div_x
-    div_z = _zcenters(np.subtract, Fz, top)
-    div_z *= aux.div_z
-    d += div_z
+    whose top wall face is the (nx,) row (or scalar) top; Fx None (a
+    column's) leaves out the x part, which is -0.0 there."""
+    d = _zcenters(np.subtract, Fz, top)
+    d *= aux.div_z
+    if Fx is not None:
+        div_x = gr._xdiff_next(Fx)
+        div_x *= aux.div_x
+        d += div_x
     return d
 
 
@@ -615,8 +620,10 @@ def _rhs(rho, th, u, w, scenario, aux, tf, advect):
     """Semi-discrete right-hand side for (rho, rho e, u, w); tf is the
     _Thermo of (rho, th) and advect the run's grid._Advection.  Every other
     temporary is fresh, and is updated in place once it has no other
-    reader; no input is written."""
+    reader; no input is written.  On a column (aux.column) the x-terms are
+    not formed and du is None."""
     eos = scenario.eos
+    column = aux.column
     inv_dx, inv_dz = aux.inv_dx, aux.inv_dz
     E, p, mu, eta = tf.E, tf.p, tf.mu, tf.eta
     spec_h = E + p
@@ -624,9 +631,8 @@ def _rhs(rho, th, u, w, scenario, aux, tf, advect):
     devs = (p - aux.p_hat_xz, rho - aux.rho_hat_xz, E - aux.E_hat_xz)
 
     # z faces in the z-face layout (column 0 the bottom wall face, the top
-    # one a separate row); the x-pairs of theta serve the corners too.
+    # one a separate row).
     wf = w[:, :-1].copy()
-    rho_fx, jp_x, Fm_x, FE_x, th_pairs = _face_fluxes(_xfaces, u, rho, th, tf, devs, spec_h, aux, eos, inv_dx)
     rho_fz, jp_z, Fm_z, FE_z, _ = _face_fluxes(_zfaces, wf, rho, th, tf, devs, spec_h, aux, eos, inv_dz)
     Fm_z[:, 0] = 0.0  # no mass flux through the walls
     # Wall faces: Fourier flux against the Dirichlet wall value.
@@ -634,27 +640,18 @@ def _rhs(rho, th, u, w, scenario, aux, tf, advect):
     FE_z[:, 0] *= aux.kap_b2
     FE_top = aux.wall_t - th[:, -1]
     FE_top *= aux.kap_t2
-    d_rho = _divergence(Fm_x, Fm_z, 0.0, aux)
-    d_E = _divergence(FE_x, FE_z, FE_top, aux)
-
-    Dzz = _zcenters(np.subtract, wf, w[:, -1])
-    Dzz *= inv_dz
-    # Shear at the corners; the top wall corners are their own row.
-    shear = _zfaces(np.subtract, u)
-    shear *= inv_dz
-    shear[:, 0] = u[:, 0] * (2.0 * inv_dz)
-    shear_x = gr._xdiff_prev(wf)
-    shear_x *= inv_dx
-    shear += shear_x
-    shear_top = u[:, -1] * (-2.0 * inv_dz)
-    shear_x = gr._xdiff_prev(w[:, -1])
-    shear_x *= inv_dx
-    shear_top += shear_x
 
     # Newton stress in d = 2: S = mu (grad U + grad U^T - div U I) + eta div U I.
-    adv_u, adv_w = advect(u, w)
-    Dxx = gr._xdiff_next(u)
-    Dxx *= inv_dx
+    # A column's Dxx, and the x part of dw's viscous sum, are the float +0.0,
+    # kept as the first operand (+0.0 + -0.0 is +0.0); Dxx_zz -= Dzz then
+    # makes a fresh 0.0 - Dzz.
+    adv_u, adv_w = advect(None if column else u, w)
+    Dzz = _zcenters(np.subtract, wf, w[:, -1])
+    Dzz *= inv_dz
+    Dxx = 0.0
+    if not column:
+        Dxx = gr._xdiff_next(u)
+        Dxx *= inv_dx
     divU = Dxx + Dzz
     Dxx_zz = Dxx
     Dxx_zz -= Dzz
@@ -664,31 +661,64 @@ def _rhs(rho, th, u, w, scenario, aux, tf, advect):
         bulk = eta * divU
         Sxx += bulk
         Szz += bulk
-    # x-pairs first: keeps the average bitwise equal under x-mirroring.
-    th_corner = _zfaces(np.add, th_pairs)
-    th_corner *= 0.25
-    th_corner[:, 0] = aux.corner_b
-    Sxz = _mu(th_corner, eos)
-    Sxz *= shear
-    Sxz_top = aux.mu_corner_t * shear_top
+    # eps^2 S : grad U >= 0 cell-wise.
+    diss = np.multiply(Dxx_zz, Dxx_zz, out=Dxx_zz)
 
-    # Each face density divides once: du = adv_u + (div S - jp / (eps^2
-    # dx)) / rho_f, and dw adds the balanced potential force G' (rho_f -
-    # rho_hat_f) / rho_f, which is exactly zero where rho_f = rho_hat_f.
-    visc = gr._xdiff_prev(Sxx)
-    visc *= inv_dx
-    visc_z = _zcenters(np.subtract, Sxz, Sxz_top)
-    visc_z *= inv_dz
-    visc += visc_z
-    jp_x *= aux.pg_x
-    visc -= jp_x
-    visc /= rho_fx
-    du = adv_u
-    du += visc
-    if aux.dGx_eps is not None:
-        du += aux.dGx_eps
-    visc = gr._xdiff_next(Sxz)
-    visc *= inv_dx
+    du = Fm_x = FE_x = None
+    visc = 0.0
+    if not column:
+        rho_fx, jp_x, Fm_x, FE_x, th_pairs = _face_fluxes(_xfaces, u, rho, th, tf, devs, spec_h, aux, eos, inv_dx)
+        # Shear at the corners; the top wall corners are their own row.
+        shear = _zfaces(np.subtract, u)
+        shear *= inv_dz
+        shear[:, 0] = u[:, 0] * (2.0 * inv_dz)
+        shear_x = gr._xdiff_prev(wf)
+        shear_x *= inv_dx
+        shear += shear_x
+        shear_top = u[:, -1] * (-2.0 * inv_dz)
+        shear_x = gr._xdiff_prev(w[:, -1])
+        shear_x *= inv_dx
+        shear_top += shear_x
+        # x-pairs first: keeps the average bitwise equal under x-mirroring.
+        th_corner = _zfaces(np.add, th_pairs)
+        th_corner *= 0.25
+        th_corner[:, 0] = aux.corner_b
+        Sxz = _mu(th_corner, eos)
+        Sxz *= shear
+        Sxz_top = aux.mu_corner_t * shear_top
+
+        # Each face density divides once: du = adv_u + (div S - jp / (eps^2
+        # dx)) / rho_f.
+        visc = gr._xdiff_prev(Sxx)
+        visc *= inv_dx
+        visc_z = _zcenters(np.subtract, Sxz, Sxz_top)
+        visc_z *= inv_dz
+        visc += visc_z
+        jp_x *= aux.pg_x
+        visc -= jp_x
+        visc /= rho_fx
+        du = adv_u
+        du += visc
+        if aux.dGx_eps is not None:
+            du += aux.dGx_eps
+        visc = gr._xdiff_next(Sxz)
+        visc *= inv_dx
+
+        # The shear square is corner-averaged.
+        sh2 = np.multiply(shear, shear, out=shear)
+        sh2_pairs = gr._xnext(sh2)
+        sh2_pairs += sh2
+        sh2_top = shear_top * shear_top
+        sh2_pairs_top = gr._xnext(sh2_top)
+        sh2_pairs_top += sh2_top
+        sh2_c = _zcenters(np.add, sh2_pairs, sh2_pairs_top)
+        sh2_c *= 0.25
+        diss += sh2_c
+    d_rho = _divergence(Fm_x, Fm_z, 0.0, aux)
+    d_E = _divergence(FE_x, FE_z, FE_top, aux)
+
+    # dw adds the balanced potential force G' (rho_f - rho_hat_f) / rho_f,
+    # which is exactly zero where rho_f = rho_hat_f.
     visc_z = _zfaces(np.subtract, Szz)
     visc_z *= inv_dz
     visc += visc_z
@@ -701,17 +731,6 @@ def _rhs(rho, th, u, w, scenario, aux, tf, advect):
     dw = np.zeros(w.shape)
     np.add(adv_w[:, 1:-1], visc[:, 1:], out=dw[:, 1:-1])
 
-    # eps^2 S : grad U >= 0 cell-wise; the shear square is corner-averaged.
-    sh2 = np.multiply(shear, shear, out=shear)
-    sh2_pairs = gr._xnext(sh2)
-    sh2_pairs += sh2
-    sh2_top = shear_top * shear_top
-    sh2_pairs_top = gr._xnext(sh2_top)
-    sh2_pairs_top += sh2_top
-    sh2_c = _zcenters(np.add, sh2_pairs, sh2_pairs_top)
-    sh2_c *= 0.25
-    diss = np.multiply(Dxx_zz, Dxx_zz, out=Dxx_zz)
-    diss += sh2_c
     diss *= mu
     if eta is not None:
         bulk = eta * divU
@@ -746,11 +765,12 @@ def _cfl_bound(x, scenario, aux, tf):
     rho, th, u, w = x
     rate = np.sqrt(tf.c2)
     rate *= aux.cfl_acoustic
-    adv = gr._xnext(u)
-    adv += u
-    np.abs(adv, out=adv)
-    adv *= 0.5 * aux.inv_dx
-    rate += adv
+    if not aux.column:
+        adv = gr._xnext(u)
+        adv += u
+        np.abs(adv, out=adv)
+        adv *= 0.5 * aux.inv_dx
+        rate += adv
     adv = np.add(w[:, 1:], w[:, :-1])
     np.abs(adv, out=adv)
     adv *= 0.5 * aux.inv_dz
@@ -786,12 +806,14 @@ def _step(x, t, dt, scenario, aux, tf, bound, advect):
     r0, th0, u0, w0 = x
 
     # The stages finish in the fresh rates: x0 + dt k, then
-    # 0.5 ((x0 + x1) + dt k) in the first stage's arrays.
+    # 0.5 ((x0 + x1) + dt k) in the first stage's arrays.  A column's rate
+    # of u is None: its u is not stepped, and stays u0.
     stage0 = (r0, tf.E, u0, w0)
     stage1 = _rhs(r0, th0, u0, w0, scenario, aux, tf, advect)
     for x0, k in zip(stage0, stage1):
-        k *= dt
-        k += x0
+        if k is not None:
+            k *= dt
+            k += x0
     r1, E1, u1, w1 = stage1
     eos = scenario.eos
     rp1 = _rho_powers(r1) if eos.p_inf else None
@@ -799,13 +821,14 @@ def _step(x, t, dt, scenario, aux, tf, bound, advect):
 
     rates = _rhs(r1, th1, u1, w1, scenario, aux, _thermo(r1, th1, eos, rp1), advect)
     for x0, x1, k in zip(stage0, stage1, rates):
-        k *= dt
-        x1 += x0
-        x1 += k
-        x1 *= 0.5
+        if k is not None:
+            k *= dt
+            x1 += x0
+            x1 += k
+            x1 *= 0.5
     r2, E2, u2, w2 = stage1
     rp2 = _rho_powers(r2) if eos.p_inf else None
-    return (r2, _theta_of(r2, E2, t + dt, scenario, th1, rp2), u2, w2), rp2
+    return (r2, _theta_of(r2, E2, t + dt, scenario, th1, rp2), u0 if u2 is None else u2, w2), rp2
 
 
 def step_nsf(state, scenario, dt):
@@ -852,15 +875,17 @@ def ballistic_energy(state, scenario, theta_tilde=None):
     return _log_row(x, state.t, scenario, E, _theta_tilde(scenario, theta_tilde), 0.0)[2]
 
 
-def _log_row(x, t, scenario, E, theta_tilde, dt):
+def _log_row(x, t, scenario, E, theta_tilde, dt, column=False):
     """The LOG_COLUMNS row of x = (rho, theta, u, w) at time t, reached by a
-    step dt; E is rho*e of x.  A strip (fewer rows than the grid) has its
-    row 0 tiled to the full width before the theta_tilde term and the sums,
-    which then see the bytes of the full-width run."""
+    step dt; E is rho*e of x, and a column's u.u term, +0.0, is left out.
+    A strip (fewer rows than the grid) has its row 0 tiled to the full width
+    before the theta_tilde term and the sums, which then see the bytes of
+    the full-width run."""
     rho, th, u, w = x
     s = _entropy(rho, th, scenario.eos)
-    kin = xface_to_center(u * u)
-    kin += zface_to_center(w * w)
+    kin = zface_to_center(w * w)
+    if not column:
+        kin += xface_to_center(u * u)
     dens = 0.5 * rho
     dens *= kin
     dens *= scenario.eps ** 2
@@ -908,11 +933,25 @@ def _x_strip(scenario, x):
     the wall arrays is bytewise row 0.  The scheme then keeps every row
     bytewise equal: an x-difference of equal neighbours is +0.0, an
     x-average is the neighbours' value, and max, min and the Newton stop
-    test see the same values on the strip.  The scenario is not cut."""
+    test see the same values on the strip.  The scenario is not cut.
+
+    The strip is a column (aux.column) when its u is also bytewise +0.0;
+    its G, being x-invariant, gives no x-force (dGx_eps is None).  Every
+    x-term of the stage is then an exact zero: the x-face fluxes and their
+    divergence, Dxx, the shear and its corner stress and dissipation, the
+    u half of the advection and the whole rate of u, whose +0.0 keeps u
+    +0.0 at every step.  _rhs, _step, _cfl_bound and _log_row skip them,
+    and u is not stepped.  A skipped zero that was the first operand of a
+    sum is kept, since +0.0 + -0.0 is +0.0: divU = Dzz + 0.0, Dxx - Dzz =
+    0.0 - Dzz, dw's viscous sum visc_z + 0.0, and the advection's
+    w d_z w + 0.0 before its negation; a skipped -0.0 first operand (the x
+    part of a divergence) or a +0.0 added to a sum that is never -0.0 (the
+    kinetic, shear-square and CFL |u| terms) drops out exactly."""
     g, aux = scenario.grid, scenario.reference()
     if g.nx <= 4 or not all(map(_rows_equal, (scenario.G.values, aux.wall_b, aux.wall_t) + x)):
         return x, aux, g
-    strip = replace(aux, **{name: getattr(aux, name)[:4] for name in _X_ROWS})
+    cut = {name: getattr(aux, name)[:4] for name in _X_ROWS}
+    strip = replace(aux, column=not x[2].view(np.uint64).any(), **cut)
     return tuple(a[:4] for a in x), strip, Grid(4, g.nz, 4 * g.dx)
 
 
@@ -936,7 +975,7 @@ def run_nsf(scenario, snapshot_dt=None, initial=None):
     times, states = [t], [state]
     x, aux, grid = _x_strip(scenario, (state.rho.values, state.theta.values, state.U.u, state.U.w))
     tf = _thermo(x[0], x[1], scenario.eos)
-    rows = [_log_row(x, t, scenario, tf.E, theta_tilde, 0.0)]
+    rows = [_log_row(x, t, scenario, tf.E, theta_tilde, 0.0, aux.column)]
     next_snap = snapshot_dt if snapshot_dt is not None else np.inf
     while next_snap <= t + 1e-12:  # a late start: the first multiple after it
         next_snap += snapshot_dt
@@ -952,7 +991,7 @@ def run_nsf(scenario, snapshot_dt=None, initial=None):
         t += dt
         tf = _thermo(x[0], x[1], scenario.eos, rho_powers)
         steps += 1
-        rows.append(_log_row(x, t, scenario, tf.E, theta_tilde, dt))
+        rows.append(_log_row(x, t, scenario, tf.E, theta_tilde, dt, aux.column))
         at_snap = t >= next_snap - 1e-12
         if at_snap or t >= t_end - 1e-12:
             times.append(t)

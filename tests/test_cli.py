@@ -202,16 +202,23 @@ def test_main_sweep_table_artifacts(tmp_path) -> None:
     assert len(lines) == 2 and lines[1].startswith("0.2")
 
 
-def test_main_sweep_notes_failed_member_in_csv_and_dat(tmp_path) -> None:
+def test_main_sweep_notes_failed_member_in_csv_and_dat(tmp_path, capsys) -> None:
     # g = 4 drives the eps = 1 member's initial density non-positive; the
-    # failure is annotated in every table format, not only in the CSV.
-    text = BASE.replace("g = 1", "g = 4").replace("eps = 0.2", "eps_list = 1, 0.2")
-    out = tmp_path / "partial"
-    assert main(["sweep", "--config", _write(tmp_path, text), "--out", str(out), "--quiet"]) == 0
-    for name in ("sweep.csv", "sweep.dat"):
-        lines = (out / name).read_text().splitlines()
-        assert len([ln for ln in lines[1:] if not ln.startswith("#")]) == 1, name
-        assert any(ln.startswith("# failed eps=1: ") and "positivity" in ln for ln in lines), name
+    # failure is annotated in every table format, not only in the CSV.  A
+    # sweep whose only member fails (theta_b_bottom = 5 at eps = 1) writes
+    # the same annotated table but exits 12, as a failed run, with no manifest.
+    partial = BASE.replace("g = 1", "g = 4").replace("eps = 0.2", "eps_list = 1, 0.2")
+    failed = BASE.replace("theta_b_bottom = 0.2", "theta_b_bottom = 5").replace("eps = 0.2", "eps_list = 1")
+    for name, text, code, rows in (("partial", partial, 0, 1), ("failed", failed, 12, 0)):
+        out = tmp_path / name
+        cfg_path = _write(tmp_path, text, f"{name}.ini")
+        assert main(["sweep", "--config", cfg_path, "--out", str(out), "--quiet"]) == code
+        assert (out / "manifest.ini").exists() is (code == 0)
+        assert ("no sweep member finished" in capsys.readouterr().err) is (code == 12)
+        for fname in ("sweep.csv", "sweep.dat"):
+            lines = (out / fname).read_text().splitlines()
+            assert len([ln for ln in lines[1:] if not ln.startswith("#")]) == rows, fname
+            assert any(ln.startswith("# failed eps=1: ") and "positivity" in ln for ln in lines), fname
 
 
 def test_main_dat_mirrors_csv_for_every_table(tmp_path) -> None:

@@ -1336,16 +1336,25 @@ def _step_loop(sc, snapshot_dt):
 def _assert_run_is_the_step_loop_bytewise(sc, monkeypatch):
     """Run sc through run_nsf and compare every log column and every
     snapshot's fields bytewise with _step_loop; returns the widths of the
-    states that run_nsf stepped, each under the caller's scenario object."""
-    widths, runs = set(), []
-    step = nsf._step
+    states that run_nsf stepped, each under the caller's scenario object,
+    and the (column flag, _face_fluxes calls) pairs of its steps."""
+    widths, runs, paths, fluxes = set(), [], set(), []
+    step, face_fluxes = nsf._step, nsf._face_fluxes
 
-    def spy(x, t, dt, run, *args):
+    def spy(x, t, dt, run, aux, *args):
         widths.add(x[0].shape[0])
         runs.append(run)
-        return step(x, t, dt, run, *args)
+        before = len(fluxes)
+        out = step(x, t, dt, run, aux, *args)
+        paths.add((aux.column, len(fluxes) - before))
+        return out
+
+    def count(*args):
+        fluxes.append(args[0])
+        return face_fluxes(*args)
 
     monkeypatch.setattr(nsf, "_step", spy)
+    monkeypatch.setattr(nsf, "_face_fluxes", count)
     traj = run_nsf(sc, snapshot_dt=0.005)
     monkeypatch.undo()
     rows, states = _step_loop(sc, 0.005)
@@ -1358,7 +1367,7 @@ def _assert_run_is_the_step_loop_bytewise(sc, monkeypatch):
         assert a.rho.grid == a.U.grid == sc.grid
         for x, y in ((a.rho.values, b.rho.values), (a.theta.values, b.theta.values), (a.U.u, b.U.u), (a.U.w, b.U.w)):
             assert x.tobytes() == y.tobytes()
-    return widths
+    return widths, paths
 
 
 def _column_scenario(g, eos, **kw):
@@ -1371,13 +1380,18 @@ def _column_scenario(g, eos, **kw):
     return _scenario(g, eos=eos, t_end=0.02, **(column | kw))
 
 
-@pytest.mark.parametrize("start", ["rest", "shear"])
+@pytest.mark.parametrize("start", ["rest", "shear", "negative_zero"])
 @pytest.mark.parametrize("nx", [16, 6])
-@pytest.mark.parametrize("eos", [IDEAL, EosParams(p_inf=1.0, a=1.0)], ids=["ideal", "radiation"])
+@pytest.mark.parametrize(
+    "eos", [IDEAL, EosParams(p_inf=1.0, a=1.0), EosParams(eta0=0.02)], ids=["ideal", "radiation", "bulk"]
+)
 def test_x_invariant_run_steps_a_strip_bytewise(eos, nx, start, monkeypatch) -> None:
     # An x-invariant run steps 4 columns and tiles them back: its log and
     # snapshots are the full-width step loop's, byte for byte.  6 is an nx
-    # that 4 does not divide; the shear start has a z-varying u.
+    # that 4 does not divide.  The rest start is a column (u bytewise +0.0),
+    # whose steps form only the z-face fluxes; the shear start has a
+    # z-varying u, and an all -0.0 u is no column either.  The bulk gas
+    # checks the column's eta div U terms.
     g = Grid(nx, 8)
     kw = {}
     if start == "shear":
@@ -1385,7 +1399,34 @@ def test_x_invariant_run_steps_a_strip_bytewise(eos, nx, start, monkeypatch) -> 
         w = np.zeros((nx, 9))
         w[:, 1:-1] = 0.02 * np.sin(np.pi * g.z_faces[1:-1])
         kw["U0"] = VectorField(g, np.tile(0.1 * np.sin(np.pi * z) * (1 - z), (nx, 1)), w)
-    assert _assert_run_is_the_step_loop_bytewise(_column_scenario(g, eos, **kw), monkeypatch) == {4}
+    elif start == "negative_zero":
+        kw["U0"] = VectorField(g, np.full((nx, 8), -0.0), np.zeros((nx, 9)))
+    column = start == "rest"
+    sc = _column_scenario(g, eos, **kw)
+    assert _assert_run_is_the_step_loop_bytewise(sc, monkeypatch) == ({4}, {(column, 2 if column else 4)})
+
+
+@pytest.mark.parametrize("eos", [IDEAL, EosParams(eta0=0.02)], ids=["ideal", "bulk"])
+def test_column_stage_is_the_full_stage_bytewise_with_signed_zeros(eos) -> None:
+    # On the discrete reference at u = +0.0, with an x-invariant w mixing
+    # +-0.0 and +-1e-3, the column's rates are rows of the full-width
+    # stage's, zero signs included, and the full du is all +0.0.  Runs never
+    # reach a state where a zero's sign survives the column's four + 0.0
+    # operands: dropping all of them passes the run tests but not this one.
+    g = Grid(8, 6)
+    sc = _scenario(g, eos=eos, G=gravity_potential(g, 1.0), theta_b_bottom=0.2, theta_b_top=-0.2)
+    rho, th = (np.tile(p, (8, 1)) for p in discrete_hydrostatic_reference(sc))
+    rng = np.random.default_rng(2)
+    for _ in range(100):
+        col = rng.choice([0.0, -0.0, 1e-3, -1e-3], size=7)
+        col[[0, -1]] = rng.choice([0.0, -0.0], size=2)
+        x = (rho, th, np.zeros((8, 6)), np.tile(col, (8, 1)))
+        xs, strip, gs = nsf._x_strip(sc, x)
+        full = nsf._rhs(*x, sc, sc.reference(), nsf._thermo(rho, th, eos), _Advection(g))
+        got = nsf._rhs(*xs, sc, strip, nsf._thermo(xs[0], xs[1], eos), _Advection(gs))
+        assert strip.column and got[2] is None and not full[2].view(np.uint64).any()
+        for i in (0, 1, 3):
+            assert got[i].tobytes() == full[i][:4].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -1421,4 +1462,4 @@ def test_x_varying_run_takes_the_full_path_bytewise(case, monkeypatch) -> None:
     # steps the full width, and still equals the step loop byte for byte.
     g = Grid(16, 8)
     sc = _column_scenario(g, IDEAL, **_x_varying(g, case))
-    assert _assert_run_is_the_step_loop_bytewise(sc, monkeypatch) == {16}
+    assert _assert_run_is_the_step_loop_bytewise(sc, monkeypatch) == ({16}, {(False, 4)})
