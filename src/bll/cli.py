@@ -236,12 +236,13 @@ def parse_config(text):
     def get(section, key):
         return values.get((section, key), _SCHEMA[section][key][1])
 
-    def where(section, key):
-        return lines.get((section, key))
+    def where(*keys):
+        """The line of the first of the (section, key) pairs that the text sets."""
+        return next((lines[k] for k in keys if k in lines), None)
 
-    def demand(ok, section, key, message):
+    def demand(ok, section, key, message, *fallbacks):
         if not ok:
-            raise ConfigError(message, line=where(section, key))
+            raise ConfigError(message, line=where((section, key), *fallbacks))
 
     for key in _SCHEMA["eos"]:
         val = get("eos", key)
@@ -283,7 +284,7 @@ def parse_config(text):
     steps = np.round(ob_t_end / ob_dt)
     demand(
         steps >= 1 and abs(steps * ob_dt - ob_t_end) <= 1e-9 * ob_t_end,
-        "ob", "t_end", "t_end must be an integer multiple of dt",
+        "ob", "t_end", "t_end must be an integer multiple of dt", ("ob", "dt"),
     )
 
     cadence = get("output", "cadence")
@@ -291,7 +292,7 @@ def parse_config(text):
     every = np.round(cadence / ob_dt)
     demand(
         every >= 1 and abs(every * ob_dt - cadence) <= 1e-9 * cadence,
-        "output", "cadence", "cadence must be a positive multiple of the ob dt",
+        "output", "cadence", "cadence must be a positive multiple of the ob dt", ("ob", "dt"),
     )
     formats = tuple(tok.strip() for tok in get("output", "formats").split(",") if tok.strip())
     demand(
@@ -313,10 +314,13 @@ def parse_config(text):
         min(cfg.theta_b_bottom, cfg.theta_b_top) - abs(cfg.theta_b_cos)
     )
     if floor <= 0:
+        walls = ("theta_b_bottom", "theta_b_top")
+        if cfg.theta_b_top < cfg.theta_b_bottom:
+            walls = walls[::-1]
         raise ConfigError(
             f"eps={worst:g} with the configured Theta_B drives the wall "
             "temperature non-positive",
-            line=where("nsf", "eps_list") or where("nsf", "eps"),
+            line=where(("nsf", "eps_list"), ("nsf", "eps"), *(("forcing", k) for k in walls + ("theta_b_cos",))),
         )
     return cfg
 

@@ -8,13 +8,13 @@ MAC layout, arrays indexed [i, k] = (x, z):
 
 Arrays are C-contiguous, so the z-neighbours of a[i, k] are the next and
 previous entries of its flat buffer.  A z-stencil is one ufunc over two
-offset flat views (_zhi, _zlo) instead of nx strided rows; the pairs that
-reach across the end of an x-column are spare entries that the caller
-overwrites or never reads.  The NSF kernel keeps interior z-face
-quantities in the z-face layout, an (nx, nz) array whose column k holds
-face k (column 0 the bottom wall face) with the top wall face as a
+offset flat views (a.reshape(-1)[n:] and [:-n]) instead of nx strided
+rows; the pairs that reach across the end of an x-column are spare entries
+that the caller overwrites or never reads.  The NSF kernel keeps interior
+z-face quantities in the z-face layout, an (nx, nz) array whose column k
+holds face k (column 0 the bottom wall face) with the top wall face as a
 separate (nx,) row, so that centre -> face and face -> centre stencils are
-such flat passes too.
+such flat passes too (nsf._StagePlan).
 
 Ghost conventions at the z walls: grad is the homogeneous-Neumann gradient
 (ghost = g_int, so its wall rows are zero); tangential no-slip mirror
@@ -280,22 +280,6 @@ def _xnext(a):
     return out
 
 
-def _zlo(a, n=1):
-    """The C-order buffer of a without its last n entries, a flat view of a
-    C-contiguous a (a copy otherwise, so write only to arrays made
-    contiguous).  Entry j is a[i, k] for j = i * a.shape[1] + k, so
-    ufunc(_zhi(a, n), _zlo(a, n)) pairs every a[i, k] with a[i, k - n], the
-    entry n rows below it along z, in one contiguous pass.  The pairs that
-    reach across the end of an x-column are spare entries, which the caller
-    overwrites or never reads."""
-    return a.reshape(-1)[:-n]
-
-
-def _zhi(a, n=1):
-    """The C-order buffer of a without its first n entries; see _zlo."""
-    return a.reshape(-1)[n:]
-
-
 # The periodic x-differences and face averages finish in the neighbour copy,
 # in place, so each allocates one array and makes no temporary.
 
@@ -392,18 +376,21 @@ class _Advection:
     """-(U . grad) U at the faces, centered second order, bound to one grid
     with its work arrays and the views its stencils read: x-ghost-padded
     copies of u and w (_pad_x), the z-differences and the pair sums.  A
-    call returns fresh (adv_u, adv_w) and writes only the object's own
-    arrays, so an object serves one run (or one call) and no other.
+    call returns fresh (adv_u, adv_w), or writes them into out, a caller's
+    pair of arrays of their shapes holding finite values, and otherwise
+    writes only the object's own arrays, so an object serves one run (or
+    one call) and no other.  rows, when given, replaces the grid's nx: a
+    one-row x-invariant strip is its own periodic x-neighbour.
 
     u is x-face staggered, w z-face staggered; tangential ghosts are no-slip
     mirrors and the wall rows of the w component stay zero.  u None stands
     for an exactly zero u under an x-invariant w, where every u term is
-    +0.0: the call returns (None, -(w d_z w + 0.0)), the +0.0 kept as that
+    +0.0: the call returns (None, -(0.0 + w d_z w)), the +0.0 kept as that
     term's first operand, bit for bit the full call's adv_w.
     """
 
-    def __init__(self, grid):
-        nx, nz = grid.nx, grid.nz
+    def __init__(self, grid, rows=None):
+        nx, nz = grid.nx if rows is None else rows, grid.nz
         self.two_dx, self.two_dz = _const(2 * grid.dx), _const(2 * grid.dz)
         self.quarter = _const(0.25)
         self.u_pad, self.w_pad = np.empty((nx + 2, nz)), np.empty((nx + 2, nz + 1))
@@ -417,32 +404,33 @@ class _Advection:
         self.w_pairs_lo, self.w_pairs_hi = self.w_pairs[:, :-1], self.w_pairs[:, 1:]
         self.u_pairs = np.empty((nx, nz))
         self.u_pairs_lo, self.u_pairs_hi = self.u_pairs[:, :-1], self.u_pairs[:, 1:]
-        self.dwdx, self.dwdz = np.empty((nx, nz + 1)), np.empty((nx, nz + 1))
-        self.dwdz_flat = self.dwdz.reshape(-1)
-        self.dwdz_inner = self.dwdz_flat[1:-1]
+        # The first and last entries of dwdz, wall entries that its flat
+        # pass never writes, stay finite zeros.
+        self.dwdx, self.dwdz = np.empty((nx, nz + 1)), np.zeros((nx, nz + 1))
+        self.dwdz_inner = self.dwdz.reshape(-1)[1:-1]
 
-    def __call__(self, u, w):
-        adv_w = np.zeros(w.shape)
-        adv_u = None if u is None else self._u_terms(u, w, adv_w)
+    def __call__(self, u, w, out=None):
+        adv_u, adv_w = (None, np.zeros(w.shape)) if out is None else out
+        adv_u = None if u is None else self._u_terms(u, w, adv_u, adv_w)
         # adv_w in the w layout, its z-difference one flat pass over the
         # buffer; the wall rows are set to zero last.
         dwdz, flat_w = self.dwdz, w.reshape(-1)
         np.subtract(flat_w[2:], flat_w[:-2], out=self.dwdz_inner)
-        self.dwdz_flat[0] = self.dwdz_flat[-1] = 0.0
         dwdz /= self.two_dz
         dwdz *= w
-        adv_w += dwdz
+        np.add(0.0 if u is None else adv_w, dwdz, out=adv_w)
         np.negative(adv_w, out=adv_w)
         adv_w[:, 0] = 0.0
         adv_w[:, -1] = 0.0
         return adv_u, adv_w
 
-    def _u_terms(self, u, w, adv_w):
-        """The returned adv_u, and u d_x w written into the zero adv_w."""
+    def _u_terms(self, u, w, adv_u, adv_w):
+        """adv_u, written into adv_u (fresh when None), and u d_x w written
+        into the interior rows of adv_w."""
         _pad_x(self.u_pad, u)
         _pad_x(self.w_pad, w)
         u_next, w_prev = self.u_next, self.w_prev
-        adv_u = np.subtract(u_next, self.u_prev)
+        adv_u = np.subtract(u_next, self.u_prev, out=adv_u)
         adv_u /= self.two_dx
         # z-differences two rows apart as one flat pass; the no-slip mirror
         # ghosts -u are folded into the wall differences exactly.

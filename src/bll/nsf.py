@@ -38,29 +38,26 @@ first stage: rho*e is thermo's _rho_e and p, c^2 and e_theta its _closure,
 both on one _powers (one cbrt and products of theta), so the stage forms no
 gas-model formula of its own.  Each stage starts the Newton recovery of
 theta at the previous stage's theta and forms the cbrt of its density once,
-for the recovery's cold floor and the _thermo that follows.  A run binds one
-grid._Advection (step_nsf one per call).  An exactly x-invariant run
-(_x_strip) steps x and the reference cut to 4 columns under the caller's
+for the recovery's cold floor and the _thermo that follows.
+
+A run binds one _StagePlan (step_nsf one per call): the stage's work
+arrays, stacked into blocks so that one ufunc serves several fields, and
+three rotating rate sets, so that a step allocates no stage array; its
+docstring has the layout and the rotation.  An exactly x-invariant run
+(_x_strip) steps x and the reference cut to one row under the caller's
 scenario, and tiles its log rows and snapshots back to full width, bit for
 bit the full-width run; one at rest in x is a column, stepping only its
 z-terms (the rule and its + 0.0 operands are in _x_strip's docstring).
 
-The stage kernel _rhs is written for the number of array passes.  One
-routine, _face_fluxes, forms the face fluxes of both directions on their
-neighbour-pair stencils (_xfaces, periodic, and _zfaces), and one
-_divergence turns them into rates.  Interior z-face quantities live in
-grid's z-face layout (column k holds face k, column 0 the bottom wall face,
-the top wall face a separate (nx,) row), so
-every z-neighbour stencil is one flat pass over the C-contiguous buffer
-(_zfaces, _zcenters), its spare entries finite neighbour pairs; a temporary
-with no other reader is updated in place, as are the stage updates of
-_step.  Every grid, eps and wall factor is a per-scenario constant on
-_NsfAux that the stage multiplies by, and each face density divides once,
-as the common denominator of the pressure gradient, the viscous term and
-the potential force.  The results therefore differ from the plain formulas
-(every factor divided where it appears) by rounding only, and the discrete
-reference at rest still gives exactly zero mass and momentum rates.
-scipy is imported only by the continuum oracle hydrostatic_stationary_1d.
+The stage kernel _rhs is written for the number of ufunc calls.  One
+routine, _face_fluxes, forms the face fluxes of both directions.  Every
+grid, eps and wall factor is a per-scenario constant on _NsfAux that the
+stage multiplies by, and each face density divides once, as the common
+denominator of the pressure gradient, the viscous term and the potential
+force.  The results therefore differ from the plain formulas (every factor
+divided where it appears) by rounding only, and the discrete reference at
+rest still gives exactly zero mass and momentum rates.  scipy is imported
+only by the continuum oracle hydrostatic_stationary_1d.
 """
 
 from __future__ import annotations
@@ -244,7 +241,7 @@ class _NsfAux:
     spare), dGz_eps = (G_k - G_{k-1}) / (eps dz) and the face densities
     rho_hat_f_xz; the x-varying potential force dGx_eps = (G_i - G_{i-1}) /
     (eps dx), None when G is z-only; the bottom x-face wall temperature
-    corner_b and the top wall row's viscosity mu_corner_t; the wall
+    corner_b and its top counterpart corner_t; the wall
     conduction factors kap_b2/kap_t2 = -2 kappa(wall) / dz; and the grid and
     eps constants the stage multiplies by instead of dividing: inv_dx,
     inv_dz, half_inv_eps = 1/(2 eps), pg_x/pg_z = 1/(eps^2 dx), 1/(eps^2
@@ -268,7 +265,7 @@ class _NsfAux:
     E_hat_xz: np.ndarray
     dGz_eps: np.ndarray
     corner_b: np.ndarray
-    mu_corner_t: np.ndarray
+    corner_t: np.ndarray
     inv_dx: float
     inv_dz: float
     half_inv_eps: float
@@ -375,7 +372,9 @@ def _build_reference(scenario):
     eps, dx, dz = scenario.eps, g.dx, g.dz
     dGx = gr._xdiff_prev(Gv)
     rho_hat_f = 0.5 * (rho_hat[1:] + rho_hat[:-1])
-    dGz_eps = _zfaces(np.subtract, Gv)
+    dGz_eps = np.empty_like(Gv)  # z-face layout, the wall column a finite spare
+    np.subtract(Gv[:, 1:], Gv[:, :-1], out=dGz_eps[:, 1:])
+    dGz_eps[:, 0] = dGz_eps[:, 1]
     dGz_eps /= eps * dz
     return _NsfAux(
         rho_hat=rho_hat,
@@ -393,7 +392,7 @@ def _build_reference(scenario):
         E_hat_xz=np.tile(E_hat, (g.nx, 1)),
         dGz_eps=dGz_eps,
         corner_b=center_to_xface(wb),
-        mu_corner_t=_mu(center_to_xface(wt), eos),
+        corner_t=center_to_xface(wt),
         inv_dx=1.0 / dx,
         inv_dz=1.0 / dz,
         half_inv_eps=0.5 / eps,
@@ -532,214 +531,298 @@ def _thermo(rho, th, eos, rho_powers=None):
     return _Thermo(_rho_e(rho, th, eos, powers), p, c2, e_theta, _mu(th, eos), eta)
 
 
-def _zfaces(ufunc, a):
-    """ufunc(a[:, k], a[:, k-1]) of a center array a in the z-face layout:
-    column k >= 1 holds interior face k, one flat pass over the buffer.
-    Column 0, the bottom wall face, holds spare pairs across x-columns and,
-    at [0, 0], a copy of [0, 1], so every entry is a finite neighbour pair."""
-    out = np.empty(a.shape)
-    flat = out.reshape(-1)
-    ufunc(gr._zhi(a), gr._zlo(a), out=flat[1:])
-    flat[0] = flat[1]
-    return out
+def _xprev_pairs(a, out):
+    """(a[i], a[i-1], out[i]) row-slice triples along axis -2, the previous
+    row periodic: a ufunc over each writes ufunc(a[i], a[i-1]) to out[i].
+    A one-row a is its own neighbour."""
+    pairs = [(a[..., :1, :], a[..., -1:, :], out[..., :1, :])]
+    if a.shape[-2] > 1:
+        pairs.append((a[..., 1:, :], a[..., :-1, :], out[..., 1:, :]))
+    return pairs
 
 
-def _zcenters(ufunc, f, top):
-    """ufunc(f[:, k+1], f[:, k]) at the centers of a z-face-layout array f
-    whose top wall face is the (nx,) row (or scalar) top."""
-    out = np.empty(f.shape)
-    ufunc(gr._zhi(f), gr._zlo(f), out=gr._zlo(out))
-    ufunc(top, f[:, -1], out=out[:, -1])
-    return out
+def _xnext_pairs(a, out):
+    """(a[i+1], a[i], out[i]) row-slice triples along axis -2, periodic."""
+    pairs = [(a[..., :1, :], a[..., -1:, :], out[..., -1:, :])]
+    if a.shape[-2] > 1:
+        pairs.append((a[..., 1:, :], a[..., :-1, :], out[..., :-1, :]))
+    return pairs
 
 
-def _rusanov(central, half_u, j_ac, j):
-    """The two-term Rusanov flux central - j_ac - (|u|/2) j, finished in
-    central; j_ac is the acoustic jump already scaled by c/(2 eps), and j is
-    spent."""
-    central -= j_ac
-    j *= half_u
-    central -= j
-    return central
+def _each(ufunc, pairs):
+    for a, b, out in pairs:
+        ufunc(a, b, out=out)
 
 
-def _xfaces(ufunc, a):
-    """ufunc(a[i], a[i-1]) of a center array a at the x-faces along the
-    periodic x axis: face i sits between centers i-1 and i."""
-    out = gr._xprev(a)
-    ufunc(a, out, out=out)
-    return out
+class _Faces:
+    """One direction's face buffers of a _StagePlan, in the z-face layout
+    for z: the halved neighbour sums of [rho, rho e, theta, c^2, h], the
+    jumps of [p, rho, rho e] deviations and theta, the flux pair [F_m, F_E]
+    and |vel| / 2.  The plan binds the (hi, lo, out) triples of their
+    stencils, sum_pairs and jump_pairs: the flat pair (z) or the periodic
+    row pairs (x) of its blocks."""
+
+    def __init__(self, name, shape):
+        self.name = name
+        self.sums, self.jumps, self.F = np.empty((5,) + shape), np.empty((4,) + shape), np.empty((2,) + shape)
+        self.half_v = np.empty(shape)
+        self.rho_E_f, self.th_f, self.c_f, self.h_f = self.sums[:2], self.sums[2], self.sums[3], self.sums[4]
+        self.acoustic = self.sums[3:]  # [jr_ac, jE_ac] once c_f and h_f are spent
+        self.jp, self.material, self.jth = self.jumps[0], self.jumps[1:3], self.jumps[3]
+        self.FE = self.F[1]
 
 
-def _face_fluxes(faces, vel, rho, th, tf, devs, spec_h, aux, eos, inv_d):
-    """(rho_f, jp, Fm, FE, th_sum) at one direction's faces, of stencil faces
-    (_xfaces or _zfaces) and normal velocity vel: face density, jump of the
-    pressure deviation (devs: p, rho, rho e minus the reference), mass flux,
-    energy flux (Rusanov plus Fourier) and the neighbours' theta sum.
-    Dissipation at |vel| + c/eps on the acoustic jump jp/c^2 and at |vel| on
-    the rest of the jump j is, exactly, (c/(2 eps)) jp/c^2 + (|vel|/2) j."""
-    rho_f = faces(np.add, rho)
-    rho_f *= 0.5
-    jp, jr, jE = (faces(np.subtract, d) for d in devs)
-    half_v = np.abs(vel)
+class _Rates:
+    """One rate/state set of a _StagePlan: the pair [d rho, d(rho e)],
+    returned as its two halves, du and dw, with the views the stage writes."""
+
+    def __init__(self, shape):
+        rows, nz = shape
+        self.pair, self.du, self.dw = np.empty((2,) + shape), np.empty(shape), np.zeros((rows, nz + 1))
+        self.d_rho, self.d_E = self.pair
+        self.pair_lo, self.pair_top = self.pair.reshape(-1)[:-1], self.pair[:, :, -1]
+        self.dw_in = self.dw[:, 1:-1]
+
+
+class _StagePlan:
+    """What every stage of one run shares, bound once: the run's
+    grid._Advection, every temporary of _rhs and _step, and the views their
+    stencils read and write.  Arrays have one row per x-column stepped: the
+    grid's nx, or 1 on an x-invariant strip (_x_strip).
+
+    Layout.  The inputs of one stencil are stacked into one C-contiguous
+    block, so one ufunc does the work of several: the centre block [p, rho,
+    rho e, theta, c^2, h] (h = (rho e + p) / rho), the deviation block
+    [p - p_hat, rho - rho_hat, rho e - E_hat, theta] (theta minus a zero
+    row), and each direction's flux pair [F_m, F_E] (_Faces).  z-face
+    quantities live in grid's z-face layout (column k holds face k, column
+    0 the bottom wall face, the top wall face a separate row), so a z
+    stencil is one ufunc over two offset flat views of a block: one np.add
+    over the centre block from rho on gives the five z-face sums, one
+    np.subtract over the deviation block the four jumps, and one over the
+    flux pair, closed by the top row, the rate pair [d rho, d(rho e)].  The
+    flat pairs that reach across an x-row or a block land in column 0, as
+    finite spares that are overwritten or never read; the deviation block
+    and Szz sit one entry into a buffer whose first entry is a fixed zero,
+    so their flat pair covers entry 0 too.  An x stencil pairs each row with
+    its periodic neighbour along axis -2; a one-row array is its own.
+
+    Rotation.  Three rate sets (_Rates) take the stages' rates, each updated
+    into its stage's state in place by _step: stage 1 writes `out`, stage 2
+    `k2`, and the step's result stays in stage 1's set, so the next step's
+    stage 1 writes the other state set, `spare`.  A step therefore allocates
+    no stage array; a state kept past the next step (_snapshot) is a copy.
+    A plan serves one run, or one step_nsf call, and no other."""
+
+    def __init__(self, scenario, aux, rows, advect=None):
+        nz = scenario.grid.nz
+        shape = (rows, nz)
+        self.advect = gr._Advection(scenario.grid, rows) if advect is None else advect
+        self.eps2 = scenario.eps * scenario.eps
+        self.out, self.k2, self.spare = _Rates(shape), _Rates(shape), _Rates(shape)
+        self.x0 = np.empty((2,) + shape)  # [rho, rho e] of a step's start
+        self.x0_rows = self.x0.reshape(2 * rows, nz)
+
+        self.centre = centre = np.empty((6,) + shape)
+        self.centre_in, self.centre_dev, self.h = centre[:5].reshape(5 * rows, nz), centre[:4], centre[5]
+        self.th_bottom, self.th_top = centre[3, :, 0], centre[3, :, -1]
+        dev = np.zeros(1 + 4 * rows * nz)
+        self.dev = dev[1:].reshape((4,) + shape)
+        self.ref = np.stack([aux.p_hat_xz, aux.rho_hat_xz, aux.E_hat_xz, np.zeros(shape)])
+        n, flat = rows * nz, centre.reshape(-1)
+        self.z, self.x = z, x = _Faces("z", shape), _Faces("x", shape)
+        z.sum_pairs = [(flat[n:], flat[n - 1:-1], z.sums.reshape(-1))]
+        z.jump_pairs = [(dev[1:], dev[:-1], z.jumps.reshape(-1))]
+        x.sum_pairs, x.jump_pairs = _xprev_pairs(centre[1:], x.sums), _xprev_pairs(self.dev, x.jumps)
+        self.Fz_hi, self.Fz_lo, self.Fz_top = z.F.reshape(-1)[1:], z.F.reshape(-1)[:-1], z.F[:, :, -1]
+        self.Fm_bottom, self.FE_bottom = z.F[0, :, 0], z.F[1, :, 0]
+        self.top = np.zeros((2, rows))  # the top wall faces of [F_m, F_E]
+        self.FE_top = self.top[1]
+        self.div_x = np.empty((2,) + shape)
+        self.div_x_pairs = _xnext_pairs(x.F, self.div_x)
+
+        # Stresses and dissipation at the centres, Szz after a fixed zero.
+        self.Dzz, self.Dxx, self.divU, self.diss, self.Sxx, self.bulk, self.pdiv = np.empty((7,) + shape)
+        Szz = np.zeros(1 + n)
+        self.Szz = Szz[1:].reshape(shape)
+        self.visc = np.empty(shape)  # dw's viscous sum, z-face layout
+        self.Szz_pairs = [(Szz[1:], Szz[:-1], self.visc.reshape(-1))]
+        self.visc_hi = self.visc[:, 1:]
+        # The corner (x-face, z-face) stencils in the w layout, wall rows included.
+        corners = (rows, nz + 1)
+        self.shear, self.shear_x, self.Sxz, self.sh2_pairs = np.empty((4,) + corners)
+        self.shear_in, self.shear_b, self.shear_t = self.shear[:, 1:-1], self.shear[:, 0], self.shear[:, -1]
+        self.th_corner = np.empty(corners)
+        self.th_corner[:, 0] = aux.corner_b
+        self.th_corner[:, -1] = aux.corner_t
+        self.th_corner_in = self.th_corner[:, 1:-1]
+        self.th_f_hi, self.th_f_lo = x.th_f[:, 1:], x.th_f[:, :-1]
+        self.visc_u, self.visc_uz, self.visc_x, self.sh2_c = np.empty((4,) + shape)
+        self.Sxx_pairs = _xprev_pairs(self.Sxx, self.visc_u)
+        self.Sxz_hi, self.Sxz_lo = self.Sxz[:, 1:], self.Sxz[:, :-1]
+        self.Sxz_pairs = _xnext_pairs(self.Sxz_lo, self.visc_x)
+        self.sh2_next = _xnext_pairs(self.shear, self.sh2_pairs)
+        self.sh2_hi, self.sh2_lo = self.sh2_pairs[:, 1:], self.sh2_pairs[:, :-1]
+        self.two_inv_dz, self.neg_two_inv_dz = 2.0 * aux.inv_dz, -2.0 * aux.inv_dz
+
+
+def _face_fluxes(f, vel, aux, eos, inv_d):
+    """The flux pair [F_m, F_E] (f.F) at the faces of one direction's
+    _Faces f, whose stencil reads the plan's centre and deviation blocks,
+    at normal velocity vel: mass flux and energy flux, Rusanov plus Fourier.
+    f.sums keeps the face density rho_f, f.jumps the jump of the pressure
+    deviation jp, and f.th_f the neighbours' theta mean.  Dissipation at
+    |vel| + c/eps on the acoustic jump jp/c^2 and at |vel| on the rest of
+    the jump j is, exactly, (c/(2 eps)) jp/c^2 + (|vel|/2) j: the flux is
+    central - [jr_ac, h_f jr_ac] - (|vel|/2) [jr, jE], jr_ac = (c_f/(2 eps))
+    jp/c_f^2 formed in c_f, and jE_ac in h_f."""
+    _each(np.add, f.sum_pairs)
+    f.sums *= 0.5
+    _each(np.subtract, f.jump_pairs)
+    half_v = np.abs(vel, out=f.half_v)
     half_v *= 0.5
-    c_f = faces(np.add, tf.c2)
-    c_f *= 0.5
-    np.sqrt(c_f, out=c_f)
-    jr_ac = np.divide(jp, c_f, out=c_f)
+    jr_ac = np.sqrt(f.c_f, out=f.c_f)
+    np.divide(f.jp, jr_ac, out=jr_ac)
     jr_ac *= aux.half_inv_eps
-    jE_ac = faces(np.add, spec_h)
-    jE_ac *= 0.5
-    jE_ac *= jr_ac
-    Fm = _rusanov(vel * rho_f, half_v, jr_ac, jr)
-    FE = faces(np.add, tf.E)
-    FE *= 0.5
-    FE *= vel
-    _rusanov(FE, half_v, jE_ac, jE)
-    th_sum = faces(np.add, th)
-    cond = _kappa(0.5 * th_sum, eos, inv_d)
-    cond *= faces(np.subtract, th)
-    FE -= cond
-    return rho_f, jp, Fm, FE, th_sum
+    f.h_f *= jr_ac
+    F = np.multiply(f.rho_E_f, vel, out=f.F)
+    F -= f.acoustic
+    f.material *= half_v
+    F -= f.material
+    cond = _kappa(f.th_f, eos, inv_d)
+    cond *= f.jth
+    f.FE -= cond
+    return F
 
 
-def _divergence(Fx, Fz, top, aux):
-    """-div F at the centers of x-face fluxes Fx and z-face-layout fluxes Fz
-    whose top wall face is the (nx,) row (or scalar) top; Fx None (a
-    column's) leaves out the x part, which is -0.0 there."""
-    d = _zcenters(np.subtract, Fz, top)
-    d *= aux.div_z
-    if Fx is not None:
-        div_x = gr._xdiff_next(Fx)
-        div_x *= aux.div_x
-        d += div_x
-    return d
-
-
-def _rhs(rho, th, u, w, scenario, aux, tf, advect):
-    """Semi-discrete right-hand side for (rho, rho e, u, w); tf is the
-    _Thermo of (rho, th) and advect the run's grid._Advection.  Every other
-    temporary is fresh, and is updated in place once it has no other
-    reader; no input is written.  On a column (aux.column) the x-terms are
-    not formed and du is None."""
+def _rhs(rho, th, u, w, scenario, aux, tf, plan):
+    """Semi-discrete right-hand side (d_rho, d_E, du, dw) for (rho, rho e,
+    u, w), in plan's arrays: d_rho and d_E are the halves of one rate pair.
+    tf is the _Thermo of (rho, th) and plan the run's _StagePlan (a bare
+    grid._Advection binds a fresh one around it, for one call).  No input
+    is written.  On a column (aux.column) the x-terms are not formed and du
+    is None."""
+    if not isinstance(plan, _StagePlan):
+        plan = _StagePlan(scenario, aux, rho.shape[0], plan)
+    out = plan.out
     eos = scenario.eos
     column = aux.column
     inv_dx, inv_dz = aux.inv_dx, aux.inv_dz
     E, p, mu, eta = tf.E, tf.p, tf.mu, tf.eta
-    spec_h = E + p
-    spec_h /= rho
-    devs = (p - aux.p_hat_xz, rho - aux.rho_hat_xz, E - aux.E_hat_xz)
+    np.concatenate((p, rho, E, th, tf.c2), out=plan.centre_in)
+    np.add(E, p, out=plan.h)
+    plan.h /= rho
+    np.subtract(plan.centre_dev, plan.ref, out=plan.dev)
 
-    # z faces in the z-face layout (column 0 the bottom wall face, the top
-    # one a separate row).
-    wf = w[:, :-1].copy()
-    rho_fz, jp_z, Fm_z, FE_z, _ = _face_fluxes(_zfaces, wf, rho, th, tf, devs, spec_h, aux, eos, inv_dz)
-    Fm_z[:, 0] = 0.0  # no mass flux through the walls
-    # Wall faces: Fourier flux against the Dirichlet wall value.
-    np.subtract(th[:, 0], aux.wall_b, out=FE_z[:, 0])
-    FE_z[:, 0] *= aux.kap_b2
-    FE_top = aux.wall_t - th[:, -1]
+    # z faces; the wall faces carry no mass flux and the Fourier flux
+    # against the Dirichlet wall value.
+    z = plan.z
+    _face_fluxes(z, w[:, :-1], aux, eos, inv_dz)
+    plan.Fm_bottom.fill(0.0)
+    np.subtract(plan.th_bottom, aux.wall_b, out=plan.FE_bottom)
+    plan.FE_bottom *= aux.kap_b2
+    FE_top = np.subtract(aux.wall_t, plan.th_top, out=plan.FE_top)
     FE_top *= aux.kap_t2
+    rates = out.pair
+    np.subtract(plan.Fz_hi, plan.Fz_lo, out=out.pair_lo)
+    np.subtract(plan.top, plan.Fz_top, out=out.pair_top)
+    rates *= aux.div_z
 
     # Newton stress in d = 2: S = mu (grad U + grad U^T - div U I) + eta div U I.
     # A column's Dxx, and the x part of dw's viscous sum, are the float +0.0,
-    # kept as the first operand (+0.0 + -0.0 is +0.0); Dxx_zz -= Dzz then
-    # makes a fresh 0.0 - Dzz.
-    adv_u, adv_w = advect(None if column else u, w)
-    Dzz = _zcenters(np.subtract, wf, w[:, -1])
+    # kept as an operand (+0.0 + -0.0 is +0.0).
+    adv_u, adv_w = plan.advect(None if column else u, w, (out.du, out.dw))
+    Dzz = np.subtract(w[:, 1:], w[:, :-1], out=plan.Dzz)
     Dzz *= inv_dz
     Dxx = 0.0
     if not column:
-        Dxx = gr._xdiff_next(u)
+        Dxx = plan.Dxx
+        _each(np.subtract, _xnext_pairs(u, Dxx))
         Dxx *= inv_dx
-    divU = Dxx + Dzz
-    Dxx_zz = Dxx
-    Dxx_zz -= Dzz
-    Sxx = mu * Dxx_zz
-    Szz = -Sxx  # mu (Dzz - Dxx), bit for bit up to the sign of a zero
+    divU = np.add(Dxx, Dzz, out=plan.divU)
+    Dxx_zz = np.subtract(Dxx, Dzz, out=plan.diss)
+    Sxx = np.multiply(mu, Dxx_zz, out=plan.Sxx)
+    Szz = np.negative(Sxx, out=plan.Szz)  # mu (Dzz - Dxx), bit for bit up to the sign of a zero
     if eta is not None:
-        bulk = eta * divU
+        bulk = np.multiply(eta, divU, out=plan.bulk)
         Sxx += bulk
         Szz += bulk
     # eps^2 S : grad U >= 0 cell-wise.
     diss = np.multiply(Dxx_zz, Dxx_zz, out=Dxx_zz)
 
-    du = Fm_x = FE_x = None
-    visc = 0.0
+    du = None
+    visc_x = 0.0
     if not column:
-        rho_fx, jp_x, Fm_x, FE_x, th_pairs = _face_fluxes(_xfaces, u, rho, th, tf, devs, spec_h, aux, eos, inv_dx)
-        # Shear at the corners; the top wall corners are their own row.
-        shear = _zfaces(np.subtract, u)
-        shear *= inv_dz
-        shear[:, 0] = u[:, 0] * (2.0 * inv_dz)
-        shear_x = gr._xdiff_prev(wf)
-        shear_x *= inv_dx
-        shear += shear_x
-        shear_top = u[:, -1] * (-2.0 * inv_dz)
-        shear_x = gr._xdiff_prev(w[:, -1])
-        shear_x *= inv_dx
-        shear_top += shear_x
-        # x-pairs first: keeps the average bitwise equal under x-mirroring.
-        th_corner = _zfaces(np.add, th_pairs)
-        th_corner *= 0.25
-        th_corner[:, 0] = aux.corner_b
-        Sxz = _mu(th_corner, eos)
-        Sxz *= shear
-        Sxz_top = aux.mu_corner_t * shear_top
+        x = plan.x
+        _face_fluxes(x, u, aux, eos, inv_dx)
+        # Shear at the corners, wall rows included.
+        shear = plan.shear
+        np.subtract(u[:, 1:], u[:, :-1], out=plan.shear_in)
+        plan.shear_in *= inv_dz
+        np.multiply(u[:, 0], plan.two_inv_dz, out=plan.shear_b)
+        np.multiply(u[:, -1], plan.neg_two_inv_dz, out=plan.shear_t)
+        _each(np.subtract, _xprev_pairs(w, plan.shear_x))
+        plan.shear_x *= inv_dx
+        shear += plan.shear_x
+        # x-pairs first: keeps the average bitwise equal under x-mirroring;
+        # the x-face theta means are the halved pairs.
+        np.add(plan.th_f_hi, plan.th_f_lo, out=plan.th_corner_in)
+        plan.th_corner_in *= 0.5
+        Sxz = np.multiply(_mu(plan.th_corner, eos), shear, out=plan.Sxz)
 
         # Each face density divides once: du = adv_u + (div S - jp / (eps^2
         # dx)) / rho_f.
-        visc = gr._xdiff_prev(Sxx)
+        visc = plan.visc_u
+        _each(np.subtract, plan.Sxx_pairs)
         visc *= inv_dx
-        visc_z = _zcenters(np.subtract, Sxz, Sxz_top)
+        visc_z = np.subtract(plan.Sxz_hi, plan.Sxz_lo, out=plan.visc_uz)
         visc_z *= inv_dz
         visc += visc_z
-        jp_x *= aux.pg_x
-        visc -= jp_x
-        visc /= rho_fx
+        x.jp *= aux.pg_x
+        visc -= x.jp
+        visc /= x.sums[0]
         du = adv_u
         du += visc
         if aux.dGx_eps is not None:
             du += aux.dGx_eps
-        visc = gr._xdiff_next(Sxz)
-        visc *= inv_dx
+        visc_x = plan.visc_x
+        _each(np.subtract, plan.Sxz_pairs)
+        visc_x *= inv_dx
 
         # The shear square is corner-averaged.
-        sh2 = np.multiply(shear, shear, out=shear)
-        sh2_pairs = gr._xnext(sh2)
-        sh2_pairs += sh2
-        sh2_top = shear_top * shear_top
-        sh2_pairs_top = gr._xnext(sh2_top)
-        sh2_pairs_top += sh2_top
-        sh2_c = _zcenters(np.add, sh2_pairs, sh2_pairs_top)
+        np.multiply(shear, shear, out=shear)
+        _each(np.add, plan.sh2_next)
+        sh2_c = np.add(plan.sh2_hi, plan.sh2_lo, out=plan.sh2_c)
         sh2_c *= 0.25
         diss += sh2_c
-    d_rho = _divergence(Fm_x, Fm_z, 0.0, aux)
-    d_E = _divergence(FE_x, FE_z, FE_top, aux)
+        _each(np.subtract, plan.div_x_pairs)
+        plan.div_x *= aux.div_x
+        rates += plan.div_x
 
     # dw adds the balanced potential force G' (rho_f - rho_hat_f) / rho_f,
     # which is exactly zero where rho_f = rho_hat_f.
-    visc_z = _zfaces(np.subtract, Szz)
-    visc_z *= inv_dz
-    visc += visc_z
-    jp_z *= aux.pg_z
-    visc -= jp_z
-    buoy = np.subtract(rho_fz, aux.rho_hat_f_xz, out=jp_z)
+    visc = plan.visc
+    _each(np.subtract, plan.Szz_pairs)
+    visc *= inv_dz
+    visc += visc_x
+    z.jp *= aux.pg_z
+    visc -= z.jp
+    rho_fz = z.sums[0]
+    buoy = np.subtract(rho_fz, aux.rho_hat_f_xz, out=z.jp)
     buoy *= aux.dGz_eps
     visc += buoy
     visc /= rho_fz
-    dw = np.zeros(w.shape)
-    np.add(adv_w[:, 1:-1], visc[:, 1:], out=dw[:, 1:-1])
+    out.dw_in += plan.visc_hi
 
     diss *= mu
     if eta is not None:
-        bulk = eta * divU
+        bulk = np.multiply(eta, divU, out=plan.bulk)
         bulk *= divU
         diss += bulk
-    diss *= scenario.eps * scenario.eps
-    diss -= p * divU
-    d_E += diss
-    return d_rho, d_E, du, dw
+    diss *= plan.eps2
+    diss -= np.multiply(p, divU, out=plan.pdiv)
+    out.d_E += diss
+    return out.d_rho, out.d_E, du, adv_w
 
 
 def _theta_of(rho, E, t, scenario, theta_guess, rho_powers):
@@ -793,11 +876,12 @@ def cfl_dt(state, scenario):
     return _cfl_bound(x, scenario, scenario.reference(), _thermo(x[0], x[1], scenario.eos))
 
 
-def _step(x, t, dt, scenario, aux, tf, bound, advect):
+def _step(x, t, dt, scenario, aux, tf, bound, plan):
     """SSP-RK2 step of size dt from x = (rho, theta, u, w) at time t, with
-    _Thermo tf, CFL bound bound, reference aux and the run's _Advection.
-    Returns the new x and _rho_powers of its density (None when p_inf == 0),
-    formed once for the theta recovery and the next _thermo."""
+    _Thermo tf, CFL bound bound, reference aux and the run's _StagePlan.
+    Returns the new x, in the plan's arrays, and _rho_powers of its density
+    (None when p_inf == 0), formed once for the theta recovery and the next
+    _thermo."""
     if dt > bound * (1.0 + 1e-12):
         raise StabilityError(
             f"dt={dt:.3e} rejected at t={t:.4g}: stability bound {bound:.3e}; "
@@ -805,28 +889,33 @@ def _step(x, t, dt, scenario, aux, tf, bound, advect):
         )
     r0, th0, u0, w0 = x
 
-    # The stages finish in the fresh rates: x0 + dt k, then
-    # 0.5 ((x0 + x1) + dt k) in the first stage's arrays.  A column's rate
-    # of u is None: its u is not stepped, and stays u0.
-    stage0 = (r0, tf.E, u0, w0)
-    stage1 = _rhs(r0, th0, u0, w0, scenario, aux, tf, advect)
+    # The stages finish in their rates, [rho, rho e] as one pair: x0 + dt k,
+    # then 0.5 ((x0 + x1) + dt k) in the first stage's arrays.  A column's
+    # rate of u is None: its u is not stepped, and stays u0.
+    np.concatenate((r0, tf.E), out=plan.x0_rows)
+    stage0 = (plan.x0, u0, w0)
+    held = plan.out
+    d_rho, _, du, dw = _rhs(r0, th0, u0, w0, scenario, aux, tf, plan)
+    stage1 = (d_rho.base, du, dw)
     for x0, k in zip(stage0, stage1):
         if k is not None:
             k *= dt
             k += x0
-    r1, E1, u1, w1 = stage1
+    (r1, E1), u1, w1 = stage1
     eos = scenario.eos
     rp1 = _rho_powers(r1) if eos.p_inf else None
     th1 = _theta_of(r1, E1, t + dt, scenario, th0, rp1)
 
-    rates = _rhs(r1, th1, u1, w1, scenario, aux, _thermo(r1, th1, eos, rp1), advect)
-    for x0, x1, k in zip(stage0, stage1, rates):
+    plan.out = plan.k2
+    d_rho, _, du, dw = _rhs(r1, th1, u1, w1, scenario, aux, _thermo(r1, th1, eos, rp1), plan)
+    plan.out, plan.spare = plan.spare, held
+    for x0, x1, k in zip(stage0, stage1, (d_rho.base, du, dw)):
         if k is not None:
             k *= dt
             x1 += x0
             x1 += k
             x1 *= 0.5
-    r2, E2, u2, w2 = stage1
+    (r2, E2), u2, w2 = stage1
     rp2 = _rho_powers(r2) if eos.p_inf else None
     return (r2, _theta_of(r2, E2, t + dt, scenario, th1, rp2), u0 if u2 is None else u2, w2), rp2
 
@@ -842,7 +931,8 @@ def step_nsf(state, scenario, dt):
     x = _fields(state, scenario)
     aux = scenario.reference()
     tf = _thermo(x[0], x[1], scenario.eos)
-    x = _step(x, state.t, dt, scenario, aux, tf, _cfl_bound(x, scenario, aux, tf), gr._Advection(scenario.grid))[0]
+    plan = _StagePlan(scenario, aux, scenario.grid.nx)
+    x = _step(x, state.t, dt, scenario, aux, tf, _cfl_bound(x, scenario, aux, tf), plan)[0]
     return _snapshot(x, state.t + dt, scenario)
 
 
@@ -902,11 +992,11 @@ def _log_row(x, t, scenario, E, theta_tilde, dt, column=False):
 
 
 def _snapshot(x, t, scenario):
-    """The NsfState of x at time t on scenario's grid, a strip's row 0 tiled
-    to the full width; a full-width x, never written once stepped, is
-    shared.  rho and theta passed the stage guard: __post_init__ is skipped."""
+    """The NsfState of a copy of x at time t on scenario's grid, a strip's
+    row tiled to the full width.  rho and theta passed the stage guard:
+    __post_init__ is skipped."""
     g = scenario.grid
-    rho, th, u, w = (a if a.shape[0] == g.nx else np.repeat(a[:1], g.nx, axis=0) for a in x)
+    rho, th, u, w = (a.copy() if a.shape[0] == g.nx else np.repeat(a, g.nx, axis=0) for a in x)
     state = object.__new__(NsfState)
     state.rho, state.theta, state.U = ScalarField(g, rho), ScalarField(g, th), VectorField(g, u, w)
     state.t, state.eps = t, scenario.eps
@@ -916,7 +1006,7 @@ def _snapshot(x, t, scenario):
 # The _NsfAux fields that hold one row per x-column; the others are z-profiles
 # and scalars, which a strip shares.
 _X_ROWS = ("wall_b", "wall_t", "kap_b2", "kap_t2", "rho_hat_xz", "rho_hat_f_xz",
-           "p_hat_xz", "E_hat_xz", "dGz_eps", "corner_b", "mu_corner_t")
+           "p_hat_xz", "E_hat_xz", "dGz_eps", "corner_b", "corner_t")
 
 
 def _rows_equal(a):
@@ -927,13 +1017,14 @@ def _rows_equal(a):
 
 
 def _x_strip(scenario, x):
-    """(x, aux, grid) to step from x: the scenario's reference and grid, or
-    all three cut to 4 columns (dx and dz kept) when the run is x-invariant:
-    nx > 4 and every row of G, of the initial rho, theta, u and w, and of
-    the wall arrays is bytewise row 0.  The scheme then keeps every row
-    bytewise equal: an x-difference of equal neighbours is +0.0, an
-    x-average is the neighbours' value, and max, min and the Newton stop
-    test see the same values on the strip.  The scenario is not cut.
+    """(x, aux) to step from x: x and the scenario's reference, or both cut
+    to their first row when the run is x-invariant: every row of G, of the
+    initial rho, theta, u and w, and of the wall arrays is bytewise row 0.
+    The scheme then keeps every row bytewise equal, and a one-row periodic
+    array is its own x-neighbour: an x-difference of equal neighbours is
+    +0.0, an x-average is the neighbours' value, and max, min and the
+    Newton stop test see the same values on the row.  The scenario is not
+    cut.
 
     The strip is a column (aux.column) when its u is also bytewise +0.0;
     its G, being x-invariant, gives no x-force (dGx_eps is None).  Every
@@ -944,15 +1035,15 @@ def _x_strip(scenario, x):
     and u is not stepped.  A skipped zero that was the first operand of a
     sum is kept, since +0.0 + -0.0 is +0.0: divU = Dzz + 0.0, Dxx - Dzz =
     0.0 - Dzz, dw's viscous sum visc_z + 0.0, and the advection's
-    w d_z w + 0.0 before its negation; a skipped -0.0 first operand (the x
+    0.0 + w d_z w before its negation; a skipped -0.0 first operand (the x
     part of a divergence) or a +0.0 added to a sum that is never -0.0 (the
     kinetic, shear-square and CFL |u| terms) drops out exactly."""
-    g, aux = scenario.grid, scenario.reference()
-    if g.nx <= 4 or not all(map(_rows_equal, (scenario.G.values, aux.wall_b, aux.wall_t) + x)):
-        return x, aux, g
-    cut = {name: getattr(aux, name)[:4] for name in _X_ROWS}
+    aux = scenario.reference()
+    if not all(map(_rows_equal, (scenario.G.values, aux.wall_b, aux.wall_t) + x)):
+        return x, aux
+    cut = {name: getattr(aux, name)[:1] for name in _X_ROWS}
     strip = replace(aux, column=not x[2].view(np.uint64).any(), **cut)
-    return tuple(a[:4] for a in x), strip, Grid(4, g.nz, 4 * g.dx)
+    return tuple(a[:1] for a in x), strip
 
 
 def run_nsf(scenario, snapshot_dt=None, initial=None):
@@ -973,13 +1064,13 @@ def run_nsf(scenario, snapshot_dt=None, initial=None):
     theta_tilde = _theta_tilde(scenario, None)
     t_end, t = scenario.t_end, state.t
     times, states = [t], [state]
-    x, aux, grid = _x_strip(scenario, (state.rho.values, state.theta.values, state.U.u, state.U.w))
+    x, aux = _x_strip(scenario, (state.rho.values, state.theta.values, state.U.u, state.U.w))
     tf = _thermo(x[0], x[1], scenario.eos)
     rows = [_log_row(x, t, scenario, tf.E, theta_tilde, 0.0, aux.column)]
     next_snap = snapshot_dt if snapshot_dt is not None else np.inf
     while next_snap <= t + 1e-12:  # a late start: the first multiple after it
         next_snap += snapshot_dt
-    advect = gr._Advection(grid)
+    plan = _StagePlan(scenario, aux, x[0].shape[0])
     started = time.perf_counter()
     steps = 0
     while t < t_end - 1e-12:
@@ -987,7 +1078,7 @@ def run_nsf(scenario, snapshot_dt=None, initial=None):
         dt = min(bound, min(next_snap, t_end) - t)
         if dt <= 1e-14:
             raise StabilityError(f"time step collapsed at t={t:.4g}")
-        x, rho_powers = _step(x, t, dt, scenario, aux, tf, bound, advect)
+        x, rho_powers = _step(x, t, dt, scenario, aux, tf, bound, plan)
         t += dt
         tf = _thermo(x[0], x[1], scenario.eos, rho_powers)
         steps += 1

@@ -331,6 +331,24 @@ def test_main_rejects_non_finite_config_values(tmp_path, capsys) -> None:
         assert "line 2" in err and "must be finite" in err, text
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[ob]\ndt = 0.007\n", "integer multiple of dt"),
+        ("[ob]\ndt = 0.3\nt_end = 0.3\n", "multiple of the ob dt"),
+        ("[forcing]\ntheta_b_bottom = -20\n", "wall temperature non-positive"),
+    ],
+    ids=["t_end_from_dt", "cadence_from_dt", "wall_from_forcing"],
+)
+def test_config_error_of_a_defaulted_key_names_the_set_key_line(tmp_path, capsys, text, message) -> None:
+    # The offending key keeps its default; the error names the line of the
+    # key that was set: [ob] dt, or the [forcing] wall.
+    bad = _write(tmp_path, text)
+    assert main(["run-ob", "--config", bad, "--out", str(tmp_path / "o"), "--quiet"]) == 10
+    err = capsys.readouterr().err
+    assert "line 2" in err and message in err
+
+
 _FLOAT_KEYS = [
     (section, key) for section, keys in _SCHEMA.items()
     for key, (kind, _, _) in keys.items() if kind in ("float", "floats")

@@ -34,8 +34,6 @@ from bll.grid import (
     _wall_array,
     _xdiff_next,
     _xdiff_prev,
-    _zhi,
-    _zlo,
     _ZOperator,
     _zop,
 )
@@ -171,6 +169,16 @@ def test_advect_velocity_matches_roll_formulas_bitwise(nx) -> None:
     adv_u, adv_w = advect_velocity(Grid(nx, nz), u, w)
     assert np.array_equal(adv_u, want_u)
     assert np.array_equal(adv_w, want_w)
+
+
+def _zlo(a, n=1):
+    """The C-order buffer of a without its last n entries."""
+    return a.reshape(-1)[:-n]
+
+
+def _zhi(a, n=1):
+    """The C-order buffer of a without its first n entries."""
+    return a.reshape(-1)[n:]
 
 
 @given(nx=st.integers(4, 12), nz=st.integers(4, 12), seed=st.integers(0, 2**32 - 1))

@@ -893,6 +893,13 @@ def _old_rhs(rho, th, u, w, scenario, aux, tf, eta):
     return d_rho, d_E, du, dw
 
 
+def _paired(rates):
+    """rates with d_rho and d_E as the two halves of one array, as _rhs
+    returns them: _step updates the pair as one array."""
+    pair = np.stack(rates[:2])
+    return pair[0], pair[1], *rates[2:]
+
+
 def _old_cfl_bound(x, scenario, aux, tf):
     g = scenario.grid
     rho, th, u, w = x
@@ -948,6 +955,27 @@ def test_rhs_without_bulk_viscosity_matches_full_formula_bitwise(nx, nz, x_poten
     assert np.max(np.abs(got[2])) > 0.0 and np.max(np.abs(got[1])) > 0.0
 
 
+@pytest.mark.parametrize("eos", [IDEAL, EosParams(p_inf=1.0, a=1.0)], ids=["ideal", "radiation"])
+def test_step_nsf_writes_no_input_and_keeps_its_results(eos) -> None:
+    # A step runs in its stage plan's reused buffers: step_nsf must leave
+    # the input state bytewise unchanged, and a result must share no array
+    # that a later call writes.  A plan's three rate sets keep a result
+    # through one more step, so the later calls are two, each at another dt.
+    sc, rho, th, u, w = _moving_state(eos)
+    g = sc.grid
+    state = NsfState(ScalarField(g, rho), ScalarField(g, th), VectorField(g, u, w), 0.0, sc.eps)
+    fields = lambda s: (s.rho.values, s.theta.values, s.U.u, s.U.w)
+    before = [a.tobytes() for a in fields(state)]
+    dt = 0.5 * cfl_dt(state, sc)
+    first = step_nsf(state, sc, dt)
+    kept = [a.tobytes() for a in fields(first)]
+    for k in (2.0, 4.0):
+        later = step_nsf(state, sc, dt / k)
+        assert [a.tobytes() for a in fields(state)] == before
+        assert [a.tobytes() for a in fields(first)] == kept
+        assert [a.tobytes() for a in fields(later)] not in (kept, before)
+
+
 def test_runs_share_no_state_across_scenarios() -> None:
     # each scenario's z-face-layout invariants live on its own _NsfAux: a
     # member run after a dropped member at another eps equals the first run
@@ -976,24 +1004,43 @@ def test_runs_share_no_state_across_scenarios() -> None:
             assert np.array_equal(again.log[name], fresh.log[name])
 
 
-@given(nx=st.integers(4, 12), nz=st.integers(4, 12), seed=st.integers(0, 2**32 - 1))
+@given(nx=st.integers(4, 12), nz=st.integers(4, 12), one_row=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_property_z_face_layout_matches_slice_formulas(nx, nz, seed) -> None:
-    # center -> face: column k >= 1 holds face k, the spare column 0 stays
-    # finite (and positive for sums of positives); face -> center closes
-    # with the separate top row
+def test_property_z_face_layout_matches_slice_formulas(nx, nz, one_row, seed) -> None:
+    # The stage plan's stacked stencils.  centre -> face: column k >= 1 of
+    # every block holds face k, the spare column 0 stays finite (and
+    # positive for sums of positives); x faces pair each row with its
+    # periodic previous row, a one-row block with itself; face -> center
+    # closes the flux pair with the separate top row
+    sc = _scenario(Grid(nx, nz))
+    state = build_initial_nsf(sc)  # x-invariant: its strip has one row
+    x = (state.rho.values, state.theta.values, state.U.u, state.U.w)
+    aux = nsf._x_strip(sc, x)[1] if one_row else sc.reference()
+    plan = nsf._StagePlan(sc, aux, 1 if one_row else nx)
     rng = np.random.default_rng(seed)
-    a = rng.uniform(0.5, 2.0, (nx, nz))
-    top = rng.uniform(0.5, 2.0, nx)
-    with_top = np.concatenate([a, top[:, None]], axis=1)
-    for ufunc in (np.add, np.subtract):
-        faces = nsf._zfaces(ufunc, a)
-        assert np.array_equal(faces[:, 1:], ufunc(a[:, 1:], a[:, :-1]))
-        assert np.isfinite(faces[:, 0]).all()
-        centers = nsf._zcenters(ufunc, a, top)
-        assert np.array_equal(centers, ufunc(with_top[:, 1:], with_top[:, :-1]))
-        assert np.array_equal(nsf._zcenters(ufunc, a, 0.0)[:, -1], ufunc(0.0, a[:, -1]))
-    assert (nsf._zfaces(np.add, a)[:, 0] > 0.0).all()
+    plan.centre[...] = rng.uniform(0.5, 2.0, plan.centre.shape)
+    plan.dev[...] = rng.uniform(-1.0, 1.0, plan.dev.shape)
+    blocks, dev = plan.centre[1:], plan.dev
+    for faces in (plan.z, plan.x):
+        nsf._each(np.add, faces.sum_pairs)
+        nsf._each(np.subtract, faces.jump_pairs)
+    assert np.array_equal(plan.z.sums[..., 1:], blocks[..., 1:] + blocks[..., :-1])
+    assert (plan.z.sums[..., 0] > 0.0).all()
+    assert np.array_equal(plan.z.jumps[..., 1:], dev[..., 1:] - dev[..., :-1])
+    assert np.isfinite(plan.z.jumps[..., 0]).all()
+    assert np.array_equal(plan.x.sums, blocks + np.roll(blocks, 1, axis=-2))
+    assert np.array_equal(plan.x.jumps, dev - np.roll(dev, 1, axis=-2))
+
+    for F in (plan.z.F, plan.x.F):
+        F[...] = rng.uniform(0.5, 2.0, F.shape)
+    plan.top[...] = rng.uniform(0.5, 2.0, plan.top.shape)
+    rates = plan.out
+    np.subtract(plan.Fz_hi, plan.Fz_lo, out=rates.pair_lo)
+    np.subtract(plan.top, plan.Fz_top, out=rates.pair_top)
+    with_top = np.concatenate([plan.z.F, plan.top[..., None]], axis=-1)
+    assert np.array_equal(rates.pair, with_top[..., 1:] - with_top[..., :-1])
+    nsf._each(np.subtract, plan.div_x_pairs)
+    assert np.array_equal(plan.div_x, np.roll(plan.x.F, -1, axis=-2) - plan.x.F)
 
 
 def test_bulk_viscosity_still_acts_when_eta0_positive() -> None:
@@ -1001,11 +1048,11 @@ def test_bulk_viscosity_still_acts_when_eta0_positive() -> None:
     sc, rho, th, u, w = _moving_state(bulk)
     sc0, *_ = _moving_state(IDEAL)
     tf = nsf._thermo(rho, th, bulk)
-    got = nsf._rhs(rho, th, u, w, sc, sc.reference(), tf, _Advection(sc.grid))
+    got = nsf._rhs(rho, th, u, w, sc, sc.reference(), tf, nsf._StagePlan(sc, sc.reference(), 16))
     want = _rhs_full_formula(rho, th, u, w, sc, sc.reference(), tf, tf.eta)
     for a, b in zip(got, want):
         assert np.array_equal(a, b)
-    without = nsf._rhs(rho, th, u, w, sc0, sc0.reference(), nsf._thermo(rho, th, IDEAL), _Advection(sc0.grid))
+    without = nsf._rhs(rho, th, u, w, sc0, sc0.reference(), nsf._thermo(rho, th, IDEAL), nsf._StagePlan(sc0, sc0.reference(), 16))
     assert np.array_equal(got[0], without[0])  # mass has no viscous term
     assert not np.allclose(got[1], without[1], rtol=0.0, atol=1e-12)
     assert not np.allclose(got[2], without[2], rtol=0.0, atol=1e-12)
@@ -1249,7 +1296,7 @@ def test_stage_folding_moves_a_run_by_rounding_only(eos, monkeypatch) -> None:
     new = run_nsf(sc)
     monkeypatch.setattr(nsf, "_thermo", lambda rho, th, eos, _=None: _old_stage_thermo(rho, th, eos))
     monkeypatch.setattr(
-        nsf, "_rhs", lambda rho, th, u, w, sc, aux, tf, _: _old_rhs(rho, th, u, w, sc, aux, tf, _eta(th, sc.eos))
+        nsf, "_rhs", lambda rho, th, u, w, sc, aux, tf, _: _paired(_old_rhs(rho, th, u, w, sc, aux, tf, _eta(th, sc.eos)))
     )
     monkeypatch.setattr(nsf, "_cfl_bound", _old_cfl_bound)
     monkeypatch.setattr(nsf, "_theta_from_rho_e", _old_stage_theta_from_rho_e)
@@ -1279,7 +1326,7 @@ def test_rhs_is_exactly_zero_at_rest_on_the_discrete_reference(eos, nx, nz) -> N
     state = _profile_state(g, rho_hat, theta_hat, sc.eps)
     rho, th = state.rho.values, state.theta.values
     d_rho, _, du, dw = nsf._rhs(
-        rho, th, state.U.u, state.U.w, sc, sc.reference(), nsf._thermo(rho, th, eos), _Advection(g)
+        rho, th, state.U.u, state.U.w, sc, sc.reference(), nsf._thermo(rho, th, eos), nsf._StagePlan(sc, sc.reference(), nx)
     )
     assert np.array_equal(d_rho, np.zeros_like(rho))
     assert np.array_equal(du, np.zeros_like(state.U.u))
@@ -1337,7 +1384,8 @@ def _assert_run_is_the_step_loop_bytewise(sc, monkeypatch):
     """Run sc through run_nsf and compare every log column and every
     snapshot's fields bytewise with _step_loop; returns the widths of the
     states that run_nsf stepped, each under the caller's scenario object,
-    and the (column flag, _face_fluxes calls) pairs of its steps."""
+    and the (column flag, face directions) pairs of its steps: the
+    directions, in order, whose _face_fluxes a step formed."""
     widths, runs, paths, fluxes = set(), [], set(), []
     step, face_fluxes = nsf._step, nsf._face_fluxes
 
@@ -1346,12 +1394,12 @@ def _assert_run_is_the_step_loop_bytewise(sc, monkeypatch):
         runs.append(run)
         before = len(fluxes)
         out = step(x, t, dt, run, aux, *args)
-        paths.add((aux.column, len(fluxes) - before))
+        paths.add((aux.column, "".join(fluxes[before:])))
         return out
 
-    def count(*args):
-        fluxes.append(args[0])
-        return face_fluxes(*args)
+    def count(faces, *args):
+        fluxes.append(faces.name)
+        return face_fluxes(faces, *args)
 
     monkeypatch.setattr(nsf, "_step", spy)
     monkeypatch.setattr(nsf, "_face_fluxes", count)
@@ -1381,15 +1429,15 @@ def _column_scenario(g, eos, **kw):
 
 
 @pytest.mark.parametrize("start", ["rest", "shear", "negative_zero"])
-@pytest.mark.parametrize("nx", [16, 6])
+@pytest.mark.parametrize("nx", [16, 6, 4])
 @pytest.mark.parametrize(
     "eos", [IDEAL, EosParams(p_inf=1.0, a=1.0), EosParams(eta0=0.02)], ids=["ideal", "radiation", "bulk"]
 )
 def test_x_invariant_run_steps_a_strip_bytewise(eos, nx, start, monkeypatch) -> None:
-    # An x-invariant run steps 4 columns and tiles them back: its log and
-    # snapshots are the full-width step loop's, byte for byte.  6 is an nx
-    # that 4 does not divide.  The rest start is a column (u bytewise +0.0),
-    # whose steps form only the z-face fluxes; the shear start has a
+    # An x-invariant run steps one row and tiles it back: its log and
+    # snapshots are the full-width step loop's, byte for byte, 4 (the
+    # narrowest grid) included.  The rest start is a column (u bytewise
+    # +0.0), whose steps form only the z-face fluxes; the shear start has a
     # z-varying u, and an all -0.0 u is no column either.  The bulk gas
     # checks the column's eta div U terms.
     g = Grid(nx, 8)
@@ -1403,7 +1451,7 @@ def test_x_invariant_run_steps_a_strip_bytewise(eos, nx, start, monkeypatch) -> 
         kw["U0"] = VectorField(g, np.full((nx, 8), -0.0), np.zeros((nx, 9)))
     column = start == "rest"
     sc = _column_scenario(g, eos, **kw)
-    assert _assert_run_is_the_step_loop_bytewise(sc, monkeypatch) == ({4}, {(column, 2 if column else 4)})
+    assert _assert_run_is_the_step_loop_bytewise(sc, monkeypatch) == ({1}, {(column, "zz" if column else "zxzx")})
 
 
 @pytest.mark.parametrize("eos", [IDEAL, EosParams(eta0=0.02)], ids=["ideal", "bulk"])
@@ -1421,12 +1469,12 @@ def test_column_stage_is_the_full_stage_bytewise_with_signed_zeros(eos) -> None:
         col = rng.choice([0.0, -0.0, 1e-3, -1e-3], size=7)
         col[[0, -1]] = rng.choice([0.0, -0.0], size=2)
         x = (rho, th, np.zeros((8, 6)), np.tile(col, (8, 1)))
-        xs, strip, gs = nsf._x_strip(sc, x)
-        full = nsf._rhs(*x, sc, sc.reference(), nsf._thermo(rho, th, eos), _Advection(g))
-        got = nsf._rhs(*xs, sc, strip, nsf._thermo(xs[0], xs[1], eos), _Advection(gs))
+        xs, strip = nsf._x_strip(sc, x)
+        full = nsf._rhs(*x, sc, sc.reference(), nsf._thermo(rho, th, eos), nsf._StagePlan(sc, sc.reference(), 8))
+        got = nsf._rhs(*xs, sc, strip, nsf._thermo(xs[0], xs[1], eos), nsf._StagePlan(sc, strip, 1))
         assert strip.column and got[2] is None and not full[2].view(np.uint64).any()
         for i in (0, 1, 3):
-            assert got[i].tobytes() == full[i][:4].tobytes()
+            assert got[i].tobytes() == full[i][:1].tobytes()
 
 
 @pytest.mark.parametrize(
@@ -1462,4 +1510,4 @@ def test_x_varying_run_takes_the_full_path_bytewise(case, monkeypatch) -> None:
     # steps the full width, and still equals the step loop byte for byte.
     g = Grid(16, 8)
     sc = _column_scenario(g, IDEAL, **_x_varying(g, case))
-    assert _assert_run_is_the_step_loop_bytewise(sc, monkeypatch) == ({16}, {(False, 4)})
+    assert _assert_run_is_the_step_loop_bytewise(sc, monkeypatch) == ({16}, {(False, "zxzx")})
