@@ -256,6 +256,13 @@ def _require_grid(grid, fields):
             raise ShapeError(f"state grid {f.grid} does not match the scenario grid {grid}")
 
 
+def _rows_equal(a):
+    """Whether every row of a (every entry of a 1-d a) is bytewise equal to
+    the first: -0.0 differs from +0.0."""
+    bits = a.view(np.uint64)
+    return bool((bits == bits[:1]).all())
+
+
 def _wall_trace_gap(vals, wall_bottom, wall_top):
     """Largest gap between the wall data and the quadratic extrapolation
     1.5 v0 - 0.5 v1 of the center values vals to each wall."""
@@ -638,8 +645,15 @@ def laplace_dirichlet(grid, bottom, top):
     """Harmonic extension of wall data: lap(h) = 0, h = bottom/top on the walls.
 
     Uses the quadratic-extrapolation wall ghost, matching helmholtz_solve on
-    center fields.  For per-wall-constant data the result is the linear blend
-    bottom + (top - bottom) z sampled at the cell centers.
+    center fields.  Walls bytewise constant along x take the closed form, the
+    linear blend bottom + (top - bottom) z at the cell centers, which is the
+    exact discrete solution: every row is bytewise equal and no operator is
+    built.  Other wall data go through the solve.
     """
-    vals = _zop(grid, 1.0, "extrapolate", a=0.0).solve(None, bottom, top)
+    walls = _wall_array(bottom, grid.nx), _wall_array(top, grid.nx)
+    if all(map(_rows_equal, walls)):
+        b, t = (float(w[0]) for w in walls)
+        vals = np.tile(b + (t - b) * grid.z_centers, (grid.nx, 1))
+    else:
+        vals = _zop(grid, 1.0, "extrapolate", a=0.0).solve(None, *walls)
     return ScalarField(grid, vals, Staggering.CENTER)

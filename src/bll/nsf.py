@@ -29,14 +29,14 @@ profiles, and the scheme reduces to the plain form.
 Validation runs at the public entry points, which also reject a state built
 on another grid (ShapeError) or at another eps (CompatibilityError), and in
 the positivity guard after every stage (one min and one max per array).
-run_nsf steps raw arrays x = (rho, theta, u, w) through the kernels _step,
-_cfl_bound and _log_row and builds an NsfState only for a snapshot; step_nsf,
-cfl_dt and ballistic_energy unpack their validated state once and call the
-same kernels.  A run evaluates each state's thermodynamics once and shares
-it between the log row, the CFL bound (once per step) and the next step's
-first stage: rho*e is thermo's _rho_e and p, c^2 and e_theta its _closure,
-both on one _powers (one cbrt and products of theta), so the stage forms no
-gas-model formula of its own.  Each stage starts the Newton recovery of
+run_nsf steps raw arrays x = (rho, theta, u, w) through the kernels _step
+and _cfl_bound, logs them through a _LogRecorder and builds an NsfState only
+for a snapshot; step_nsf, cfl_dt and ballistic_energy unpack their validated
+state once and call the same kernels.  A run evaluates each state's
+thermodynamics once and shares it between the log, the CFL bound (once per
+step) and the next step's first stage: rho*e is thermo's _rho_e and p, c^2
+and e_theta its _closure, both on one _powers (one cbrt and products of
+theta), so the stage forms no gas-model formula of its own.  Each stage starts the Newton recovery of
 theta at the previous stage's theta and forms the cbrt of its density once,
 for the recovery's cold floor and the _thermo that follows.
 
@@ -45,9 +45,10 @@ arrays, stacked into blocks so that one ufunc serves several fields, and
 three rotating rate sets, so that a step allocates no stage array; its
 docstring has the layout and the rotation.  An exactly x-invariant run
 (_x_strip) steps x and the reference cut to one row under the caller's
-scenario, and tiles its log rows and snapshots back to full width, bit for
-bit the full-width run; one at rest in x is a column, stepping only its
-z-terms (the rule and its + 0.0 operands are in _x_strip's docstring).
+scenario and tiles its snapshots back to full width, bit for bit the
+full-width run; one at rest in x is a column, stepping only its z-terms
+(the rule and its + 0.0 operands are in _x_strip's docstring).  Its log is
+formed on that row, as _LogRecorder's docstring says.
 
 The stage kernel _rhs is written for the number of ufunc calls.  One
 routine, _face_fluxes, forms the face fluxes of both directions.  Every
@@ -86,8 +87,6 @@ from .grid import (
     center_to_xface,
     laplace_dirichlet,
     mean,
-    xface_to_center,
-    zface_to_center,
 )
 from .thermo import (
     _check_state,
@@ -942,6 +941,9 @@ def _theta_tilde(scenario, theta_tilde):
     wb, wt = scenario.wall_theta()
     if theta_tilde is None:
         theta_tilde = laplace_dirichlet(g, wb, wt)
+    if theta_tilde.grid != g or theta_tilde.stag != Staggering.CENTER:
+        raise ShapeError(f"theta_tilde must be a CENTER field on the scenario grid {g}, "
+                         f"got a {theta_tilde.stag.name} field on {theta_tilde.grid}")
     vals = theta_tilde.values
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
         raise DomainError("theta_tilde must be finite and strictly positive")
@@ -958,37 +960,81 @@ def ballistic_energy(state, scenario, theta_tilde=None):
     """Integral of eps^2 rho |u|^2 / 2 + rho e - theta~ rho s.
 
     theta_tilde defaults to the harmonic extension of the wall temperatures;
-    a supplied center field must be positive and carry the wall trace
-    (checked by quadratic extrapolation, tolerance O(dz^2))."""
+    a supplied center field must live on the scenario's grid and be
+    positive and carry the wall trace (checked by quadratic extrapolation,
+    tolerance O(dz^2))."""
     x = _fields(state, scenario)
-    E = _rho_e(x[0], x[1], scenario.eos)
-    return _log_row(x, state.t, scenario, E, _theta_tilde(scenario, theta_tilde), 0.0)[2]
+    log = _LogRecorder(scenario, _theta_tilde(scenario, theta_tilde), x, steps=1)
+    log.record(state.t, 0.0, x, _rho_e(x[0], x[1], scenario.eos))
+    return float(log.finish().ballistic_energy[0])
 
 
-def _log_row(x, t, scenario, E, theta_tilde, dt, column=False):
-    """The LOG_COLUMNS row of x = (rho, theta, u, w) at time t, reached by a
-    step dt; E is rho*e of x, and a column's u.u term, +0.0, is left out.
-    A strip (fewer rows than the grid) has its row 0 tiled to the full width
-    before the theta_tilde term and the sums, which then see the bytes of
-    the full-width run."""
-    rho, th, u, w = x
-    s = _entropy(rho, th, scenario.eos)
-    kin = zface_to_center(w * w)
-    if not column:
-        kin += xface_to_center(u * u)
-    dens = 0.5 * rho
-    dens *= kin
-    dens *= scenario.eps ** 2
-    dens += E
-    nx = scenario.grid.nx
-    if rho.shape[0] != nx:
-        rho, s, dens = (np.repeat(a[:1], nx, axis=0) for a in (rho, s, dens))
-    bound = theta_tilde * rho
-    bound *= s
-    dens -= bound
-    s *= rho
-    cv = scenario.grid.cell_volume
-    return t, float(np.sum(rho)) * cv, float(np.sum(dens)) * cv, float(np.sum(s)) * cv, dt
+# Steps that one block of run_nsf's log holds at most, and the bytes its
+# state buffers take at most (a block always holds one step).
+_LOG_BLOCK, _LOG_BYTES = 256, 256 * 1024
+
+
+class _LogRecorder:
+    """run_nsf's LOG_COLUMNS log, recorded per step and formed per block.
+
+    Block layout: step j of a block copies t and dt into column j of times
+    (2, slots), and rho, theta, w, E = rho e and u into slot j of the
+    buffers x, each (slots, rows, nz) (w: nz + 1), rows being the stepped
+    width: the grid's nx, or 1 on an x-invariant strip.  A column has no u
+    buffer: its u is +0.0, and so is its u^2 term.  A block holds at most
+    _LOG_BLOCK steps and about _LOG_BYTES of buffers, so a full-width run
+    keeps small blocks.  A filled block becomes log rows in one vectorised
+    pass with the per-state arithmetic element for element: the density
+    eps^2 rho |u|^2 / 2 + E - theta~ rho s, |u|^2 the centre averages of
+    w^2 and u^2, and rho s.  Each integral sums one slot's contiguous
+    rows * nz entries, numpy's pairwise sum of the same elements as a sum
+    over one state.
+
+    The one-row rule: a strip forms its log on its row and on row 0 of
+    theta_tilde, which is bytewise x-invariant for a strip's x-constant
+    walls (laplace_dirichlet's closed form), so each integral is nx
+    cell_volume times a row sum.  A full-width log is cell_volume times the
+    sum, and ballistic_energy forms a block of one state."""
+
+    def __init__(self, scenario, theta_tilde, x, column=False, steps=_LOG_BLOCK):
+        g, (rows, nz) = scenario.grid, x[0].shape
+        self.scenario, self.theta_tilde = scenario, theta_tilde[:rows]
+        self.scale = g.cell_volume if rows == g.nx else g.nx * g.cell_volume
+        slots = max(1, min(steps, _LOG_BLOCK, _LOG_BYTES // (8 * rows * (5 * nz + 1))))
+        self.times = np.empty((2, slots))
+        # rho, theta, w, E and, unless the strip is a column, u.
+        self.x = [np.empty((slots, rows, n)) for n in (nz, nz, nz + 1, nz, nz)[: 4 if column else 5]]
+        self.blocks, self.filled = [], 0
+
+    def record(self, t, dt, x, E):
+        """Store the state x = (rho, theta, u, w) at time t, reached by a
+        step dt, with its rho e."""
+        j = self.filled
+        self.times[:, j] = t, dt
+        for buf, a in zip(self.x, (x[0], x[1], x[3], E, x[2])):
+            buf[j] = a
+        self.filled += 1
+        if self.filled == self.times.shape[1]:
+            self._form()
+
+    def _form(self):
+        n = self.filled
+        rho, th, w, E, *u = (a[:n] for a in self.x)
+        s = _entropy(rho, th, self.scenario.eos)
+        w2 = w * w
+        kin = (w2[..., 1:] + w2[..., :-1]) * 0.5
+        for u2 in (v * v for v in u):
+            kin += (np.roll(u2, -1, axis=1) + u2) * 0.5
+        dens = 0.5 * rho * kin * self.scenario.eps ** 2 + E - self.theta_tilde * rho * s
+        sums = [a.reshape(n, -1).sum(axis=1) * self.scale for a in (rho, dens, rho * s)]
+        self.blocks.append(np.array([self.times[0, :n], *sums, self.times[1, :n]]))
+        self.filled = 0
+
+    def finish(self):
+        """The log, once every state is recorded."""
+        if self.filled:
+            self._form()
+        return np.rec.fromarrays(np.concatenate(self.blocks, axis=1), names=LOG_COLUMNS)
 
 
 def _snapshot(x, t, scenario):
@@ -1009,13 +1055,6 @@ _X_ROWS = ("wall_b", "wall_t", "kap_b2", "kap_t2", "rho_hat_xz", "rho_hat_f_xz",
            "p_hat_xz", "E_hat_xz", "dGz_eps", "corner_b", "corner_t")
 
 
-def _rows_equal(a):
-    """Whether every row of a (every entry of a 1-d a) is bytewise equal to
-    the first: -0.0 differs from +0.0."""
-    bits = a.view(np.uint64)
-    return bool((bits == bits[:1]).all())
-
-
 def _x_strip(scenario, x):
     """(x, aux) to step from x: x and the scenario's reference, or both cut
     to their first row when the run is x-invariant: every row of G, of the
@@ -1031,7 +1070,7 @@ def _x_strip(scenario, x):
     x-term of the stage is then an exact zero: the x-face fluxes and their
     divergence, Dxx, the shear and its corner stress and dissipation, the
     u half of the advection and the whole rate of u, whose +0.0 keeps u
-    +0.0 at every step.  _rhs, _step, _cfl_bound and _log_row skip them,
+    +0.0 at every step.  _rhs, _step, _cfl_bound and _LogRecorder skip them,
     and u is not stepped.  A skipped zero that was the first operand of a
     sum is kept, since +0.0 + -0.0 is +0.0: divU = Dzz + 0.0, Dxx - Dzz =
     0.0 - Dzz, dw's viscous sum visc_z + 0.0, and the advection's
@@ -1039,7 +1078,7 @@ def _x_strip(scenario, x):
     part of a divergence) or a +0.0 added to a sum that is never -0.0 (the
     kinetic, shear-square and CFL |u| terms) drops out exactly."""
     aux = scenario.reference()
-    if not all(map(_rows_equal, (scenario.G.values, aux.wall_b, aux.wall_t) + x)):
+    if not all(map(gr._rows_equal, (scenario.G.values, aux.wall_b, aux.wall_t) + x)):
         return x, aux
     cut = {name: getattr(aux, name)[:1] for name in _X_ROWS}
     strip = replace(aux, column=not x[2].view(np.uint64).any(), **cut)
@@ -1066,7 +1105,8 @@ def run_nsf(scenario, snapshot_dt=None, initial=None):
     times, states = [t], [state]
     x, aux = _x_strip(scenario, (state.rho.values, state.theta.values, state.U.u, state.U.w))
     tf = _thermo(x[0], x[1], scenario.eos)
-    rows = [_log_row(x, t, scenario, tf.E, theta_tilde, 0.0, aux.column)]
+    log = _LogRecorder(scenario, theta_tilde, x, aux.column)
+    log.record(t, 0.0, x, tf.E)
     next_snap = snapshot_dt if snapshot_dt is not None else np.inf
     while next_snap <= t + 1e-12:  # a late start: the first multiple after it
         next_snap += snapshot_dt
@@ -1082,12 +1122,11 @@ def run_nsf(scenario, snapshot_dt=None, initial=None):
         t += dt
         tf = _thermo(x[0], x[1], scenario.eos, rho_powers)
         steps += 1
-        rows.append(_log_row(x, t, scenario, tf.E, theta_tilde, dt, aux.column))
+        log.record(t, dt, x, tf.E)
         at_snap = t >= next_snap - 1e-12
         if at_snap or t >= t_end - 1e-12:
             times.append(t)
             states.append(_snapshot(x, t, scenario))
             if at_snap:
                 next_snap += snapshot_dt
-    log = np.rec.fromrecords(rows, names=LOG_COLUMNS)
-    return NsfTrajectory(scenario, times, states, log, steps, time.perf_counter() - started)
+    return NsfTrajectory(scenario, times, states, log.finish(), steps, time.perf_counter() - started)

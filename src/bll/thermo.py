@@ -177,9 +177,10 @@ def _internal_energy(rho, theta, eos):
 
 
 def _entropy(rho, theta, eos):
-    """s = -log Z + s0 + (4a/3) theta^3 / rho, per unit mass."""
-    s = -np.log(rho * theta ** -1.5) + eos.s0
-    return s + (4.0 * eos.a / 3.0) * theta ** 3 / rho if eos.a else s
+    """s = -log Z + s0 + (4a/3) theta^3 / rho, per unit mass, with -log Z
+    = 1.5 log theta - log rho: two logs and products, no powers."""
+    s = 1.5 * np.log(theta) - np.log(rho) + eos.s0
+    return s + (4.0 * eos.a / 3.0) * (theta * theta * theta) / rho if eos.a else s
 
 
 def _rho_e(rho, theta, eos, powers=None):

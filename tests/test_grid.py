@@ -26,6 +26,7 @@ from bll.grid import (
     grad,
     helmholtz_solve,
     helmholtz_solve_zface,
+    laplace_dirichlet,
     mean,
     poisson_solve,
     xface_to_center,
@@ -418,6 +419,32 @@ def test_z_operators_are_cached_per_grid() -> None:
     assert np.array_equal(op.unit_wall, walls.values)
 
 
+@pytest.mark.parametrize("nx, nz", [(64, 32), (16, 8), (6, 12)])
+def test_laplace_dirichlet_x_constant_walls_take_the_closed_form(nx, nz) -> None:
+    # Walls bytewise constant along x give the linear blend at the cell
+    # centres: every row bytewise equal, within a few ulp of the DFT solve,
+    # and no operator is built for it.
+    g = Grid(nx, nz)
+    for bottom, top in ((1.02, 0.98), (np.full(nx, 0.5), -0.2), (3.0, np.full(nx, 0.01))):
+        got = laplace_dirichlet(g, bottom, top).values
+        assert not g._zops
+        assert got.tobytes() == np.tile(got[0], (nx, 1)).tobytes()
+        solve = _zop(g, 1.0, "extrapolate", a=0.0).solve(None, bottom, top)
+        g._zops.clear()
+        assert np.max(np.abs(got - solve)) <= 16 * np.spacing(np.max(np.abs(solve)))
+
+
+def test_laplace_dirichlet_x_varying_walls_take_the_solve_bitwise() -> None:
+    # Wall data that vary along x, a lone -0.0 among +0.0 included, go
+    # through the solve, bit for bit.
+    g = Grid(16, 8)
+    signed = np.zeros(16)
+    signed[3] = -0.0
+    for bottom, top in ((0.5 + 0.25 * np.cos(2 * np.pi * g.x_centers), -0.1), (signed, 1.0)):
+        want = _zop(g, 1.0, "extrapolate", a=0.0).solve(None, bottom, top)
+        assert laplace_dirichlet(g, bottom, top).values.tobytes() == want.tobytes()
+
+
 def _ob_column(g):
     # Asymmetric walls, so the mean moves and the two targets of
     # compare_modified_vs_naive differ (no coincidence warning).
@@ -431,8 +458,8 @@ def _step_ob(g):
     return step_ob(build_initial_ob(sc), sc, sc.dt)
 
 
-def _nsf_column(g):
-    return NsfScenario(g, EosParams(), 0.2, G=gravity_potential(g, 1.0), theta_b_bottom=0.2,
+def _nsf_column(g, theta_b_bottom=0.2):
+    return NsfScenario(g, EosParams(), 0.2, G=gravity_potential(g, 1.0), theta_b_bottom=theta_b_bottom,
                        theta_b_top=-0.2, t_end=0.004)
 
 
@@ -444,7 +471,8 @@ def _step_nsf(g):
 _RUNS = {
     "run_ob": lambda g: run_ob(_ob_column(g)),
     "run_ob_theta": lambda g: run_ob(_ob_column(g), THETA_FRAME),
-    "run_nsf": lambda g: run_nsf(_nsf_column(g)),
+    # An x-varying wall, so that laplace_dirichlet caches its operator.
+    "run_nsf": lambda g: run_nsf(_nsf_column(g, 0.2 + 0.05 * np.cos(2 * np.pi * g.x_centers))),
     "sweep": lambda g: sweep(_ob_column(g), [0.2], snapshot_dt=0.002),
     "compare": lambda g: compare_modified_vs_naive(_ob_column(g), 0.2, snapshot_dt=0.002),
     "step_ob": _step_ob,

@@ -14,7 +14,17 @@ from hypothesis.extra.numpy import arrays
 from bll import grid as gr
 from bll import nsf, thermo
 from bll.errors import CompatibilityError, DivergenceError, DomainError, ShapeError, StabilityError
-from bll.grid import Grid, ScalarField, VectorField, _Advection, advect_velocity, center_to_xface, laplace_dirichlet
+from bll.grid import (
+    Grid,
+    ScalarField,
+    VectorField,
+    _Advection,
+    advect_velocity,
+    center_to_xface,
+    laplace_dirichlet,
+    xface_to_center,
+    zface_to_center,
+)
 from bll.nsf import (
     NsfScenario,
     NsfState,
@@ -570,6 +580,23 @@ def test_ballistic_energy_guards() -> None:
     bad.values[0, 0] = -1.0
     with pytest.raises(DomainError):
         ballistic_energy(state, sc, bad)
+
+
+@pytest.mark.parametrize("other", [Grid(4, 8), Grid(16, 16), Grid(16, 8, Lx=2.0), "xface"])
+def test_ballistic_energy_rejects_theta_tilde_off_the_scenario_grid(other) -> None:
+    # A theta_tilde of another grid, same-shape ones included, or on the
+    # x-faces raises ShapeError naming both grids and the staggering.
+    g = Grid(16, 8)
+    sc = _scenario(g, theta_b_bottom=0.2)
+    state = build_initial_nsf(sc)
+    if other == "xface":
+        theta_tilde = ScalarField(g, laplace_dirichlet(g, *sc.wall_theta()).values, gr.Staggering.XFACE)
+        want = r"CENTER field on the scenario grid .*got a XFACE field"
+    else:
+        theta_tilde = laplace_dirichlet(other, 1.02, 1.0)
+        want = rf"grid Grid\(nx=16, nz=8, Lx=1\.0\), got a CENTER field on Grid\(nx={other.nx}, nz={other.nz}, Lx={other.Lx}"
+    with pytest.raises(ShapeError, match=want):
+        ballistic_energy(state, sc, theta_tilde)
 
 
 def test_ballistic_energy_decays_during_relaxation() -> None:
@@ -1356,9 +1383,23 @@ def test_entry_points_reject_a_state_of_another_scenario(name, call) -> None:
         call(other_grid, sc)
 
 
+def _one_row(s, sc, theta_tilde):
+    """(mass, ballistic energy, entropy integral) of state s formed on row 0
+    of s and of theta_tilde, each row sum scaled by nx cell_volume: a
+    strip's log, written out with the per-state arithmetic."""
+    g, eos = sc.grid, sc.eos
+    rho, th = s.rho.values[:1], s.theta.values[:1]
+    kin = (zface_to_center(s.U.w * s.U.w) + xface_to_center(s.U.u * s.U.u))[:1]
+    ent = entropy(rho, th, eos)
+    dens = 0.5 * rho * kin * sc.eps ** 2 + rho_e(rho, th, eos) - theta_tilde.values[:1] * rho * ent
+    scale = g.nx * g.cell_volume
+    return tuple(float(np.sum(a)) * scale for a in (rho, dens, rho * ent))
+
+
 def _step_loop(sc, snapshot_dt):
     """run_nsf's log rows and snapshots, formed at full width by the public
-    step_nsf, cfl_dt and ballistic_energy with run_nsf's step clamping."""
+    step_nsf, cfl_dt and ballistic_energy with run_nsf's step clamping,
+    and the _one_row integrals of every logged state."""
     g, eos = sc.grid, sc.eos
     theta_tilde = laplace_dirichlet(g, *sc.wall_theta())
 
@@ -1369,22 +1410,30 @@ def _step_loop(sc, snapshot_dt):
 
     state = build_initial_nsf(sc)
     rows, states, next_snap = [row(state, 0.0)], [state], snapshot_dt
+    one_row = [_one_row(state, sc, theta_tilde)]
     while state.t < sc.t_end - 1e-12:
         dt = min(cfl_dt(state, sc), min(next_snap, sc.t_end) - state.t)
         state = step_nsf(state, sc, dt)
         rows.append(row(state, dt))
+        one_row.append(_one_row(state, sc, theta_tilde))
         at_snap = state.t >= next_snap - 1e-12
         if at_snap or state.t >= sc.t_end - 1e-12:
             states.append(state)
             next_snap += snapshot_dt if at_snap else 0.0
-    return np.array(rows), states
+    return np.array(rows), states, np.array(one_row)
+
+
+# The log columns that a strip forms on one row.
+_INTEGRALS = ("mass", "ballistic_energy", "entropy_proxy")
 
 
 def _assert_run_is_the_step_loop_bytewise(sc, monkeypatch):
-    """Run sc through run_nsf and compare every log column and every
-    snapshot's fields bytewise with _step_loop; returns the widths of the
-    states that run_nsf stepped, each under the caller's scenario object,
-    and the (column flag, face directions) pairs of its steps: the
+    """Run sc through run_nsf and compare t, dt and every snapshot's fields
+    bytewise with _step_loop, and the log's integrals too at full width; a
+    strip's integrals, formed on one row, are bytewise _one_row's and
+    within 1e-14 relative of the full-width sums.  Returns the widths of
+    the states that run_nsf stepped, each under the caller's scenario
+    object, and the (column flag, face directions) pairs of its steps: the
     directions, in order, whose _face_fluxes a step formed."""
     widths, runs, paths, fluxes = set(), [], set(), []
     step, face_fluxes = nsf._step, nsf._face_fluxes
@@ -1405,11 +1454,17 @@ def _assert_run_is_the_step_loop_bytewise(sc, monkeypatch):
     monkeypatch.setattr(nsf, "_face_fluxes", count)
     traj = run_nsf(sc, snapshot_dt=0.005)
     monkeypatch.undo()
-    rows, states = _step_loop(sc, 0.005)
+    rows, states, one_row = _step_loop(sc, 0.005)
     assert traj.steps == len(rows) - 1 > 5 and traj.scenario is sc
     assert len(runs) == traj.steps and all(run is sc for run in runs)
+    strip = widths != {sc.grid.nx}
     for k, name in enumerate(nsf.LOG_COLUMNS):
-        assert traj.log[name].tobytes() == rows[:, k].tobytes()
+        got, want = traj.log[name], rows[:, k]
+        if strip and name in _INTEGRALS:
+            assert got.tobytes() == one_row[:, _INTEGRALS.index(name)].tobytes()
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        else:
+            assert got.tobytes() == want.tobytes()
     assert traj.times == [s.t for s in states] and len(states) == 5
     for a, b in zip(traj.states, states):
         assert a.rho.grid == a.U.grid == sc.grid
@@ -1511,3 +1566,15 @@ def test_x_varying_run_takes_the_full_path_bytewise(case, monkeypatch) -> None:
     g = Grid(16, 8)
     sc = _column_scenario(g, IDEAL, **_x_varying(g, case))
     assert _assert_run_is_the_step_loop_bytewise(sc, monkeypatch) == ({16}, {(False, "zxzx")})
+
+
+def test_full_width_log_crosses_block_boundaries_bytewise(monkeypatch) -> None:
+    # Log buffers cut to three full-width steps: the run's log fills several
+    # blocks and still equals the per-step loop byte for byte.
+    g = Grid(16, 8)
+    sc = _column_scenario(g, IDEAL, **_x_varying(g, "T0"))
+    blocks, form = [], nsf._LogRecorder._form
+    monkeypatch.setattr(nsf, "_LOG_BYTES", 3 * 8 * 16 * (5 * 8 + 1))
+    monkeypatch.setattr(nsf._LogRecorder, "_form", lambda log: blocks.append(log.filled) or form(log))
+    assert _assert_run_is_the_step_loop_bytewise(sc, monkeypatch) == ({16}, {(False, "zxzx")})
+    assert len(blocks) >= 3 and blocks[:2] == [3, 3]

@@ -368,8 +368,7 @@ def _full_sound_speed_squared(rho, theta, eos):
 
 
 def _full_entropy(rho, theta, eos):
-    Z = rho * theta ** -1.5
-    return -np.log(Z) + eos.s0 + (4.0 * eos.a / 3.0) * theta ** 3 / rho
+    return 1.5 * np.log(theta) - np.log(rho) + eos.s0 + (4.0 * eos.a / 3.0) * (theta * theta * theta) / rho
 
 
 def _full_rho_e(rho, theta, eos):

@@ -16,8 +16,9 @@ per-run end-to-end metrics, their medians and inclusive quartiles (q1, q3,
 iqr) and the artifact digests; per metric the change/parent ratio of every
 pair, the number of pairs the change wins (better in the direction that the
 change checkout's BENCHMARK.json declares, lower by default), the median gap
-and the parent's interquartile spread; and whether the two sides' digests
-agree seed by seed.
+and the parent's interquartile spread; whether the two sides' digests
+agree seed by seed; and src_lines, the raw and code line totals of each
+side's src/ by that checkout's own tools/src_lines.py.
 """
 
 from __future__ import annotations
@@ -61,6 +62,14 @@ def run_once(checkout, workload, seed, seconds):
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "digests": found.group(1).split(", ") if found else [],
     }
+
+
+def src_lines(checkout):
+    """{raw, code}: the line totals that checkout's tools/src_lines.py prints."""
+    proc = subprocess.run([sys.executable, "tools/src_lines.py"], cwd=checkout, capture_output=True, text=True,
+                          check=True)
+    _, raw, code = proc.stdout.strip().splitlines()[-1].split()
+    return {"raw": int(raw.replace(",", "")), "code": int(code.replace(",", ""))}
 
 
 def _spread(values):
@@ -129,6 +138,7 @@ def main(argv=None):
             f"{side} ms_per_step={pair[side]['metrics'].get('ms_per_step', float('nan')):.4g}" for side in ("parent", "change")
         ), file=sys.stderr)
     result = summarize(args.workload, runs, _better(args.change))
+    result["src_lines"] = {side: src_lines(getattr(args, side)) for side in ("parent", "change")}
     text = json.dumps(result, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
