@@ -18,7 +18,8 @@ pair, the number of pairs the change wins (better in the direction that the
 change checkout's BENCHMARK.json declares, lower by default), the median gap
 and the parent's interquartile spread; whether the two sides' digests
 agree seed by seed; and src_lines, the raw and code line totals of each
-side's src/ by that checkout's own tools/src_lines.py.
+side's src/ by that checkout's own tools/src_lines.py (read before the
+first pair; null for a side whose script is missing or fails).
 """
 
 from __future__ import annotations
@@ -65,11 +66,19 @@ def run_once(checkout, workload, seed, seconds):
 
 
 def src_lines(checkout):
-    """{raw, code}: the line totals that checkout's tools/src_lines.py prints."""
-    proc = subprocess.run([sys.executable, "tools/src_lines.py"], cwd=checkout, capture_output=True, text=True,
-                          check=True)
-    _, raw, code = proc.stdout.strip().splitlines()[-1].split()
-    return {"raw": int(raw.replace(",", "")), "code": int(code.replace(",", ""))}
+    """{raw, code}: the line totals that checkout's tools/src_lines.py prints,
+    or None when it has no such script, the script fails or its last line
+    is not 'total RAW CODE'."""
+    script = Path(checkout) / "tools" / "src_lines.py"
+    if not script.is_file():
+        return None
+    proc = subprocess.run([sys.executable, str(script)], cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        _, raw, code = lines[-1].split()
+        return {"raw": int(raw.replace(",", "")), "code": int(code.replace(",", ""))}
+    except (IndexError, ValueError):
+        return None
 
 
 def _spread(values):
@@ -129,6 +138,7 @@ def main(argv=None):
     parser.add_argument("--out", help="JSON file to write")
     args = parser.parse_args(argv)
     seeds = _seeds(args.seeds, args.pairs)
+    lines = {side: src_lines(getattr(args, side)) for side in ("parent", "change")}
     runs = []
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -138,7 +148,7 @@ def main(argv=None):
             f"{side} ms_per_step={pair[side]['metrics'].get('ms_per_step', float('nan')):.4g}" for side in ("parent", "change")
         ), file=sys.stderr)
     result = summarize(args.workload, runs, _better(args.change))
-    result["src_lines"] = {side: src_lines(getattr(args, side)) for side in ("parent", "change")}
+    result["src_lines"] = lines
     text = json.dumps(result, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
